@@ -26,6 +26,7 @@ from .core import (
 from .errors import (
     CapExceededError,
     InputError,
+    InternalError,
     PreconditionError,
     RefusalError,
 )

@@ -1,7 +1,8 @@
 """Command-line surface. One binary, subcommands, flags only.
 
 Exit codes are a stable contract: 0 colorable/pass, 1 not-colorable/fail,
-2 refusal (input not pattern-free), 3 input error.
+2 refusal (input not pattern-free), 3 input error, 4 internal error (a bug:
+an uncaught exception or a failed invariant, never a verdict).
 """
 
 from __future__ import annotations
@@ -11,12 +12,13 @@ import json
 import re
 import sys
 import time
+import traceback
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Optional
 
 from .core import Coloring, OrderedGraph, contains_pattern
-from .errors import CapExceededError, InputError, PreconditionError, RefusalError
+from .errors import CapExceededError, InputError, InternalError, PreconditionError, RefusalError
 from .gadgets import (
     GadgetOutput,
     gen_bipartite,
@@ -45,6 +47,7 @@ EXIT_YES = 0
 EXIT_NO = 1
 EXIT_REFUSED = 2
 EXIT_INPUT_ERROR = 3
+EXIT_INTERNAL_ERROR = 4
 
 
 @dataclass
@@ -110,7 +113,7 @@ def cmd_solve(args) -> RunReport:
         report.exit_code = EXIT_NO
     else:
         if not witness.validates(inst):
-            raise AssertionError("witness failed revalidation against the raw instance")
+            raise InternalError("witness failed revalidation against the raw instance")
         report.verdict = "colorable"
         report.witness = witness
         report.exit_code = EXIT_YES
@@ -392,6 +395,10 @@ def main(argv=None) -> int:
     except (InputError, PreconditionError, CapExceededError) as exc:
         report = RunReport(args.cmd, "input-error", exit_code=EXIT_INPUT_ERROR)
         report.add("error", str(exc))
+    except Exception as exc:  # InternalError or any other bug: never a verdict
+        traceback.print_exc()
+        report = RunReport(args.cmd, "internal-error", exit_code=EXIT_INTERNAL_ERROR)
+        report.add("error", f"{type(exc).__name__}: {exc}")
     sys.stdout.write(report.text())
     if args.json:
         sys.stdout.write(json.dumps(report.json_dict(), sort_keys=True) + "\n")

@@ -10,12 +10,11 @@ immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-import itertools
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
-from .errors import InputError
+from .errors import InputError, InternalError
 
 COLORS = (1, 2, 3)
 
@@ -651,11 +650,6 @@ class Coloring:
             and self.respects(inst.lists)
         )
 
-    def merged_with(self, other: "Coloring") -> "Coloring":
-        out = dict(self._assignment)
-        out.update(other.items())
-        return Coloring(out)
-
     def restrict(self, xs) -> "Coloring":
         xs = set(xs)
         return Coloring({v: c for v, c in self._assignment.items() if v in xs})
@@ -669,6 +663,15 @@ class Coloring:
     def __repr__(self):
         body = ", ".join(f"{v!r}:{c}" for v, c in sorted(self._assignment.items(), key=lambda kv: str(kv[0])))
         return f"Coloring({{{body}}})"
+
+
+def checked_witness(coloring: Coloring, inst: Instance) -> Coloring:
+    """The coloring, once it validates against the instance; a solver
+    witness that does not is a bug. An explicit check, so it also runs
+    under `python -O`."""
+    if not coloring.validates(inst):
+        raise InternalError("solver witness failed validation against its instance")
+    return coloring
 
 
 class Refinement:
@@ -718,33 +721,45 @@ class Refinement:
 
 
 class Profile:
-    """A set of refinements of one shared base instance."""
+    """A set of refinements of one shared base instance.
 
-    __slots__ = ("members",)
+    Members are drawn from the given iterable when iteration first reaches
+    them and kept for later passes, so a caller that stops at its first
+    useful member never builds the rest; `len` builds them all. Pass a
+    list to build every member up front.
+    """
+
+    __slots__ = ("_built", "_pending")
 
     def __init__(self, members: Iterable[Refinement]):
-        members = tuple(members)
-        bases = {id(m.base) for m in members}
-        if len(bases) > 1 and len({m.base for m in members}) > 1:
-            raise InputError("profile members must share a base instance")
-        self.members = members
+        self._built: list = []
+        self._pending = iter(members)
+
+    def __iter__(self):
+        built = self._built
+        i = 0
+        while True:
+            if i == len(built):
+                member = next(self._pending, None)
+                if member is None:
+                    return
+                first = built[0].base if built else member.base
+                if member.base is not first and member.base != first:
+                    raise InputError("profile members must share a base instance")
+                built.append(member)
+            yield built[i]
+            i += 1
+
+    @property
+    def members(self) -> tuple:
+        return tuple(self)
 
     @property
     def spanning(self) -> bool:
-        return all(m.spanning for m in self.members)
-
-    def __iter__(self):
-        return iter(self.members)
+        return all(m.spanning for m in self)
 
     def __len__(self):
-        return len(self.members)
+        return sum(1 for _ in self)
 
     def __repr__(self):
-        return f"Profile(size={len(self.members)})"
-
-
-def all_subsets(items, max_size=None):
-    items = list(items)
-    top = len(items) if max_size is None else min(max_size, len(items))
-    for r in range(top + 1):
-        yield from itertools.combinations(items, r)
+        return f"Profile(built={len(self._built)})"

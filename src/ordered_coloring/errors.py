@@ -13,6 +13,11 @@ class CapExceededError(RuntimeError):
     """The exhaustive oracle refused an instance above its size cap."""
 
 
+class InternalError(RuntimeError):
+    """A bug: an internal invariant failed, such as a returned witness that
+    does not validate or a derived instance above a configured cap."""
+
+
 class RefusalError(RuntimeError):
     """A solver refused an instance that is not pattern-free.
 

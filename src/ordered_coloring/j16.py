@@ -22,10 +22,12 @@ from .core import (
     OrderedGraph,
     Profile,
     Refinement,
+    checked_witness,
     contains_pattern,
 )
 from .errors import PreconditionError, RefusalError
 from .kernels import (
+    _boundary_guesses,
     chordal_peo,
     has_k4,
     propagate_singletons,
@@ -38,10 +40,13 @@ from .patterns import build_pattern
 
 @dataclass(frozen=True)
 class QTuple:
-    """Guessed first-k and last-l vertices of each color class."""
+    """Guessed first-k and last-l vertices of each color class, with the
+    lists the guess forces: color i on its two sets, and elsewhere color i
+    only strictly between them and away from their neighborhoods."""
 
     a_sets: tuple  # (A1, A2, A3), position-sorted tuples of size k
     b_sets: tuple  # (B1, B2, B3), size l
+    lists: ListAssignment
 
 
 @dataclass(frozen=True)
@@ -60,80 +65,20 @@ def wide_set(inst: Instance) -> list:
 
 
 def q_tuples(inst: Instance, k: int, l: int) -> Iterator[QTuple]:
-    g = inst.graph
-    per_color_a = {i: _stable_subsets(inst, i, k) for i in COLORS}
-    per_color_b = {i: _stable_subsets(inst, i, l) for i in COLORS}
+    """Guesses of the first k and last l vertices of each color class,
+    color-major, then by first-set, then by last-set (sets by rank).
 
-    def rec(i: int, used: set, acc_a: list, acc_b: list):
-        if i > 3:
-            yield QTuple(tuple(acc_a), tuple(acc_b))
-            return
-        for a in per_color_a[i]:
-            sa = set(a)
-            if used & sa:
-                continue
-            for b in per_color_b[i]:
-                sb = set(b)
-                if (used | sa) & sb:
-                    continue
-                # the union of the two guessed sets for one color is stable
-                if any(g.has_edge(x, y) for x in a for y in b):
-                    continue
-                acc_a.append(a)
-                acc_b.append(b)
-                yield from rec(i + 1, used | sa | sb, acc_a, acc_b)
-                acc_a.pop()
-                acc_b.pop()
-
-    yield from rec(1, set(), [], [])
-
-
-def _stable_subsets(inst: Instance, color: int, size: int) -> list:
-    g = inst.graph
-    members = sorted(inst.lists.view(color), key=g.rank)
-    return [
-        combo
-        for combo in itertools.combinations(members, size)
-        if not any(g.has_edge(x, y) for x, y in itertools.combinations(combo, 2))
-    ]
-
-
-def _initial_lists(inst: Instance, q: QTuple) -> ListAssignment:
-    """Force the guessed sets to their colors, then strike color i from
-    everything up to the last guessed first-i vertex (except that set) and
-    from everything past the first guessed last-i vertex (except that set).
-    A guess whose sets are misordered empties itself here and is dropped by
-    the caller."""
-    g = inst.graph
-    forced = {}
-    for i, combo in zip(COLORS, q.a_sets):
-        for v in combo:
-            forced[v] = i
-    for i, combo in zip(COLORS, q.b_sets):
-        for v in combo:
-            forced[v] = i
-    zones = {}
-    for i in COLORS:
-        a = q.a_sets[i - 1]
-        b = q.b_sets[i - 1]
-        zones[i] = (
-            max(g.position(x) for x in a) if a else None,
-            min(g.position(x) for x in b) if b else None,
-            set(a),
-            set(b),
-        )
-    new_lists = {}
-    for v in g.vertices:
-        keep = {forced[v]} if v in forced else set(inst.lists.get(v))
-        p = g.position(v)
-        for i in COLORS:
-            lo, hi, a_set, b_set = zones[i]
-            if lo is not None and p <= lo and v not in a_set:
-                keep.discard(i)
-            if hi is not None and p >= hi and v not in b_set:
-                keep.discard(i)
-        new_lists[v] = frozenset(keep)
-    return ListAssignment(new_lists)
+    This is the shared engine, `kernels._boundary_guesses`, with set sizes
+    (k, l). It skips every guess whose forced lists would empty: a vertex
+    left with no color, or a last-set not wholly after its first-set. Each
+    of those leaves an empty list after propagation, so `_narrow` would
+    drop it before it could refuse; skipping it changes no member, no
+    member order and no refusal witness. The forced lists also strike
+    color i from the neighbors of its two sets, which the singleton
+    propagation that follows would do anyway.
+    """
+    for a_sets, b_sets, lists in _boundary_guesses(inst, k, l):
+        yield QTuple(a_sets, b_sets, lists)
 
 
 def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
@@ -141,10 +86,7 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
         return
     seen = set()
     for q in q_tuples(inst, k, l):
-        lists0 = _initial_lists(inst, q)
-        if any(not cs for _, cs in lists0.items()):
-            continue
-        refined = propagate_singletons(Instance(inst.graph, lists0))
+        refined = propagate_singletons(Instance(inst.graph, q.lists))
         narrowed = _narrow(refined, q)
         if narrowed is None:
             continue
@@ -169,7 +111,7 @@ def profile_fwdnbr(inst: Instance, k: int, l: int) -> Profile:
     Members whose lists empty out hold no coloring and are omitted. A
     narrowing step that runs into the forbidden pattern raises a refusal.
     """
-    return Profile(Refinement(inst, member) for member in _fwdnbr_members(inst, k, l))
+    return Profile([Refinement(inst, member) for member in _fwdnbr_members(inst, k, l)])
 
 
 def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
@@ -283,7 +225,7 @@ def profile_fwdnbr_special(inst: Instance, k: int, l: int) -> Profile:
     a stable set of size below k+l and strike i everywhere else. Every
     wide vertex of a member shares the same two-color list."""
     return Profile(
-        Refinement(inst, member) for member in _fwdnbr_special_members(inst, k, l)
+        [Refinement(inst, member) for member in _fwdnbr_special_members(inst, k, l)]
     )
 
 
@@ -331,7 +273,7 @@ def chordalize(inst: Instance, k: int, l: int) -> Profile:
     """Force every list coloring of the boundary block (left cover plus
     trailing block); each member's remaining wide set induces a chordal
     graph, which is asserted on every member."""
-    return Profile(Refinement(inst, member) for member in _chordalize_members(inst, k, l))
+    return Profile([Refinement(inst, member) for member in _chordalize_members(inst, k, l)])
 
 
 def _finalize_small_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
@@ -351,7 +293,7 @@ def finalize_small(inst: Instance, k: int, l: int) -> Profile:
     """When the wide set is below the padding threshold, enumerate its list
     colorings outright; members have only forced or empty lists."""
     return Profile(
-        Refinement(inst, member) for member in _finalize_small_members(inst, k, l)
+        [Refinement(inst, member) for member in _finalize_small_members(inst, k, l)]
     )
 
 
@@ -376,8 +318,7 @@ def solve_j16(
     for member in _fwdnbr_special_members(inst, k, l):
         result = solve_two_lists(member)
         if result is not None:
-            assert result.validates(inst)
-            return result
+            return checked_witness(result, inst)
 
     threshold = 3 * k + 3 * l + 6
     for member in _fwdnbr_members(inst, k, l):
@@ -391,8 +332,7 @@ def solve_j16(
                 continue
             coloring = _finish_member(final)
             if coloring is not None:
-                assert coloring.validates(inst)
-                return coloring
+                return checked_witness(coloring, inst)
     return None
 
 
@@ -410,6 +350,4 @@ def _finish_member(inst: Instance) -> Optional[Coloring]:
         if v not in assignment:
             (c,) = inst.lists.get(v)
             assignment[v] = c
-    coloring = Coloring(assignment)
-    assert coloring.validates(inst)
-    return coloring
+    return checked_witness(Coloring(assignment), inst)

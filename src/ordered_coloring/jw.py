@@ -9,7 +9,6 @@ forced dominating edge appended on the right.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
@@ -21,10 +20,11 @@ from .core import (
     OrderedGraph,
     Profile,
     Refinement,
+    checked_witness,
     contains_pattern,
 )
-from .errors import PreconditionError, RefusalError
-from .kernels import drop_singletons, has_k4, solve_few_wide, solve_small_class
+from .errors import InternalError, PreconditionError, RefusalError
+from .kernels import _boundary_guesses, drop_singletons, has_k4, solve_few_wide, solve_small_class
 from .oracle import enumerate_colorings, solve_bruteforce
 from .patterns import build_pattern
 
@@ -247,7 +247,7 @@ def check_link(
     sub = Instance(g.induced(und_prev), ListAssignment(new_lists))
     wide = sum(1 for cs in new_lists.values() if len(cs) == 3)
     if wide > wide_cap:
-        raise RuntimeError(
+        raise InternalError(
             f"link reduction left {wide} full lists, above the configured cap {wide_cap}"
         )
     return solve_few_wide(sub, wide) is not None
@@ -275,13 +275,6 @@ class SuccessTable:
 
     edges: tuple
     successful: tuple  # tuple of tuples of ColoredSeed, parallel to edges
-
-    def for_edge(self, e) -> tuple:
-        key = frozenset(e)
-        for edge, seeds in zip(self.edges, self.successful):
-            if frozenset(edge) == key:
-                return seeds
-        raise KeyError(f"{e!r} is not a maximal edge in this table")
 
     def final(self) -> tuple:
         return self.successful[-1] if self.successful else ()
@@ -322,103 +315,51 @@ def success_table(
 class AlphaTuple:
     """Three pairs of stable color-class prefixes and suffixes: per color,
     a stable w-set that must come first and a stable w-set that must come
-    last; all six sets pairwise disjoint."""
+    last; all six sets pairwise disjoint. `lists` is what the guess forces:
+    color i on its two sets, and elsewhere color i only strictly between
+    them and away from their neighborhoods."""
 
     x_sets: tuple  # (X1, X2, X3) as position-sorted tuples
     y_sets: tuple
+    lists: ListAssignment
 
 
 def alpha_tuples(inst: Instance, w: int) -> Iterator[AlphaTuple]:
-    g = inst.graph
-    stable_sets = {}
-    for i in COLORS:
-        members = sorted(inst.lists.view(i), key=g.rank)
-        stable_sets[i] = [
-            combo
-            for combo in itertools.combinations(members, w)
-            if not any(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2))
-        ]
-
-    def max_pos(combo):
-        return g.position(combo[-1])
-
-    def min_pos(combo):
-        return g.position(combo[0])
-
-    def rec(i: int, used: set, xs: list, ys: list):
-        if i > 3:
-            yield AlphaTuple(tuple(xs), tuple(ys))
-            return
-        for x in stable_sets[i]:
-            if used & set(x):
-                continue
-            for y in stable_sets[i]:
-                if (used | set(x)) & set(y):
-                    continue
-                if not max_pos(x) < min_pos(y):
-                    continue
-                xs.append(x)
-                ys.append(y)
-                yield from rec(i + 1, used | set(x) | set(y), xs, ys)
-                xs.pop()
-                ys.pop()
-
-    yield from rec(1, set(), [], [])
-
-
-def list_for_alpha(inst: Instance, alpha: AlphaTuple) -> ListAssignment:
-    """Force color i on the chosen prefix/suffix sets; elsewhere keep i
-    only strictly between them and away from their neighborhoods."""
-    g = inst.graph
-    forced = {}
-    for i, combo in zip(COLORS, alpha.x_sets):
-        for v in combo:
-            forced[v] = i
-    for i, combo in zip(COLORS, alpha.y_sets):
-        for v in combo:
-            forced[v] = i
-    bounds = {}
-    blocked = {}
-    for i in COLORS:
-        xs = alpha.x_sets[i - 1]
-        ys = alpha.y_sets[i - 1]
-        bounds[i] = (max(g.position(v) for v in xs), min(g.position(v) for v in ys))
-        blocked[i] = set()
-        for v in xs + ys:
-            blocked[i] |= g.neighbors(v)
-    new_lists = {}
-    for v in g.vertices:
-        if v in forced:
-            new_lists[v] = frozenset((forced[v],))
-            continue
-        p = g.position(v)
-        keep = set()
-        for i in inst.lists.get(v):
-            lo, hi = bounds[i]
-            if lo < p < hi and v not in blocked[i]:
-                keep.add(i)
-        new_lists[v] = frozenset(keep)
-    return ListAssignment(new_lists)
+    """The six-tuples of the guessing profile whose forced lists can still
+    be non-empty after propagation, in enumeration order; see
+    `kernels._boundary_guesses`."""
+    for x_sets, y_sets, lists in _boundary_guesses(inst, w, w):
+        yield AlphaTuple(x_sets, y_sets, lists)
 
 
 def build_sigma_profile(inst: Instance, w: int) -> Profile:
     """The guessing profile: for every admissible six-tuple, force its
     lists, then propagate and delete forced vertices. Duplicate members are
-    kept once."""
-    members = []
-    seen = set()
-    for alpha in alpha_tuples(inst, w):
-        refined = Instance(inst.graph, list_for_alpha(inst, alpha))
-        dropped = drop_singletons(refined)
-        key = (
-            frozenset(dropped.sub.graph.vertices),
-            frozenset((v, cs) for v, cs in dropped.sub.lists.items()),
-        )
-        if key in seen:
-            continue
-        seen.add(key)
-        members.append(Refinement(inst, dropped.sub, dropped.forced))
-    return Profile(members)
+    kept once.
+
+    The profile is lazy: a member is built when iteration first reaches
+    it, so `solve_jw` builds none past the one it accepts. Six-tuples whose
+    lists would empty (a vertex left with no color, a suffix not after its
+    prefix, a color class that is not stable) are never built: their
+    members hold an empty list after propagation, which is exactly what
+    the paper's procedure discards, so the members that hold a coloring
+    and their order are those of the full profile.
+    """
+
+    def members():
+        seen = set()
+        for alpha in alpha_tuples(inst, w):
+            dropped = drop_singletons(Instance(inst.graph, alpha.lists))
+            key = (
+                frozenset(dropped.sub.graph.vertices),
+                frozenset(dropped.sub.lists.items()),
+            )
+            if key in seen:
+                continue
+            seen.add(key)
+            yield Refinement(inst, dropped.sub, dropped.forced)
+
+    return Profile(members())
 
 
 def solve_jw(
@@ -432,9 +373,9 @@ def solve_jw(
     single-edge pattern; returns a witness coloring on yes instances.
 
     Steps: reject on a 4-clique; accept via a coloring with a color class
-    smaller than 2w; otherwise build the guessing profile, discard members
-    with an empty list, and accept iff some member's augmented instance has
-    a successful seed on its appended final edge.
+    smaller than 2w; otherwise walk the guessing profile, skip members with
+    an empty list, and accept at the first member whose augmented instance
+    has a successful seed on its appended final edge.
 
     The chain itself only decides; on yes instances the witness is
     recovered by rerunning the exhaustive oracle on the accepting member,
@@ -448,19 +389,15 @@ def solve_jw(
         return None
     small = solve_small_class(inst, 2 * w)
     if small is not None:
-        assert small.validates(inst)
-        return small
-    profile = build_sigma_profile(inst, w)
-    viable = [m for m in profile if all(m.sub.lists.get(v) for v in m.sub.graph.vertices)]
-    if not viable:
-        return None
-    for member in viable:
+        return checked_witness(small, inst)
+    for member in build_sigma_profile(inst, w):
+        if not all(cs for _, cs in member.sub.lists.items()):
+            continue
         star, _ = augment_star(member.sub)
         table = success_table(star, w + 1, backend=backend, wide_cap=wide_cap)
         if table.final():
             inner = solve_bruteforce(member.sub, cap=member.sub.graph.n)
-            assert inner is not None, "successful member must be colorable"
-            full = member.extend(inner)
-            assert full.validates(inst)
-            return full
+            if inner is None:
+                raise InternalError("a member with a successful chain has no coloring")
+            return checked_witness(member.extend(inner), inst)
     return None

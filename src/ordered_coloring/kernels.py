@@ -1,19 +1,20 @@
-"""Polynomial subroutines shared by both main solvers: singleton
-propagation, the no-singleton refinement, 2-SAT list coloring, bounded
-wide-set and small-class solvers, clique-4 detection, chordality, and
-chordal list coloring."""
+"""Polynomial subroutines shared by both main solvers: the boundary
+guessing engine, singleton propagation, the no-singleton refinement, 2-SAT
+list coloring, bounded wide-set and small-class solvers, clique-4
+detection, chordality, and chordal list coloring."""
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Optional
+from typing import Iterator, Optional
 
 from .core import COLORS, Coloring, Instance, ListAssignment, OrderedGraph, Refinement
 from .errors import PreconditionError
 
 _BIT = {1: 1, 2: 2, 3: 4}
 _ONLY = {1: 1, 2: 2, 4: 3}  # singleton mask -> its color
+_SETS = tuple(frozenset(c for c in COLORS if m & _BIT[c]) for m in range(8))  # mask -> list
 
 
 def _masks(inst: Instance) -> dict:
@@ -21,9 +22,98 @@ def _masks(inst: Instance) -> dict:
 
 
 def _lists_from_masks(masks: dict) -> ListAssignment:
-    return ListAssignment(
-        {v: frozenset(c for c in COLORS if m & _BIT[c]) for v, m in masks.items()}
-    )
+    return ListAssignment({v: _SETS[m] for v, m in masks.items()})
+
+
+def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
+    """The guessing engine of both solvers: `jw.alpha_tuples` runs it with
+    (first, last) = (w, w), `j16.q_tuples` with (k, l).
+
+    For colors 1, 2, 3 in turn it picks a first-set of size `first` and a
+    last-set of size `last` among the stable subsets of L^(i) (combinations
+    by rank), disjoint from the sets already picked, the first-set wholly
+    before the last-set and their union stable. Placing the color forces
+    both sets to it; any other vertex keeps it only strictly between the
+    two sets and when adjacent to neither. An empty set leaves its side of
+    the window open. A branch is dropped as soon as some vertex is left
+    with no color, and a first-set as soon as no last-set can avoid that.
+
+    Yields (first-sets, last-sets, forced lists): the sets as rank-sorted
+    vertex tuples per color, in color-major order, then by first-set, then
+    by last-set. Lists live as one rank bitset per color while guessing.
+
+    Every dropped guess would leave an empty list once its forced lists are
+    propagated, so dropping it changes no member, member order or refusal
+    of either solver: a vertex without colors is an empty list already; a
+    last-set vertex at or before the first-set's end loses the color it is
+    forced to; and of two adjacent vertices forced to one color,
+    propagation empties one.
+    """
+    g = inst.graph
+    n = g.n
+    order = g.vertices
+    adj = g.adjacency_bits()
+    everyone = (1 << n) - 1
+    has0 = [0, 0, 0]  # has0[i]: ranks whose list holds color i + 1
+    for r, v in enumerate(order):
+        for c in inst.lists.get(v):
+            has0[c - 1] |= 1 << r
+    if has0[0] | has0[1] | has0[2] != everyone:
+        return
+
+    def stable_sets(i: int, size: int) -> list:
+        out = []
+        candidates = [r for r in range(n) if has0[i] >> r & 1]
+        for combo in itertools.combinations(candidates, size):
+            bits = nbrs = 0
+            for r in combo:
+                if nbrs >> r & 1:
+                    break
+                bits |= 1 << r
+                nbrs |= adj[r]
+            else:
+                out.append((combo, bits, nbrs))
+        return out
+
+    firsts = [stable_sets(i, first) for i in range(3)]
+    lasts = firsts if last == first else [stable_sets(i, last) for i in range(3)]
+
+    def place(i: int, has: list, used: int, picks: tuple):
+        if i == 3:
+            masks = {
+                v: (has[0] >> r & 1) | (has[1] >> r & 1) << 1 | (has[2] >> r & 1) << 2
+                for r, v in enumerate(order)
+            }
+            yield (
+                tuple(tuple(order[r] for r in f) for f, _ in picks),
+                tuple(tuple(order[r] for r in s) for _, s in picks),
+                _lists_from_masks(masks),
+            )
+            return
+        others = has[(i + 1) % 3] | has[(i + 2) % 3]
+        for f, f_bits, f_nbrs in firsts[i]:
+            if f_bits & used:
+                continue
+            lo = f[-1] if f else -1
+            upto_lo = (1 << (lo + 1)) - 1
+            # whatever the last-set, color i stays at most on the first-set
+            # and on the ranks after it that are not its neighbors
+            if f_bits | (has[i] & ~upto_lo & ~f_nbrs) | others != everyone:
+                continue
+            for s, s_bits, s_nbrs in lasts[i]:
+                if s_bits & (used | f_bits | f_nbrs):  # overlap or an edge
+                    continue
+                hi = s[0] if s else n
+                if hi < lo:
+                    continue
+                chosen = f_bits | s_bits
+                nxt = [h & ~chosen for h in has]
+                nxt[i] = chosen | (has[i] & ((1 << hi) - 1) & ~upto_lo & ~(f_nbrs | s_nbrs))
+                if nxt[0] | nxt[1] | nxt[2] != everyone:
+                    continue
+                yield from place(i + 1, nxt, used | chosen, picks + ((f, s),))
+
+    yield from place(0, has0, 0, ())
 
 
 def _propagate_masks(graph: OrderedGraph, masks: dict) -> dict:

@@ -5,12 +5,15 @@ paths."""
 import pytest
 
 from ordered_coloring import (
+    Coloring,
     Instance,
+    InternalError,
     build_pattern,
     solve_bruteforce,
     solve_j16,
     solve_jw,
 )
+from ordered_coloring.core import checked_witness
 from ordered_coloring.jw import augment_star, check_link, gamma
 from ordered_coloring.rand import (
     make_rng,
@@ -119,3 +122,39 @@ class TestDenseAndSparseExtremes:
             inst = random_j16free_instance(rng, 1, 0, rng.randint(2, 8), full_bias=0.0)
             got = solve_j16(inst, 1, 0)
             assert (got is None) == (solve_bruteforce(inst) is None)
+
+
+class TestWitnessChecks:
+    """A witness that fails validation is a bug and raises, also under
+    `python -O`; the solvers' kernels are replaced by broken ones here."""
+
+    @staticmethod
+    def _everything_color_one(inst):
+        return Coloring({v: 1 for v in inst.graph.vertices})
+
+    def test_checked_witness(self):
+        inst = instance({1: 1, 2: 2}, [(1, 2)])
+        good = Coloring({1: 1, 2: 2})
+        assert checked_witness(good, inst) is good
+        with pytest.raises(InternalError):
+            checked_witness(self._everything_color_one(inst), inst)
+
+    def test_jw_small_class_witness(self, monkeypatch):
+        monkeypatch.setattr(
+            "ordered_coloring.jw.solve_small_class", lambda inst, c: self._everything_color_one(inst)
+        )
+        with pytest.raises(InternalError):
+            solve_jw(instance({1: 1, 2: 2}, [(1, 2)]), 1, check_freeness=False)
+
+    def test_j16_small_class_witness(self, monkeypatch):
+        monkeypatch.setattr("ordered_coloring.j16.solve_two_lists", self._everything_color_one)
+        with pytest.raises(InternalError):
+            solve_j16(instance({1: 1, 2: 2}, [(1, 2)]), 1, 0)
+
+    def test_j16_chordal_finish_witness(self, monkeypatch):
+        # a full-list path is wide enough for boundary padding, which
+        # leaves its first two vertices to the chordal finish
+        monkeypatch.setattr("ordered_coloring.j16.solve_chordal", self._everything_color_one)
+        path = instance({i: i for i in range(1, 9)}, [(i, i + 1) for i in range(1, 8)])
+        with pytest.raises(InternalError):
+            solve_j16(path, 0, 0)

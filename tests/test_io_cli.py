@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ordered_coloring import InputError
+from ordered_coloring import InputError, InternalError
 from ordered_coloring.cli import main
 from ordered_coloring.io import (
     parse_instance,
@@ -153,6 +153,19 @@ class TestCli:
         path.write_text("vtx a 1\nvtx a 2\n", encoding="utf-8")
         code, out = run_cli(tmp_path, "solve", str(path), "--alg", "oracle")
         assert code == 3 and "verdict input-error" in out
+
+    @pytest.mark.parametrize("error", [InternalError("broken invariant"), KeyError("bug")])
+    def test_internal_error_exit_code(self, tmp_path, k4_file, monkeypatch, error):
+        # a crash inside a solver must not read as "not-colorable" (exit 1)
+        def crash(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr("ordered_coloring.cli.solve_jw", crash)
+        code, out = run_cli(tmp_path, "--json", "solve", k4_file, "--alg", "jw")
+        assert code == 4 and "verdict internal-error" in out
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert payload["verdict"] == "internal-error"
+        assert payload["error"].startswith(type(error).__name__)
 
     def test_check_free_by_id_and_by_file(self, tmp_path, k4_file):
         code, _ = run_cli(tmp_path, "check-free", "J16", k4_file)
