@@ -49,7 +49,6 @@ from .kernels import (
     chordal_peo,
     drop_singletons,
     has_k4,
-    is_j16_free_structurally,
     propagate_singletons,
     solve_chordal,
     solve_few_wide,

@@ -8,6 +8,7 @@ an uncaught exception or a failed invariant, never a verdict).
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -331,7 +332,10 @@ def cmd_random_instance(args) -> RunReport:
     return report
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once per process; `main` looks the handler up by subcommand
+    name at call time, so replacing a `cmd_*` function still takes effect."""
     top = argparse.ArgumentParser(
         prog="oglc",
         description="Decision procedures for list-3-coloring of ordered graphs.",
@@ -348,30 +352,25 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--reversed", action="store_true", help="solve the mirrored pattern family")
     p.add_argument("--backend", choices=["link-reduction", "link-enum"], default="link-reduction")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle size cap")
-    p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("check-free", help="test whether a file avoids a pattern")
     p.add_argument("pattern", help="pattern id (J9, M5, Jw:3, J16:2,1, neg:M5) or pattern file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_check_free)
 
     p = sub.add_parser("classify", help="complexity verdict for a forbidden pattern file")
     p.add_argument("file")
-    p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("gen", help="generate a hardness gadget")
     p.add_argument("input", help="NAE file (h1, h2) or graph file (h3, h4, h5, bip)")
     p.add_argument("--gadget", required=True, choices=["h1", "h2", "h3", "h4", "h5", "bip"])
     p.add_argument("--order", choices=[f"t{i}" for i in range(1, 9)])
     p.add_argument("--out", help="output path prefix")
-    p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("verify", help="re-check a generated gadget from its files")
     p.add_argument("file", help="ordered-graph file")
     p.add_argument("--prov", required=True, help="provenance sidecar")
     p.add_argument("--source", help="original NAE/graph file for equi-satisfiability")
     p.add_argument("--cap", type=int, default=4000)
-    p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("random-instance", help="emit a reproducible random instance")
     p.add_argument("--seed", type=int, required=True)
@@ -379,15 +378,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--edge-prob", type=float, default=0.5)
     p.add_argument("--full-bias", type=float, default=0.5)
     p.add_argument("--pattern", help="rejection-sample until free of this pattern id")
-    p.set_defaults(func=cmd_random_instance)
 
     return top
 
 
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
-        report = args.func(args)
+        report = globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except RefusalError as exc:
         report = RunReport(args.cmd, "refused", exit_code=EXIT_REFUSED)
         report.add("pattern", exc.pattern)

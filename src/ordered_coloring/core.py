@@ -273,8 +273,8 @@ class OrderedGraph:
         return self.under(e), self.left_of(e)
 
     def forward_neighbors(self, v) -> frozenset:
-        p = self.position(v)
-        return frozenset(u for u in self._adj[v] if self._pos[u] > p)
+        r, rank = self.rank(v), self._rank
+        return frozenset(u for u in self._adj[v] if rank[u] > r)
 
     def backward_neighbors(self, v) -> frozenset:
         p = self.position(v)

@@ -25,10 +25,10 @@ from .core import (
     checked_witness,
     contains_pattern,
 )
-from .errors import PreconditionError, RefusalError
+from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
     _boundary_guesses,
-    chordal_peo,
+    _mcs_peo,
     has_k4,
     propagate_singletons,
     solve_chordal,
@@ -64,6 +64,18 @@ def wide_set(inst: Instance) -> list:
     return [v for v in inst.graph.vertices if len(inst.lists.get(v)) >= 2]
 
 
+def _wide_ranks(inst: Instance) -> int:
+    """The wide set as a rank bitmask."""
+    return sum(1 << r for r, v in enumerate(inst.graph.vertices) if len(inst.lists.get(v)) >= 2)
+
+
+def _forward_degree_above_two(bits: tuple, wide: int) -> bool:
+    """Whether some rank in `wide` has three later neighbors in `wide`."""
+    return any(
+        ((bits[r] & wide) >> (r + 1)).bit_count() > 2 for r in range(len(bits)) if wide >> r & 1
+    )
+
+
 def q_tuples(inst: Instance, k: int, l: int) -> Iterator[QTuple]:
     """Guesses of the first k and last l vertices of each color class,
     color-major, then by first-set, then by last-set (sets by rank).
@@ -84,6 +96,7 @@ def q_tuples(inst: Instance, k: int, l: int) -> Iterator[QTuple]:
 def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
     if has_k4(inst.graph):
         return
+    bits = inst.graph.adjacency_bits()
     seen = set()
     for q in q_tuples(inst, k, l):
         refined = propagate_singletons(Instance(inst.graph, q.lists))
@@ -94,12 +107,8 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
         if key in seen:
             continue
         seen.add(key)
-        wide = wide_set(narrowed)
-        wide_pos = set(wide)
-        assert all(
-            len([u for u in inst.graph.forward_neighbors(v) if u in wide_pos]) <= 2
-            for v in wide
-        ), "narrowed member must have forward degree at most two on its wide set"
+        if _forward_degree_above_two(bits, _wide_ranks(narrowed)):
+            raise InternalError("narrowed member has forward degree above two on its wide set")
         yield narrowed
 
 
@@ -248,14 +257,15 @@ def pad_sets(inst: Instance, k: int, l: int) -> PadSets:
 
 
 def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
+    """Propagated members, one per list coloring of the boundary block.
+    Each member's remaining wide set is checked chordal on the parent's
+    adjacency bits; a failure is a bug and raises, also under `python -O`."""
     g = inst.graph
-    wide = wide_set(inst)
-    wide_pos = set(wide)
-    for v in wide:
-        fwd = [u for u in g.forward_neighbors(v) if u in wide_pos]
-        if len(fwd) > 2:
-            raise PreconditionError("wide set has a vertex with three forward neighbors")
-    if len(wide) < 3 * k + 3 * l + 6:
+    bits = g.adjacency_bits()
+    wide = _wide_ranks(inst)
+    if _forward_degree_above_two(bits, wide):
+        raise PreconditionError("wide set has a vertex with three forward neighbors")
+    if wide.bit_count() < 3 * k + 3 * l + 6:
         raise PreconditionError("wide set is too small for boundary padding")
     pads = pad_sets(inst, k, l)
     block = sorted(pads.c | pads.d, key=g.rank)
@@ -264,15 +274,15 @@ def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
         for v in block:
             new_lists[v] = frozenset((f[v],))
         member = propagate_singletons(Instance(g, ListAssignment(new_lists)))
-        rest_wide = wide_set(member)
-        assert chordal_peo(g.induced(rest_wide)) is not None, "wide remainder must be chordal"
+        if _mcs_peo(bits, _wide_ranks(member)) is None:
+            raise InternalError("wide remainder of a padded member is not chordal")
         yield member
 
 
 def chordalize(inst: Instance, k: int, l: int) -> Profile:
     """Force every list coloring of the boundary block (left cover plus
     trailing block); each member's remaining wide set induces a chordal
-    graph, which is asserted on every member."""
+    graph, which is checked on every member."""
     return Profile([Refinement(inst, member) for member in _chordalize_members(inst, k, l)])
 
 
@@ -323,11 +333,10 @@ def solve_j16(
     threshold = 3 * k + 3 * l + 6
     for member in _fwdnbr_members(inst, k, l):
         if len(wide_set(member)) >= threshold:
-            stage = _chordalize_members(member, k, l)
+            stage = _chordalize_members(member, k, l)  # yields propagated members
         else:
-            stage = _finalize_small_members(member, k, l)
-        for refined in stage:
-            final = propagate_singletons(refined)
+            stage = map(propagate_singletons, _finalize_small_members(member, k, l))
+        for final in stage:
             if any(not cs for _, cs in final.lists.items()):
                 continue
             coloring = _finish_member(final)

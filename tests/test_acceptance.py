@@ -10,6 +10,7 @@ import itertools
 import time
 
 from ordered_coloring import (
+    Instance,
     NP_COMPLETE,
     OPEN,
     POLYNOMIAL,
@@ -28,14 +29,17 @@ from ordered_coloring import (
     solve_two_lists,
     verify_gadget,
 )
+from ordered_coloring import j16
 from ordered_coloring.gadgets import gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
 from ordered_coloring.jw import ColoredSeed, augment_star, class_cap, property_x, property_y, success_table
 from ordered_coloring.kernels import propagate_singletons
 from ordered_coloring.rand import (
     make_rng,
     random_chordal_instance,
+    random_forward_clique_graph,
     random_instance,
     random_j16free_instance,
+    random_lists,
     random_nae,
     random_pattern_free_instance,
     random_two_list_instance,
@@ -90,6 +94,60 @@ def test_criterion_2_j16_solver_oracle_agreement():
     report(
         "criterion-2 j16-vs-oracle",
         f"4x{per_combo} instances across padding choices, {time.time() - start:.1f}s",
+    )
+
+
+def _forward_clique_instance(rng, obstruct):
+    """A forward-clique graph on 20 vertices (at least one triangle) with
+    80-100% full lists; with `obstruct`, one triangle gets the same two-color
+    list on all three corners, which no coloring can satisfy."""
+    while True:
+        g = random_forward_clique_graph(rng, 20, 0.65)
+        triangles = [
+            (v, *sorted(g.forward_neighbors(v), key=g.rank)[:2])
+            for v in g.vertices
+            if len(g.forward_neighbors(v)) >= 2
+        ]
+        if triangles:
+            break
+    lists = random_lists(rng, g, rng.uniform(0.8, 1.0))
+    if obstruct:
+        pair = frozenset(rng.choice(((1, 2), (1, 3), (2, 3))))
+        lists = lists.updated({v: pair for v in rng.choice(triangles)})
+    return Instance(g, lists)
+
+
+def test_criterion_2_padding_stage_coverage(monkeypatch):
+    """The J16 path of boundary padding plus chordal finish runs for every
+    (k,l) in {0,1}^2, counted, not assumed: an instance counts when
+    `solve_j16` calls `pad_sets` and then `solve_chordal`. J16:1,1 gets
+    there in only about one draw in twelve, so it gets more draws."""
+    start = time.time()
+    events = []
+    for name in ("pad_sets", "solve_chordal"):
+        real = getattr(j16, name)
+        monkeypatch.setattr(j16, name, lambda *a, _n=name, _f=real: events.append(_n) or _f(*a))
+    rng = make_rng(2024_09)
+    obstructed = 3
+    counts = {}
+    for (k, l), plain in (((0, 0), 12), ((1, 0), 12), ((0, 1), 12), ((1, 1), 80)):
+        padded = 0
+        for t in range(plain + obstructed):
+            inst = _forward_clique_instance(rng, obstruct=t >= plain)
+            events.clear()
+            got = solve_j16(inst, k, l)
+            expected = solve_bruteforce(inst, cap=20)
+            assert (got is None) == (expected is None), f"(k,l)=({k},{l}) draw {t}"
+            if got is not None:
+                assert got.validates(inst)
+            if t >= plain:
+                assert got is None
+            padded += "pad_sets" in events and "solve_chordal" in events[events.index("pad_sets"):]
+        counts[k, l] = padded
+    assert all(c >= 5 for c in counts.values()), counts
+    report(
+        "criterion-2 padding-stage-coverage",
+        f"padded and finished per (k,l): {counts}, {time.time() - start:.1f}s",
     )
 
 

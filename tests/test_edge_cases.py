@@ -14,6 +14,7 @@ from ordered_coloring import (
     solve_jw,
 )
 from ordered_coloring.core import checked_witness
+from ordered_coloring.j16 import PadSets, _chordalize_members, _fwdnbr_members
 from ordered_coloring.jw import augment_star, check_link, gamma
 from ordered_coloring.rand import (
     make_rng,
@@ -158,3 +159,27 @@ class TestWitnessChecks:
         path = instance({i: i for i in range(1, 9)}, [(i, i + 1) for i in range(1, 8)])
         with pytest.raises(InternalError):
             solve_j16(path, 0, 0)
+
+
+class TestMemberChecks:
+    """The per-member structural lemmas of `solve_j16` are explicit checks
+    that raise `InternalError`, also under `python -O`; here their input is
+    broken on purpose."""
+
+    def test_forward_degree_check(self, monkeypatch):
+        # without narrowing, a star's center keeps three wide forward neighbors
+        monkeypatch.setattr("ordered_coloring.j16._narrow", lambda inst, q: inst)
+        star = instance({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
+        with pytest.raises(InternalError):
+            list(_fwdnbr_members(star, 0, 0))
+
+    def test_chordal_remainder_check(self, monkeypatch):
+        # with an empty boundary block nothing gets forced, so the wide
+        # remainder keeps an induced four-cycle of forward degree at most two
+        monkeypatch.setattr(
+            "ordered_coloring.j16.pad_sets",
+            lambda inst, k, l: PadSets(frozenset(), frozenset(), frozenset()),
+        )
+        cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        with pytest.raises(InternalError):
+            list(_chordalize_members(cycle, 0, 0))

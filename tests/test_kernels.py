@@ -12,7 +12,6 @@ from ordered_coloring import (
     drop_singletons,
     enumerate_colorings,
     has_k4,
-    is_j16_free_structurally,
     propagate_singletons,
     solve_bruteforce,
     solve_chordal,
@@ -20,10 +19,14 @@ from ordered_coloring import (
     solve_small_class,
     solve_two_lists,
 )
+from ordered_coloring.kernels import _mcs_peo
 from ordered_coloring.rand import (
     make_rng,
+    positions_fuzzed,
     random_chordal_instance,
+    random_forward_clique_graph,
     random_instance,
+    random_ordered_graph,
     random_two_list_instance,
 )
 from conftest import graph, instance
@@ -240,11 +243,64 @@ def _connected(g):
     return len(seen) == len(vs)
 
 
+def is_peo(g, order):
+    """Reference checker: every vertex's later neighbors in `order` are
+    pairwise adjacent."""
+    index = {v: i for i, v in enumerate(order)}
+    for i, v in enumerate(order):
+        later = [u for u in g.neighbors(v) if index[u] > i]
+        for a, b in itertools.combinations(later, 2):
+            if not g.has_edge(a, b):
+                return False
+    return True
+
+
+def reference_chordal_peo(g):
+    """Naive maximum cardinality search: re-sort the unnumbered vertices on
+    every step and take the first of highest weight, then check the whole
+    order. The vertex order, or None when the graph is not chordal."""
+    weight = {v: 0 for v in g.vertices}
+    unnumbered = set(g.vertices)
+    reverse_order = []
+    while unnumbered:
+        v = max(sorted(unnumbered, key=g.rank), key=lambda x: weight[x])
+        reverse_order.append(v)
+        unnumbered.discard(v)
+        for u in g.neighbors(v):
+            if u in unnumbered:
+                weight[u] += 1
+    order = tuple(reversed(reverse_order))
+    return order if is_peo(g, order) else None
+
+
+def planted_cycle_graph(rng, n):
+    """A forward-clique graph in which 4..n chosen vertices induce exactly
+    a cycle, in random cyclic order: never chordal."""
+    g = random_forward_clique_graph(rng, n, rng.random())
+    size = rng.randint(4, n)
+    ring = rng.sample(g.vertices, size)
+    chosen = set(ring)
+    edges = [tuple(e) for e in g.edges if not e <= chosen]
+    edges += [(ring[i], ring[i - 1]) for i in range(size)]
+    return graph([(v, g.position(v)) for v in g.vertices], edges)
+
+
+def mcs_corpus(seed, per_family=40):
+    """Forward-clique, G(n,p) and planted-cycle graphs with n <= 40, on
+    fuzzed rational positions."""
+    rng = make_rng(seed)
+    for i in range(per_family):
+        n = rng.randint(0, 40)
+        yield random_forward_clique_graph(rng, max(n, 1), rng.random())
+        yield positions_fuzzed(rng, random_ordered_graph(rng, n, rng.uniform(0, 0.3)))
+        yield positions_fuzzed(rng, planted_cycle_graph(rng, max(n, 4)))
+
+
 class TestChordal:
     def test_tree_is_chordal(self):
         g = graph({i: i for i in range(1, 6)}, [(1, 2), (1, 3), (3, 4), (3, 5)])
         peo = chordal_peo(g)
-        assert peo is not None and peo.verify(g)
+        assert peo is not None and is_peo(g, peo.order)
 
     def test_c4_is_not(self):
         g = graph({i: i for i in range(1, 5)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
@@ -261,14 +317,45 @@ class TestChordal:
         j16 = build_pattern("J16")
         for _ in range(120):
             g = random_instance(rng, rng.randint(0, 8), rng.random()).graph
-            assert is_j16_free_structurally(g) == (contains_pattern(g, j16) is None)
+            # the position order is a perfect elimination ordering exactly
+            # when every vertex's forward neighbors form a clique
+            assert is_peo(g, g.vertices) == (contains_pattern(g, j16) is None)
 
     def test_peo_forward_clique_property(self):
         rng = make_rng(41)
         for _ in range(60):
             inst = random_chordal_instance(rng, rng.randint(1, 10))
             peo = chordal_peo(inst.graph)
-            assert peo is not None and peo.verify(inst.graph)
+            assert peo is not None and is_peo(inst.graph, peo.order)
+
+    def test_matches_naive_search(self):
+        chordal = 0
+        for g in mcs_corpus(43):
+            peo = chordal_peo(g)
+            expected = reference_chordal_peo(g)
+            assert (peo is None) == (expected is None)
+            if peo is not None:
+                assert peo.order == expected
+                chordal += 1
+        assert 40 <= chordal <= 80  # both verdicts well represented
+
+    def test_masked_search_matches_induced_graph(self):
+        rng = make_rng(44)
+        for g in mcs_corpus(45, per_family=20):
+            bits = g.adjacency_bits()
+            for _ in range(4):
+                subset = [r for r in range(g.n) if rng.random() < rng.random()]
+                mask = sum(1 << r for r in subset)
+                got = _mcs_peo(bits, mask)
+                peo = chordal_peo(g.induced(g.vertices[r] for r in subset))
+                assert (got is None) == (peo is None)
+                if got is not None:
+                    assert tuple(g.vertices[r] for r in got) == peo.order
+
+    def test_empty_and_single_vertex(self):
+        assert chordal_peo(graph({})).order == ()
+        assert chordal_peo(graph({1: 1})).order == (1,)
+        assert _mcs_peo(graph({1: 1, 2: 2}, [(1, 2)]).adjacency_bits(), 0) == []
 
 
 class TestSolveChordal:
