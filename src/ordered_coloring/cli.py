@@ -370,7 +370,14 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("file", help="ordered-graph file")
     p.add_argument("--prov", required=True, help="provenance sidecar")
     p.add_argument("--source", help="original NAE/graph file for equi-satisfiability")
-    p.add_argument("--cap", type=int, default=4000)
+    p.add_argument(
+        "--cap",
+        type=int,
+        default=4000,
+        help="oracle size cap; binds only where the oracle runs (unsatisfiable "
+        "NAE sources, graph and instance sources, gadgets whose mapped "
+        "coloring fails)",
+    )
 
     p = sub.add_parser("random-instance", help="emit a reproducible random instance")
     p.add_argument("--seed", type=int, required=True)

@@ -10,7 +10,7 @@ immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from fractions import Fraction
 from typing import Iterable, Mapping, Optional
 
@@ -276,37 +276,6 @@ class OrderedGraph:
         r, rank = self.rank(v), self._rank
         return frozenset(u for u in self._adj[v] if rank[u] > r)
 
-    def backward_neighbors(self, v) -> frozenset:
-        p = self.position(v)
-        return frozenset(u for u in self._adj[v] if self._pos[u] < p)
-
-    def neighborhoods(self, v, rho: int = 1):
-        """Distance-rho sets by BFS: (N^rho, N^rho[.], N+, N-).
-
-        The forward/backward split always refers to distance 1. Depths
-        beyond one are provided for completeness; the solvers in this
-        package only ever consult depth one.
-        """
-        if v not in self._pos:
-            raise InputError(f"unknown vertex {v!r}")
-        if rho < 1:
-            raise InputError("rho must be >= 1")
-        dist = {v: 0}
-        frontier = [v]
-        d = 0
-        while frontier and d < rho:
-            d += 1
-            nxt = []
-            for x in frontier:
-                for y in self._adj[x]:
-                    if y not in dist:
-                        dist[y] = d
-                        nxt.append(y)
-            frontier = nxt
-        exact = frozenset(x for x, dx in dist.items() if dx == rho)
-        ball = frozenset(x for x in dist if x != v)
-        return exact, ball, self.forward_neighbors(v), self.backward_neighbors(v)
-
 
 def _fresh_id(existing, base: str):
     name = base
@@ -339,121 +308,85 @@ def is_isomorphic(g: OrderedGraph, h: OrderedGraph) -> bool:
 def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     """A witness X with G[X] order-isomorphic to H, or None if G is H-free.
 
-    Backtracking anchored on the pattern's edges: edge endpoints are matched
-    by iterating host edges inside the position window allowed so far, and
-    isolated pattern vertices are filled in last. Exact (induced) adjacency
-    against every already-matched vertex is enforced at each step.
+    Backtracking over the pattern vertices in plan order: endpoints of the
+    pattern's edges in sorted edge order, then isolated pattern vertices.
+    Each unplaced pattern vertex keeps a bitmask of the host ranks still
+    consistent with every placement so far. Placing p at rank r narrows
+    each other mask to the ranks adjacent (or not adjacent, as in H) to r
+    and below (or above) r, and a branch dies as soon as some mask is
+    empty. Initial masks leave room for the pattern vertices before and
+    after, and give a pattern vertex with a later (earlier) neighbor only
+    host vertices with a later (earlier) neighbor. Candidates are tried in
+    ascending rank, so the search order and the first witness are those of
+    a plain check-every-placed-vertex backtracking: forward checking only
+    skips branches that cannot finish.
     """
-    t = h.n
+    t, n = h.n, g.n
     if t == 0:
         return frozenset()
-    if t > g.n:
+    if t > n:
         return None
 
-    horder = h.vertices
-    hpos = {v: i for i, v in enumerate(horder)}
-    padj = [[False] * t for _ in range(t)]
+    hrank = {v: i for i, v in enumerate(h.vertices)}
+    pbits = [0] * t
     pedges = []
     for e in h.edges:
-        a, b = sorted((hpos[x] for x in e))
-        padj[a][b] = padj[b][a] = True
+        a, b = sorted(hrank[x] for x in e)
+        pbits[a] |= 1 << b
+        pbits[b] |= 1 << a
         pedges.append((a, b))
-    pedges.sort()
+    plan = []
+    for e in sorted(pedges):
+        plan += [p for p in e if p not in plan]
+    plan += [p for p in range(t) if p not in plan]
 
     gbits = g.adjacency_bits()
-    gorder = g.vertices
-    n = g.n
-    # host edges as rank pairs, sorted by left rank for windowed iteration
-    hedges = sorted(
-        tuple(sorted(g.rank(x) for x in e)) for e in g.edges
-    )
-    hlefts = [a for a, _ in hedges]
+    has_later = sum(1 << r for r, bits in enumerate(gbits) if bits >> r)
+    has_earlier = sum(1 << r for r, bits in enumerate(gbits) if bits & ((1 << r) - 1))
+    room = (1 << (n - t + 1)) - 1
+    masks = [
+        (room << p)
+        & (has_later if pbits[p] >> p else -1)
+        & (has_earlier if pbits[p] & ((1 << p) - 1) else -1)
+        for p in plan
+    ]
+    # per plan step: (adjacent, before) against each later step, the next
+    # one apart, since most candidates empty the next step's mask
+    later = []
+    for i, p in enumerate(plan[:-1]):
+        kinds = [(pbits[p] >> q & 1, q < p) for q in plan[i + 1 :]]
+        later.append((kinds[0], kinds[1:]))
+    found = [0] * t
 
-    plan = []
-    placed = set()
-    for a, b in pedges:
-        if a not in placed and b not in placed:
-            plan.append(("pair", a, b))
-        elif a in placed and b not in placed:
-            plan.append(("one", a, b))
-        elif b in placed and a not in placed:
-            plan.append(("one", b, a))
-        # both placed: adjacency was enforced when the later one was placed
-        placed.add(a)
-        placed.add(b)
-    for i in range(t):
-        if i not in placed:
-            plan.append(("free", i))
-
-    assignment: dict[int, int] = {}
-
-    def window(p: int) -> tuple[int, int]:
-        lo, hi = -1, n
-        for q, r in assignment.items():
-            if q < p and r > lo:
-                lo = r
-            elif q > p and r < hi:
-                hi = r
-        return lo, hi
-
-    def fits(p: int, r: int) -> bool:
-        row = padj[p]
-        bits = gbits[r]
-        for q, s in assignment.items():
-            if (q < p) != (s < r):
-                return False
-            if row[q] != bool(bits >> s & 1):
-                return False
-        return True
-
-    def step(si: int) -> bool:
-        if si == len(plan):
+    def extend(i: int, masks: list) -> bool:
+        m = masks[0]
+        if i == t - 1:  # every rank left fits all placed vertices
+            found[i] = (m & -m).bit_length() - 1
             return True
-        kind = plan[si][0]
-        if kind == "pair":
-            _, a, b = plan[si]
-            lo_a, hi_a = window(a)
-            i0 = bisect_right(hlefts, lo_a)
-            for idx in range(i0, len(hedges)):
-                ra, rb = hedges[idx]
-                if ra >= hi_a:
+        (linked, before), others = later[i]
+        nxt, rest = masks[1], masks[2:]
+        while m:
+            low = m & -m
+            m ^= low
+            adj = gbits[low.bit_length() - 1]
+            below, above = low - 1, -(low << 1)
+            first = nxt & (adj if linked else ~adj) & (below if before else above)
+            if not first:
+                continue
+            narrowed = [first]
+            for (linked2, before2), mq in zip(others, rest):
+                mq &= (adj if linked2 else ~adj) & (below if before2 else above)
+                if not mq:
                     break
-                if not fits(a, ra):
-                    continue
-                assignment[a] = ra
-                if fits(b, rb):
-                    assignment[b] = rb
-                    if step(si + 1):
-                        return True
-                    del assignment[b]
-                del assignment[a]
-            return False
-        if kind == "one":
-            _, a, b = plan[si]
-            anchor = assignment[a]
-            bits = gbits[anchor]
-            m = bits
-            while m:
-                r = (m & -m).bit_length() - 1
-                m &= m - 1
-                if fits(b, r):
-                    assignment[b] = r
-                    if step(si + 1):
-                        return True
-                    del assignment[b]
-            return False
-        _, p = plan[si]
-        lo, hi = window(p)
-        for r in range(lo + 1, hi):
-            if fits(p, r):
-                assignment[p] = r
-                if step(si + 1):
+                narrowed.append(mq)
+            else:
+                if extend(i + 1, narrowed):
+                    found[i] = low.bit_length() - 1
                     return True
-                del assignment[p]
         return False
 
-    if step(0):
-        return frozenset(gorder[r] for r in assignment.values())
+    if all(masks) and extend(0, masks):
+        return frozenset(g.vertices[r] for r in found)
     return None
 
 

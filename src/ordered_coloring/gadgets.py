@@ -13,6 +13,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .core import (
+    COLORS,
+    Coloring,
     Instance,
     ListAssignment,
     OrderedGraph,
@@ -592,7 +594,11 @@ class GadgetReport:
 def verify_gadget(out: GadgetOutput, oracle_cap: int = 4000) -> GadgetReport:
     """Machine checks on a generated gadget: advertised patterns really
     absent, path registry consistent, and satisfiability equal to the
-    attached source's. Failures become report entries, not exceptions."""
+    attached source's. For a satisfiable NAE source the gadget is shown
+    colorable by the coloring its NAE assignment maps to; the oracle (and
+    so `oracle_cap`) decides only unsatisfiable NAE sources, graph and
+    instance sources, and gadgets where that coloring fails to validate.
+    Failures become report entries, not exceptions."""
     entries = []
     for pid in out.advertised_free:
         witness = contains_pattern(out.instance.graph, build_pattern(pid))
@@ -611,16 +617,7 @@ def verify_gadget(out: GadgetOutput, oracle_cap: int = 4000) -> GadgetReport:
             entries.append(("path-registry", False, str(exc)))
     if out.source_kind:
         try:
-            gadget_colorable = solve_bruteforce(out.instance, cap=oracle_cap) is not None
-            if out.source_kind == "nae":
-                source_ok = nae_bruteforce(out.source) is not None
-            elif out.source_kind == "graph":
-                source_ok = (
-                    solve_bruteforce(Instance.with_full_lists(out.source), cap=oracle_cap)
-                    is not None
-                )
-            else:
-                source_ok = solve_bruteforce(out.source, cap=oracle_cap) is not None
+            gadget_colorable, source_ok = _equi_satisfiability(out, oracle_cap)
             entries.append(
                 (
                     "equi-satisfiability",
@@ -631,3 +628,42 @@ def verify_gadget(out: GadgetOutput, oracle_cap: int = 4000) -> GadgetReport:
         except Exception as exc:  # cap overruns reported, never raised
             entries.append(("equi-satisfiability", False, f"error: {exc}"))
     return GadgetReport(tuple(entries))
+
+
+def _equi_satisfiability(out: GadgetOutput, oracle_cap: int) -> tuple[bool, bool]:
+    """(gadget colorable, source satisfiable)."""
+    if out.source_kind == "nae":
+        assignment = nae_bruteforce(out.source)
+        if assignment is not None and _nae_coloring(out, assignment).validates(out.instance):
+            return True, True
+        return solve_bruteforce(out.instance, cap=oracle_cap) is not None, assignment is not None
+    gadget_colorable = solve_bruteforce(out.instance, cap=oracle_cap) is not None
+    source = out.source
+    if out.source_kind == "graph":
+        source = Instance.with_full_lists(source)
+    return gadget_colorable, solve_bruteforce(source, cap=oracle_cap) is not None
+
+
+def _nae_coloring(out: GadgetOutput, assignment: tuple) -> Coloring:
+    """The constructive direction of the H1/H2 reductions: hub 3, m_i 1 if
+    variable i is true and 2 if not, each H2 separator the other of {1,2},
+    and each clause triangle the first permutation of 1-3 that avoids the
+    color of every corner's outside neighbor (one exists as the clause is
+    not-all-equal). Vertex ids that are not the generators' give a partial
+    coloring, which does not validate."""
+    graph = out.instance.graph
+    color = {"x": 3}
+    for i, value in enumerate(assignment, start=1):
+        color[f"m{i}"] = 1 if value else 2
+    for j, clause in enumerate(out.source.clauses, start=1):
+        if graph.has_vertex(f"s{clause[0]}_{j}"):
+            for var in clause:
+                color[f"s{var}_{j}"] = 3 - color[f"m{var}"]
+            corners = [(f"t{j}_{var}", color[f"s{var}_{j}"]) for var in clause]
+        else:
+            corners = [(f"t{j}_{k}", color[f"m{var}"]) for k, var in enumerate(clause, start=1)]
+        for perm in itertools.permutations(COLORS):
+            if all(c != banned for c, (_, banned) in zip(perm, corners)):
+                color.update((name, c) for c, (name, _) in zip(perm, corners))
+                break
+    return Coloring(color)

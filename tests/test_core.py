@@ -1,5 +1,7 @@
 import itertools
+from bisect import bisect_right
 from fractions import Fraction
+from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,7 +17,8 @@ from ordered_coloring import (
     monotone_subsequence,
     rank_normalized,
 )
-from ordered_coloring.gadgets import gen_bipartite
+from ordered_coloring.gadgets import gen_bipartite, gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
+from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_nae, small_source_graphs
 from conftest import brute_contains, graph, instance, path_graph
 
 
@@ -100,6 +103,203 @@ class TestIsomorphism:
     def test_same_size_different_shape(self):
         # both have four vertices and two edges, but the sorted edge sets differ
         assert not is_isomorphic(build_pattern("J10"), build_pattern("J12"))
+
+
+def reference_contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
+    """The matcher before forward checking, kept as the reference for the
+    differential tests: a witness X with G[X] order-isomorphic to H, or
+    None if G is H-free.
+
+    Backtracking anchored on the pattern's edges: edge endpoints are matched
+    by iterating host edges inside the position window allowed so far, and
+    isolated pattern vertices are filled in last. Exact (induced) adjacency
+    against every already-matched vertex is enforced at each step.
+    """
+    t = h.n
+    if t == 0:
+        return frozenset()
+    if t > g.n:
+        return None
+
+    horder = h.vertices
+    hpos = {v: i for i, v in enumerate(horder)}
+    padj = [[False] * t for _ in range(t)]
+    pedges = []
+    for e in h.edges:
+        a, b = sorted((hpos[x] for x in e))
+        padj[a][b] = padj[b][a] = True
+        pedges.append((a, b))
+    pedges.sort()
+
+    gbits = g.adjacency_bits()
+    gorder = g.vertices
+    n = g.n
+    # host edges as rank pairs, sorted by left rank for windowed iteration
+    hedges = sorted(
+        tuple(sorted(g.rank(x) for x in e)) for e in g.edges
+    )
+    hlefts = [a for a, _ in hedges]
+
+    plan = []
+    placed = set()
+    for a, b in pedges:
+        if a not in placed and b not in placed:
+            plan.append(("pair", a, b))
+        elif a in placed and b not in placed:
+            plan.append(("one", a, b))
+        elif b in placed and a not in placed:
+            plan.append(("one", b, a))
+        # both placed: adjacency was enforced when the later one was placed
+        placed.add(a)
+        placed.add(b)
+    for i in range(t):
+        if i not in placed:
+            plan.append(("free", i))
+
+    assignment: dict[int, int] = {}
+
+    def window(p: int) -> tuple[int, int]:
+        lo, hi = -1, n
+        for q, r in assignment.items():
+            if q < p and r > lo:
+                lo = r
+            elif q > p and r < hi:
+                hi = r
+        return lo, hi
+
+    def fits(p: int, r: int) -> bool:
+        row = padj[p]
+        bits = gbits[r]
+        for q, s in assignment.items():
+            if (q < p) != (s < r):
+                return False
+            if row[q] != bool(bits >> s & 1):
+                return False
+        return True
+
+    def step(si: int) -> bool:
+        if si == len(plan):
+            return True
+        kind = plan[si][0]
+        if kind == "pair":
+            _, a, b = plan[si]
+            lo_a, hi_a = window(a)
+            i0 = bisect_right(hlefts, lo_a)
+            for idx in range(i0, len(hedges)):
+                ra, rb = hedges[idx]
+                if ra >= hi_a:
+                    break
+                if not fits(a, ra):
+                    continue
+                assignment[a] = ra
+                if fits(b, rb):
+                    assignment[b] = rb
+                    if step(si + 1):
+                        return True
+                    del assignment[b]
+                del assignment[a]
+            return False
+        if kind == "one":
+            _, a, b = plan[si]
+            anchor = assignment[a]
+            bits = gbits[anchor]
+            m = bits
+            while m:
+                r = (m & -m).bit_length() - 1
+                m &= m - 1
+                if fits(b, r):
+                    assignment[b] = r
+                    if step(si + 1):
+                        return True
+                    del assignment[b]
+            return False
+        _, p = plan[si]
+        lo, hi = window(p)
+        for r in range(lo + 1, hi):
+            if fits(p, r):
+                assignment[p] = r
+                if step(si + 1):
+                    return True
+                del assignment[p]
+        return False
+
+    if step(0):
+        return frozenset(gorder[r] for r in assignment.values())
+    return None
+
+
+CATALOG_IDS = (
+    [f"J{i}" for i in range(1, 17)]
+    + [f"M{i}" for i in range(1, 9)]
+    + ["Jw:1", "Jw:2"]
+    + [f"J16:{k},{l}" for k in (0, 1) for l in (0, 1)]
+)
+CATALOG_IDS += [f"neg:{pid}" for pid in CATALOG_IDS]
+
+
+def random_ordered_graph(rng, n, p):
+    """G(n, p) on shuffled, partly fractional positions."""
+    positions = [Fraction(x, 3) for x in rng.sample(range(1, 4 * n + 1), n)]
+    edges = [(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p]
+    return OrderedGraph(list(enumerate(positions)), edges)
+
+
+def with_planted_edge(rng, g):
+    non_edges = [
+        (u, v) for u, v in itertools.combinations(g.vertices, 2) if not g.has_edge(u, v)
+    ]
+    extra = rng.choice(non_edges)
+    return OrderedGraph(list(g.positions().items()), [tuple(e) for e in g.edges] + [extra])
+
+
+class TestMatcherDifferential:
+    """The bitset matcher returns exactly the reference's value: None, or
+    the same witness set."""
+
+    def test_random_graphs_every_catalog_id(self):
+        rng = make_rng(4401)
+        patterns = [build_pattern(pid) for pid in CATALOG_IDS]
+        found = 0
+        for _ in range(150):
+            g = random_ordered_graph(rng, rng.randint(0, 22), rng.random())
+            for pid, h in zip(CATALOG_IDS, patterns):
+                fast = contains_pattern(g, h)
+                assert fast == reference_contains_pattern(g, h), (sorted(g.edges, key=sorted), pid)
+                found += fast is not None
+        assert 0 < found < 150 * len(patterns)
+
+    def test_gadget_builds_and_planted_edges(self):
+        # the sources of acceptance criteria 5 and 6
+        rng = make_rng(2024_05)
+        builds = []
+        for _ in range(100):
+            nae = random_nae(rng, rng.randint(3, 4), rng.randint(1, 3))
+            builds += [gen_h1(nae, o) for o in ("t1", "t2", "t3")] + [gen_h2(nae)]
+        for src in small_source_graphs(4):
+            builds += [gen_h3(src, "t5"), gen_h3(src, "t6"), gen_h4(src), gen_h5(src)]
+        rng = make_rng(4402)
+        found = 0
+        for out in builds:
+            g = out.instance.graph
+            for host in (g, with_planted_edge(rng, g)):
+                for pid in out.advertised_free:
+                    h = build_pattern(pid)
+                    fast = contains_pattern(host, h)
+                    assert fast == reference_contains_pattern(host, h), pid
+                    found += fast is not None
+        assert found >= len(builds) // 4
+
+    def test_forward_clique_graphs_j16(self):
+        rng = make_rng(4403)
+        h = build_pattern("J16:0,0")
+        found = 0
+        for _ in range(20):
+            g = random_forward_clique_graph(rng, rng.randint(100, 200))
+            for host in (g, with_planted_edge(rng, g)):
+                fast = contains_pattern(host, h)
+                assert fast == reference_contains_pattern(host, h)
+                found += fast is not None
+        assert 0 < found < 20
 
 
 class TestContainsPattern:
@@ -261,20 +461,34 @@ class TestMonotoneSubsequence:
         assert values == sorted(values) or values == sorted(values, reverse=True)
 
 
+def neighborhoods(g, v, rho):
+    """BFS reference: (vertices at distance rho, ball of radius rho without
+    v, forward neighbors, backward neighbors)."""
+    dist = {v: 0}
+    frontier = [v]
+    for d in range(1, rho + 1):
+        frontier = [y for x in frontier for y in g.neighbors(x) if y not in dist]
+        dist.update((y, d) for y in frontier)
+    exact = frozenset(x for x, dx in dist.items() if dx == rho)
+    ball = frozenset(dist) - {v}
+    fwd = g.forward_neighbors(v)
+    return exact, ball, fwd, g.neighbors(v) - fwd
+
+
 class TestNeighborhoods:
     def test_isolated(self):
         g = graph({"v": 1, "w": 2})
-        exact, ball, fwd, back = g.neighborhoods("v", 1)
+        exact, ball, fwd, back = neighborhoods(g, "v", 1)
         assert exact == ball == fwd == back == frozenset()
 
     def test_leftmost_has_no_backward(self):
         g = path_graph(4)
-        _, _, fwd, back = g.neighborhoods(1, 1)
+        _, _, fwd, back = neighborhoods(g, 1, 1)
         assert back == frozenset() and fwd == {2}
 
     def test_distance_two(self):
         g = graph({"a": 1, "b": 2, "c": 3}, [("a", "b"), ("b", "c")])
-        exact, ball, fwd, _ = g.neighborhoods("a", 2)
+        exact, ball, fwd, _ = neighborhoods(g, "a", 2)
         assert exact == {"c"} and ball == {"b", "c"} and fwd == {"b"}
 
 

@@ -1,6 +1,10 @@
+import dataclasses
+import itertools
+
 import pytest
 
 from ordered_coloring import (
+    Coloring,
     InputError,
     Instance,
     ListAssignment,
@@ -20,7 +24,7 @@ from ordered_coloring.gadgets import (
     gen_h4,
     gen_h5,
 )
-from ordered_coloring import enumerate_colorings
+from ordered_coloring import enumerate_colorings, gadgets, nae_bruteforce
 from ordered_coloring.rand import make_rng, random_nae, small_source_graphs
 from conftest import complete_graph, graph, instance
 
@@ -336,3 +340,114 @@ class TestVerifyNegativeControls:
         )
         report = verify_gadget(bad, oracle_cap=1000)
         assert any(name == "path-registry" and not ok for name, ok, _ in report.entries)
+
+
+def nae_builds(nae):
+    return [gen_h1(nae, o) for o in ("t1", "t2", "t3")] + [gen_h2(nae)]
+
+
+def expected_passing_entries(out):
+    """The report of a sound gadget with a satisfiable source."""
+    return tuple((f"advertised-free:{pid}", True, "") for pid in out.advertised_free) + (
+        ("equi-satisfiability", True, "gadget=True source=True"),
+    )
+
+
+def counting_oracle(monkeypatch):
+    calls = []
+
+    def oracle(inst, cap=20):
+        calls.append(inst)
+        return solve_bruteforce(inst, cap=cap)
+
+    monkeypatch.setattr(gadgets, "solve_bruteforce", oracle)
+    return calls
+
+
+class TestVerifyWitness:
+    """Satisfiable NAE sources are decided by the coloring the assignment
+    maps to; the oracle decides everything else."""
+
+    def test_satisfiable_sources_need_no_oracle(self, monkeypatch):
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle called on a satisfiable source")
+
+        monkeypatch.setattr(gadgets, "solve_bruteforce", no_oracle)
+        rng = make_rng(93)
+        checked = 0
+        for _ in range(30):
+            nae = random_nae(rng, rng.randint(3, 6), rng.randint(1, 5))
+            if nae_bruteforce(nae) is None:
+                continue
+            for out in nae_builds(nae):
+                assert verify_gadget(out, oracle_cap=40).entries == expected_passing_entries(out)
+                checked += 1
+        assert checked >= 80
+
+    def test_satisfiable_source_above_the_cap_passes(self, monkeypatch):
+        calls = counting_oracle(monkeypatch)
+        out = gen_h2(random_nae(make_rng(12), 12, 20))
+        assert out.instance.graph.n > 40
+        assert verify_gadget(out, oracle_cap=40).entries == expected_passing_entries(out)
+        assert calls == []
+
+    def test_unsatisfiable_source_runs_the_oracle_once(self, monkeypatch):
+        # every 3-subset of 5 variables: any 2-coloring of the variables
+        # puts three of one color together
+        nae = NaeInstance(5, list(itertools.combinations(range(1, 6), 3)))
+        assert nae_bruteforce(nae) is None
+        for out in nae_builds(nae):
+            calls = counting_oracle(monkeypatch)
+            report = verify_gadget(out, oracle_cap=400)
+            assert report.passed, report.entries
+            assert calls == [out.instance]
+            assert ("equi-satisfiability", True, "gadget=False source=False") in report.entries
+
+    def test_failed_witness_falls_back_to_the_oracle(self, monkeypatch):
+        nae = NaeInstance(4, [(1, 2, 3), (2, 3, 4)])
+        for out in nae_builds(nae):
+            witness = gadgets._nae_coloring(out, nae_bruteforce(nae))
+            assert witness.validates(out.instance)
+            corner = next(
+                v for v in out.instance.graph.vertices if str(v).startswith("t") and witness[v] == 3
+            )
+            g = out.instance.graph
+            tampered = dataclasses.replace(
+                out,
+                instance=Instance.with_full_lists(
+                    OrderedGraph(list(g.positions().items()), [tuple(e) for e in g.edges] + [("x", corner)])
+                ),
+            )
+            calls = counting_oracle(monkeypatch)
+            entries = verify_gadget(tampered, oracle_cap=40).entries
+            assert calls == [tampered.instance]
+            monkeypatch.setattr(gadgets, "_nae_coloring", lambda out, assignment: Coloring({}))
+            assert entries == verify_gadget(tampered, oracle_cap=40).entries
+            monkeypatch.undo()
+
+    def test_cli_gen_verify_h2_without_oracle(self, tmp_path, monkeypatch):
+        import contextlib
+        import io
+
+        from ordered_coloring.cli import main
+
+        def no_oracle(*args, **kwargs):
+            raise AssertionError("oracle called on a satisfiable source")
+
+        nae_path = tmp_path / "i.nae"
+        nae_path.write_text("nae 4\ncls 1 2 3\ncls 2 3 4\ncls 1 2 4\n", encoding="utf-8")
+        prefix = str(tmp_path / "h2")
+        assert main(["gen", str(nae_path), "--gadget", "h2", "--out", prefix]) == 0
+        monkeypatch.setattr(gadgets, "solve_bruteforce", no_oracle)
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            code = main(["verify", prefix + ".og", "--prov", prefix + ".prov", "--source", str(nae_path)])
+        assert code == 0
+        assert buf.getvalue() == (
+            "command verify\n"
+            "verdict verified\n"
+            "check:advertised-free:J7 pass\n"
+            "check:advertised-free:J13 pass\n"
+            "check:advertised-free:J14 pass\n"
+            "check:equi-satisfiability pass gadget=True source=True\n"
+        )
