@@ -100,7 +100,7 @@ def cmd_solve(args) -> RunReport:
     elif args.alg == "chordal":
         witness = solve_chordal(inst)
     elif args.alg == "jw":
-        witness = solve_jw(inst, args.w, backend=args.backend)
+        witness = solve_jw(inst, args.w)
         report.add("w", args.w)
     elif args.alg == "j16":
         witness = solve_j16(inst, args.k, args.l, reverse=args.reversed)
@@ -332,11 +332,20 @@ def cmd_random_instance(args) -> RunReport:
     return report
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reports a malformed command line as an input error (exit 3) instead
+    of argparse's exit 2, which the contract reserves for refusals."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise InputError(message)
+
+
 @functools.cache
 def _parser() -> argparse.ArgumentParser:
     """Built once per process; `main` looks the handler up by subcommand
     name at call time, so replacing a `cmd_*` function still takes effect."""
-    top = argparse.ArgumentParser(
+    top = _Parser(
         prog="oglc",
         description="Decision procedures for list-3-coloring of ordered graphs.",
     )
@@ -350,7 +359,6 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=int, default=0)
     p.add_argument("--l", type=int, default=0)
     p.add_argument("--reversed", action="store_true", help="solve the mirrored pattern family")
-    p.add_argument("--backend", choices=["link-reduction", "link-enum"], default="link-reduction")
     p.add_argument("--cap", type=int, default=DEFAULT_CAP, help="oracle size cap")
 
     p = sub.add_parser("check-free", help="test whether a file avoids a pattern")
@@ -390,7 +398,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = _parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except InputError as exc:  # `--help` exits 0 inside argparse, as usual
+        command = next((a for a in argv if not a.startswith("-")), "oglc")
+        report = RunReport(command, "input-error", exit_code=EXIT_INPUT_ERROR)
+        report.add("error", str(exc))
+        return _emit(report, "--json" in argv)
     try:
         report = globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except RefusalError as exc:
@@ -404,8 +419,12 @@ def main(argv=None) -> int:
         traceback.print_exc()
         report = RunReport(args.cmd, "internal-error", exit_code=EXIT_INTERNAL_ERROR)
         report.add("error", f"{type(exc).__name__}: {exc}")
+    return _emit(report, args.json)
+
+
+def _emit(report: RunReport, as_json: bool) -> int:
     sys.stdout.write(report.text())
-    if args.json:
+    if as_json:
         sys.stdout.write(json.dumps(report.json_dict(), sort_keys=True) + "\n")
     return report.exit_code
 

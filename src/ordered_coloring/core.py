@@ -189,10 +189,6 @@ class OrderedGraph:
         edges = [tuple(e) for e in self._edges if e <= xs]
         return OrderedGraph(verts, edges)
 
-    def remove(self, xs) -> "OrderedGraph":
-        xs = set(xs)
-        return self.induced(set(self._pos) - xs)
-
     def reverse(self) -> "OrderedGraph":
         """Same vertices and edges with every position negated."""
         return OrderedGraph(
@@ -654,7 +650,8 @@ class Refinement:
 
 
 class Profile:
-    """A set of refinements of one shared base instance.
+    """A set of refinements of one shared base instance: the guessing
+    profile that `jw.build_sigma_profile` returns.
 
     Members are drawn from the given iterable when iteration first reaches
     them and kept for later passes, so a caller that stops at its first
@@ -682,14 +679,6 @@ class Profile:
                 built.append(member)
             yield built[i]
             i += 1
-
-    @property
-    def members(self) -> tuple:
-        return tuple(self)
-
-    @property
-    def spanning(self) -> bool:
-        return all(m.spanning for m in self)
 
     def __len__(self):
         return sum(1 for _ in self)

@@ -321,11 +321,6 @@ class _Threads:
     def rank(self, i: int, th) -> int:
         return self.levels[i - 1].index(th) + 1
 
-    def branch_of(self, th) -> tuple:
-        u, v, j = th
-        e = (u, v) if (u, v) in self.f else (v, u)
-        return e, j - 3 * self.f[e] + 3
-
 
 def _w_name(i: int, th) -> str:
     u, v, j = th

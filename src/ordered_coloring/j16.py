@@ -2,7 +2,9 @@
 pattern (a center with two later, nonadjacent neighbors, plus k leading
 and l trailing isolated vertices).
 
-The pipeline guesses boundary color classes, narrows the wide set until
+The pipeline first accepts any coloring with a color class of fewer than
+k+l vertices (`kernels.solve_small_class`, shared with the width solver).
+Otherwise it guesses boundary color classes, narrows the wide set until
 every vertex has at most two forward neighbors there, pads both ends by
 forcing a constant-size boundary, and finishes with chordal list coloring
 on the remaining wide set. The mirrored pattern is handled by reversal.
@@ -20,8 +22,6 @@ from .core import (
     Instance,
     ListAssignment,
     OrderedGraph,
-    Profile,
-    Refinement,
     checked_witness,
     contains_pattern,
 )
@@ -32,7 +32,7 @@ from .kernels import (
     has_k4,
     propagate_singletons,
     solve_chordal,
-    solve_two_lists,
+    solve_small_class,
 )
 from .oracle import enumerate_colorings
 from .patterns import build_pattern
@@ -94,6 +94,15 @@ def q_tuples(inst: Instance, k: int, l: int) -> Iterator[QTuple]:
 
 
 def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
+    """Guess first-k/last-l color class vertices, then narrow until every
+    vertex of the wide set has at most two forward neighbors there.
+
+    Yields nothing when a 4-clique makes everything moot. Members whose
+    lists empty out hold no coloring and are omitted, and each member is
+    yielded once. A narrowing step that runs into the forbidden pattern
+    raises a refusal; a member whose wide set keeps a vertex with three
+    forward wide neighbors is a bug and raises `InternalError`.
+    """
     if has_k4(inst.graph):
         return
     bits = inst.graph.adjacency_bits()
@@ -110,17 +119,6 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
         if _forward_degree_above_two(bits, _wide_ranks(narrowed)):
             raise InternalError("narrowed member has forward degree above two on its wide set")
         yield narrowed
-
-
-def profile_fwdnbr(inst: Instance, k: int, l: int) -> Profile:
-    """Guess first-k/last-l color class vertices, then narrow until every
-    vertex of the wide set has at most two forward neighbors there.
-
-    Returns the empty profile when a 4-clique makes everything moot.
-    Members whose lists empty out hold no coloring and are omitted. A
-    narrowing step that runs into the forbidden pattern raises a refusal.
-    """
-    return Profile([Refinement(inst, member) for member in _fwdnbr_members(inst, k, l)])
 
 
 def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
@@ -146,7 +144,7 @@ def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
         lv = current.lists.get(v)
         pair = _first_nonadjacent_pair(g, fwd_nbrs)
         if pair is None:
-            raise AssertionError("three pairwise-adjacent forward neighbors imply a 4-clique")
+            raise InternalError("three pairwise-adjacent forward neighbors imply a 4-clique")
         u, w = pair
         common = lv & current.lists.get(u) & current.lists.get(w)
         if common:
@@ -154,7 +152,7 @@ def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
         if len(lv) != 2:
             # a full list would share a color with any two wide neighbors,
             # and the nonadjacent pair above would have caught that
-            raise AssertionError("wide vertex with a full list cannot reach this point")
+            raise InternalError("wide vertex with a full list cannot reach this point")
         lu, lw = current.lists.get(u), current.lists.get(w)
         i, j = sorted(lv)
         m = (set(COLORS) - {i, j}).pop()
@@ -162,7 +160,7 @@ def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
             u, w = w, u
             lu, lw = lw, lu
         if not (lu == frozenset((i, m)) and lw == frozenset((j, m))):
-            raise AssertionError("narrowing reached an impossible list shape")
+            raise InternalError("narrowing reached an impossible list shape")
         x = next(y for y in fwd_nbrs if y not in (u, w))
         lx = current.lists.get(x)
         changes: dict = {}
@@ -187,7 +185,7 @@ def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
             for y in g.neighbors(v):
                 changes[y] = current.lists.get(y) - {i}
         else:
-            raise AssertionError(f"unexpected third-neighbor list {sorted(lx)}")
+            raise InternalError(f"unexpected third-neighbor list {sorted(lx)}")
         current = propagate_singletons(Instance(g, current.lists.updated(changes)))
 
 
@@ -203,39 +201,6 @@ def _refuse(q: QTuple, v, u, w, color: int):
     k = len(q.a_sets[color - 1])
     l = len(q.b_sets[color - 1])
     raise RefusalError(f"J16:{k},{l}", witness)
-
-
-def _fwdnbr_special_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
-    g = inst.graph
-    seen = set()
-    for i in COLORS:
-        candidates = sorted(inst.lists.view(i), key=g.rank)
-        for size in range(0, k + l):
-            for combo in itertools.combinations(candidates, size):
-                if any(g.has_edge(x, y) for x, y in itertools.combinations(combo, 2)):
-                    continue
-                pinned = set(combo)
-                new_lists = {}
-                for v in g.vertices:
-                    if v in pinned:
-                        new_lists[v] = frozenset((i,))
-                    else:
-                        new_lists[v] = inst.lists.get(v) - {i}
-                assignment = ListAssignment(new_lists)
-                key = frozenset(assignment.items())
-                if key in seen:
-                    continue
-                seen.add(key)
-                yield Instance(g, assignment)
-
-
-def profile_fwdnbr_special(inst: Instance, k: int, l: int) -> Profile:
-    """One member per guess of an entire small color class: pin color i to
-    a stable set of size below k+l and strike i everywhere else. Every
-    wide vertex of a member shares the same two-color list."""
-    return Profile(
-        [Refinement(inst, member) for member in _fwdnbr_special_members(inst, k, l)]
-    )
 
 
 def pad_sets(inst: Instance, k: int, l: int) -> PadSets:
@@ -257,9 +222,10 @@ def pad_sets(inst: Instance, k: int, l: int) -> PadSets:
 
 
 def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
-    """Propagated members, one per list coloring of the boundary block.
-    Each member's remaining wide set is checked chordal on the parent's
-    adjacency bits; a failure is a bug and raises, also under `python -O`."""
+    """Propagated members, one per list coloring of the boundary block
+    (left cover plus trailing block). Each member's remaining wide set is
+    checked chordal on the parent's adjacency bits; a failure is a bug and
+    raises, also under `python -O`."""
     g = inst.graph
     bits = g.adjacency_bits()
     wide = _wide_ranks(inst)
@@ -279,14 +245,10 @@ def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
         yield member
 
 
-def chordalize(inst: Instance, k: int, l: int) -> Profile:
-    """Force every list coloring of the boundary block (left cover plus
-    trailing block); each member's remaining wide set induces a chordal
-    graph, which is checked on every member."""
-    return Profile([Refinement(inst, member) for member in _chordalize_members(inst, k, l)])
-
-
 def _finalize_small_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
+    """When the wide set is below the padding threshold, force each of its
+    list colorings outright; members have only forced or empty lists, and
+    a member that keeps a wider list is a bug and raises."""
     wide = wide_set(inst)
     if len(wide) >= 3 * k + 3 * l + 6:
         raise PreconditionError("wide set is large enough for boundary padding")
@@ -295,16 +257,9 @@ def _finalize_small_members(inst: Instance, k: int, l: int) -> Iterator[Instance
         for v in wide:
             new_lists[v] = frozenset((f[v],))
         member = Instance(inst.graph, ListAssignment(new_lists))
-        assert all(len(cs) <= 1 for _, cs in member.lists.items())
+        if any(len(cs) > 1 for _, cs in member.lists.items()):
+            raise InternalError("a finalized member keeps a list with two colors")
         yield member
-
-
-def finalize_small(inst: Instance, k: int, l: int) -> Profile:
-    """When the wide set is below the padding threshold, enumerate its list
-    colorings outright; members have only forced or empty lists."""
-    return Profile(
-        [Refinement(inst, member) for member in _finalize_small_members(inst, k, l)]
-    )
 
 
 def solve_j16(
@@ -325,10 +280,9 @@ def solve_j16(
         if witness is not None:
             raise RefusalError(f"J16:{k},{l}", witness)
 
-    for member in _fwdnbr_special_members(inst, k, l):
-        result = solve_two_lists(member)
-        if result is not None:
-            return checked_witness(result, inst)
+    small = solve_small_class(inst, k + l)
+    if small is not None:
+        return checked_witness(small, inst)
 
     threshold = 3 * k + 3 * l + 6
     for member in _fwdnbr_members(inst, k, l):

@@ -23,12 +23,14 @@ from .core import (
     checked_witness,
     contains_pattern,
 )
-from .errors import InternalError, PreconditionError, RefusalError
+from .errors import InternalError, RefusalError
 from .kernels import _boundary_guesses, drop_singletons, has_k4, solve_few_wide, solve_small_class
-from .oracle import enumerate_colorings, solve_bruteforce
+from .oracle import solve_bruteforce
 from .patterns import build_pattern
 
-DEFAULT_WIDE_CAP = 16
+# Most full lists a link reduction may leave; `solve_few_wide` enumerates
+# 3^c colorings of them, so more is a bug, not a slow instance.
+WIDE_CAP = 16
 
 
 def class_cap(w: int) -> int:
@@ -49,9 +51,6 @@ class ColoredSeed:
 
     def color_class(self, color: int) -> frozenset:
         return frozenset(v for v, c in zip(self.support, self.colors) if c == color)
-
-    def as_coloring(self) -> Coloring:
-        return Coloring(self.assignment())
 
 
 def gamma(inst: Instance, e, w: int) -> Iterator[ColoredSeed]:
@@ -106,47 +105,6 @@ def _seed_colorings(und, support, lists, adj, cap):
     yield from rec(0)
 
 
-def property_x(inst: Instance, phi: Coloring, seed: ColoredSeed) -> bool:
-    """Compatibility plus joint properness: phi and the seed agree where
-    they overlap, and their union is a proper list coloring of the graph
-    induced on the union of their domains."""
-    sigma = seed.assignment()
-    for v in seed.support:
-        if v in phi and phi[v] != sigma[v]:
-            return False
-    union = dict(phi.items())
-    union.update(sigma)
-    g = inst.graph
-    for v, c in union.items():
-        if c not in inst.lists.get(v):
-            return False
-        for u in g.neighbors(v):
-            if union.get(u) == c:
-                return False
-    return True
-
-
-def property_y(inst: Instance, phi: Coloring, seed: ColoredSeed, e) -> bool:
-    """Compatibility plus left-domination: every vertex left of e seeing
-    color i inside the span of e (under phi) also has a seed neighbor of
-    color i."""
-    sigma = seed.assignment()
-    for v in seed.support:
-        if v in phi and phi[v] != sigma[v]:
-            return False
-    g = inst.graph
-    und, lft = g.under_left(e)
-    classes = {i: seed.color_class(i) for i in COLORS}
-    for x in lft:
-        nbrs = g.neighbors(x)
-        for y in nbrs:
-            if y in und and y in phi:
-                i = phi[y]
-                if not (nbrs & classes[i]):
-                    return False
-    return True
-
-
 def augment_star(inst: Instance) -> tuple[Instance, tuple]:
     """Append a forced two-vertex edge after all positions: colors {1} and
     {2}. Returns the new instance and the appended edge; the appended edge
@@ -176,30 +134,17 @@ def _fresh(g: OrderedGraph, base: str):
     return name
 
 
-def check_link(
-    inst: Instance,
-    e,
-    e_prev,
-    g_seed: ColoredSeed,
-    g_prev: ColoredSeed,
-    backend: str = "link-reduction",
-    wide_cap: int = DEFAULT_WIDE_CAP,
-) -> bool:
+def check_link(inst: Instance, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> bool:
     """Decide whether some list coloring psi of the span of e_prev makes
     both (psi, seed-at-e) and (psi, seed-at-e_prev) satisfy the
     compatibility and left-domination properties.
 
-    The default backend reduces to a derived list assignment on the span of
-    e_prev (forced values on seed supports, struck colors from seed
-    neighborhoods and from left vertices anticomplete to a seed class) and
-    decides with the bounded-wide-set solver. The enumeration backend
-    simply sweeps all candidate psi.
+    The check reduces to a derived list assignment on the span of e_prev
+    (forced values on seed supports, struck colors from seed neighborhoods
+    and from left vertices anticomplete to a seed class) and decides it
+    with the bounded-wide-set solver. A reduction that leaves more than
+    `WIDE_CAP` full lists raises `InternalError`.
     """
-    if backend == "link-enum":
-        return _check_link_enum(inst, e, e_prev, g_seed, g_prev)
-    if backend != "link-reduction":
-        raise PreconditionError(f"unknown link backend {backend!r}")
-
     g = inst.graph
     und_prev = g.under(e_prev)
     lft_prev = g.left_of(e_prev)
@@ -246,26 +191,9 @@ def check_link(
 
     sub = Instance(g.induced(und_prev), ListAssignment(new_lists))
     wide = sum(1 for cs in new_lists.values() if len(cs) == 3)
-    if wide > wide_cap:
-        raise InternalError(
-            f"link reduction left {wide} full lists, above the configured cap {wide_cap}"
-        )
+    if wide > WIDE_CAP:
+        raise InternalError(f"link reduction left {wide} full lists, above the cap {WIDE_CAP}")
     return solve_few_wide(sub, wide) is not None
-
-
-def _check_link_enum(inst, e, e_prev, g_seed, g_prev) -> bool:
-    g = inst.graph
-    und_prev = g.under(e_prev)
-    sub = inst.sub_instance(und_prev)
-    for psi in enumerate_colorings(sub, cap=len(und_prev)):
-        if (
-            property_x(inst, psi, g_seed)
-            and property_y(inst, psi, g_seed, e)
-            and property_x(inst, psi, g_prev)
-            and property_y(inst, psi, g_prev, e_prev)
-        ):
-            return True
-    return False
 
 
 @dataclass(frozen=True)
@@ -280,15 +208,10 @@ class SuccessTable:
         return self.successful[-1] if self.successful else ()
 
 
-def success_table(
-    inst: Instance,
-    w: int,
-    backend: str = "link-reduction",
-    wide_cap: int = DEFAULT_WIDE_CAP,
-) -> SuccessTable:
+def success_table(inst: Instance, w: int) -> SuccessTable:
     """Left-to-right dynamic program over the maximal edges: on the first
     edge every seed is successful; afterwards a seed survives when some
-    successful seed on the previous edge links to it."""
+    successful seed on the previous edge links to it (`check_link`)."""
     mx = inst.graph.maximal_edges()
     per_edge = []
     prev_edge = None
@@ -300,9 +223,7 @@ def success_table(
             current = []
             for g_seed in gamma(inst, e, w):
                 for g_prev in prev_success:
-                    if check_link(
-                        inst, e, prev_edge, g_seed, g_prev, backend=backend, wide_cap=wide_cap
-                    ):
+                    if check_link(inst, e, prev_edge, g_seed, g_prev):
                         current.append(g_seed)
                         break
         per_edge.append(tuple(current))
@@ -362,20 +283,16 @@ def build_sigma_profile(inst: Instance, w: int) -> Profile:
     return Profile(members())
 
 
-def solve_jw(
-    inst: Instance,
-    w: int,
-    backend: str = "link-reduction",
-    check_freeness: bool = True,
-    wide_cap: int = DEFAULT_WIDE_CAP,
-) -> Optional[Coloring]:
+def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Coloring]:
     """Five-step decision procedure for instances free of the width-w
     single-edge pattern; returns a witness coloring on yes instances.
 
     Steps: reject on a 4-clique; accept via a coloring with a color class
-    smaller than 2w; otherwise walk the guessing profile, skip members with
-    an empty list, and accept at the first member whose augmented instance
-    has a successful seed on its appended final edge.
+    smaller than 2w (`kernels.solve_small_class`, shared with `solve_j16`);
+    otherwise walk the guessing profile, skip members with an empty list,
+    and accept at the first member whose augmented instance has a
+    successful seed on its appended final edge. Every link of the chain is
+    decided by `check_link`.
 
     The chain itself only decides; on yes instances the witness is
     recovered by rerunning the exhaustive oracle on the accepting member,
@@ -394,7 +311,7 @@ def solve_jw(
         if not all(cs for _, cs in member.sub.lists.items()):
             continue
         star, _ = augment_star(member.sub)
-        table = success_table(star, w + 1, backend=backend, wide_cap=wide_cap)
+        table = success_table(star, w + 1)
         if table.final():
             inner = solve_bruteforce(member.sub, cap=member.sub.graph.n)
             if inner is None:

@@ -2,7 +2,15 @@ import itertools
 
 import pytest
 
-from ordered_coloring import Instance, ListAssignment, OrderedGraph, is_isomorphic
+from ordered_coloring import (
+    COLORS,
+    Coloring,
+    Instance,
+    ListAssignment,
+    OrderedGraph,
+    enumerate_colorings,
+    is_isomorphic,
+)
 
 
 def brute_contains(g: OrderedGraph, h: OrderedGraph):
@@ -13,6 +21,63 @@ def brute_contains(g: OrderedGraph, h: OrderedGraph):
         if is_isomorphic(g.induced(combo), h):
             return frozenset(combo)
     return None
+
+
+def property_x(inst: Instance, phi: Coloring, seed) -> bool:
+    """Compatibility plus joint properness: phi and the seed agree where
+    they overlap, and their union is a proper list coloring of the graph
+    induced on the union of their domains."""
+    sigma = seed.assignment()
+    for v in seed.support:
+        if v in phi and phi[v] != sigma[v]:
+            return False
+    union = dict(phi.items())
+    union.update(sigma)
+    g = inst.graph
+    for v, c in union.items():
+        if c not in inst.lists.get(v):
+            return False
+        for u in g.neighbors(v):
+            if union.get(u) == c:
+                return False
+    return True
+
+
+def property_y(inst: Instance, phi: Coloring, seed, e) -> bool:
+    """Compatibility plus left-domination: every vertex left of e seeing
+    color i inside the span of e (under phi) also has a seed neighbor of
+    color i."""
+    sigma = seed.assignment()
+    for v in seed.support:
+        if v in phi and phi[v] != sigma[v]:
+            return False
+    g = inst.graph
+    und, lft = g.under_left(e)
+    classes = {i: seed.color_class(i) for i in COLORS}
+    for x in lft:
+        nbrs = g.neighbors(x)
+        for y in nbrs:
+            if y in und and y in phi:
+                i = phi[y]
+                if not (nbrs & classes[i]):
+                    return False
+    return True
+
+
+def reference_check_link(inst: Instance, e, e_prev, g_seed, g_prev) -> bool:
+    """Independent oracle for `jw.check_link`: sweep every list coloring
+    psi of the span of e_prev and test both properties against both seeds
+    directly. Same signature, so it can stand in for the link check."""
+    sub = inst.sub_instance(inst.graph.under(e_prev))
+    for psi in enumerate_colorings(sub, cap=sub.graph.n):
+        if (
+            property_x(inst, psi, g_seed)
+            and property_y(inst, psi, g_seed, e)
+            and property_x(inst, psi, g_prev)
+            and property_y(inst, psi, g_prev, e_prev)
+        ):
+            return True
+    return False
 
 
 def graph(positions, edges=()):

@@ -29,9 +29,9 @@ from ordered_coloring import (
     solve_two_lists,
     verify_gadget,
 )
-from ordered_coloring import j16
+from ordered_coloring import j16, jw
 from ordered_coloring.gadgets import gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
-from ordered_coloring.jw import ColoredSeed, augment_star, class_cap, property_x, property_y, success_table
+from ordered_coloring.jw import ColoredSeed, augment_star, class_cap, success_table
 from ordered_coloring.kernels import propagate_singletons
 from ordered_coloring.rand import (
     make_rng,
@@ -45,19 +45,19 @@ from ordered_coloring.rand import (
     random_two_list_instance,
     small_source_graphs,
 )
-from conftest import graph
+from conftest import graph, property_x, property_y, reference_check_link
 
 
 def report(criterion, detail):
     print(f"\nACCEPTANCE {criterion}: PASS ({detail})")
 
 
-def test_criterion_1_jw_solver_oracle_agreement():
+def test_criterion_1_jw_solver_oracle_agreement(monkeypatch):
     start = time.time()
     rng = make_rng(2024_01)
     pattern = build_pattern("Jw:1")
     trials = 500
-    backend_recheck = 60
+    link_recheck = 60
     for t in range(trials):
         n = rng.randint(2, 8)
         inst = random_pattern_free_instance(
@@ -68,14 +68,17 @@ def test_criterion_1_jw_solver_oracle_agreement():
         assert (got is None) == (expected is None), f"trial {t}"
         if got is not None:
             assert got.validates(inst)
-        if t < backend_recheck:
-            alt = solve_jw(inst, 1, backend="link-enum", check_freeness=False)
-            assert (alt is None) == (expected is None), f"backend trial {t}"
+        if t < link_recheck:
+            # the same chain with every link decided by direct enumeration
+            with monkeypatch.context() as m:
+                m.setattr(jw, "check_link", reference_check_link)
+                alt = solve_jw(inst, 1, check_freeness=False)
+            assert (alt is None) == (expected is None), f"reference link trial {t}"
     elapsed = time.time() - start
     assert elapsed < 600, f"criterion 1 exceeded its time budget: {elapsed:.0f}s"
     report(
         "criterion-1 jw-vs-oracle",
-        f"{trials} instances, {backend_recheck} re-run on the enumeration backend, {elapsed:.1f}s",
+        f"{trials} instances, {link_recheck} re-run with the reference link check, {elapsed:.1f}s",
     )
 
 

@@ -14,7 +14,13 @@ from ordered_coloring import (
     solve_jw,
 )
 from ordered_coloring.core import checked_witness
-from ordered_coloring.j16 import PadSets, _chordalize_members, _fwdnbr_members
+from ordered_coloring import jw
+from ordered_coloring.j16 import (
+    PadSets,
+    _chordalize_members,
+    _finalize_small_members,
+    _fwdnbr_members,
+)
 from ordered_coloring.jw import augment_star, check_link, gamma
 from ordered_coloring.rand import (
     make_rng,
@@ -81,9 +87,10 @@ class TestParameterGenerality:
             got = solve_jw(inst, 2)
             assert (got is None) == (solve_bruteforce(inst) is None)
 
-    def test_jw_wide_cap_fails_loudly(self):
+    def test_jw_wide_cap_fails_loudly(self, monkeypatch):
         # an edgeless middle leaves every derived list full, so a tiny cap
         # must trip rather than silently truncate
+        monkeypatch.setattr(jw, "WIDE_CAP", 0)
         g = graph({i: i for i in range(1, 8)}, [(1, 7), (2, 6)])
         inst = Instance.with_full_lists(g)
         star, _ = augment_star(inst)
@@ -91,8 +98,8 @@ class TestParameterGenerality:
         e_prev, e = mx[0], mx[1]
         g_prev = next(iter(gamma(star, e_prev, 2)))
         g_cur = next(iter(gamma(star, e, 2)))
-        with pytest.raises(RuntimeError):
-            check_link(star, e, e_prev, g_cur, g_prev, wide_cap=0)
+        with pytest.raises(InternalError):
+            check_link(star, e, e_prev, g_cur, g_prev)
 
     def test_jw_refusal_precedes_everything(self):
         # freeness checking fires before any other work, even on a graph
@@ -148,7 +155,9 @@ class TestWitnessChecks:
             solve_jw(instance({1: 1, 2: 2}, [(1, 2)]), 1, check_freeness=False)
 
     def test_j16_small_class_witness(self, monkeypatch):
-        monkeypatch.setattr("ordered_coloring.j16.solve_two_lists", self._everything_color_one)
+        monkeypatch.setattr(
+            "ordered_coloring.j16.solve_small_class", lambda inst, c: self._everything_color_one(inst)
+        )
         with pytest.raises(InternalError):
             solve_j16(instance({1: 1, 2: 2}, [(1, 2)]), 1, 0)
 
@@ -183,3 +192,19 @@ class TestMemberChecks:
         cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(InternalError):
             list(_chordalize_members(cycle, 0, 0))
+
+    def test_narrowing_shape_check(self, monkeypatch):
+        # hiding the nonadjacent pair among a center's three forward
+        # neighbors is what a missed 4-clique would look like
+        monkeypatch.setattr("ordered_coloring.j16._first_nonadjacent_pair", lambda g, vs: None)
+        star = instance({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
+        with pytest.raises(InternalError):
+            list(_fwdnbr_members(star, 0, 0))
+
+    def test_finalized_member_check(self, monkeypatch):
+        # with its wide set hidden, finalizing forces nothing and the
+        # member keeps a two-color list
+        monkeypatch.setattr("ordered_coloring.j16.wide_set", lambda inst: [])
+        inst = instance({1: 1, 2: 2}, [(1, 2)], lists={1: (1, 2)})
+        with pytest.raises(InternalError):
+            list(_finalize_small_members(inst, 0, 0))

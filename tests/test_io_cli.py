@@ -285,10 +285,25 @@ class TestCli:
         assert outputs[0] == outputs[1]
 
     def test_backend_flag(self, tmp_path):
+        # the link check has one path and no selector; naming one is a usage error
         path = tmp_path / "p.og"
         path.write_text(
             "ograph p\nvtx a 1\nvtx b 2\nvtx c 3\nedg a b\nedg b c\n", encoding="utf-8"
         )
-        for backend in ("link-reduction", "link-enum"):
-            code, _ = run_cli(tmp_path, "solve", str(path), "--alg", "jw", "--backend", backend)
-            assert code == 0
+        code, out = run_cli(tmp_path, "solve", str(path), "--alg", "jw")
+        assert code == 0
+        code, out = run_cli(tmp_path, "solve", str(path), "--alg", "jw", "--backend", "link-enum")
+        assert code == 3
+        assert "verdict input-error" in out and "error unrecognized arguments" in out
+
+    def test_missing_alg_is_a_usage_error(self, tmp_path):
+        code, out = run_cli(tmp_path, "--json", "solve", "x.og")
+        assert code == 3
+        assert "command solve" in out and "verdict input-error" in out
+        report = json.loads(out.splitlines()[-1])
+        assert report["verdict"] == "input-error" and "--alg" in report["error"]
+
+    def test_help_still_exits_zero(self, tmp_path):
+        with pytest.raises(SystemExit) as exc:
+            run_cli(tmp_path, "solve", "--help")
+        assert exc.value.code == 0

@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from ordered_coloring import (
+    COLORS,
     Instance,
+    ListAssignment,
     PreconditionError,
     RefusalError,
     build_pattern,
@@ -10,70 +14,104 @@ from ordered_coloring import (
     solve_bruteforce,
     solve_j16,
 )
+from ordered_coloring import kernels
 from ordered_coloring.j16 import (
-    chordalize,
-    finalize_small,
+    _chordalize_members,
+    _finalize_small_members,
+    _fwdnbr_members,
     pad_sets,
-    profile_fwdnbr,
-    profile_fwdnbr_special,
     wide_set,
 )
-from ordered_coloring.kernels import propagate_singletons
+from ordered_coloring.kernels import propagate_singletons, solve_small_class, solve_two_lists
 from ordered_coloring.oracle import enumerate_colorings
 from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_j16free_instance, random_lists
 from conftest import graph, instance
 
 
+def _special_members_reference(inst, k, l):
+    """Reference members for `solve_small_class(inst, k + l)`: one per
+    stable set A of size below k+l within L^(i), color i pinned to A and
+    struck everywhere else, duplicate members skipped."""
+    g = inst.graph
+    seen = set()
+    for i in COLORS:
+        candidates = sorted(inst.lists.view(i), key=g.rank)
+        for size in range(0, k + l):
+            for combo in itertools.combinations(candidates, size):
+                if any(g.has_edge(x, y) for x, y in itertools.combinations(combo, 2)):
+                    continue
+                pinned = set(combo)
+                new_lists = {}
+                for v in g.vertices:
+                    if v in pinned:
+                        new_lists[v] = frozenset((i,))
+                    else:
+                        new_lists[v] = inst.lists.get(v) - {i}
+                assignment = ListAssignment(new_lists)
+                key = frozenset(assignment.items())
+                if key in seen:
+                    continue
+                seen.add(key)
+                yield Instance(g, assignment)
+
+
+def _special_reference(inst, k, l):
+    for member in _special_members_reference(inst, k, l):
+        result = solve_two_lists(member)
+        if result is not None:
+            return result
+    return None
+
+
 class TestProfileFwdnbrSpecial:
+    """The small-class stage of `solve_j16`: `solve_small_class(inst, k + l)`,
+    the solver `solve_jw` runs with 2w."""
+
     def test_zero_budget_is_empty(self):
         inst = instance({i: i for i in range(1, 4)})
-        assert len(profile_fwdnbr_special(inst, 0, 0)) == 0
+        assert solve_small_class(inst, 0) is None
 
     def test_unit_budget_strikes_one_color_globally(self):
         inst = instance({i: i for i in range(1, 4)})
-        members = list(profile_fwdnbr_special(inst, 1, 0))
-        assert len(members) == 3
-        for member in members:
-            lists = {frozenset(cs) for _, cs in member.sub.lists.items()}
-            assert len(lists) == 1 and len(next(iter(lists))) == 2
-
-    def test_wide_vertices_share_one_pair(self):
-        rng = make_rng(71)
-        for _ in range(30):
-            inst = random_j16free_instance(rng, 1, 1, rng.randint(2, 8))
-            for member in profile_fwdnbr_special(inst, 1, 1):
-                wides = {
-                    member.sub.lists.get(v)
-                    for v in member.sub.graph.vertices
-                    if len(member.sub.lists.get(v)) >= 2
-                }
-                assert len(wides) <= 1
+        got = solve_small_class(inst, 1)
+        assert got is not None and got.validates(inst)
+        assert min(len(got.color_class(i)) for i in COLORS) == 0
 
     def test_small_class_coloring_lands_in_a_member(self):
         rng = make_rng(72)
         for _ in range(40):
             inst = random_j16free_instance(rng, 1, 1, rng.randint(2, 8))
-            members = list(profile_fwdnbr_special(inst, 1, 1))
+            got = solve_small_class(inst, 2)
             for col in enumerate_colorings(inst):
                 if min(len(col.color_class(i)) for i in (1, 2, 3)) < 2:
-                    assert any(
-                        col.respects(m.sub.lists) for m in members
-                    )
+                    assert got is not None and got.validates(inst)
+                    assert min(len(got.color_class(i)) for i in (1, 2, 3)) < 2
                     break
+
+    @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_matches_the_separate_stage(self, k, l):
+        # same stable sets in the same order; the reference's dedup only
+        # skips a member equal to an earlier one, which already failed
+        rng = make_rng(2000 + 10 * k + l)
+        for t in range(80):
+            inst = random_j16free_instance(rng, k, l, rng.randint(2, 10), rng.uniform(0.2, 0.8))
+            assert solve_small_class(inst, k + l) == _special_reference(inst, k, l), t
 
 
 class TestProfileFwdnbr:
+    """Narrowed members: `_fwdnbr_members`."""
+
     def test_k4_gives_empty_profile(self, k4):
-        assert len(profile_fwdnbr(Instance.with_full_lists(k4), 0, 0)) == 0
+        assert list(_fwdnbr_members(Instance.with_full_lists(k4), 0, 0)) == []
 
     def test_members_have_bounded_forward_degree(self):
         rng = make_rng(73)
         for _ in range(40):
             inst = random_j16free_instance(rng, 1, 0, rng.randint(2, 9))
-            for member in profile_fwdnbr(inst, 1, 0):
-                wide = wide_set(member.sub)
+            for member in _fwdnbr_members(inst, 1, 0):
+                wide = wide_set(member)
                 wide_pos = set(wide)
-                g = member.sub.graph
+                g = member.graph
                 for v in wide:
                     fwd = [u for u in g.forward_neighbors(v) if u in wide_pos]
                     assert len(fwd) <= 2
@@ -87,19 +125,25 @@ class TestProfileFwdnbr:
             for col in enumerate_colorings(inst):
                 if min(len(col.color_class(i)) for i in (1, 2, 3)) >= 2:
                     if members is None:
-                        members = list(profile_fwdnbr(inst, 1, 1))
-                    assert any(col.respects(m.sub.lists) for m in members)
+                        members = list(_fwdnbr_members(inst, 1, 1))
+                    assert any(col.respects(m.lists) for m in members)
                     checked += 1
                     break
         assert checked >= 5
 
-    def test_profile_cardinality_bounds(self):
+    def test_profile_cardinality_bounds(self, monkeypatch):
+        calls = []
+        monkeypatch.setattr(
+            kernels, "solve_two_lists", lambda inst, _f=solve_two_lists: calls.append(1) or _f(inst)
+        )
         rng = make_rng(81)
         for _ in range(20):
             n = rng.randint(2, 8)
             inst = random_j16free_instance(rng, 1, 1, n)
-            assert len(profile_fwdnbr_special(inst, 1, 1)) <= 3 * n ** 2
-            assert len(profile_fwdnbr(inst, 1, 0)) <= n ** 3
+            calls.clear()
+            solve_small_class(inst, 2)
+            assert len(calls) <= 3 * n ** 2
+            assert len(list(_fwdnbr_members(inst, 1, 0))) <= n ** 3
 
     def test_narrowing_detects_pattern_violation(self):
         # a center with three pairwise nonadjacent later neighbors contains
@@ -112,11 +156,13 @@ class TestProfileFwdnbr:
 
 
 class TestChordalize:
+    """Boundary padding: `pad_sets` and `_chordalize_members`."""
+
     def _prepared_member(self, rng, k, l, n):
         inst = random_j16free_instance(rng, k, l, n)
-        for member in profile_fwdnbr(inst, k, l):
-            if len(wide_set(member.sub)) >= 3 * k + 3 * l + 6:
-                return member.sub
+        for member in _fwdnbr_members(inst, k, l):
+            if len(wide_set(member)) >= 3 * k + 3 * l + 6:
+                return member
         return None
 
     def test_pad_sets_shape(self):
@@ -140,9 +186,9 @@ class TestChordalize:
             if member is None:
                 continue
             found += 1
-            for refined in chordalize(member, 0, 0):
-                wide = wide_set(refined.sub)
-                assert chordal_peo(refined.sub.graph.induced(wide)) is not None
+            for refined in _chordalize_members(member, 0, 0):
+                wide = wide_set(refined)
+                assert chordal_peo(refined.graph.induced(wide)) is not None
             if found >= 4:
                 break
         assert found >= 3
@@ -150,7 +196,7 @@ class TestChordalize:
     def test_precondition_small_wide_set(self):
         inst = instance({i: i for i in range(1, 4)})
         with pytest.raises(PreconditionError):
-            chordalize(inst, 0, 0)
+            list(_chordalize_members(inst, 0, 0))
 
     def test_surviving_colorings_land_in_members(self):
         rng = make_rng(77)
@@ -159,9 +205,9 @@ class TestChordalize:
             member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
             if member is None:
                 continue
-            stage = list(chordalize(member, 0, 0))
+            stage = list(_chordalize_members(member, 0, 0))
             for col in enumerate_colorings(member):
-                assert any(col.respects(ref.sub.lists) for ref in stage)
+                assert any(col.respects(ref.lists) for ref in stage)
                 found += 1
                 break
             if found >= 4:
@@ -170,16 +216,18 @@ class TestChordalize:
 
 
 class TestFinalizeSmall:
+    """Small wide sets: `_finalize_small_members`."""
+
     def test_empty_wide_set_single_member(self):
         inst = instance(
             {i: i for i in range(1, 3)}, lists={1: (1,), 2: (2,)}
         )
-        members = list(finalize_small(inst, 0, 0))
-        assert len(members) == 1 and members[0].sub == inst
+        members = list(_finalize_small_members(inst, 0, 0))
+        assert len(members) == 1 and members[0] == inst
 
     def test_one_wide_vertex_two_members(self):
         inst = instance({1: 1}, lists={1: (1, 2)})
-        assert len(finalize_small(inst, 0, 0)) == 2
+        assert len(list(_finalize_small_members(inst, 0, 0))) == 2
 
     def test_members_fully_forced(self):
         rng = make_rng(78)
@@ -187,12 +235,12 @@ class TestFinalizeSmall:
             inst = random_j16free_instance(rng, 1, 1, rng.randint(1, 6))
             if len(wide_set(inst)) >= 12:
                 continue
-            for member in finalize_small(inst, 1, 1):
-                assert all(len(cs) <= 1 for _, cs in member.sub.lists.items())
+            for member in _finalize_small_members(inst, 1, 1):
+                assert all(len(cs) <= 1 for _, cs in member.lists.items())
                 # colorability of a fully forced member is edge consistency
-                final = propagate_singletons(member.sub)
+                final = propagate_singletons(member)
                 empty = any(not cs for _, cs in final.lists.items())
-                assert (solve_bruteforce(member.sub) is not None) == (not empty)
+                assert (solve_bruteforce(member) is not None) == (not empty)
 
 
 class TestSolveJ16:
@@ -226,8 +274,6 @@ class TestSolveJ16:
         # boundary guesses keeps the wide set below the padding threshold;
         # push past it so the left-cover construction really runs
         rng = make_rng(82)
-        from ordered_coloring.j16 import _fwdnbr_members
-
         exercised = 0
         for _ in range(60):
             k, l = rng.choice(((1, 0), (0, 1), (0, 0)))

@@ -16,13 +16,11 @@ from ordered_coloring.jw import (
     check_link,
     class_cap,
     gamma,
-    property_x,
-    property_y,
     success_table,
 )
 from ordered_coloring.kernels import has_k4, solve_small_class
 from ordered_coloring.rand import make_rng, random_pattern_free_instance
-from conftest import graph, instance
+from conftest import graph, instance, property_x, property_y, reference_check_link
 
 JW1 = build_pattern("Jw:1")
 
@@ -168,6 +166,7 @@ class TestAugmentStar:
 
 class TestCheckLink:
     def test_backends_agree(self):
+        # the link reduction against the enumeration reference in conftest
         rng = make_rng(64)
         agreements = 0
         for _ in range(200):
@@ -184,8 +183,8 @@ class TestCheckLink:
                 continue
             g_prev = rng.choice(prev_seeds)
             g_cur = rng.choice(cur_seeds)
-            fast = check_link(star, e, e_prev, g_cur, g_prev, backend="link-reduction")
-            slow = check_link(star, e, e_prev, g_cur, g_prev, backend="link-enum")
+            fast = check_link(star, e, e_prev, g_cur, g_prev)
+            slow = reference_check_link(star, e, e_prev, g_cur, g_prev)
             assert fast == slow
             agreements += 1
         assert agreements >= 60
