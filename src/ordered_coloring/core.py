@@ -244,9 +244,9 @@ class OrderedGraph:
             if not dominated:
                 result.append((u, v))
         result.sort(key=lambda e: self._pos[e[0]])
-        # sanity required by the maximal-edge order contract
         for (u1, v1), (u2, v2) in zip(result, result[1:]):
-            assert self._pos[u1] < self._pos[u2] and self._pos[v1] < self._pos[v2]
+            if not (self._pos[u1] < self._pos[u2] and self._pos[v1] < self._pos[v2]):
+                raise InternalError("maximal edges break the order contract")
         return tuple(result)
 
     def under(self, e) -> frozenset:
@@ -406,7 +406,8 @@ def monotone_subsequence(seq, n: int):
     if len(inc) >= n + 1:
         return inc[: n + 1]
     dec = _longest_monotone(seq, increasing=False)
-    assert len(dec) >= n + 1, "Erdos-Szekeres bound violated"
+    if len(dec) < n + 1:
+        raise InternalError("Erdos-Szekeres bound violated")
     return dec[: n + 1]
 
 

@@ -20,7 +20,7 @@ from .core import (
     OrderedGraph,
     contains_pattern,
 )
-from .errors import InputError
+from .errors import InputError, InternalError
 from .oracle import NaeInstance, nae_bruteforce, solve_bruteforce
 from .patterns import build_pattern
 
@@ -314,7 +314,8 @@ class _Threads:
         ordered by layout rank."""
         level = self.levels[i - 1]
         pair = [th for th in level if th[2] == i]
-        assert len(pair) == 2
+        if len(pair) != 2:
+            raise InternalError(f"level {i} has {len(pair)} closing threads, not two")
         pair.sort(key=level.index)
         return pair[0], pair[1]
 
@@ -520,7 +521,8 @@ def gen_h5(g: OrderedGraph) -> GadgetOutput:
         level = st.levels[i - 1]
         left, right = st.closers(i)
         a_i = st.rank(i, right) - st.rank(i, left)
-        assert a_i >= 1, "closing gap must be a positive integer"
+        if a_i < 1:
+            raise InternalError("closing gap must be a positive integer")
         # the drifting thread stops one row short; the final drift step is
         # the closing edge itself
         rows[i] = max(a_i - 1, 1)

@@ -28,10 +28,13 @@ from .core import (
 from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
     _boundary_guesses,
+    _chordal_coloring,
+    _color_bits,
+    _lists_from_bits,
     _mcs_peo,
+    _propagate_bits,
     has_k4,
     propagate_singletons,
-    solve_chordal,
     solve_small_class,
 )
 from .oracle import enumerate_colorings
@@ -223,9 +226,17 @@ def pad_sets(inst: Instance, k: int, l: int) -> PadSets:
 
 def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
     """Propagated members, one per list coloring of the boundary block
-    (left cover plus trailing block). Each member's remaining wide set is
-    checked chordal on the parent's adjacency bits; a failure is a bug and
-    raises, also under `python -O`."""
+    (left cover plus trailing block), in the order of those colorings;
+    members in which some list empties are dropped.
+
+    Each member lives as three color bitsets until it survives: the block
+    ranks are forced to their colors and `_propagate_bits` runs on the
+    parent's adjacency bits. Lists only shrink and the block ends forced
+    or empty, so every member's wide set lies inside the wide set minus
+    the block; when that is chordal, so is every member's, as induced
+    subgraphs of chordal graphs are. Only when it is not is each member's
+    own wide set checked, empty lists or not. A member whose wide set is
+    not chordal is a bug and raises, also under `python -O`."""
     g = inst.graph
     bits = g.adjacency_bits()
     wide = _wide_ranks(inst)
@@ -235,14 +246,19 @@ def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
         raise PreconditionError("wide set is too small for boundary padding")
     pads = pad_sets(inst, k, l)
     block = sorted(pads.c | pads.d, key=g.rank)
+    block_mask = sum(1 << g.rank(v) for v in block)
+    check_each = _mcs_peo(bits, wide & ~block_mask) is None
+    unforced = [h & ~block_mask for h in _color_bits(inst)]
+    everyone = (1 << g.n) - 1
     for f in enumerate_colorings(inst.sub_instance(block), cap=len(block)):
-        new_lists = dict(inst.lists.items())
+        has = list(unforced)
         for v in block:
-            new_lists[v] = frozenset((f[v],))
-        member = propagate_singletons(Instance(g, ListAssignment(new_lists)))
-        if _mcs_peo(bits, _wide_ranks(member)) is None:
+            has[f[v] - 1] |= 1 << g.rank(v)
+        h0, h1, h2 = has = _propagate_bits(bits, has)
+        if check_each and _mcs_peo(bits, h0 & h1 | h0 & h2 | h1 & h2) is None:
             raise InternalError("wide remainder of a padded member is not chordal")
-        yield member
+        if h0 | h1 | h2 == everyone:
+            yield Instance(g, _lists_from_bits(g.vertices, has))
 
 
 def _finalize_small_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
@@ -287,7 +303,7 @@ def solve_j16(
     threshold = 3 * k + 3 * l + 6
     for member in _fwdnbr_members(inst, k, l):
         if len(wide_set(member)) >= threshold:
-            stage = _chordalize_members(member, k, l)  # yields propagated members
+            stage = _chordalize_members(member, k, l)  # propagated, no empty list
         else:
             stage = map(propagate_singletons, _finalize_small_members(member, k, l))
         for final in stage:
@@ -300,17 +316,19 @@ def solve_j16(
 
 
 def _finish_member(inst: Instance) -> Optional[Coloring]:
-    """Solve the chordal wide part, then extend by the forced colors."""
+    """List color the chordal wide set with `_chordal_coloring` on the
+    member's own adjacency bits, restricted to the wide ranks, then extend
+    by the forced colors."""
     g = inst.graph
-    wide = wide_set(inst)
+    colors = [tuple(sorted(inst.lists.get(v))) for v in g.vertices]
+    wide = sum(1 << r for r, cs in enumerate(colors) if len(cs) >= 2)
     assignment = {}
     if wide:
-        partial = solve_chordal(inst.sub_instance(wide))
-        if partial is None:
+        ranks = _chordal_coloring(g.adjacency_bits(), wide, colors)
+        if ranks is None:
             return None
-        assignment.update(partial.items())
-    for v in g.vertices:
-        if v not in assignment:
-            (c,) = inst.lists.get(v)
-            assignment[v] = c
+        assignment = {g.vertices[r]: c for r, c in ranks.items()}
+    for r, v in enumerate(g.vertices):
+        if not wide >> r & 1:
+            (assignment[v],) = colors[r]
     return checked_witness(Coloring(assignment), inst)

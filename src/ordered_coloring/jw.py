@@ -123,7 +123,8 @@ def augment_star(inst: Instance) -> tuple[Instance, tuple]:
     out = Instance(new_graph, ListAssignment(new_lists))
     old_mx = {frozenset(e) for e in g.maximal_edges()}
     new_mx = {frozenset(e) for e in new_graph.maximal_edges()}
-    assert new_mx == old_mx | {frozenset((q1, q2))}
+    if new_mx != old_mx | {frozenset((q1, q2))}:
+        raise InternalError("the appended edge is not the only new maximal edge")
     return out, (q1, q2)
 
 

@@ -9,20 +9,38 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import COLORS, Coloring, Instance, ListAssignment, OrderedGraph, Refinement
+from .core import (
+    COLORS,
+    Coloring,
+    Instance,
+    ListAssignment,
+    OrderedGraph,
+    Refinement,
+    checked_witness,
+)
 from .errors import PreconditionError
 
-_BIT = {1: 1, 2: 2, 3: 4}
 _ONLY = {1: 1, 2: 2, 4: 3}  # singleton mask -> its color
-_SETS = tuple(frozenset(c for c in COLORS if m & _BIT[c]) for m in range(8))  # mask -> list
+_SETS = tuple(frozenset(c for c in COLORS if m & 1 << (c - 1)) for m in range(8))  # mask -> list
 
 
-def _masks(inst: Instance) -> dict:
-    return {v: sum(_BIT[c] for c in inst.lists.get(v)) for v in inst.graph.vertices}
+def _color_bits(inst: Instance) -> list:
+    """The lists as three rank bitsets: bit r of `has[i]` is set when the
+    list of the rank-r vertex holds color i + 1."""
+    has = [0, 0, 0]
+    for r, v in enumerate(inst.graph.vertices):
+        for c in inst.lists.get(v):
+            has[c - 1] |= 1 << r
+    return has
 
 
-def _lists_from_masks(masks: dict) -> ListAssignment:
-    return ListAssignment({v: _SETS[m] for v, m in masks.items()})
+def _mask_at(has, r: int) -> int:
+    """The 3-bit color mask of rank r."""
+    return (has[0] >> r & 1) | (has[1] >> r & 1) << 1 | (has[2] >> r & 1) << 2
+
+
+def _lists_from_bits(order: tuple, has) -> ListAssignment:
+    return ListAssignment({v: _SETS[_mask_at(has, r)] for r, v in enumerate(order)})
 
 
 def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
@@ -54,10 +72,7 @@ def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     order = g.vertices
     adj = g.adjacency_bits()
     everyone = (1 << n) - 1
-    has0 = [0, 0, 0]  # has0[i]: ranks whose list holds color i + 1
-    for r, v in enumerate(order):
-        for c in inst.lists.get(v):
-            has0[c - 1] |= 1 << r
+    has0 = _color_bits(inst)
     if has0[0] | has0[1] | has0[2] != everyone:
         return
 
@@ -80,14 +95,10 @@ def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
 
     def place(i: int, has: list, used: int, picks: tuple):
         if i == 3:
-            masks = {
-                v: (has[0] >> r & 1) | (has[1] >> r & 1) << 1 | (has[2] >> r & 1) << 2
-                for r, v in enumerate(order)
-            }
             yield (
                 tuple(tuple(order[r] for r in f) for f, _ in picks),
                 tuple(tuple(order[r] for r in s) for _, s in picks),
-                _lists_from_masks(masks),
+                _lists_from_bits(order, has),
             )
             return
         others = has[(i + 1) % 3] | has[(i + 2) % 3]
@@ -116,47 +127,60 @@ def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     yield from place(0, has0, 0, ())
 
 
-def _propagate_masks(graph: OrderedGraph, masks: dict) -> dict:
-    """Fixpoint of: a vertex with a one-color list removes that color from
-    every neighbor's list. Empty lists are left in place."""
-    masks = dict(masks)
-    queue = [v for v, m in masks.items() if m in (1, 2, 4)]
-    while queue:
-        v = queue.pop()
-        bit = masks[v]
-        if bit not in (1, 2, 4):  # may have shrunk to empty meanwhile
-            continue
-        for u in graph.neighbors(v):
-            if masks[u] & bit:
-                masks[u] &= ~bit
-                if masks[u] in (1, 2, 4):
-                    queue.append(u)
-    return masks
+def _propagate_bits(bits: tuple, has) -> tuple:
+    """Singleton propagation on the three color bitsets `has` (see
+    `_color_bits`) of the graph with adjacency bitsets `bits`: in every
+    round, each rank whose list is the single color i strikes i from all
+    its neighbors at once; rounds repeat until no new singleton appears.
+    Returns the propagated bitsets.
+
+    Striking preserves the colorings. While no list empties, a singleton
+    stays one, so every striking order ends in the same lists; when one
+    order empties a list, every order does, though not always the same
+    one. Ranks with an empty list stay in place.
+    """
+    has = list(has)
+    done = 0  # singleton ranks that have already struck
+    while True:
+        singles = [has[i] & ~(has[i - 1] | has[i - 2]) & ~done for i in range(3)]
+        if not any(singles):
+            return tuple(has)
+        for i, single in enumerate(singles):
+            done |= single
+            struck = 0
+            while single:
+                low = single & -single
+                struck |= bits[low.bit_length() - 1]
+                single ^= low
+            has[i] &= ~struck
 
 
 def propagate_singletons(inst: Instance) -> Instance:
     """Equivalent spanning refinement in which no vertex keeps the color of
-    a one-color neighbor. Preserves the exact set of colorings."""
-    return Instance(inst.graph, _lists_from_masks(_propagate_masks(inst.graph, _masks(inst))))
+    a one-color neighbor. Preserves the exact set of colorings. Runs
+    `_propagate_bits` on the graph's adjacency bitsets."""
+    g = inst.graph
+    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+    return Instance(g, _lists_from_bits(g.vertices, has))
 
 
 def drop_singletons(inst: Instance) -> Refinement:
     """Propagate, then delete every vertex whose list is a single color,
     recording the forced colors. The result has lists of size 0, 2, or 3
-    only and admits a coloring iff the input does."""
-    graph = inst.graph
-    masks = _masks(inst)
+    only and admits a coloring iff the input does. Propagation leaves no
+    singleton that has not struck, so one pass of `_propagate_bits` on
+    the whole graph suffices."""
+    g = inst.graph
+    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
     forced: dict = {}
-    while True:
-        masks = _propagate_masks(graph, masks)
-        singles = {v: _ONLY[m] for v, m in masks.items() if m in (1, 2, 4)}
-        if not singles:
-            break
-        forced.update(singles)
-        keep = [v for v in graph.vertices if v not in singles]
-        graph = graph.induced(keep)
-        masks = {v: masks[v] for v in keep}
-    sub = Instance(graph, _lists_from_masks(masks))
+    rest: dict = {}
+    for r, v in enumerate(g.vertices):
+        m = _mask_at(has, r)
+        if m in _ONLY:
+            forced[v] = _ONLY[m]
+        else:
+            rest[v] = _SETS[m]
+    sub = Instance(g.induced(rest) if forced else g, ListAssignment(rest))
     return Refinement(inst, sub, forced)
 
 
@@ -270,9 +294,7 @@ def solve_two_lists(inst: Instance) -> Optional[Coloring]:
         cs = choices[i]
         pick = 1 if (model[i] and len(cs) == 2) else 0
         assignment[v] = cs[pick]
-    coloring = Coloring(assignment)
-    assert coloring.validates(inst)
-    return coloring
+    return checked_witness(Coloring(assignment), inst)
 
 
 def solve_few_wide(inst: Instance, c: int) -> Optional[Coloring]:
@@ -334,24 +356,21 @@ def solve_small_class(inst: Instance, c: int) -> Optional[Coloring]:
 
 
 def has_k4(g: OrderedGraph) -> bool:
-    """True iff some four vertices are pairwise adjacent."""
+    """True iff some four vertices are pairwise adjacent: for each edge
+    a < b, the common neighbors after b are tested for an edge among
+    them. Walks set bits only."""
     bits = g.adjacency_bits()
-    n = g.n
-    for a in range(n):
-        ba = bits[a]
-        for b in range(a + 1, n):
-            if not ba >> b & 1:
-                continue
-            common = ba & bits[b]
-            common >>= b + 1
-            cranks = []
-            shift = b + 1
-            while common:
-                r = (common & -common).bit_length() - 1
-                cranks.append(shift + r)
-                common &= common - 1
-            for x, y in itertools.combinations(cranks, 2):
-                if bits[x] >> y & 1:
+    for a, ba in enumerate(bits):
+        later = ba >> (a + 1) << (a + 1)
+        while later:
+            low = later & -later
+            later ^= low
+            common = ba & bits[low.bit_length() - 1] & ~((low << 1) - 1)
+            rest = common
+            while rest:
+                x = rest & -rest
+                rest ^= x
+                if bits[x.bit_length() - 1] & common:
                     return True
     return False
 
@@ -419,75 +438,76 @@ def chordal_peo(g: OrderedGraph) -> Optional[EliminationOrder]:
     return EliminationOrder(tuple(g.vertices[r] for r in order))
 
 
-def clique_number_chordal(g: OrderedGraph, peo: EliminationOrder) -> int:
-    index = {v: i for i, v in enumerate(peo.order)}
-    best = 1 if g.n else 0
-    for i, v in enumerate(peo.order):
-        later = sum(1 for u in g.neighbors(v) if index[u] > i)
-        best = max(best, later + 1)
-    return best
+def _chordal_coloring(bits: tuple, mask: int, colors) -> Optional[dict]:
+    """List coloring of the ranks in `mask`, with neighbors `bits[r] &
+    mask` and `colors[r]` the sorted color tuple of rank r, by bucket
+    elimination along the perfect elimination ordering of `_mcs_peo`.
+    Returns {rank: color} in reverse elimination order, or None when no
+    coloring exists; ranks that induce a graph that is not chordal are a
+    precondition error.
 
-
-def solve_chordal(inst: Instance) -> Optional[Coloring]:
-    """List coloring of a chordal graph by bucket elimination along the
-    perfect elimination ordering of `chordal_peo`; a graph that is not
-    chordal is a precondition error. Separators have at most two vertices
-    once cliques of size four are ruled out."""
-    g = inst.graph
-    peo = chordal_peo(g)
-    if peo is None:
+    A rank with three later neighbors closes a 4-clique, which has no
+    coloring, so every separator has at most two ranks. Each rank keeps,
+    per coloring of its later neighbors, its first color consistent with
+    the constraints its earlier neighbors left on it, and hands the
+    colorings that have one on to its earliest later neighbor.
+    """
+    order = _mcs_peo(bits, mask)
+    if order is None:
         raise PreconditionError("graph is not chordal")
-    if any(not inst.lists.get(v) for v in g.vertices):
+    if any(not colors[r] for r in order):
         return None
-    if g.n == 0:
-        return Coloring({})
-    if clique_number_chordal(g, peo) > 3:
-        return None
+    index = {r: i for i, r in enumerate(order)}
+    laters = []
+    after = mask  # the ranks after r in the elimination order
+    for r in order:
+        after ^= 1 << r
+        nbrs = bits[r] & after
+        if nbrs.bit_count() > 2:
+            return None
+        later = []
+        while nbrs:
+            low = nbrs & -nbrs
+            nbrs ^= low
+            later.append(low.bit_length() - 1)
+        laters.append(sorted(later, key=index.__getitem__))
 
-    index = {v: i for i, v in enumerate(peo.order)}
-    lists = {v: tuple(sorted(inst.lists.get(v))) for v in g.vertices}
-    # bucket[v]: constraints (scope_tuple, allowed_set) whose earliest
-    # unprocessed variable is v; scopes are cliques of later neighbors
-    buckets: dict = {v: [] for v in g.vertices}
-    # per-vertex join table for witness reconstruction
-    choice_table: dict = {}
-
-    for v in peo.order:
-        later = sorted(
-            (u for u in g.neighbors(v) if index[u] > index[v]), key=index.__getitem__
-        )
-        assert len(later) <= 2
+    # buckets[r]: constraints (scope, allowed) whose earliest rank is r;
+    # scopes are cliques of later neighbors
+    buckets: dict = {r: [] for r in order}
+    tables = []  # per rank: its row for each coloring of its later neighbors
+    for r, later in zip(order, laters):
         rows = {}
         total = 1
         for u in later:
-            total *= len(lists[u])
-        for combo in itertools.product(*(lists[u] for u in later)):
+            total *= len(colors[u])
+        for combo in itertools.product(*(colors[u] for u in later)):
             env = dict(zip(later, combo))
-            picks = []
-            for c in lists[v]:
-                if any(env[u] == c for u in later):
+            for c in colors[r]:
+                if c in combo:
                     continue
-                env[v] = c
-                # every bucket scope contains v (it is the scope's earliest)
-                if all(
-                    tuple(env[u] for u in scope) in allowed
-                    for scope, allowed in buckets[v]
-                ):
-                    picks.append(c)
-            env.pop(v, None)
-            if picks:
-                rows[combo] = picks[0]
-        choice_table[v] = (later, rows)
+                env[r] = c
+                if all(tuple(env[u] for u in scope) in allowed for scope, allowed in buckets[r]):
+                    rows[combo] = c
+                    break
         if not rows:
             return None
+        tables.append(rows)
         if later and len(rows) < total:
-            buckets[later[0]].append((tuple(later), frozenset(rows.keys())))
+            buckets[later[0]].append((tuple(later), frozenset(rows)))
 
     assignment: dict = {}
-    for v in reversed(peo.order):
-        later, rows = choice_table[v]
-        key = tuple(assignment[u] for u in later)
-        assignment[v] = rows[key]
-    coloring = Coloring(assignment)
-    assert coloring.validates(inst)
-    return coloring
+    for r, later, rows in zip(reversed(order), reversed(laters), reversed(tables)):
+        assignment[r] = rows[tuple(assignment[u] for u in later)]
+    return assignment
+
+
+def solve_chordal(inst: Instance) -> Optional[Coloring]:
+    """List coloring of a chordal graph (see `_chordal_coloring`); a graph
+    that is not chordal is a precondition error."""
+    g = inst.graph
+    colors = [tuple(sorted(inst.lists.get(v))) for v in g.vertices]
+    ranks = _chordal_coloring(g.adjacency_bits(), (1 << g.n) - 1, colors)
+    if ranks is None:
+        return None
+    return checked_witness(Coloring({g.vertices[r]: c for r, c in ranks.items()}), inst)

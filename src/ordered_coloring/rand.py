@@ -12,6 +12,7 @@ import random
 from fractions import Fraction
 
 from .core import Instance, ListAssignment, OrderedGraph, contains_pattern
+from .errors import InternalError
 from .oracle import NaeInstance
 
 _PROPER_SUBSETS = (
@@ -118,7 +119,8 @@ def random_j16free_instance(
             if contains_pattern(g, pattern) is None:
                 return Instance(g, random_lists(rng, g, full_bias))
     g = random_forward_clique_graph(rng, n)
-    assert contains_pattern(g, pattern) is None
+    if contains_pattern(g, pattern) is not None:
+        raise InternalError("a forward-clique graph contains the two-forward-edge pattern")
     return Instance(g, random_lists(rng, g, full_bias))
 
 

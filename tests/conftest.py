@@ -8,6 +8,8 @@ from ordered_coloring import (
     Instance,
     ListAssignment,
     OrderedGraph,
+    PreconditionError,
+    chordal_peo,
     enumerate_colorings,
     is_isomorphic,
 )
@@ -78,6 +80,72 @@ def reference_check_link(inst: Instance, e, e_prev, g_seed, g_prev) -> bool:
         ):
             return True
     return False
+
+
+def reference_solve_chordal(inst: Instance):
+    """Independent chordal list coloring for `kernels.solve_chordal`: the
+    vertex-keyed bucket elimination the package used before its rank
+    kernel, with the clique number taken from the elimination order.
+    Returns the same Coloring, in the same key order, or None."""
+    g = inst.graph
+    peo = chordal_peo(g)
+    if peo is None:
+        raise PreconditionError("graph is not chordal")
+    if any(not inst.lists.get(v) for v in g.vertices):
+        return None
+    if g.n == 0:
+        return Coloring({})
+    index = {v: i for i, v in enumerate(peo.order)}
+    clique = max(1 + sum(index[u] > index[v] for u in g.neighbors(v)) for v in g.vertices)
+    if clique > 3:
+        return None
+    lists = {v: tuple(sorted(inst.lists.get(v))) for v in g.vertices}
+    buckets = {v: [] for v in g.vertices}
+    choice_table = {}
+    for v in peo.order:
+        later = sorted((u for u in g.neighbors(v) if index[u] > index[v]), key=index.__getitem__)
+        rows = {}
+        total = 1
+        for u in later:
+            total *= len(lists[u])
+        for combo in itertools.product(*(lists[u] for u in later)):
+            env = dict(zip(later, combo))
+            picks = []
+            for c in lists[v]:
+                if any(env[u] == c for u in later):
+                    continue
+                env[v] = c
+                if all(
+                    tuple(env[u] for u in scope) in allowed for scope, allowed in buckets[v]
+                ):
+                    picks.append(c)
+            env.pop(v, None)
+            if picks:
+                rows[combo] = picks[0]
+        choice_table[v] = (later, rows)
+        if not rows:
+            return None
+        if later and len(rows) < total:
+            buckets[later[0]].append((tuple(later), frozenset(rows.keys())))
+    assignment = {}
+    for v in reversed(peo.order):
+        later, rows = choice_table[v]
+        assignment[v] = rows[tuple(assignment[u] for u in later)]
+    return Coloring(assignment)
+
+
+def forward_clique_instances(rng, count, empty_share=0.2):
+    """`count` chordal instances: forward-clique graphs with 1 to 40
+    vertices, so cliques of four occur, and random lists; in about
+    `empty_share` of them one list is emptied."""
+    from ordered_coloring.rand import random_forward_clique_graph, random_lists
+
+    for _ in range(count):
+        g = random_forward_clique_graph(rng, rng.randint(1, 40), rng.random())
+        lists = random_lists(rng, g, rng.random())
+        if rng.random() < empty_share:
+            lists = lists.updated({rng.choice(g.vertices): frozenset()})
+        yield Instance(g, lists)
 
 
 def graph(positions, edges=()):

@@ -123,11 +123,12 @@ def _forward_clique_instance(rng, obstruct):
 def test_criterion_2_padding_stage_coverage(monkeypatch):
     """The J16 path of boundary padding plus chordal finish runs for every
     (k,l) in {0,1}^2, counted, not assumed: an instance counts when
-    `solve_j16` calls `pad_sets` and then `solve_chordal`. J16:1,1 gets
-    there in only about one draw in twelve, so it gets more draws."""
+    `solve_j16` calls `pad_sets` and then the chordal finish's rank kernel,
+    `_chordal_coloring`. J16:1,1 gets there in only about one draw in
+    twelve, so it gets more draws."""
     start = time.time()
     events = []
-    for name in ("pad_sets", "solve_chordal"):
+    for name in ("pad_sets", "_chordal_coloring"):
         real = getattr(j16, name)
         monkeypatch.setattr(j16, name, lambda *a, _n=name, _f=real: events.append(_n) or _f(*a))
     rng = make_rng(2024_09)
@@ -145,7 +146,10 @@ def test_criterion_2_padding_stage_coverage(monkeypatch):
                 assert got.validates(inst)
             if t >= plain:
                 assert got is None
-            padded += "pad_sets" in events and "solve_chordal" in events[events.index("pad_sets"):]
+            padded += (
+                "pad_sets" in events
+                and "_chordal_coloring" in events[events.index("pad_sets"):]
+            )
         counts[k, l] = padded
     assert all(c >= 5 for c in counts.values()), counts
     report(

@@ -12,9 +12,10 @@ from ordered_coloring import (
     solve_bruteforce,
     solve_j16,
     solve_jw,
+    solve_two_lists,
 )
 from ordered_coloring.core import checked_witness
-from ordered_coloring import jw
+from ordered_coloring import j16, jw, kernels
 from ordered_coloring.j16 import (
     PadSets,
     _chordalize_members,
@@ -161,10 +162,22 @@ class TestWitnessChecks:
         with pytest.raises(InternalError):
             solve_j16(instance({1: 1, 2: 2}, [(1, 2)]), 1, 0)
 
+    def test_two_sat_witness(self, monkeypatch):
+        # a model that picks the smaller color everywhere puts color 1 on
+        # both ends of the edge
+        monkeypatch.setattr(kernels._TwoSat, "solve", lambda sat: [False] * (sat.n // 2))
+        inst = instance({1: 1, 2: 2}, [(1, 2)], lists={1: (1, 2), 2: (1, 2)})
+        with pytest.raises(InternalError):
+            solve_two_lists(inst)
+
     def test_j16_chordal_finish_witness(self, monkeypatch):
         # a full-list path is wide enough for boundary padding, which
-        # leaves its first two vertices to the chordal finish
-        monkeypatch.setattr("ordered_coloring.j16.solve_chordal", self._everything_color_one)
+        # leaves its first two vertices to the chordal finish; its rank
+        # kernel here gives every wide rank color 1
+        monkeypatch.setattr(
+            "ordered_coloring.j16._chordal_coloring",
+            lambda bits, mask, colors: {r: 1 for r in range(len(bits)) if mask >> r & 1},
+        )
         path = instance({i: i for i in range(1, 9)}, [(i, i + 1) for i in range(1, 8)])
         with pytest.raises(InternalError):
             solve_j16(path, 0, 0)
@@ -189,9 +202,17 @@ class TestMemberChecks:
             "ordered_coloring.j16.pad_sets",
             lambda inst, k, l: PadSets(frozenset(), frozenset(), frozenset()),
         )
+        # nor is the wide set minus the block chordal, so the member gets
+        # its own check: the search runs twice
+        searched = []
+        real = j16._mcs_peo
+        monkeypatch.setattr(
+            "ordered_coloring.j16._mcs_peo", lambda bits, mask: searched.append(mask) or real(bits, mask)
+        )
         cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(InternalError):
             list(_chordalize_members(cycle, 0, 0))
+        assert len(searched) == 2
 
     def test_narrowing_shape_check(self, monkeypatch):
         # hiding the nonadjacent pair among a center's three forward

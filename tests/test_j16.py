@@ -4,6 +4,7 @@ import pytest
 
 from ordered_coloring import (
     COLORS,
+    Coloring,
     Instance,
     ListAssignment,
     PreconditionError,
@@ -14,18 +15,20 @@ from ordered_coloring import (
     solve_bruteforce,
     solve_j16,
 )
-from ordered_coloring import kernels
+from ordered_coloring import j16, kernels
 from ordered_coloring.j16 import (
     _chordalize_members,
     _finalize_small_members,
+    _finish_member,
     _fwdnbr_members,
+    _wide_ranks,
     pad_sets,
     wide_set,
 )
 from ordered_coloring.kernels import propagate_singletons, solve_small_class, solve_two_lists
 from ordered_coloring.oracle import enumerate_colorings
 from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_j16free_instance, random_lists
-from conftest import graph, instance
+from conftest import forward_clique_instances, graph, instance, reference_solve_chordal
 
 
 def _special_members_reference(inst, k, l):
@@ -213,6 +216,80 @@ class TestChordalize:
             if found >= 4:
                 break
         assert found >= 2
+
+    def test_one_chordality_check_per_padding_call(self, monkeypatch):
+        # when the wide set minus the boundary block is chordal, the
+        # members get no check of their own: one search per padding call,
+        # plus the one the finish of each member with a wide set runs
+        real = kernels._mcs_peo
+        calls = []
+
+        def counting(bits, mask):
+            calls.append(mask)
+            return real(bits, mask)
+
+        monkeypatch.setattr(kernels, "_mcs_peo", counting)
+        monkeypatch.setattr(j16, "_mcs_peo", counting)
+        rng = make_rng(80)
+        checked = finished = 0
+        for _ in range(150):
+            member = self._prepared_member(rng, 0, 0, rng.randint(7, 12))
+            if member is None:
+                continue
+            g = member.graph
+            pads = pad_sets(member, 0, 0)
+            block = sum(1 << g.rank(v) for v in pads.c | pads.d)
+            if real(g.adjacency_bits(), _wide_ranks(member) & ~block) is None:
+                continue  # the fallback, see TestMemberChecks in test_edge_cases.py
+            calls.clear()
+            wide_members = 0
+            for final in _chordalize_members(member, 0, 0):
+                wide_members += bool(wide_set(final))
+                _finish_member(final)
+            assert len(calls) == 1 + wide_members
+            checked += 1
+            finished += wide_members
+            if checked >= 8:
+                break
+        assert checked >= 8 and finished >= 8, (checked, finished)
+
+
+def reference_finish_member(member):
+    """The chordal finish on an induced sub-instance: the reference DP on
+    the wide set, then the forced colors in position order."""
+    wide = wide_set(member)
+    assignment = {}
+    if wide:
+        partial = reference_solve_chordal(member.sub_instance(wide))
+        if partial is None:
+            return None
+        assignment.update(partial.items())
+    for v in member.graph.vertices:
+        if v not in assignment:
+            (assignment[v],) = member.lists.get(v)
+    return Coloring(assignment)
+
+
+class TestFinishMember:
+    """`_finish_member` colors the wide ranks in place, with no induced
+    sub-instance, and gives the reference's witness key for key."""
+
+    def test_matches_reference_on_chordal_members(self):
+        rng = make_rng(79)
+        outcomes = {"colored": 0, "none": 0}
+        for inst in forward_clique_instances(rng, 200, empty_share=0):
+            member = propagate_singletons(inst)
+            if not all(cs for _, cs in member.lists.items()):
+                continue
+            got = _finish_member(member)
+            expected = reference_finish_member(member)
+            assert (got is None) == (expected is None)
+            if got is None:
+                outcomes["none"] += 1
+            else:
+                assert list(got.items()) == list(expected.items())
+                outcomes["colored"] += 1
+        assert sum(outcomes.values()) >= 100 and min(outcomes.values()) >= 10, outcomes
 
 
 class TestFinalizeSmall:

@@ -3,6 +3,7 @@ import itertools
 import pytest
 
 from ordered_coloring import (
+    COLORS,
     Instance,
     ListAssignment,
     PreconditionError,
@@ -19,7 +20,7 @@ from ordered_coloring import (
     solve_small_class,
     solve_two_lists,
 )
-from ordered_coloring.kernels import _mcs_peo
+from ordered_coloring.kernels import _color_bits, _mcs_peo, _propagate_bits
 from ordered_coloring.rand import (
     make_rng,
     positions_fuzzed,
@@ -29,7 +30,7 @@ from ordered_coloring.rand import (
     random_ordered_graph,
     random_two_list_instance,
 )
-from conftest import graph, instance
+from conftest import forward_clique_instances, graph, instance, reference_solve_chordal
 
 
 def coloring_set(inst, cap=20):
@@ -76,6 +77,79 @@ class TestPropagateSingletons:
         for _ in range(60):
             inst = random_instance(rng, rng.randint(1, 8), rng.random(), rng.random())
             assert coloring_set(inst) == coloring_set(propagate_singletons(inst))
+
+
+def reference_propagation(g, lists):
+    """Frozenset singleton propagation in rounds: every one-color list
+    strikes its color from all its neighbors at once, until nothing
+    changes."""
+    lists = dict(lists)
+    while True:
+        singles = {v: c for v, cs in lists.items() if len(cs) == 1 for c in cs}
+        new = {
+            v: cs - {singles[u] for u in g.neighbors(v) if u in singles}
+            for v, cs in lists.items()
+        }
+        if new == lists:
+            return lists
+        lists = new
+
+
+def sequential_propagation(rng, g, lists):
+    """Frozenset singleton propagation one strike at a time, in a random
+    order."""
+    lists = dict(lists)
+    while True:
+        strikes = [
+            (u, c)
+            for v, cs in lists.items()
+            if len(cs) == 1
+            for c in cs
+            for u in g.neighbors(v)
+            if c in lists[u]
+        ]
+        if not strikes:
+            return lists
+        u, c = rng.choice(strikes)
+        lists[u] = lists[u] - {c}
+
+
+class TestPropagateBits:
+    """`_propagate_bits`, the one propagation kernel, against frozenset
+    references on G(n,p) graphs with some lists empty or single."""
+
+    def corpus(self, seed):
+        rng = make_rng(seed)
+        for _ in range(150):
+            inst = random_instance(rng, rng.randint(0, 14), rng.uniform(0, 0.5), rng.random())
+            if inst.graph.n and rng.random() < 0.3:
+                v = rng.choice(inst.graph.vertices)
+                inst = Instance(inst.graph, inst.lists.updated({v: frozenset()}))
+            yield rng, inst
+
+    def test_matches_round_reference(self):
+        for _, inst in self.corpus(34):
+            g = inst.graph
+            has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+            got = {
+                v: frozenset(c for c in COLORS if has[c - 1] >> r & 1)
+                for r, v in enumerate(g.vertices)
+            }
+            assert got == reference_propagation(g, dict(inst.lists.items()))
+            assert propagate_singletons(inst).lists == ListAssignment(got)
+
+    def test_any_order_gives_the_same_lists_or_an_empty_one(self):
+        emptied = 0
+        for rng, inst in self.corpus(35):
+            g = inst.graph
+            got = propagate_singletons(inst).lists
+            other = sequential_propagation(rng, g, dict(inst.lists.items()))
+            if all(cs for _, cs in got.items()):
+                assert other == dict(got.items())
+            else:
+                assert not all(other.values())
+                emptied += 1
+        assert 20 <= emptied <= 130  # both outcomes well represented
 
 
 class TestDropSingletons:
@@ -370,6 +444,25 @@ class TestSolveChordal:
         g = graph({i: i for i in range(1, 5)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(PreconditionError):
             solve_chordal(Instance.with_full_lists(g))
+
+    def test_matches_reference_dp(self):
+        # the same witness, key order included, as the vertex-keyed DP
+        rng = make_rng(46)
+        outcomes = {"colored": 0, "empty list": 0, "4-clique": 0, "other none": 0}
+        for inst in forward_clique_instances(rng, 150):
+            got = solve_chordal(inst)
+            expected = reference_solve_chordal(inst)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert list(got.items()) == list(expected.items())
+                outcomes["colored"] += 1
+            elif not all(cs for _, cs in inst.lists.items()):
+                outcomes["empty list"] += 1
+            elif has_k4(inst.graph):
+                outcomes["4-clique"] += 1
+            else:
+                outcomes["other none"] += 1
+        assert all(count >= 5 for count in outcomes.values()), outcomes
 
     def test_matches_oracle_on_random_chordal(self):
         rng = make_rng(42)
