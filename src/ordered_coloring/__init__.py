@@ -15,7 +15,6 @@ from .core import (
     NEG_INF,
     OrderedGraph,
     POS_INF,
-    Profile,
     Refinement,
     contains_pattern,
     is_isomorphic,
@@ -45,8 +44,6 @@ from .gadgets import (
 from .j16 import solve_j16
 from .jw import solve_jw
 from .kernels import (
-    EliminationOrder,
-    chordal_peo,
     drop_singletons,
     has_k4,
     propagate_singletons,

@@ -637,10 +637,12 @@ class Refinement:
 
     def extend(self, coloring: Coloring) -> Coloring:
         """Extend a coloring of the sub-instance to the base vertex set
-        using the recorded forced colors."""
+        using the recorded forced colors: the sub-instance's keys first,
+        then the removed vertices in base vertex order."""
         out = dict(coloring.items())
-        missing = set(self.base.graph.vertices) - set(out)
-        for v in missing:
+        for v in self.base.graph.vertices:
+            if v in out:
+                continue
             if v not in self.forced:
                 raise InputError(f"no forced color recorded for removed vertex {v!r}")
             out[v] = self.forced[v]
@@ -648,41 +650,3 @@ class Refinement:
 
     def __repr__(self):
         return f"Refinement(sub_n={self.sub.graph.n}, spanning={self.spanning})"
-
-
-class Profile:
-    """A set of refinements of one shared base instance: the guessing
-    profile that `jw.build_sigma_profile` returns.
-
-    Members are drawn from the given iterable when iteration first reaches
-    them and kept for later passes, so a caller that stops at its first
-    useful member never builds the rest; `len` builds them all. Pass a
-    list to build every member up front.
-    """
-
-    __slots__ = ("_built", "_pending")
-
-    def __init__(self, members: Iterable[Refinement]):
-        self._built: list = []
-        self._pending = iter(members)
-
-    def __iter__(self):
-        built = self._built
-        i = 0
-        while True:
-            if i == len(built):
-                member = next(self._pending, None)
-                if member is None:
-                    return
-                first = built[0].base if built else member.base
-                if member.base is not first and member.base != first:
-                    raise InputError("profile members must share a base instance")
-                built.append(member)
-            yield built[i]
-            i += 1
-
-    def __len__(self):
-        return sum(1 for _ in self)
-
-    def __repr__(self):
-        return f"Profile(built={len(self._built)})"

@@ -27,29 +27,18 @@ from .core import (
 )
 from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
-    _boundary_guesses,
     _chordal_coloring,
     _color_bits,
     _lists_from_bits,
     _mcs_peo,
     _propagate_bits,
+    boundary_guesses,
     has_k4,
     propagate_singletons,
     solve_small_class,
 )
 from .oracle import enumerate_colorings
 from .patterns import build_pattern
-
-
-@dataclass(frozen=True)
-class QTuple:
-    """Guessed first-k and last-l vertices of each color class, with the
-    lists the guess forces: color i on its two sets, and elsewhere color i
-    only strictly between them and away from their neighborhoods."""
-
-    a_sets: tuple  # (A1, A2, A3), position-sorted tuples of size k
-    b_sets: tuple  # (B1, B2, B3), size l
-    lists: ListAssignment
 
 
 @dataclass(frozen=True)
@@ -79,40 +68,26 @@ def _forward_degree_above_two(bits: tuple, wide: int) -> bool:
     )
 
 
-def q_tuples(inst: Instance, k: int, l: int) -> Iterator[QTuple]:
-    """Guesses of the first k and last l vertices of each color class,
-    color-major, then by first-set, then by last-set (sets by rank).
-
-    This is the shared engine, `kernels._boundary_guesses`, with set sizes
-    (k, l). It skips every guess whose forced lists would empty: a vertex
-    left with no color, or a last-set not wholly after its first-set. Each
-    of those leaves an empty list after propagation, so `_narrow` would
-    drop it before it could refuse; skipping it changes no member, no
-    member order and no refusal witness. The forced lists also strike
-    color i from the neighbors of its two sets, which the singleton
-    propagation that follows would do anyway.
-    """
-    for a_sets, b_sets, lists in _boundary_guesses(inst, k, l):
-        yield QTuple(a_sets, b_sets, lists)
-
-
 def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
-    """Guess first-k/last-l color class vertices, then narrow until every
-    vertex of the wide set has at most two forward neighbors there.
+    """Guess first-k/last-l color class vertices with
+    `kernels.boundary_guesses`, then narrow until every vertex of the wide
+    set has at most two forward neighbors there.
 
-    Yields nothing when a 4-clique makes everything moot. Members whose
-    lists empty out hold no coloring and are omitted, and each member is
+    Yields nothing when a 4-clique makes everything moot. The engine
+    yields propagated lists and drops every guess in which a list empties,
+    before narrowing could refuse on it. Members whose lists empty during
+    narrowing hold no coloring and are omitted, and each member is
     yielded once. A narrowing step that runs into the forbidden pattern
     raises a refusal; a member whose wide set keeps a vertex with three
     forward wide neighbors is a bug and raises `InternalError`.
     """
     if has_k4(inst.graph):
         return
-    bits = inst.graph.adjacency_bits()
+    g = inst.graph
+    bits = g.adjacency_bits()
     seen = set()
-    for q in q_tuples(inst, k, l):
-        refined = propagate_singletons(Instance(inst.graph, q.lists))
-        narrowed = _narrow(refined, q)
+    for a_sets, b_sets, has in boundary_guesses(inst, k, l):
+        narrowed = _narrow(Instance(g, _lists_from_bits(g.vertices, has)), a_sets, b_sets)
         if narrowed is None:
             continue
         key = frozenset(narrowed.lists.items())
@@ -124,9 +99,11 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
         yield narrowed
 
 
-def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
+def _narrow(inst: Instance, a_sets: tuple, b_sets: tuple) -> Optional[Instance]:
     """Shrink lists until the wide set has max forward degree two; returns
-    None when some list empties (no coloring survives in this member)."""
+    None when some list empties (no coloring survives in this member).
+    `a_sets` and `b_sets` are the guessed first-k and last-l sets per
+    color, which a refusal's witness includes."""
     g = inst.graph
     current = inst
     while True:
@@ -151,7 +128,7 @@ def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
         u, w = pair
         common = lv & current.lists.get(u) & current.lists.get(w)
         if common:
-            _refuse(q, v, u, w, min(common))
+            _refuse(a_sets, b_sets, v, u, w, min(common))
         if len(lv) != 2:
             # a full list would share a color with any two wide neighbors,
             # and the nonadjacent pair above would have caught that
@@ -170,20 +147,20 @@ def _narrow(inst: Instance, q: QTuple) -> Optional[Instance]:
         if {i, j} <= lx:
             for other, shared in ((u, i), (w, j)):
                 if not g.has_edge(other, x):
-                    _refuse(q, v, other, x, shared)
+                    _refuse(a_sets, b_sets, v, other, x, shared)
             changes[u] = frozenset((m,))
             changes[w] = frozenset((m,))
             for y in (g.neighbors(u) | g.neighbors(w)) - {u, w}:
                 changes[y] = current.lists.get(y) - {m}
         elif lx == frozenset((i, m)):
             if not g.has_edge(u, x):
-                _refuse(q, v, u, x, i)
+                _refuse(a_sets, b_sets, v, u, x, i)
             changes[v] = frozenset((j,))
             for y in g.neighbors(v):
                 changes[y] = current.lists.get(y) - {j}
         elif lx == frozenset((j, m)):
             if not g.has_edge(w, x):
-                _refuse(q, v, w, x, j)
+                _refuse(a_sets, b_sets, v, w, x, j)
             changes[v] = frozenset((i,))
             for y in g.neighbors(v):
                 changes[y] = current.lists.get(y) - {i}
@@ -199,11 +176,9 @@ def _first_nonadjacent_pair(g: OrderedGraph, vertices):
     return None
 
 
-def _refuse(q: QTuple, v, u, w, color: int):
-    witness = set(q.a_sets[color - 1]) | set(q.b_sets[color - 1]) | {v, u, w}
-    k = len(q.a_sets[color - 1])
-    l = len(q.b_sets[color - 1])
-    raise RefusalError(f"J16:{k},{l}", witness)
+def _refuse(a_sets: tuple, b_sets: tuple, v, u, w, color: int):
+    a, b = a_sets[color - 1], b_sets[color - 1]
+    raise RefusalError(f"J16:{len(a)},{len(b)}", set(a) | set(b) | {v, u, w})
 
 
 def pad_sets(inst: Instance, k: int, l: int) -> PadSets:

@@ -18,13 +18,13 @@ from .core import (
     Instance,
     ListAssignment,
     OrderedGraph,
-    Profile,
     Refinement,
+    _fresh_id,
     checked_witness,
     contains_pattern,
 )
 from .errors import InternalError, RefusalError
-from .kernels import _boundary_guesses, drop_singletons, has_k4, solve_few_wide, solve_small_class
+from .kernels import _refinement, boundary_guesses, has_k4, solve_few_wide, solve_small_class
 from .oracle import solve_bruteforce
 from .patterns import build_pattern
 
@@ -112,7 +112,7 @@ def augment_star(inst: Instance) -> tuple[Instance, tuple]:
     g = inst.graph
     positions = g.positions()
     base = max(positions.values()) if positions else 0
-    q1, q2 = _fresh(g, "q1"), _fresh(g, "q2")
+    q1, q2 = _fresh_id(positions, "q1"), _fresh_id(positions, "q2")
     new_graph = OrderedGraph(
         list(positions.items()) + [(q1, base + 1), (q2, base + 2)],
         [tuple(e) for e in g.edges] + [(q1, q2)],
@@ -126,13 +126,6 @@ def augment_star(inst: Instance) -> tuple[Instance, tuple]:
     if new_mx != old_mx | {frozenset((q1, q2))}:
         raise InternalError("the appended edge is not the only new maximal edge")
     return out, (q1, q2)
-
-
-def _fresh(g: OrderedGraph, base: str):
-    name = base
-    while g.has_vertex(name):
-        name = "_" + name
-    return name
 
 
 def check_link(inst: Instance, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> bool:
@@ -233,55 +226,28 @@ def success_table(inst: Instance, w: int) -> SuccessTable:
     return SuccessTable(tuple(mx), tuple(per_edge))
 
 
-@dataclass(frozen=True)
-class AlphaTuple:
-    """Three pairs of stable color-class prefixes and suffixes: per color,
-    a stable w-set that must come first and a stable w-set that must come
-    last; all six sets pairwise disjoint. `lists` is what the guess forces:
-    color i on its two sets, and elsewhere color i only strictly between
-    them and away from their neighborhoods."""
+def build_sigma_profile(inst: Instance, w: int) -> Iterator[Refinement]:
+    """The guessing profile: for every six-tuple of `kernels.boundary_guesses`
+    with set sizes (w, w), the propagated forced lists with their
+    one-color vertices deleted. Duplicate members are yielded once.
 
-    x_sets: tuple  # (X1, X2, X3) as position-sorted tuples
-    y_sets: tuple
-    lists: ListAssignment
-
-
-def alpha_tuples(inst: Instance, w: int) -> Iterator[AlphaTuple]:
-    """The six-tuples of the guessing profile whose forced lists can still
-    be non-empty after propagation, in enumeration order; see
-    `kernels._boundary_guesses`."""
-    for x_sets, y_sets, lists in _boundary_guesses(inst, w, w):
-        yield AlphaTuple(x_sets, y_sets, lists)
-
-
-def build_sigma_profile(inst: Instance, w: int) -> Profile:
-    """The guessing profile: for every admissible six-tuple, force its
-    lists, then propagate and delete forced vertices. Duplicate members are
-    kept once.
-
-    The profile is lazy: a member is built when iteration first reaches
-    it, so `solve_jw` builds none past the one it accepts. Six-tuples whose
-    lists would empty (a vertex left with no color, a suffix not after its
-    prefix, a color class that is not stable) are never built: their
-    members hold an empty list after propagation, which is exactly what
-    the paper's procedure discards, so the members that hold a coloring
-    and their order are those of the full profile.
+    The engine already drops every guess whose propagated lists hold an
+    empty list, which is exactly what the paper's procedure discards. A
+    member is keyed on its bitsets before anything is built: the mask of
+    ranks whose list keeps two or more colors, and each color bitset
+    within that mask. Only a new key builds its `Refinement`, and only
+    when iteration reaches it, so `solve_jw` builds none past the one it
+    accepts.
     """
-
-    def members():
-        seen = set()
-        for alpha in alpha_tuples(inst, w):
-            dropped = drop_singletons(Instance(inst.graph, alpha.lists))
-            key = (
-                frozenset(dropped.sub.graph.vertices),
-                frozenset(dropped.sub.lists.items()),
-            )
-            if key in seen:
-                continue
-            seen.add(key)
-            yield Refinement(inst, dropped.sub, dropped.forced)
-
-    return Profile(members())
+    seen = set()
+    for _, _, has in boundary_guesses(inst, w, w):
+        h0, h1, h2 = has
+        wide = h0 & h1 | h0 & h2 | h1 & h2
+        key = (wide, h0 & wide, h1 & wide, h2 & wide)
+        if key in seen:
+            continue
+        seen.add(key)
+        yield _refinement(inst, has)
 
 
 def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Coloring]:
@@ -290,9 +256,9 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
 
     Steps: reject on a 4-clique; accept via a coloring with a color class
     smaller than 2w (`kernels.solve_small_class`, shared with `solve_j16`);
-    otherwise walk the guessing profile, skip members with an empty list,
-    and accept at the first member whose augmented instance has a
-    successful seed on its appended final edge. Every link of the chain is
+    otherwise walk the guessing profile and accept at the first member
+    whose augmented instance has a successful seed on its appended final
+    edge. Every link of the chain is
     decided by `check_link`.
 
     The chain itself only decides; on yes instances the witness is
@@ -309,8 +275,6 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
     if small is not None:
         return checked_witness(small, inst)
     for member in build_sigma_profile(inst, w):
-        if not all(cs for _, cs in member.sub.lists.items()):
-            continue
         star, _ = augment_star(member.sub)
         table = success_table(star, w + 1)
         if table.final():

@@ -6,7 +6,6 @@ detection, chordality, and chordal list coloring."""
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
@@ -43,9 +42,9 @@ def _lists_from_bits(order: tuple, has) -> ListAssignment:
     return ListAssignment({v: _SETS[_mask_at(has, r)] for r, v in enumerate(order)})
 
 
-def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
-    """The guessing engine of both solvers: `jw.alpha_tuples` runs it with
-    (first, last) = (w, w), `j16.q_tuples` with (k, l).
+def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
+    """The guessing engine of both solvers: `jw.build_sigma_profile` runs
+    it with (first, last) = (w, w), `j16._fwdnbr_members` with (k, l).
 
     For colors 1, 2, 3 in turn it picks a first-set of size `first` and a
     last-set of size `last` among the stable subsets of L^(i) (combinations
@@ -53,19 +52,22 @@ def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     before the last-set and their union stable. Placing the color forces
     both sets to it; any other vertex keeps it only strictly between the
     two sets and when adjacent to neither. An empty set leaves its side of
-    the window open. A branch is dropped as soon as some vertex is left
+    the window open. Lists live as one rank bitset per color. Once all
+    three colors are placed, `_propagate_bits` propagates the forced lists,
+    and the guess is dropped when some rank is left with no color.
+
+    Yields (first-sets, last-sets, propagated bitsets): the sets as
+    rank-sorted vertex tuples per color, in color-major order, then by
+    first-set, then by last-set.
+
+    A branch is cut before its last color as soon as some vertex is left
     with no color, and a first-set as soon as no last-set can avoid that.
-
-    Yields (first-sets, last-sets, forced lists): the sets as rank-sorted
-    vertex tuples per color, in color-major order, then by first-set, then
-    by last-set. Lists live as one rank bitset per color while guessing.
-
-    Every dropped guess would leave an empty list once its forced lists are
-    propagated, so dropping it changes no member, member order or refusal
-    of either solver: a vertex without colors is an empty list already; a
-    last-set vertex at or before the first-set's end loses the color it is
-    forced to; and of two adjacent vertices forced to one color,
-    propagation empties one.
+    Every such guess would be dropped after propagation anyway: a vertex
+    without colors is an empty list already; a last-set vertex at or
+    before the first-set's end loses the color it is forced to; and of two
+    adjacent vertices forced to one color, propagation empties one. So the
+    guesses yielded are exactly those whose propagated lists are all
+    non-empty, which is what both solvers keep.
     """
     g = inst.graph
     n = g.n
@@ -95,11 +97,13 @@ def _boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
 
     def place(i: int, has: list, used: int, picks: tuple):
         if i == 3:
-            yield (
-                tuple(tuple(order[r] for r in f) for f, _ in picks),
-                tuple(tuple(order[r] for r in s) for _, s in picks),
-                _lists_from_bits(order, has),
-            )
+            has = _propagate_bits(adj, has)
+            if has[0] | has[1] | has[2] == everyone:
+                yield (
+                    tuple(tuple(order[r] for r in f) for f, _ in picks),
+                    tuple(tuple(order[r] for r in s) for _, s in picks),
+                    has,
+                )
             return
         others = has[(i + 1) % 3] | has[(i + 2) % 3]
         for f, f_bits, f_nbrs in firsts[i]:
@@ -170,8 +174,14 @@ def drop_singletons(inst: Instance) -> Refinement:
     only and admits a coloring iff the input does. Propagation leaves no
     singleton that has not struck, so one pass of `_propagate_bits` on
     the whole graph suffices."""
-    g = inst.graph
-    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+    return _refinement(inst, _propagate_bits(inst.graph.adjacency_bits(), _color_bits(inst)))
+
+
+def _refinement(base: Instance, has) -> Refinement:
+    """The refinement of `base` that the propagated bitsets `has` describe:
+    the ranks whose list is not a single color, with those lists, and the
+    one-color ranks recorded as forced."""
+    g = base.graph
     forced: dict = {}
     rest: dict = {}
     for r, v in enumerate(g.vertices):
@@ -181,7 +191,7 @@ def drop_singletons(inst: Instance) -> Refinement:
         else:
             rest[v] = _SETS[m]
     sub = Instance(g.induced(rest) if forced else g, ListAssignment(rest))
-    return Refinement(inst, sub, forced)
+    return Refinement(base, sub, forced)
 
 
 class _TwoSat:
@@ -375,13 +385,6 @@ def has_k4(g: OrderedGraph) -> bool:
     return False
 
 
-@dataclass(frozen=True)
-class EliminationOrder:
-    """A vertex order in which each vertex's later neighbors form a clique."""
-
-    order: tuple
-
-
 def _mcs_peo(bits: tuple, mask: int) -> Optional[list]:
     """Maximum cardinality search on the ranks in `mask`, with neighbors
     `bits[r] & mask`: the ranks as a perfect elimination ordering, or None
@@ -426,16 +429,6 @@ def _mcs_peo(bits: tuple, mask: int) -> Optional[list]:
         top = min(top + 1, len(bucket) - 1)  # weights grow by one at most
     reverse_order.reverse()
     return reverse_order
-
-
-def chordal_peo(g: OrderedGraph) -> Optional[EliminationOrder]:
-    """A perfect elimination ordering via maximum cardinality search, or
-    None when the graph is not chordal. Ties break on position. The
-    search runs on `g.adjacency_bits()` (see `_mcs_peo`)."""
-    order = _mcs_peo(g.adjacency_bits(), (1 << g.n) - 1)
-    if order is None:
-        return None
-    return EliminationOrder(tuple(g.vertices[r] for r in order))
 
 
 def _chordal_coloring(bits: tuple, mask: int, colors) -> Optional[dict]:

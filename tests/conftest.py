@@ -1,4 +1,6 @@
 import itertools
+from dataclasses import dataclass
+from typing import Optional
 
 import pytest
 
@@ -9,10 +11,11 @@ from ordered_coloring import (
     ListAssignment,
     OrderedGraph,
     PreconditionError,
-    chordal_peo,
+    drop_singletons,
     enumerate_colorings,
     is_isomorphic,
 )
+from ordered_coloring.kernels import _mcs_peo
 
 
 def brute_contains(g: OrderedGraph, h: OrderedGraph):
@@ -80,6 +83,95 @@ def reference_check_link(inst: Instance, e, e_prev, g_seed, g_prev) -> bool:
         ):
             return True
     return False
+
+
+@dataclass(frozen=True)
+class EliminationOrder:
+    """A vertex order in which each vertex's later neighbors form a clique."""
+
+    order: tuple
+
+
+def chordal_peo(g: OrderedGraph) -> Optional[EliminationOrder]:
+    """The induced-graph view of `kernels._mcs_peo`: a perfect elimination
+    ordering of the whole graph via maximum cardinality search, or None
+    when the graph is not chordal. Ties break on position."""
+    order = _mcs_peo(g.adjacency_bits(), (1 << g.n) - 1)
+    if order is None:
+        return None
+    return EliminationOrder(tuple(g.vertices[r] for r in order))
+
+
+def _stable(g, members, size):
+    return [
+        combo
+        for combo in itertools.combinations(members, size)
+        if not any(g.has_edge(a, b) for a, b in itertools.combinations(combo, 2))
+    ]
+
+
+def reference_guesses(inst, first, last, ordered):
+    """Every boundary guess, with no pruning: per color, every stable
+    first-set and last-set of L^(i) by rank, pairwise disjoint; `ordered`
+    demands the first-set end before the last-set starts (the Jw
+    enumeration), otherwise the union of the two must be stable (the J16
+    enumeration)."""
+    g = inst.graph
+    firsts = {i: _stable(g, sorted(inst.lists.view(i), key=g.rank), first) for i in COLORS}
+    lasts = {i: _stable(g, sorted(inst.lists.view(i), key=g.rank), last) for i in COLORS}
+
+    def rec(i, used, xs, ys):
+        if i > 3:
+            yield tuple(xs), tuple(ys)
+            return
+        for x in firsts[i]:
+            if used & set(x):
+                continue
+            for y in lasts[i]:
+                if (used | set(x)) & set(y):
+                    continue
+                if ordered and not g.rank(x[-1]) < g.rank(y[0]):
+                    continue
+                if not ordered and any(g.has_edge(a, b) for a in x for b in y):
+                    continue
+                yield from rec(i + 1, used | set(x) | set(y), xs + [x], ys + [y])
+
+    yield from rec(1, set(), [], [])
+
+
+def reference_lists_jw(inst, xs, ys):
+    """Force color i on X_i and Y_i; elsewhere keep i only strictly between
+    them and away from their neighborhoods."""
+    g = inst.graph
+    forced = {v: i for i, sets in zip(COLORS, zip(xs, ys)) for s in sets for v in s}
+    out = {}
+    for v in g.vertices:
+        if v in forced:
+            out[v] = {forced[v]}
+            continue
+        out[v] = {
+            i
+            for i in inst.lists.get(v)
+            if g.rank(xs[i - 1][-1]) < g.rank(v) < g.rank(ys[i - 1][0])
+            and not any(g.has_edge(v, u) for u in xs[i - 1] + ys[i - 1])
+        }
+    return ListAssignment(out)
+
+
+def reference_sigma_members(inst, w):
+    """Independent guessing profile for `jw.build_sigma_profile`: every
+    six-tuple's forced lists go through `drop_singletons`, members are
+    deduplicated on (sub vertices, sub lists), and members with an empty
+    list are skipped. Yields (sub vertices, sub lists, forced)."""
+    seen = set()
+    for xs, ys in reference_guesses(inst, w, w, ordered=True):
+        dropped = drop_singletons(Instance(inst.graph, reference_lists_jw(inst, xs, ys)))
+        key = (frozenset(dropped.sub.graph.vertices), frozenset(dropped.sub.lists.items()))
+        if key in seen:
+            continue
+        seen.add(key)
+        if all(cs for _, cs in dropped.sub.lists.items()):
+            yield dropped.sub.graph.vertices, dropped.sub.lists, dropped.forced
 
 
 def reference_solve_chordal(inst: Instance):

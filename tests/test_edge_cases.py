@@ -190,7 +190,7 @@ class TestMemberChecks:
 
     def test_forward_degree_check(self, monkeypatch):
         # without narrowing, a star's center keeps three wide forward neighbors
-        monkeypatch.setattr("ordered_coloring.j16._narrow", lambda inst, q: inst)
+        monkeypatch.setattr("ordered_coloring.j16._narrow", lambda inst, a_sets, b_sets: inst)
         star = instance({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
         with pytest.raises(InternalError):
             list(_fwdnbr_members(star, 0, 0))

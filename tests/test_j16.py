@@ -10,7 +10,6 @@ from ordered_coloring import (
     PreconditionError,
     RefusalError,
     build_pattern,
-    chordal_peo,
     contains_pattern,
     solve_bruteforce,
     solve_j16,
@@ -28,7 +27,7 @@ from ordered_coloring.j16 import (
 from ordered_coloring.kernels import propagate_singletons, solve_small_class, solve_two_lists
 from ordered_coloring.oracle import enumerate_colorings
 from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_j16free_instance, random_lists
-from conftest import forward_clique_instances, graph, instance, reference_solve_chordal
+from conftest import chordal_peo, forward_clique_instances, graph, instance, reference_solve_chordal
 
 
 def _special_members_reference(inst, k, l):

@@ -1,3 +1,9 @@
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from ordered_coloring import (
@@ -20,9 +26,54 @@ from ordered_coloring.jw import (
 )
 from ordered_coloring.kernels import has_k4, solve_small_class
 from ordered_coloring.rand import make_rng, random_pattern_free_instance
-from conftest import graph, instance, property_x, property_y, reference_check_link
+from conftest import (
+    graph,
+    instance,
+    property_x,
+    property_y,
+    reference_check_link,
+    reference_sigma_members,
+)
 
 JW1 = build_pattern("Jw:1")
+
+# A Jw:1-free yes-instance with string ids that the seed chain accepts on
+# a member in which every vertex is forced, so its whole witness comes
+# from `Refinement.extend`.
+FORCED_CHAIN_INSTANCE = """ograph forced
+vtx v1 1
+vtx v2 2
+vtx v3 3
+vtx v4 4
+vtx v5 5
+vtx v6 6
+edg v1 v2
+edg v1 v3
+edg v1 v4
+edg v1 v6
+edg v2 v3
+edg v2 v5
+edg v2 v6
+edg v3 v4
+edg v3 v5
+edg v4 v5
+edg v4 v6
+edg v5 v6
+lst v2 13
+lst v5 1
+"""
+
+# Prints the solve_jw witness as a list of items, then the CLI's --json
+# report without its timing field.
+WITNESS_SCRIPT = """
+import json, sys
+from ordered_coloring.cli import main
+from ordered_coloring.io import parse_instance
+from ordered_coloring.jw import solve_jw
+_, inst = parse_instance(open(sys.argv[1]).read())
+print(json.dumps(list(solve_jw(inst, 1).items())))
+main(["--json", "solve", sys.argv[1], "--alg", "jw"])
+"""
 
 
 def jw1_free_instance(rng, n_max=8, full_bias=None):
@@ -246,8 +297,49 @@ class TestSigmaProfile:
             )
             assert lhs == rhs
 
+    def test_members_match_reference_profile(self):
+        # the bitset dedup and the engine's propagation against the
+        # drop-every-guess path: same members, same order
+        rng = make_rng(68)
+        # two members agree on their wide ranks and on colors 1 and 2
+        # there, and differ only in color 3
+        color3_apart = instance(
+            {f"v{i}": i for i in range(1, 9)},
+            [("v1", "v6"), ("v6", "v7")],
+            {"v5": (3,), "v8": (1, 3)},
+        )
+        members = several = 0
+        for inst in [color3_apart] + [jw1_free_instance(rng) for _ in range(300)]:
+            got = [
+                (m.sub.graph.vertices, m.sub.lists, m.forced) for m in build_sigma_profile(inst, 1)
+            ]
+            assert got == list(reference_sigma_members(inst, 1))
+            members += len(got)
+            several += len(got) > 1
+        assert members >= 40 and several >= 5
+
 
 class TestSolveJw:
+    def test_witness_order_does_not_depend_on_hash_seed(self, tmp_path):
+        path = tmp_path / "forced.txt"
+        path.write_text(FORCED_CHAIN_INSTANCE)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run(
+                [sys.executable, "-c", WITNESS_SCRIPT, str(path)],
+                env=env, capture_output=True, text=True, check=True,
+            )
+            lines = run.stdout.splitlines()
+            report = json.loads(lines[-1])
+            report.pop("time_ms")
+            outputs.append((json.loads(lines[0]), report))
+        assert outputs[0] == outputs[1]
+        witness, report = outputs[0]
+        assert [v for v, _ in witness] == ["v1", "v2", "v3", "v4", "v5", "v6"]
+        assert report["verdict"] == "colorable" and report["witness"] == dict(witness)
+
     def test_k4_with_far_isolated_vertices(self):
         # a 4-clique padded so the single-edge pattern cannot embed
         verts = {i: i for i in range(1, 5)}

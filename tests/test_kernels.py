@@ -8,7 +8,6 @@ from ordered_coloring import (
     ListAssignment,
     PreconditionError,
     build_pattern,
-    chordal_peo,
     contains_pattern,
     drop_singletons,
     enumerate_colorings,
@@ -30,7 +29,7 @@ from ordered_coloring.rand import (
     random_ordered_graph,
     random_two_list_instance,
 )
-from conftest import forward_clique_instances, graph, instance, reference_solve_chordal
+from conftest import chordal_peo, forward_clique_instances, graph, instance, reference_solve_chordal
 
 
 def coloring_set(inst, cap=20):
