@@ -18,9 +18,7 @@ from .core import (
     Refinement,
     contains_pattern,
     is_isomorphic,
-    is_pattern_free,
     monotone_subsequence,
-    rank_normalized,
 )
 from .errors import (
     CapExceededError,

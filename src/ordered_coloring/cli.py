@@ -50,6 +50,10 @@ EXIT_REFUSED = 2
 EXIT_INPUT_ERROR = 3
 EXIT_INTERNAL_ERROR = 4
 
+# commands whose stdout is data (an instance that `parse_instance` reads
+# back); their report goes to stderr
+_DATA_COMMANDS = frozenset({"random-instance"})
+
 
 @dataclass
 class RunReport:
@@ -405,7 +409,7 @@ def main(argv=None) -> int:
         command = next((a for a in argv if not a.startswith("-")), "oglc")
         report = RunReport(command, "input-error", exit_code=EXIT_INPUT_ERROR)
         report.add("error", str(exc))
-        return _emit(report, "--json" in argv)
+        return _emit(report, "--json" in argv, sys.stdout)
     try:
         report = globals()["cmd_" + args.cmd.replace("-", "_")](args)
     except RefusalError as exc:
@@ -419,13 +423,13 @@ def main(argv=None) -> int:
         traceback.print_exc()
         report = RunReport(args.cmd, "internal-error", exit_code=EXIT_INTERNAL_ERROR)
         report.add("error", f"{type(exc).__name__}: {exc}")
-    return _emit(report, args.json)
+    return _emit(report, args.json, sys.stderr if args.cmd in _DATA_COMMANDS else sys.stdout)
 
 
-def _emit(report: RunReport, as_json: bool) -> int:
-    sys.stdout.write(report.text())
+def _emit(report: RunReport, as_json: bool, out) -> int:
+    out.write(report.text())
     if as_json:
-        sys.stdout.write(json.dumps(report.json_dict(), sort_keys=True) + "\n")
+        out.write(json.dumps(report.json_dict(), sort_keys=True) + "\n")
     return report.exit_code
 
 

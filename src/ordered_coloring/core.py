@@ -12,21 +12,23 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import lcm
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, InternalError
 
 COLORS = (1, 2, 3)
+_ALL_COLORS = frozenset(COLORS)
 
 Position = Fraction
 
 
 def as_position(value) -> Fraction:
     """Coerce ints/Fractions to an exact position; floats are rejected."""
-    if isinstance(value, bool) or isinstance(value, float):
-        raise InputError(f"positions must be exact rationals, got {value!r}")
     if isinstance(value, Fraction):
         return value
+    if isinstance(value, bool) or isinstance(value, float):
+        raise InputError(f"positions must be exact rationals, got {value!r}")
     if isinstance(value, int):
         return Fraction(value)
     raise InputError(f"positions must be exact rationals, got {value!r}")
@@ -85,30 +87,37 @@ class OrderedGraph:
             if vid in pos:
                 raise InputError(f"duplicate vertex id {vid!r}")
             pos[vid] = as_position(p)
-        seen_positions: dict = {}
-        for vid, p in pos.items():
-            if p in seen_positions:
-                raise InputError(f"duplicate position {p} for {seen_positions[p]!r} and {vid!r}")
-            seen_positions[p] = vid
-        edge_set = set()
-        adj = {vid: set() for vid in pos}
+        # positions as exact integers over their common denominator: ordered
+        # and compared like the positions, with no `Fraction` hashed
+        scale = lcm(*{p.denominator for p in pos.values()})
+        keys = {vid: p.numerator * (scale // p.denominator) for vid, p in pos.items()}
+        if len(set(keys.values())) != len(keys):
+            seen_positions: dict = {}
+            for vid, key in keys.items():
+                if key in seen_positions:
+                    raise InputError(
+                        f"duplicate position {pos[vid]} for {seen_positions[key]!r} and {vid!r}"
+                    )
+                seen_positions[key] = vid
+        order = tuple(sorted(pos, key=keys.__getitem__))
+        rank = {vid: i for i, vid in enumerate(order)}
+        bits = [0] * len(order)
         for u, v in edges:
-            if u not in pos or v not in pos:
+            ru, rv = rank.get(u), rank.get(v)
+            if ru is None or rv is None:
                 raise InputError(f"edge ({u!r},{v!r}) references unknown vertex")
-            if u == v:
+            if ru == rv:
                 raise InputError(f"self-loop at {u!r}")
-            e = frozenset((u, v))
-            if e in edge_set:
+            if bits[ru] >> rv & 1:
                 raise InputError(f"duplicate edge ({u!r},{v!r})")
-            edge_set.add(e)
-            adj[u].add(v)
-            adj[v].add(u)
+            bits[ru] |= 1 << rv
+            bits[rv] |= 1 << ru
         self._pos = pos
-        self._order = tuple(sorted(pos, key=pos.__getitem__))
-        self._rank = {vid: i for i, vid in enumerate(self._order)}
-        self._adj = {vid: frozenset(nbrs) for vid, nbrs in adj.items()}
-        self._edges = frozenset(edge_set)
-        self._bits = None
+        self._order = order
+        self._rank = rank
+        self._bits = tuple(bits)
+        self._adj = None  # vertex -> frozenset of neighbors, built on first use
+        self._edges = None
 
     # -- basic accessors ---------------------------------------------------
 
@@ -123,6 +132,8 @@ class OrderedGraph:
 
     @property
     def edges(self) -> frozenset:
+        if self._edges is None:
+            self._edges = frozenset(frozenset(e) for e in self._edge_pairs())
         return self._edges
 
     def position(self, v) -> Fraction:
@@ -141,6 +152,11 @@ class OrderedGraph:
             raise InputError(f"unknown vertex {v!r}") from None
 
     def neighbors(self, v) -> frozenset:
+        if self._adj is None:
+            order = self._order
+            self._adj = {
+                u: frozenset(order[r] for r in _ranks(m)) for u, m in zip(order, self._bits)
+            }
         try:
             return self._adj[v]
         except KeyError:
@@ -154,28 +170,29 @@ class OrderedGraph:
 
     def adjacency_bits(self) -> tuple:
         """Per-rank adjacency bitmasks (bit j set iff adjacent to rank j)."""
-        if self._bits is None:
-            bits = []
-            for v in self._order:
-                m = 0
-                for u in self._adj[v]:
-                    m |= 1 << self._rank[u]
-                bits.append(m)
-            self._bits = tuple(bits)
         return self._bits
 
+    def _edge_pairs(self, mask: int = -1):
+        """The edges among the ranks in `mask` as (earlier, later) vertex
+        pairs, by rank of the earlier end, then of the later."""
+        order, bits = self._order, self._bits
+        for r in _ranks(mask & ((1 << len(order)) - 1)):
+            for s in _ranks(bits[r] & mask & -(2 << r)):
+                yield order[r], order[s]
+
     def __eq__(self, other):
+        # equal position maps give equal rank orders, so the bits compare edges
         return (
             isinstance(other, OrderedGraph)
             and self._pos == other._pos
-            and self._edges == other._edges
+            and self._bits == other._bits
         )
 
     def __hash__(self):
-        return hash((frozenset(self._pos.items()), self._edges))
+        return hash((frozenset(self._pos.items()), self._bits))
 
     def __repr__(self):
-        return f"OrderedGraph(n={self.n}, m={len(self._edges)})"
+        return f"OrderedGraph(n={self.n}, m={sum(map(int.bit_count, self._bits)) // 2})"
 
     # -- structural operations --------------------------------------------
 
@@ -186,15 +203,11 @@ class OrderedGraph:
             if v not in self._pos:
                 raise InputError(f"unknown vertex {v!r}")
         verts = [(v, self._pos[v]) for v in xs]
-        edges = [tuple(e) for e in self._edges if e <= xs]
-        return OrderedGraph(verts, edges)
+        return OrderedGraph(verts, self._edge_pairs(sum(1 << self._rank[v] for v in xs)))
 
     def reverse(self) -> "OrderedGraph":
         """Same vertices and edges with every position negated."""
-        return OrderedGraph(
-            [(v, -p) for v, p in self._pos.items()],
-            [tuple(e) for e in self._edges],
-        )
+        return OrderedGraph([(v, -p) for v, p in self._pos.items()], self._edge_pairs())
 
     def interval(self, lo, hi, include_lo: bool = False, include_hi: bool = True) -> frozenset:
         """Vertices whose position lies in the given interval; defaults to (lo:hi]."""
@@ -221,7 +234,7 @@ class OrderedGraph:
             verts.append((_fresh_id(self._pos, f"a{i}"), lo - (k + 1 - i)))
         for i in range(1, l + 1):
             verts.append((_fresh_id(self._pos, f"b{i}"), hi + i))
-        return OrderedGraph(verts, [tuple(e) for e in self._edges])
+        return OrderedGraph(verts, self._edge_pairs())
 
     def maximal_edges(self) -> tuple:
         """mx(G): edges not spanned on both sides by another edge.
@@ -229,10 +242,7 @@ class OrderedGraph:
         Returned as (u, v) pairs with pos(u) < pos(v), sorted by left
         endpoint; left and right endpoints are each strictly increasing.
         """
-        oriented = []
-        for e in self._edges:
-            u, v = sorted(e, key=self._pos.__getitem__)
-            oriented.append((u, v))
+        oriented = list(self._edge_pairs())
         result = []
         for u, v in oriented:
             pu, pv = self._pos[u], self._pos[v]
@@ -252,7 +262,7 @@ class OrderedGraph:
     def under(self, e) -> frozenset:
         """und(e): vertices between the endpoints of e, inclusive."""
         u, v = e
-        if frozenset((u, v)) not in self._edges:
+        if frozenset((u, v)) not in self.edges:
             raise InputError(f"edge ({u!r},{v!r}) not in graph")
         lo, hi = sorted((self._pos[u], self._pos[v]))
         return self.interval(lo, hi, include_lo=True, include_hi=True)
@@ -260,7 +270,7 @@ class OrderedGraph:
     def left_of(self, e) -> frozenset:
         """lft(e): vertices strictly left of both endpoints of e."""
         u, v = e
-        if frozenset((u, v)) not in self._edges:
+        if frozenset((u, v)) not in self.edges:
             raise InputError(f"edge ({u!r},{v!r}) not in graph")
         lo = min(self._pos[u], self._pos[v])
         return self.interval(NEG_INF, lo, include_hi=False)
@@ -269,8 +279,16 @@ class OrderedGraph:
         return self.under(e), self.left_of(e)
 
     def forward_neighbors(self, v) -> frozenset:
-        r, rank = self.rank(v), self._rank
-        return frozenset(u for u in self._adj[v] if rank[u] > r)
+        r = self.rank(v)
+        return frozenset(self._order[s] for s in _ranks(self._bits[r] & -(2 << r)))
+
+
+def _ranks(mask: int):
+    """The set bits of a nonnegative mask, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 def _fresh_id(existing, base: str):
@@ -278,16 +296,6 @@ def _fresh_id(existing, base: str):
     while name in existing:
         name = "_" + name
     return name
-
-
-def rank_normalized(g: OrderedGraph) -> OrderedGraph:
-    """Same order type with positions replaced by ranks 1..n. Only the
-    order matters for freeness, so this is safe before pattern checks;
-    exact fractional positions are kept everywhere else."""
-    return OrderedGraph(
-        [(v, i + 1) for i, v in enumerate(g.vertices)],
-        [tuple(e) for e in g.edges],
-    )
 
 
 def is_isomorphic(g: OrderedGraph, h: OrderedGraph) -> bool:
@@ -386,10 +394,6 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     return None
 
 
-def is_pattern_free(g: OrderedGraph, h: OrderedGraph) -> bool:
-    return contains_pattern(g, h) is None
-
-
 def monotone_subsequence(seq, n: int):
     """Indices of a strictly monotone subsequence of length n+1.
 
@@ -445,7 +449,7 @@ class ListAssignment:
         clean = {}
         for v, colors in lists.items():
             cs = frozenset(colors)
-            if not cs <= {1, 2, 3}:
+            if not cs <= _ALL_COLORS:
                 raise InputError(f"list for {v!r} is not a subset of {{1,2,3}}: {sorted(cs)}")
             clean[v] = cs
         self._lists = clean
@@ -562,12 +566,17 @@ class Coloring:
         return frozenset(v for v, c in self._assignment.items() if c == color)
 
     def is_proper(self, g: OrderedGraph) -> bool:
-        for e in g.edges:
-            u, v = tuple(e)
-            cu, cv = self._assignment.get(u), self._assignment.get(v)
-            if cu is not None and cu == cv:
-                return False
-        return True
+        """No edge of g has both ends colored alike, tested per color on
+        the graph's adjacency bits."""
+        classes = {c: 0 for c in COLORS}
+        colored = []
+        for r, v in enumerate(g.vertices):
+            c = self._assignment.get(v)
+            if c is not None:
+                classes[c] |= 1 << r
+                colored.append((r, c))
+        bits = g.adjacency_bits()
+        return not any(bits[r] & classes[c] for r, c in colored)
 
     def respects(self, lists: ListAssignment) -> bool:
         return all(c in lists.get(v) for v, c in self._assignment.items())

@@ -10,7 +10,8 @@ class PreconditionError(ValueError):
 
 
 class CapExceededError(RuntimeError):
-    """The exhaustive oracle refused an instance above its size cap."""
+    """A size cap or search budget ran out: the exhaustive oracle refused
+    an instance above its cap, or rejection sampling used up its tries."""
 
 
 class InternalError(RuntimeError):

@@ -4,19 +4,19 @@ carries the offending line number."""
 
 from __future__ import annotations
 
+import itertools
 from fractions import Fraction
 
-from .core import Instance, ListAssignment, OrderedGraph
+from .core import COLORS, Instance, ListAssignment, OrderedGraph
 from .errors import InputError
 from .oracle import NaeInstance
 
 
 def _lines(text: str):
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        yield lineno, line.split()
+        parts = raw.split()
+        if parts and not parts[0].startswith("#"):
+            yield lineno, parts
 
 
 def parse_position_token(token: str, lineno: int = 0) -> Fraction:
@@ -33,40 +33,33 @@ def format_position(p: Fraction) -> str:
     return str(p.numerator) if p.denominator == 1 else f"{p.numerator}/{p.denominator}"
 
 
+# `lst` digit strings: "0" is the empty list, otherwise distinct digits
+# from "123" in any order; each maps to one shared frozenset
+_LIST_DIGITS = {"0": frozenset()} | {
+    "".join(p): frozenset(map(int, p))
+    for size in (1, 2, 3)
+    for p in itertools.permutations("123", size)
+}
+_FULL = frozenset(COLORS)
+
+
 def parse_instance(text: str) -> tuple[str, Instance]:
     """Parse the ordered-graph format: `ograph <name>` header, `vtx <id>
     <pos>`, `edg <id> <id>`, optional `lst <id> <digits>` ("0" means the
-    empty list; missing lines default to all three colors)."""
+    empty list; missing lines default to all three colors).
+
+    Each record is checked once, with its line number; positions are
+    compared as (numerator, denominator) pairs, so no `Fraction` is hashed."""
     name = ""
     saw_header = False
     positions: dict = {}
-    pos_owner: dict = {}
+    pos_owner: dict = {}  # (numerator, denominator) -> vertex id
     edges: list = []
     edge_seen: set = set()
     lists: dict = {}
     for lineno, parts in _lines(text):
         kind = parts[0]
-        if kind == "ograph":
-            if saw_header:
-                raise InputError(f"line {lineno}: duplicate header")
-            if len(parts) != 2:
-                raise InputError(f"line {lineno}: expected `ograph <name>`")
-            name = parts[1]
-            saw_header = True
-        elif kind == "vtx":
-            if len(parts) != 3:
-                raise InputError(f"line {lineno}: expected `vtx <id> <pos>`")
-            vid = parts[1]
-            if vid in positions:
-                raise InputError(f"line {lineno}: duplicate vertex {vid!r}")
-            p = parse_position_token(parts[2], lineno)
-            if p in pos_owner:
-                raise InputError(
-                    f"line {lineno}: position {parts[2]} already used by {pos_owner[p]!r}"
-                )
-            positions[vid] = p
-            pos_owner[p] = vid
-        elif kind == "edg":
+        if kind == "edg":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected `edg <id> <id>`")
             u, v = parts[1], parts[2]
@@ -75,11 +68,25 @@ def parse_instance(text: str) -> tuple[str, Instance]:
                     raise InputError(f"line {lineno}: unknown vertex {x!r}")
             if u == v:
                 raise InputError(f"line {lineno}: self-loop at {u!r}")
-            key = frozenset((u, v))
+            key = (u, v) if u < v else (v, u)
             if key in edge_seen:
                 raise InputError(f"line {lineno}: duplicate edge {u!r} {v!r}")
             edge_seen.add(key)
             edges.append((u, v))
+        elif kind == "vtx":
+            if len(parts) != 3:
+                raise InputError(f"line {lineno}: expected `vtx <id> <pos>`")
+            vid = parts[1]
+            if vid in positions:
+                raise InputError(f"line {lineno}: duplicate vertex {vid!r}")
+            p = parse_position_token(parts[2], lineno)
+            key = (p.numerator, p.denominator)
+            if key in pos_owner:
+                raise InputError(
+                    f"line {lineno}: position {parts[2]} already used by {pos_owner[key]!r}"
+                )
+            positions[vid] = p
+            pos_owner[key] = vid
         elif kind == "lst":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected `lst <id> <digits>`")
@@ -88,19 +95,20 @@ def parse_instance(text: str) -> tuple[str, Instance]:
                 raise InputError(f"line {lineno}: unknown vertex {vid!r}")
             if vid in lists:
                 raise InputError(f"line {lineno}: duplicate list for {vid!r}")
-            if digits == "0":
-                lists[vid] = frozenset()
-            else:
-                seen = set()
-                for ch in digits:
-                    if ch not in "123" or ch in seen:
-                        raise InputError(f"line {lineno}: bad list digits {digits!r}")
-                    seen.add(ch)
-                lists[vid] = frozenset(int(ch) for ch in digits)
+            if digits not in _LIST_DIGITS:
+                raise InputError(f"line {lineno}: bad list digits {digits!r}")
+            lists[vid] = _LIST_DIGITS[digits]
+        elif kind == "ograph":
+            if saw_header:
+                raise InputError(f"line {lineno}: duplicate header")
+            if len(parts) != 2:
+                raise InputError(f"line {lineno}: expected `ograph <name>`")
+            name = parts[1]
+            saw_header = True
         else:
             raise InputError(f"line {lineno}: unknown record {kind!r}")
     graph = OrderedGraph(positions.items(), edges)
-    full = {v: lists.get(v, frozenset((1, 2, 3))) for v in positions}
+    full = {v: lists.get(v, _FULL) for v in positions}
     return name, Instance(graph, ListAssignment(full))
 
 
@@ -116,7 +124,7 @@ def serialize_instance(name: str, inst: Instance) -> str:
         out.append(f"edg {u} {v}")
     for v in g.vertices:
         cs = inst.lists.get(v)
-        if cs != frozenset((1, 2, 3)):
+        if cs != _FULL:
             digits = "".join(str(c) for c in sorted(cs)) or "0"
             out.append(f"lst {v} {digits}")
     return "\n".join(out) + "\n"
@@ -154,13 +162,6 @@ def parse_nae(text: str) -> NaeInstance:
         return NaeInstance(num_vars, clauses)
     except InputError as exc:
         raise InputError(str(exc)) from None
-
-
-def serialize_nae(inst: NaeInstance) -> str:
-    out = [f"nae {inst.num_vars}"]
-    for clause in inst.clauses:
-        out.append("cls " + " ".join(str(x) for x in clause))
-    return "\n".join(out) + "\n"
 
 
 def parse_provenance(text: str) -> tuple[dict, dict]:

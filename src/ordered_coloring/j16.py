@@ -8,6 +8,9 @@ Otherwise it guesses boundary color classes, narrows the wide set until
 every vertex has at most two forward neighbors there, pads both ends by
 forcing a constant-size boundary, and finishes with chordal list coloring
 on the remaining wide set. The mirrored pattern is handled by reversal.
+
+From the guess to the finish, a member is the three color bitsets of its
+lists on the input graph's ranks (see `kernels._color_bits`).
 """
 
 from __future__ import annotations
@@ -17,24 +20,25 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
-    COLORS,
     Coloring,
     Instance,
     ListAssignment,
     OrderedGraph,
+    _ranks,
     checked_witness,
     contains_pattern,
 )
 from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
+    _SETS,
+    _TUPLES,
     _chordal_coloring,
     _color_bits,
-    _lists_from_bits,
+    _mask_at,
     _mcs_peo,
     _propagate_bits,
     boundary_guesses,
     has_k4,
-    propagate_singletons,
     solve_small_class,
 )
 from .oracle import enumerate_colorings
@@ -51,27 +55,44 @@ class PadSets:
     d: frozenset
 
 
-def wide_set(inst: Instance) -> list:
-    """Vertices whose list still has at least two colors, by position."""
-    return [v for v in inst.graph.vertices if len(inst.lists.get(v)) >= 2]
-
-
-def _wide_ranks(inst: Instance) -> int:
-    """The wide set as a rank bitmask."""
-    return sum(1 << r for r, v in enumerate(inst.graph.vertices) if len(inst.lists.get(v)) >= 2)
+def _wide(has) -> int:
+    """The wide set of a member given as color bitsets (see
+    `kernels._color_bits`): the ranks whose list keeps two or three
+    colors, as a rank bitmask."""
+    h0, h1, h2 = has
+    return h0 & h1 | h0 & h2 | h1 & h2
 
 
 def _forward_degree_above_two(bits: tuple, wide: int) -> bool:
     """Whether some rank in `wide` has three later neighbors in `wide`."""
-    return any(
-        ((bits[r] & wide) >> (r + 1)).bit_count() > 2 for r in range(len(bits)) if wide >> r & 1
-    )
+    return any((bits[r] & wide & -(2 << r)).bit_count() > 2 for r in _ranks(wide))
 
 
-def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
+def _force(has, mask: int, color: int) -> tuple:
+    """The bitsets with every rank in `mask` given the one-color list `color`."""
+    return tuple(h | mask if i == color - 1 else h & ~mask for i, h in enumerate(has))
+
+
+def _forced_colorings(g: OrderedGraph, has, vertices: list) -> Iterator[list]:
+    """The member `has` with the constant-size block `vertices` forced,
+    once per list coloring of the block in `enumerate_colorings` order,
+    as color bitsets; nothing is propagated."""
+    lists = {v: _SETS[_mask_at(has, g.rank(v))] for v in vertices}
+    mask = sum(1 << g.rank(v) for v in vertices)
+    unforced = [h & ~mask for h in has]
+    block = Instance(g.induced(vertices), ListAssignment(lists))
+    for f in enumerate_colorings(block, cap=len(vertices)):
+        forced = list(unforced)
+        for v in vertices:
+            forced[f[v] - 1] |= 1 << g.rank(v)
+        yield forced
+
+
+def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[tuple]:
     """Guess first-k/last-l color class vertices with
     `kernels.boundary_guesses`, then narrow until every vertex of the wide
-    set has at most two forward neighbors there.
+    set has at most two forward neighbors there. Members are the three
+    color bitsets of their lists on `inst`'s graph.
 
     Yields nothing when a 4-clique makes everything moot. The engine
     yields propagated lists and drops every guess in which a list empties,
@@ -81,131 +102,130 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
     raises a refusal; a member whose wide set keeps a vertex with three
     forward wide neighbors is a bug and raises `InternalError`.
     """
-    if has_k4(inst.graph):
-        return
     g = inst.graph
+    if has_k4(g):
+        return
     bits = g.adjacency_bits()
     seen = set()
     for a_sets, b_sets, has in boundary_guesses(inst, k, l):
-        narrowed = _narrow(Instance(g, _lists_from_bits(g.vertices, has)), a_sets, b_sets)
-        if narrowed is None:
+        narrowed = _narrow(g, has, a_sets, b_sets)
+        if narrowed is None or narrowed in seen:
             continue
-        key = frozenset(narrowed.lists.items())
-        if key in seen:
-            continue
-        seen.add(key)
-        if _forward_degree_above_two(bits, _wide_ranks(narrowed)):
+        seen.add(narrowed)
+        if _forward_degree_above_two(bits, _wide(narrowed)):
             raise InternalError("narrowed member has forward degree above two on its wide set")
         yield narrowed
 
 
-def _narrow(inst: Instance, a_sets: tuple, b_sets: tuple) -> Optional[Instance]:
-    """Shrink lists until the wide set has max forward degree two; returns
-    None when some list empties (no coloring survives in this member).
-    `a_sets` and `b_sets` are the guessed first-k and last-l sets per
-    color, which a refusal's witness includes."""
-    g = inst.graph
-    current = inst
+def _narrow(g: OrderedGraph, has: tuple, a_sets: tuple, b_sets: tuple) -> Optional[tuple]:
+    """Shrink the member's lists, color bitsets on g, until the wide set
+    has max forward degree two; returns None when some list empties (no
+    coloring survives in this member). `a_sets` and `b_sets` are the
+    guessed first-k and last-l sets per color, which a refusal's witness
+    includes.
+
+    Each step takes the first wide rank v with three later wide
+    neighbors, the first nonadjacent pair u, w among those neighbors and
+    the first other one, x (all by rank); it forces one-color lists on
+    u and w or on v, and `_propagate_bits` strikes their colors."""
+    bits = g.adjacency_bits()
+    order = g.vertices
+    everyone = (1 << len(order)) - 1
     while True:
-        if any(not cs for _, cs in current.lists.items()):
+        if has[0] | has[1] | has[2] != everyone:
             return None
-        wide = wide_set(current)
-        wide_pos = set(wide)
-        v = None
-        fwd_nbrs: list = []
-        for cand in wide:
-            fwd = [u for u in g.forward_neighbors(cand) if u in wide_pos]
-            if len(fwd) >= 3:
-                v = cand
-                fwd_nbrs = sorted(fwd, key=g.rank)
+        wide = _wide(has)
+        for v in _ranks(wide):
+            fwd = bits[v] & wide & -(2 << v)
+            if fwd.bit_count() >= 3:
                 break
-        if v is None:
-            return current
-        lv = current.lists.get(v)
-        pair = _first_nonadjacent_pair(g, fwd_nbrs)
+        else:
+            return has
+        fwd_nbrs = list(_ranks(fwd))
+        pair = _first_nonadjacent_pair(bits, fwd_nbrs)
         if pair is None:
             raise InternalError("three pairwise-adjacent forward neighbors imply a 4-clique")
         u, w = pair
-        common = lv & current.lists.get(u) & current.lists.get(w)
+        lv, lu, lw = _mask_at(has, v), _mask_at(has, u), _mask_at(has, w)
+        common = lv & lu & lw
         if common:
-            _refuse(a_sets, b_sets, v, u, w, min(common))
-        if len(lv) != 2:
+            _refuse(a_sets, b_sets, order, v, u, w, (common & -common).bit_length())
+        if lv.bit_count() != 2:
             # a full list would share a color with any two wide neighbors,
             # and the nonadjacent pair above would have caught that
             raise InternalError("wide vertex with a full list cannot reach this point")
-        lu, lw = current.lists.get(u), current.lists.get(w)
-        i, j = sorted(lv)
-        m = (set(COLORS) - {i, j}).pop()
-        if lu == frozenset((j, m)) and lw == frozenset((i, m)):
+        bi = lv & -lv  # colors i < j on v's list, m the third, as one-bit masks
+        bj, bm = lv ^ bi, 7 ^ lv
+        i, j, m = bi.bit_length(), bj.bit_length(), bm.bit_length()
+        if lu == bj | bm and lw == bi | bm:
             u, w = w, u
             lu, lw = lw, lu
-        if not (lu == frozenset((i, m)) and lw == frozenset((j, m))):
+        if not (lu == bi | bm and lw == bj | bm):
             raise InternalError("narrowing reached an impossible list shape")
-        x = next(y for y in fwd_nbrs if y not in (u, w))
-        lx = current.lists.get(x)
-        changes: dict = {}
-        if {i, j} <= lx:
+        x = next(y for y in fwd_nbrs if y != u and y != w)
+        lx = _mask_at(has, x)
+        if lv & ~lx == 0:
             for other, shared in ((u, i), (w, j)):
-                if not g.has_edge(other, x):
-                    _refuse(a_sets, b_sets, v, other, x, shared)
-            changes[u] = frozenset((m,))
-            changes[w] = frozenset((m,))
-            for y in (g.neighbors(u) | g.neighbors(w)) - {u, w}:
-                changes[y] = current.lists.get(y) - {m}
-        elif lx == frozenset((i, m)):
-            if not g.has_edge(u, x):
-                _refuse(a_sets, b_sets, v, u, x, i)
-            changes[v] = frozenset((j,))
-            for y in g.neighbors(v):
-                changes[y] = current.lists.get(y) - {j}
-        elif lx == frozenset((j, m)):
-            if not g.has_edge(w, x):
-                _refuse(a_sets, b_sets, v, w, x, j)
-            changes[v] = frozenset((i,))
-            for y in g.neighbors(v):
-                changes[y] = current.lists.get(y) - {i}
+                if not bits[other] >> x & 1:
+                    _refuse(a_sets, b_sets, order, v, other, x, shared)
+            has = _force(has, 1 << u | 1 << w, m)
+        elif lx == bi | bm:
+            if not bits[u] >> x & 1:
+                _refuse(a_sets, b_sets, order, v, u, x, i)
+            has = _force(has, 1 << v, j)
+        elif lx == bj | bm:
+            if not bits[w] >> x & 1:
+                _refuse(a_sets, b_sets, order, v, w, x, j)
+            has = _force(has, 1 << v, i)
         else:
-            raise InternalError(f"unexpected third-neighbor list {sorted(lx)}")
-        current = propagate_singletons(Instance(g, current.lists.updated(changes)))
+            raise InternalError(f"unexpected third-neighbor list {list(_TUPLES[lx])}")
+        has = _propagate_bits(bits, has)
 
 
-def _first_nonadjacent_pair(g: OrderedGraph, vertices):
-    for a, b in itertools.combinations(vertices, 2):
-        if not g.has_edge(a, b):
+def _first_nonadjacent_pair(bits: tuple, ranks: list):
+    for a, b in itertools.combinations(ranks, 2):
+        if not bits[a] >> b & 1:
             return a, b
     return None
 
 
-def _refuse(a_sets: tuple, b_sets: tuple, v, u, w, color: int):
+def _refuse(a_sets: tuple, b_sets: tuple, order: tuple, v: int, u: int, w: int, color: int):
     a, b = a_sets[color - 1], b_sets[color - 1]
-    raise RefusalError(f"J16:{len(a)},{len(b)}", set(a) | set(b) | {v, u, w})
+    raise RefusalError(f"J16:{len(a)},{len(b)}", set(a) | set(b) | {order[v], order[u], order[w]})
 
 
-def pad_sets(inst: Instance, k: int, l: int) -> PadSets:
+def pad_sets(inst: Instance, k: int, l: int, has=None) -> PadSets:
     """k rounds of taking the leftmost uncovered wide vertex with its
-    forward wide neighbors, then the trailing block of the remainder."""
+    forward wide neighbors, then the trailing block of the remainder.
+    The wide set is that of `inst`'s lists, or of the member's color
+    bitsets `has` on `inst`'s graph when given."""
     g = inst.graph
-    wide = wide_set(inst)
-    wide_pos = set(wide)
-    c: set = set()
-    c_prime: set = set()
+    bits = g.adjacency_bits()
+    wide = _wide(_color_bits(inst) if has is None else has)
+    c = c_prime = 0
     for _ in range(k):
-        v = next(x for x in wide if x not in c)
-        c_prime.add(v)
-        c.add(v)
-        c |= {u for u in g.forward_neighbors(v) if u in wide_pos}
-    rest = [v for v in wide if v not in c]
-    d = set(rest[-(3 * l + 6):])
-    return PadSets(frozenset(c), frozenset(c_prime), frozenset(d))
+        left = wide & ~c
+        if not left:
+            raise PreconditionError("wide set is too small for boundary padding")
+        v = (left & -left).bit_length() - 1
+        c_prime |= 1 << v
+        c |= 1 << v | (bits[v] & wide & -(2 << v))
+    d = list(_ranks(wide & ~c))[-(3 * l + 6):]
+    order = g.vertices
+    return PadSets(
+        frozenset(order[r] for r in _ranks(c)),
+        frozenset(order[r] for r in _ranks(c_prime)),
+        frozenset(order[r] for r in d),
+    )
 
 
-def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
-    """Propagated members, one per list coloring of the boundary block
-    (left cover plus trailing block), in the order of those colorings;
-    members in which some list empties are dropped.
+def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[tuple]:
+    """Propagated members of the member `has` (color bitsets on `inst`'s
+    graph), one per list coloring of the boundary block (left cover plus
+    trailing block), in the order of those colorings; members in which
+    some list empties are dropped.
 
-    Each member lives as three color bitsets until it survives: the block
-    ranks are forced to their colors and `_propagate_bits` runs on the
+    Each member is forced on the block and `_propagate_bits` runs on the
     parent's adjacency bits. Lists only shrink and the block ends forced
     or empty, so every member's wide set lies inside the wide set minus
     the block; when that is chordal, so is every member's, as induced
@@ -214,43 +234,38 @@ def _chordalize_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
     not chordal is a bug and raises, also under `python -O`."""
     g = inst.graph
     bits = g.adjacency_bits()
-    wide = _wide_ranks(inst)
+    wide = _wide(has)
     if _forward_degree_above_two(bits, wide):
         raise PreconditionError("wide set has a vertex with three forward neighbors")
     if wide.bit_count() < 3 * k + 3 * l + 6:
         raise PreconditionError("wide set is too small for boundary padding")
-    pads = pad_sets(inst, k, l)
+    pads = pad_sets(inst, k, l, has)
     block = sorted(pads.c | pads.d, key=g.rank)
     block_mask = sum(1 << g.rank(v) for v in block)
     check_each = _mcs_peo(bits, wide & ~block_mask) is None
-    unforced = [h & ~block_mask for h in _color_bits(inst)]
     everyone = (1 << g.n) - 1
-    for f in enumerate_colorings(inst.sub_instance(block), cap=len(block)):
-        has = list(unforced)
-        for v in block:
-            has[f[v] - 1] |= 1 << g.rank(v)
-        h0, h1, h2 = has = _propagate_bits(bits, has)
-        if check_each and _mcs_peo(bits, h0 & h1 | h0 & h2 | h1 & h2) is None:
+    for forced in _forced_colorings(g, has, block):
+        member = _propagate_bits(bits, forced)
+        if check_each and _mcs_peo(bits, _wide(member)) is None:
             raise InternalError("wide remainder of a padded member is not chordal")
-        if h0 | h1 | h2 == everyone:
-            yield Instance(g, _lists_from_bits(g.vertices, has))
+        if member[0] | member[1] | member[2] == everyone:
+            yield member
 
 
-def _finalize_small_members(inst: Instance, k: int, l: int) -> Iterator[Instance]:
-    """When the wide set is below the padding threshold, force each of its
-    list colorings outright; members have only forced or empty lists, and
-    a member that keeps a wider list is a bug and raises."""
-    wide = wide_set(inst)
-    if len(wide) >= 3 * k + 3 * l + 6:
+def _finalize_small_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[tuple]:
+    """When the wide set of the member `has` is below the padding
+    threshold, force each of its list colorings outright; members have
+    only forced or empty lists, and a member that keeps a wider list is a
+    bug and raises."""
+    g = inst.graph
+    wide = _wide(has)
+    if wide.bit_count() >= 3 * k + 3 * l + 6:
         raise PreconditionError("wide set is large enough for boundary padding")
-    for f in enumerate_colorings(inst.sub_instance(wide), cap=max(len(wide), 1)):
-        new_lists = dict(inst.lists.items())
-        for v in wide:
-            new_lists[v] = frozenset((f[v],))
-        member = Instance(inst.graph, ListAssignment(new_lists))
-        if any(len(cs) > 1 for _, cs in member.lists.items()):
+    for forced in _forced_colorings(g, has, [g.vertices[r] for r in _ranks(wide)]):
+        h0, h1, h2 = forced
+        if h0 & h1 | h0 & h2 | h1 & h2:
             raise InternalError("a finalized member keeps a list with two colors")
-        yield member
+        yield tuple(forced)
 
 
 def solve_j16(
@@ -262,7 +277,9 @@ def solve_j16(
 ) -> Optional[Coloring]:
     """Decision procedure with witness for instances free of the padded
     two-forward-edge pattern; `reverse` solves the mirrored family by
-    running on the reversed graph (colorings ignore the ordering)."""
+    running on the reversed graph (colorings ignore the ordering).
+
+    The witness is validated once, here, against `inst`."""
     if reverse:
         mirrored = Instance(inst.graph.reverse(), inst.lists)
         return solve_j16(mirrored, k, l, reverse=False, check_freeness=check_freeness)
@@ -275,35 +292,40 @@ def solve_j16(
     if small is not None:
         return checked_witness(small, inst)
 
+    g = inst.graph
+    bits = g.adjacency_bits()
+    everyone = (1 << g.n) - 1
     threshold = 3 * k + 3 * l + 6
     for member in _fwdnbr_members(inst, k, l):
-        if len(wide_set(member)) >= threshold:
-            stage = _chordalize_members(member, k, l)  # propagated, no empty list
+        if _wide(member).bit_count() >= threshold:
+            stage = _chordalize_members(inst, member, k, l)  # propagated, no empty list
         else:
-            stage = map(propagate_singletons, _finalize_small_members(member, k, l))
+            stage = (_propagate_bits(bits, f) for f in _finalize_small_members(inst, member, k, l))
         for final in stage:
-            if any(not cs for _, cs in final.lists.items()):
+            if final[0] | final[1] | final[2] != everyone:
                 continue
-            coloring = _finish_member(final)
+            coloring = _finish_member(g, final)
             if coloring is not None:
                 return checked_witness(coloring, inst)
     return None
 
 
-def _finish_member(inst: Instance) -> Optional[Coloring]:
-    """List color the chordal wide set with `_chordal_coloring` on the
-    member's own adjacency bits, restricted to the wide ranks, then extend
-    by the forced colors."""
-    g = inst.graph
-    colors = [tuple(sorted(inst.lists.get(v))) for v in g.vertices]
-    wide = sum(1 << r for r, cs in enumerate(colors) if len(cs) >= 2)
+def _finish_member(g: OrderedGraph, has: tuple) -> Optional[Coloring]:
+    """List color the member's chordal wide set with `_chordal_coloring`
+    on g's adjacency bits, restricted to the wide ranks, then extend by
+    the forced colors. The member has no empty list. The coloring is not
+    validated here: `solve_j16` checks its witness against its own
+    instance, whose lists contain the member's."""
+    order = g.vertices
+    wide = _wide(has)
     assignment = {}
     if wide:
+        colors = {r: _TUPLES[_mask_at(has, r)] for r in _ranks(wide)}
         ranks = _chordal_coloring(g.adjacency_bits(), wide, colors)
         if ranks is None:
             return None
-        assignment = {g.vertices[r]: c for r, c in ranks.items()}
-    for r, v in enumerate(g.vertices):
-        if not wide >> r & 1:
-            (assignment[v],) = colors[r]
-    return checked_witness(Coloring(assignment), inst)
+        assignment = {order[r]: c for r, c in ranks.items()}
+    h0, h1, _ = has
+    for r in _ranks(((1 << len(order)) - 1) & ~wide):
+        assignment[order[r]] = 1 if h0 >> r & 1 else 2 if h1 >> r & 1 else 3
+    return Coloring(assignment)

@@ -21,6 +21,7 @@ from .errors import PreconditionError
 
 _ONLY = {1: 1, 2: 2, 4: 3}  # singleton mask -> its color
 _SETS = tuple(frozenset(c for c in COLORS if m & 1 << (c - 1)) for m in range(8))  # mask -> list
+_TUPLES = tuple(tuple(sorted(cs)) for cs in _SETS)  # mask -> its colors, ascending
 
 
 def _color_bits(inst: Instance) -> list:
@@ -345,6 +346,8 @@ def solve_small_class(inst: Instance, c: int) -> Optional[Coloring]:
     For each color i and each stable A within L^(i) with |A| < c, pin the
     class of i to exactly A and finish with 2-SAT.
     """
+    if c <= 0:
+        return None  # no class has fewer than zero vertices
     g = inst.graph
     for i in COLORS:
         candidates = sorted(inst.lists.view(i), key=g.rank)

@@ -7,12 +7,11 @@ the seed that names it.
 
 from __future__ import annotations
 
-import itertools
 import random
 from fractions import Fraction
 
 from .core import Instance, ListAssignment, OrderedGraph, contains_pattern
-from .errors import InternalError
+from .errors import CapExceededError, InternalError
 from .oracle import NaeInstance
 
 _PROPER_SUBSETS = (
@@ -65,12 +64,13 @@ def random_pattern_free_instance(
     full_bias: float = 0.5,
     max_tries: int = 5000,
 ) -> Instance:
-    """Rejection-sample an instance whose graph avoids the pattern."""
+    """Rejection-sample an instance whose graph avoids the pattern; when
+    `max_tries` draws all contain it, raise `CapExceededError`."""
     for _ in range(max_tries):
         g = random_ordered_graph(rng, n, edge_prob)
         if contains_pattern(g, pattern) is None:
             return Instance(g, random_lists(rng, g, full_bias))
-    raise RuntimeError(f"no pattern-free graph found in {max_tries} tries (n={n})")
+    raise CapExceededError(f"no pattern-free graph found in {max_tries} tries (n={n})")
 
 
 def random_forward_clique_graph(rng: random.Random, n: int, attach_prob: float = 0.7) -> OrderedGraph:
@@ -147,57 +147,11 @@ def random_chordal_instance(
     return Instance(g, random_lists(rng, g, full_bias))
 
 
-def random_two_list_instance(
-    rng: random.Random, n: int, edge_prob: float, singleton_bias: float = 0.2
-) -> Instance:
-    g = random_ordered_graph(rng, n, edge_prob)
-    lists = {}
-    for v in g.vertices:
-        if rng.random() < singleton_bias:
-            lists[v] = frozenset((rng.randint(1, 3),))
-        else:
-            lists[v] = rng.choice(_PROPER_SUBSETS[3:])
-    return Instance(g, ListAssignment(lists))
-
-
 def random_nae(rng: random.Random, num_vars: int, num_clauses: int) -> NaeInstance:
     clauses = [
         tuple(sorted(rng.sample(range(1, num_vars + 1), 3))) for _ in range(num_clauses)
     ]
     return NaeInstance(num_vars, clauses)
-
-
-def small_source_graphs(max_edges: int = 4) -> list[OrderedGraph]:
-    """A deterministic corpus of small source graphs for the expanders: one
-    representative per isomorphism class with 1..max_edges edges and no
-    isolated vertex, plus one padded variant."""
-    seen = set()
-    out = []
-    for n in range(2, 6):
-        pairs = list(itertools.combinations(range(1, n + 1), 2))
-        for m in range(1, max_edges + 1):
-            for edges in itertools.combinations(pairs, m):
-                used = {x for e in edges for x in e}
-                if len(used) != n:
-                    continue
-                key = _canonical(n, edges)
-                if key in seen:
-                    continue
-                seen.add(key)
-                out.append(OrderedGraph([(i, i) for i in range(1, n + 1)], edges))
-    with_isolated = OrderedGraph([(i, i) for i in range(1, 4)], [(1, 3)])
-    out.append(with_isolated)
-    return out
-
-
-def _canonical(n: int, edges) -> tuple:
-    best = None
-    for perm in itertools.permutations(range(1, n + 1)):
-        relabel = {i + 1: perm[i] for i in range(n)}
-        key = tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in edges))
-        if best is None or key < best:
-            best = key
-    return (n, best)
 
 
 def positions_fuzzed(rng: random.Random, g: OrderedGraph) -> OrderedGraph:

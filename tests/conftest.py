@@ -8,14 +8,19 @@ from ordered_coloring import (
     COLORS,
     Coloring,
     Instance,
+    InternalError,
     ListAssignment,
     OrderedGraph,
     PreconditionError,
+    RefusalError,
     drop_singletons,
     enumerate_colorings,
+    has_k4,
     is_isomorphic,
+    propagate_singletons,
 )
-from ordered_coloring.kernels import _mcs_peo
+from ordered_coloring.kernels import _lists_from_bits, _mcs_peo, boundary_guesses
+from ordered_coloring.rand import random_ordered_graph
 
 
 def brute_contains(g: OrderedGraph, h: OrderedGraph):
@@ -238,6 +243,172 @@ def forward_clique_instances(rng, count, empty_share=0.2):
         if rng.random() < empty_share:
             lists = lists.updated({rng.choice(g.vertices): frozenset()})
         yield Instance(g, lists)
+
+
+def reference_fwdnbr_members(inst: Instance, k: int, l: int):
+    """Independent narrowing for `j16._fwdnbr_members`: the list version
+    the package ran before its bitset one. Each guess of
+    `kernels.boundary_guesses` becomes an `Instance` narrowed on frozenset
+    lists with `propagate_singletons`, and members are deduplicated on
+    their lists. Yields the members as instances, in order; a refusal
+    raises `RefusalError` with the pattern and witness of the package's."""
+    if has_k4(inst.graph):
+        return
+    g = inst.graph
+    seen = set()
+    for a_sets, b_sets, has in boundary_guesses(inst, k, l):
+        narrowed = _reference_narrow(Instance(g, _lists_from_bits(g.vertices, has)), a_sets, b_sets)
+        if narrowed is None:
+            continue
+        key = frozenset(narrowed.lists.items())
+        if key in seen:
+            continue
+        seen.add(key)
+        wide = set(wide_set(narrowed))
+        if any(len(g.forward_neighbors(v) & wide) > 2 for v in wide):
+            raise InternalError("narrowed member has forward degree above two on its wide set")
+        yield narrowed
+
+
+def wide_set(inst: Instance) -> list:
+    """Vertices whose list still has at least two colors, by position."""
+    return [v for v in inst.graph.vertices if len(inst.lists.get(v)) >= 2]
+
+
+def _reference_narrow(inst: Instance, a_sets: tuple, b_sets: tuple):
+    g = inst.graph
+    current = inst
+    while True:
+        if any(not cs for _, cs in current.lists.items()):
+            return None
+        wide = wide_set(current)
+        wide_pos = set(wide)
+        v = None
+        fwd_nbrs: list = []
+        for cand in wide:
+            fwd = [u for u in g.forward_neighbors(cand) if u in wide_pos]
+            if len(fwd) >= 3:
+                v = cand
+                fwd_nbrs = sorted(fwd, key=g.rank)
+                break
+        if v is None:
+            return current
+        lv = current.lists.get(v)
+        pair = next(
+            ((a, b) for a, b in itertools.combinations(fwd_nbrs, 2) if not g.has_edge(a, b)), None
+        )
+        if pair is None:
+            raise InternalError("three pairwise-adjacent forward neighbors imply a 4-clique")
+        u, w = pair
+        common = lv & current.lists.get(u) & current.lists.get(w)
+        if common:
+            _reference_refuse(a_sets, b_sets, v, u, w, min(common))
+        if len(lv) != 2:
+            raise InternalError("wide vertex with a full list cannot reach this point")
+        lu, lw = current.lists.get(u), current.lists.get(w)
+        i, j = sorted(lv)
+        m = (set(COLORS) - {i, j}).pop()
+        if lu == frozenset((j, m)) and lw == frozenset((i, m)):
+            u, w = w, u
+            lu, lw = lw, lu
+        if not (lu == frozenset((i, m)) and lw == frozenset((j, m))):
+            raise InternalError("narrowing reached an impossible list shape")
+        x = next(y for y in fwd_nbrs if y not in (u, w))
+        lx = current.lists.get(x)
+        changes: dict = {}
+        if {i, j} <= lx:
+            for other, shared in ((u, i), (w, j)):
+                if not g.has_edge(other, x):
+                    _reference_refuse(a_sets, b_sets, v, other, x, shared)
+            changes[u] = frozenset((m,))
+            changes[w] = frozenset((m,))
+            for y in (g.neighbors(u) | g.neighbors(w)) - {u, w}:
+                changes[y] = current.lists.get(y) - {m}
+        elif lx == frozenset((i, m)):
+            if not g.has_edge(u, x):
+                _reference_refuse(a_sets, b_sets, v, u, x, i)
+            changes[v] = frozenset((j,))
+            for y in g.neighbors(v):
+                changes[y] = current.lists.get(y) - {j}
+        elif lx == frozenset((j, m)):
+            if not g.has_edge(w, x):
+                _reference_refuse(a_sets, b_sets, v, w, x, j)
+            changes[v] = frozenset((i,))
+            for y in g.neighbors(v):
+                changes[y] = current.lists.get(y) - {i}
+        else:
+            raise InternalError(f"unexpected third-neighbor list {sorted(lx)}")
+        current = propagate_singletons(Instance(g, current.lists.updated(changes)))
+
+
+def _reference_refuse(a_sets, b_sets, v, u, w, color):
+    a, b = a_sets[color - 1], b_sets[color - 1]
+    raise RefusalError(f"J16:{len(a)},{len(b)}", set(a) | set(b) | {v, u, w})
+
+
+def rank_normalized(g: OrderedGraph) -> OrderedGraph:
+    """Same order type with positions replaced by ranks 1..n."""
+    return OrderedGraph(
+        [(v, i + 1) for i, v in enumerate(g.vertices)],
+        [tuple(e) for e in g.edges],
+    )
+
+
+def serialize_nae(inst) -> str:
+    """The `nae`/`cls` text format that `io.parse_nae` reads."""
+    out = [f"nae {inst.num_vars}"]
+    for clause in inst.clauses:
+        out.append("cls " + " ".join(str(x) for x in clause))
+    return "\n".join(out) + "\n"
+
+
+_TWO_COLOR_LISTS = (frozenset((1, 2)), frozenset((1, 3)), frozenset((2, 3)))
+
+
+def random_two_list_instance(rng, n: int, edge_prob: float, singleton_bias: float = 0.2) -> Instance:
+    """A random ordered graph whose lists have one color (with probability
+    `singleton_bias`) or two."""
+    g = random_ordered_graph(rng, n, edge_prob)
+    lists = {}
+    for v in g.vertices:
+        if rng.random() < singleton_bias:
+            lists[v] = frozenset((rng.randint(1, 3),))
+        else:
+            lists[v] = rng.choice(_TWO_COLOR_LISTS)
+    return Instance(g, ListAssignment(lists))
+
+
+def small_source_graphs(max_edges: int = 4) -> list:
+    """A deterministic corpus of small source graphs for the expanders: one
+    representative per isomorphism class with 1..max_edges edges and no
+    isolated vertex, plus one padded variant."""
+    seen = set()
+    out = []
+    for n in range(2, 6):
+        pairs = list(itertools.combinations(range(1, n + 1), 2))
+        for m in range(1, max_edges + 1):
+            for edges in itertools.combinations(pairs, m):
+                used = {x for e in edges for x in e}
+                if len(used) != n:
+                    continue
+                key = _canonical(n, edges)
+                if key in seen:
+                    continue
+                seen.add(key)
+                out.append(OrderedGraph([(i, i) for i in range(1, n + 1)], edges))
+    with_isolated = OrderedGraph([(i, i) for i in range(1, 4)], [(1, 3)])
+    out.append(with_isolated)
+    return out
+
+
+def _canonical(n: int, edges) -> tuple:
+    best = None
+    for perm in itertools.permutations(range(1, n + 1)):
+        relabel = {i + 1: perm[i] for i in range(n)}
+        key = tuple(sorted(tuple(sorted((relabel[u], relabel[v]))) for u, v in edges))
+        if best is None or key < best:
+            best = key
+    return (n, best)
 
 
 def graph(positions, edges=()):

@@ -42,10 +42,15 @@ from ordered_coloring.rand import (
     random_lists,
     random_nae,
     random_pattern_free_instance,
+)
+from conftest import (
+    graph,
+    property_x,
+    property_y,
     random_two_list_instance,
+    reference_check_link,
     small_source_graphs,
 )
-from conftest import graph, property_x, property_y, reference_check_link
 
 
 def report(criterion, detail):

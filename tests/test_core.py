@@ -15,11 +15,10 @@ from ordered_coloring import (
     contains_pattern,
     is_isomorphic,
     monotone_subsequence,
-    rank_normalized,
 )
 from ordered_coloring.gadgets import gen_bipartite, gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
-from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_nae, small_source_graphs
-from conftest import brute_contains, graph, instance, path_graph
+from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_nae
+from conftest import brute_contains, graph, instance, path_graph, rank_normalized, small_source_graphs
 
 
 def random_graph_strategy(max_n=7):
@@ -516,6 +515,14 @@ class TestValidation:
     def test_half_positions_are_exact(self):
         g = graph({"a": Fraction(1, 2), "b": 1})
         assert g.vertices == ("a", "b")
+
+    def test_mixed_denominators_order_and_duplicates(self):
+        g = graph({"a": Fraction(1, 3), "b": Fraction(1, 2), "c": Fraction(-5, 7), "d": 0})
+        assert g.vertices == ("c", "d", "a", "b")
+        assert g.position("a") == Fraction(1, 3) and isinstance(g.position("d"), Fraction)
+        # the first vertex, in input order, whose position was already taken
+        with pytest.raises(InputError, match=r"^duplicate position 1/2 for 'a' and 'c'$"):
+            graph([("a", Fraction(1, 2)), ("b", 3), ("c", Fraction(2, 4)), ("d", Fraction(6, 2))])
 
     def test_self_loop_rejected(self):
         with pytest.raises(InputError):

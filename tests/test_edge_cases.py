@@ -23,6 +23,7 @@ from ordered_coloring.j16 import (
     _fwdnbr_members,
 )
 from ordered_coloring.jw import augment_star, check_link, gamma
+from ordered_coloring.kernels import _color_bits
 from ordered_coloring.rand import (
     make_rng,
     random_j16free_instance,
@@ -190,7 +191,7 @@ class TestMemberChecks:
 
     def test_forward_degree_check(self, monkeypatch):
         # without narrowing, a star's center keeps three wide forward neighbors
-        monkeypatch.setattr("ordered_coloring.j16._narrow", lambda inst, a_sets, b_sets: inst)
+        monkeypatch.setattr("ordered_coloring.j16._narrow", lambda g, has, a_sets, b_sets: has)
         star = instance({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
         with pytest.raises(InternalError):
             list(_fwdnbr_members(star, 0, 0))
@@ -200,7 +201,7 @@ class TestMemberChecks:
         # remainder keeps an induced four-cycle of forward degree at most two
         monkeypatch.setattr(
             "ordered_coloring.j16.pad_sets",
-            lambda inst, k, l: PadSets(frozenset(), frozenset(), frozenset()),
+            lambda inst, k, l, has=None: PadSets(frozenset(), frozenset(), frozenset()),
         )
         # nor is the wide set minus the block chordal, so the member gets
         # its own check: the search runs twice
@@ -211,13 +212,13 @@ class TestMemberChecks:
         )
         cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(InternalError):
-            list(_chordalize_members(cycle, 0, 0))
+            list(_chordalize_members(cycle, _color_bits(cycle), 0, 0))
         assert len(searched) == 2
 
     def test_narrowing_shape_check(self, monkeypatch):
         # hiding the nonadjacent pair among a center's three forward
         # neighbors is what a missed 4-clique would look like
-        monkeypatch.setattr("ordered_coloring.j16._first_nonadjacent_pair", lambda g, vs: None)
+        monkeypatch.setattr("ordered_coloring.j16._first_nonadjacent_pair", lambda bits, ranks: None)
         star = instance({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
         with pytest.raises(InternalError):
             list(_fwdnbr_members(star, 0, 0))
@@ -225,7 +226,7 @@ class TestMemberChecks:
     def test_finalized_member_check(self, monkeypatch):
         # with its wide set hidden, finalizing forces nothing and the
         # member keeps a two-color list
-        monkeypatch.setattr("ordered_coloring.j16.wide_set", lambda inst: [])
+        monkeypatch.setattr("ordered_coloring.j16._wide", lambda has: 0)
         inst = instance({1: 1, 2: 2}, [(1, 2)], lists={1: (1, 2)})
         with pytest.raises(InternalError):
-            list(_finalize_small_members(inst, 0, 0))
+            list(_finalize_small_members(inst, _color_bits(inst), 0, 0))

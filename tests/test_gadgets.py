@@ -25,8 +25,8 @@ from ordered_coloring.gadgets import (
     gen_h5,
 )
 from ordered_coloring import enumerate_colorings, gadgets, nae_bruteforce
-from ordered_coloring.rand import make_rng, random_nae, small_source_graphs
-from conftest import complete_graph, graph, instance
+from ordered_coloring.rand import make_rng, random_nae
+from conftest import complete_graph, graph, instance, small_source_graphs
 
 
 def enumerate_colorings_capped(inst, limit):

@@ -4,18 +4,17 @@ from pathlib import Path
 
 import pytest
 
-from ordered_coloring import InputError, InternalError
+from ordered_coloring import InputError, InternalError, build_pattern
 from ordered_coloring.cli import main
 from ordered_coloring.io import (
     parse_instance,
     parse_nae,
     parse_provenance,
     serialize_instance,
-    serialize_nae,
     serialize_provenance,
 )
-from ordered_coloring.rand import make_rng, random_instance, random_nae
-from conftest import instance
+from ordered_coloring.rand import make_rng, random_instance, random_nae, random_pattern_free_instance
+from conftest import instance, serialize_nae
 
 
 SAMPLE = """# demo file
@@ -55,21 +54,47 @@ class TestOrderedGraphFormat:
         [
             ("vtx a 1\nvtx a 2", "duplicate vertex"),
             ("vtx a 1\nvtx b 1", "position"),
+            ("vtx a 1/2\nvtx b 2/4", "position 2/4 already used by 'a'"),
+            ("vtx a 3\nvtx b 6/2", "position 6/2 already used by 'a'"),
+            ("vtx a 0\nvtx b -0", "position -0 already used by 'a'"),
             ("vtx a 1\nedg a b", "unknown vertex"),
             ("vtx a 1\nvtx b 2\nedg a b\nedg b a", "duplicate edge"),
             ("vtx a 1\nedg a a", "self-loop"),
             ("vtx a 1\nlst a 14", "bad list digits"),
             ("vtx a 1\nlst a 11", "bad list digits"),
+            ("vtx a 1\nlst a 00", "bad list digits"),
+            ("vtx a 1\nlst a 10", "bad list digits"),
+            ("vtx a 1\nlst a 12\nlst a 3", "duplicate list for 'a'"),
+            ("lst a 1", "unknown vertex 'a'"),
             ("vtx a 1.5", "bad position"),
             ("vtx a 1/0", "bad position"),
             ("blah a b", "unknown record"),
+            ("ograph g\nograph h", "duplicate header"),
+            ("ograph", "expected `ograph <name>`"),
+            ("ograph g h", "expected `ograph <name>`"),
+            ("vtx a", "expected `vtx <id> <pos>`"),
+            ("vtx a 1 2", "expected `vtx <id> <pos>`"),
+            ("vtx a 1\nedg a", "expected `edg <id> <id>`"),
+            ("vtx a 1\nvtx b 2\nedg a b a", "expected `edg <id> <id>`"),
+            ("vtx a 1\nlst a", "expected `lst <id> <digits>`"),
+            ("vtx a 1\nlst a 1 2", "expected `lst <id> <digits>`"),
+            ("# comment\n\n  \nvtx a 1\n  # indented\nvtx a 2", "duplicate vertex"),
         ],
     )
     def test_strict_errors_carry_line_numbers(self, bad, fragment):
+        lineno = bad.count("\n") + 1  # the offending record is always the last line
         with pytest.raises(InputError) as err:
             parse_instance(bad)
         assert fragment in str(err.value)
-        assert "line" in str(err.value)
+        assert str(err.value).startswith(f"line {lineno}: ")
+
+    @pytest.mark.parametrize(
+        "digits,colors",
+        [("0", ()), ("1", (1,)), ("31", (1, 3)), ("21", (1, 2)), ("321", (1, 2, 3)), ("123", (1, 2, 3))],
+    )
+    def test_list_digits(self, digits, colors):
+        _, inst = parse_instance(f"vtx a 1\nlst a {digits}")
+        assert inst.lists.get("a") == frozenset(colors)
 
 
 class TestNaeFormat:
@@ -241,6 +266,32 @@ class TestCli:
         last = out.strip().splitlines()[-1]
         payload = json.loads(last)
         assert payload["verdict"] == "not-colorable"
+
+    def test_random_instance_reads_back(self, tmp_path, capsys):
+        # stdout is the instance alone; the report goes to stderr
+        argv = ["random-instance", "--seed", "1", "--n", "10", "--edge-prob", "0.3"]
+        assert main(argv + ["--pattern", "J16:0,0"]) == 0
+        captured = capsys.readouterr()
+        assert "verdict generated" in captured.err and "verdict" not in captured.out
+        name, inst = parse_instance(captured.out)
+        expected = random_pattern_free_instance(make_rng(1), build_pattern("J16:0,0"), 10, 0.3, 0.5)
+        assert name == "random-1" and inst == expected
+        assert serialize_instance(name, inst) == captured.out
+        path = tmp_path / "x.og"
+        path.write_text(captured.out, encoding="utf-8")
+        codes = {main(["solve", str(path), "--alg", alg]) for alg in ("j16", "oracle")}
+        assert codes in ({0}, {1})
+
+    def test_random_instance_exhausted_tries(self, tmp_path, capsys):
+        # every complete graph holds an edge, so no draw avoids this pattern
+        edge = tmp_path / "edge.og"
+        edge.write_text("ograph e\nvtx a 1\nvtx b 2\nedg a b\n", encoding="utf-8")
+        argv = ["random-instance", "--seed", "1", "--n", "3", "--edge-prob", "1.0"]
+        assert main(argv + ["--pattern", str(edge)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verdict input-error" in captured.err
+        assert "error no pattern-free graph found in 5000 tries (n=3)" in captured.err
 
     def test_random_instance_reproducible(self, tmp_path):
         code1, out1 = run_cli(tmp_path, "random-instance", "--seed", "7", "--n", "6")

@@ -20,14 +20,38 @@ from ordered_coloring.j16 import (
     _finalize_small_members,
     _finish_member,
     _fwdnbr_members,
-    _wide_ranks,
+    _wide,
     pad_sets,
+)
+from ordered_coloring.kernels import (
+    _color_bits,
+    _lists_from_bits,
+    propagate_singletons,
+    solve_small_class,
+    solve_two_lists,
+)
+from ordered_coloring.oracle import enumerate_colorings
+from ordered_coloring.rand import (
+    make_rng,
+    random_forward_clique_graph,
+    random_instance,
+    random_j16free_instance,
+    random_lists,
+)
+from conftest import (
+    chordal_peo,
+    forward_clique_instances,
+    graph,
+    instance,
+    reference_fwdnbr_members,
+    reference_solve_chordal,
     wide_set,
 )
-from ordered_coloring.kernels import propagate_singletons, solve_small_class, solve_two_lists
-from ordered_coloring.oracle import enumerate_colorings
-from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_j16free_instance, random_lists
-from conftest import chordal_peo, forward_clique_instances, graph, instance, reference_solve_chordal
+
+
+def as_instance(inst, has):
+    """The member with color bitsets `has` on inst's graph, as an Instance."""
+    return Instance(inst.graph, _lists_from_bits(inst.graph.vertices, has))
 
 
 def _special_members_reference(inst, k, l):
@@ -110,7 +134,8 @@ class TestProfileFwdnbr:
         rng = make_rng(73)
         for _ in range(40):
             inst = random_j16free_instance(rng, 1, 0, rng.randint(2, 9))
-            for member in _fwdnbr_members(inst, 1, 0):
+            for has in _fwdnbr_members(inst, 1, 0):
+                member = as_instance(inst, has)
                 wide = wide_set(member)
                 wide_pos = set(wide)
                 g = member.graph
@@ -127,7 +152,7 @@ class TestProfileFwdnbr:
             for col in enumerate_colorings(inst):
                 if min(len(col.color_class(i)) for i in (1, 2, 3)) >= 2:
                     if members is None:
-                        members = list(_fwdnbr_members(inst, 1, 1))
+                        members = [as_instance(inst, m) for m in _fwdnbr_members(inst, 1, 1)]
                     assert any(col.respects(m.lists) for m in members)
                     checked += 1
                     break
@@ -157,38 +182,123 @@ class TestProfileFwdnbr:
             solve_j16(inst, 0, 0, check_freeness=False)
 
 
+def _collect(members):
+    """Members up to the first refusal, then the refusal's pattern and
+    witness (None when there is none)."""
+    out = []
+    try:
+        for member in members:
+            out.append(member)
+    except RefusalError as exc:
+        return out, (exc.pattern, exc.witness)
+    return out, None
+
+
+def _forked_instance(rng, n):
+    """A sparse random graph with a planted fork whose lists lead the
+    narrowing into its forcing steps rather than a refusal: a center with
+    list {i, j} and three later neighbors, the nonadjacent two with lists
+    {i, m} and {j, m}, the third adjacent to both; other lists hold two or
+    three colors."""
+    p = rng.uniform(0.05, 0.3)
+    edges = {(a, b) for a, b in itertools.combinations(range(n), 2) if rng.random() < p}
+    v, a, b, c = sorted(rng.sample(range(n), 4))
+    u, w, x = rng.sample((a, b, c), 3)
+    edges -= {(min(u, w), max(u, w))}
+    edges |= {(v, u), (v, w), (v, x), (min(u, x), max(u, x)), (min(w, x), max(w, x))}
+    i, j, m = rng.sample(COLORS, 3)
+    choices = [frozenset(c) for c in itertools.combinations(COLORS, 2)] + [frozenset(COLORS)]
+    lists = [rng.choice(choices) for _ in range(n)]
+    lists[v], lists[u], lists[w] = frozenset((i, j)), frozenset((i, m)), frozenset((j, m))
+    return instance({r: r for r in range(n)}, sorted(edges), dict(enumerate(lists)))
+
+
+class TestNarrowingDifferential:
+    """`_fwdnbr_members` on color bitsets against the list version kept as
+    `conftest.reference_fwdnbr_members`: the same members in the same
+    order, and the same refusal pattern and witness."""
+
+    def _run(self, draws, monkeypatch):
+        """Compare on every draw; count members, refusals and the forcing
+        steps of narrowing, on a pair (u and w) or on the center."""
+        counts = {"members": 0, "refusals": 0, "pair": 0, "center": 0}
+        real = j16._force
+
+        def counting(has, mask, color):
+            counts["pair" if mask.bit_count() == 2 else "center"] += 1
+            return real(has, mask, color)
+
+        monkeypatch.setattr(j16, "_force", counting)
+        for inst, k, l in draws:
+            got, got_refusal = _collect(_fwdnbr_members(inst, k, l))
+            expected, expected_refusal = _collect(reference_fwdnbr_members(inst, k, l))
+            assert [as_instance(inst, m).lists for m in got] == [m.lists for m in expected]
+            assert got_refusal == expected_refusal
+            counts["members"] += len(got)
+            counts["refusals"] += got_refusal is not None
+        return counts
+
+    @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_pattern_free_corpora(self, k, l, monkeypatch):
+        rng = make_rng(3000 + 10 * k + l)
+        draws = (
+            (random_j16free_instance(rng, k, l, rng.randint(2, 11), rng.uniform(0.3, 1.0)), k, l)
+            for _ in range(150)
+        )
+        counts = self._run(draws, monkeypatch)
+        assert counts["members"] >= 100 and counts["refusals"] == 0, counts
+
+    def test_non_free_draws(self, monkeypatch):
+        # plain random graphs refuse early; planted forks get narrowed
+        rng = make_rng(3100)
+        draws = []
+        for t in range(800):
+            k, l = rng.choice(((0, 0), (1, 0), (0, 1), (1, 1)))
+            n = rng.randint(5, 12)
+            if t % 2:
+                inst = _forked_instance(rng, n)
+            else:
+                inst = random_instance(rng, n, rng.uniform(0.15, 0.5), rng.uniform(0.3, 1.0))
+            draws.append((inst, k, l))
+        counts = self._run(draws, monkeypatch)
+        assert min(counts.values()) >= 20, counts
+
+
 class TestChordalize:
     """Boundary padding: `pad_sets` and `_chordalize_members`."""
 
     def _prepared_member(self, rng, k, l, n):
+        """An instance and a narrowed member of it wide enough for padding."""
         inst = random_j16free_instance(rng, k, l, n)
         for member in _fwdnbr_members(inst, k, l):
-            if len(wide_set(member)) >= 3 * k + 3 * l + 6:
-                return member
-        return None
+            if _wide(member).bit_count() >= 3 * k + 3 * l + 6:
+                return inst, member
+        return None, None
 
     def test_pad_sets_shape(self):
         rng = make_rng(75)
         found = 0
         for _ in range(80):
-            member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
+            inst, member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
             if member is None:
                 continue
             found += 1
-            pads = pad_sets(member, 0, 0)
+            pads = pad_sets(inst, 0, 0, member)
             assert pads.c == pads.c_prime == frozenset()
             assert len(pads.d) == 6
+            assert pad_sets(as_instance(inst, member), 0, 0) == pads
         assert found >= 3
 
     def test_members_have_chordal_wide_sets(self):
         rng = make_rng(76)
         found = 0
         for _ in range(120):
-            member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
+            inst, member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
             if member is None:
                 continue
             found += 1
-            for refined in _chordalize_members(member, 0, 0):
+            for refined in _chordalize_members(inst, member, 0, 0):
+                refined = as_instance(inst, refined)
                 wide = wide_set(refined)
                 assert chordal_peo(refined.graph.induced(wide)) is not None
             if found >= 4:
@@ -198,17 +308,17 @@ class TestChordalize:
     def test_precondition_small_wide_set(self):
         inst = instance({i: i for i in range(1, 4)})
         with pytest.raises(PreconditionError):
-            list(_chordalize_members(inst, 0, 0))
+            list(_chordalize_members(inst, _color_bits(inst), 0, 0))
 
     def test_surviving_colorings_land_in_members(self):
         rng = make_rng(77)
         found = 0
         for _ in range(100):
-            member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
+            inst, member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
             if member is None:
                 continue
-            stage = list(_chordalize_members(member, 0, 0))
-            for col in enumerate_colorings(member):
+            stage = [as_instance(inst, ref) for ref in _chordalize_members(inst, member, 0, 0)]
+            for col in enumerate_colorings(as_instance(inst, member)):
                 assert any(col.respects(ref.lists) for ref in stage)
                 found += 1
                 break
@@ -232,19 +342,19 @@ class TestChordalize:
         rng = make_rng(80)
         checked = finished = 0
         for _ in range(150):
-            member = self._prepared_member(rng, 0, 0, rng.randint(7, 12))
+            inst, member = self._prepared_member(rng, 0, 0, rng.randint(7, 12))
             if member is None:
                 continue
-            g = member.graph
-            pads = pad_sets(member, 0, 0)
+            g = inst.graph
+            pads = pad_sets(inst, 0, 0, member)
             block = sum(1 << g.rank(v) for v in pads.c | pads.d)
-            if real(g.adjacency_bits(), _wide_ranks(member) & ~block) is None:
+            if real(g.adjacency_bits(), _wide(member) & ~block) is None:
                 continue  # the fallback, see TestMemberChecks in test_edge_cases.py
             calls.clear()
             wide_members = 0
-            for final in _chordalize_members(member, 0, 0):
-                wide_members += bool(wide_set(final))
-                _finish_member(final)
+            for final in _chordalize_members(inst, member, 0, 0):
+                wide_members += bool(wide_set(as_instance(inst, final)))
+                _finish_member(g, final)
             assert len(calls) == 1 + wide_members
             checked += 1
             finished += wide_members
@@ -280,7 +390,7 @@ class TestFinishMember:
             member = propagate_singletons(inst)
             if not all(cs for _, cs in member.lists.items()):
                 continue
-            got = _finish_member(member)
+            got = _finish_member(member.graph, tuple(_color_bits(member)))
             expected = reference_finish_member(member)
             assert (got is None) == (expected is None)
             if got is None:
@@ -298,12 +408,12 @@ class TestFinalizeSmall:
         inst = instance(
             {i: i for i in range(1, 3)}, lists={1: (1,), 2: (2,)}
         )
-        members = list(_finalize_small_members(inst, 0, 0))
-        assert len(members) == 1 and members[0] == inst
+        members = list(_finalize_small_members(inst, _color_bits(inst), 0, 0))
+        assert len(members) == 1 and as_instance(inst, members[0]) == inst
 
     def test_one_wide_vertex_two_members(self):
         inst = instance({1: 1}, lists={1: (1, 2)})
-        assert len(list(_finalize_small_members(inst, 0, 0))) == 2
+        assert len(list(_finalize_small_members(inst, _color_bits(inst), 0, 0))) == 2
 
     def test_members_fully_forced(self):
         rng = make_rng(78)
@@ -311,7 +421,8 @@ class TestFinalizeSmall:
             inst = random_j16free_instance(rng, 1, 1, rng.randint(1, 6))
             if len(wide_set(inst)) >= 12:
                 continue
-            for member in _finalize_small_members(inst, 1, 1):
+            for member in _finalize_small_members(inst, _color_bits(inst), 1, 1):
+                member = as_instance(inst, member)
                 assert all(len(cs) <= 1 for _, cs in member.lists.items())
                 # colorability of a fully forced member is edge consistency
                 final = propagate_singletons(member)
@@ -357,7 +468,7 @@ class TestSolveJ16:
             inst = random_j16free_instance(rng, k, l, n, full_bias=rng.uniform(0.6, 1.0))
             threshold = 3 * k + 3 * l + 6
             if not any(
-                len(wide_set(m)) >= threshold for m in _fwdnbr_members(inst, k, l)
+                _wide(m).bit_count() >= threshold for m in _fwdnbr_members(inst, k, l)
             ):
                 continue
             exercised += 1

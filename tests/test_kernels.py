@@ -27,9 +27,15 @@ from ordered_coloring.rand import (
     random_forward_clique_graph,
     random_instance,
     random_ordered_graph,
-    random_two_list_instance,
 )
-from conftest import chordal_peo, forward_clique_instances, graph, instance, reference_solve_chordal
+from conftest import (
+    chordal_peo,
+    forward_clique_instances,
+    graph,
+    instance,
+    random_two_list_instance,
+    reference_solve_chordal,
+)
 
 
 def coloring_set(inst, cap=20):
