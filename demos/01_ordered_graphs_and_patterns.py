@@ -1,11 +1,10 @@
 #!/usr/bin/env python3
-"""Tour of the ordered-graph data model: exact rational positions, induced
-subgraphs, intervals, maximal edges, and order-preserving pattern search."""
+"""Tour of the ordered-graph data model: exact rational positions, ranks,
+spans, maximal edges, and order-preserving pattern search."""
 
 from fractions import Fraction
 
 from ordered_coloring import (
-    NEG_INF,
     OrderedGraph,
     build_pattern,
     contains_pattern,
@@ -22,16 +21,15 @@ g = OrderedGraph(
 print("vertices in position order:", g.vertices)
 print("neighbors of d:", sorted(g.neighbors("d")))
 
-# Intervals use the position line; the default bounds are half-open.
-print("vertices in (1:4]:", sorted(g.interval(1, 4)))
-print("vertices strictly left of 4:", sorted(g.interval(NEG_INF, 4, include_hi=False)))
+# Only the order of the positions matters: a vertex's rank is its index in
+# that order, and a stretch of the line is a range of ranks.
+print("rank of d:", g.rank("d"), " ranks 1 to 3:", g.vertices[1:4])
 
 # A maximal edge is not out-spanned on both sides by another edge.
 # Their left endpoints increase, and so do their right endpoints.
 print("maximal edges:", g.maximal_edges())
 e = g.maximal_edges()[0]
-und, lft = g.under_left(e)
-print(f"span of {e}:", sorted(und), " left of it:", sorted(lft))
+print(f"span of {e}:", sorted(g.under(e)), " left of it:", sorted(g.left_of(e)))
 
 # Pattern containment is order-preserving and induced: the witness set
 # induces exactly the pattern's edges, in the same vertex order.

@@ -12,9 +12,7 @@ from .core import (
     Coloring,
     Instance,
     ListAssignment,
-    NEG_INF,
     OrderedGraph,
-    POS_INF,
     Refinement,
     contains_pattern,
     is_isomorphic,

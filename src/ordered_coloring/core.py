@@ -1,7 +1,7 @@
 """Ordered graphs with exact rational vertex positions, and the structural
-primitives built on them: order-preserving induced subgraphs, interval and
-neighborhood queries, maximal edges, pattern containment, padding, and
-monotone subsequences.
+primitives built on them: order-preserving induced subgraphs, spans and
+neighborhoods, maximal edges, pattern containment, padding, and monotone
+subsequences.
 
 Positions are `fractions.Fraction` values so that half-offset constructions
 stay bit-exact; no floating point enters any comparison. All values are
@@ -32,44 +32,6 @@ def as_position(value) -> Fraction:
     if isinstance(value, int):
         return Fraction(value)
     raise InputError(f"positions must be exact rationals, got {value!r}")
-
-
-class _Extreme:
-    """A dedicated two-valued extension of Position: -inf and +inf."""
-
-    __slots__ = ("_sign",)
-
-    def __init__(self, sign: int):
-        self._sign = sign
-
-    def __lt__(self, other):
-        if isinstance(other, _Extreme):
-            return self._sign < other._sign
-        return self._sign < 0
-
-    def __le__(self, other):
-        return self == other or self < other
-
-    def __gt__(self, other):
-        if isinstance(other, _Extreme):
-            return self._sign > other._sign
-        return self._sign > 0
-
-    def __ge__(self, other):
-        return self == other or self > other
-
-    def __eq__(self, other):
-        return isinstance(other, _Extreme) and self._sign == other._sign
-
-    def __hash__(self):
-        return hash(("extreme", self._sign))
-
-    def __repr__(self):
-        return "POS_INF" if self._sign > 0 else "NEG_INF"
-
-
-NEG_INF = _Extreme(-1)
-POS_INF = _Extreme(+1)
 
 
 class OrderedGraph:
@@ -209,17 +171,6 @@ class OrderedGraph:
         """Same vertices and edges with every position negated."""
         return OrderedGraph([(v, -p) for v, p in self._pos.items()], self._edge_pairs())
 
-    def interval(self, lo, hi, include_lo: bool = False, include_hi: bool = True) -> frozenset:
-        """Vertices whose position lies in the given interval; defaults to (lo:hi]."""
-        out = []
-        for v, p in self._pos.items():
-            if not (lo <= p if include_lo else lo < p):
-                continue
-            if not (p <= hi if include_hi else p < hi):
-                continue
-            out.append(v)
-        return frozenset(out)
-
     def pad(self, k: int, l: int) -> "OrderedGraph":
         """Add k isolated vertices before and l after, at unit gaps."""
         if k < 0 or l < 0:
@@ -237,50 +188,55 @@ class OrderedGraph:
         return OrderedGraph(verts, self._edge_pairs())
 
     def maximal_edges(self) -> tuple:
-        """mx(G): edges not spanned on both sides by another edge.
-
-        Returned as (u, v) pairs with pos(u) < pos(v), sorted by left
-        endpoint; left and right endpoints are each strictly increasing.
-        """
-        oriented = list(self._edge_pairs())
-        result = []
-        for u, v in oriented:
-            pu, pv = self._pos[u], self._pos[v]
-            dominated = False
-            for x, y in oriented:
-                if (x, y) != (u, v) and self._pos[x] <= pu and pv <= self._pos[y]:
-                    dominated = True
-                    break
-            if not dominated:
-                result.append((u, v))
-        result.sort(key=lambda e: self._pos[e[0]])
-        for (u1, v1), (u2, v2) in zip(result, result[1:]):
-            if not (self._pos[u1] < self._pos[u2] and self._pos[v1] < self._pos[v2]):
-                raise InternalError("maximal edges break the order contract")
-        return tuple(result)
+        """mx(G): edges not spanned on both sides by another edge, as
+        (earlier, later) vertex pairs in left-to-right order (see
+        `_maximal_edges`)."""
+        order = self._order
+        return tuple(
+            (order[a], order[b]) for a, b in _maximal_edges(self._bits, (1 << len(order)) - 1)
+        )
 
     def under(self, e) -> frozenset:
         """und(e): vertices between the endpoints of e, inclusive."""
-        u, v = e
-        if frozenset((u, v)) not in self.edges:
-            raise InputError(f"edge ({u!r},{v!r}) not in graph")
-        lo, hi = sorted((self._pos[u], self._pos[v]))
-        return self.interval(lo, hi, include_lo=True, include_hi=True)
+        lo, hi = self._span(e)
+        return frozenset(self._order[lo : hi + 1])
 
     def left_of(self, e) -> frozenset:
         """lft(e): vertices strictly left of both endpoints of e."""
+        lo, _ = self._span(e)
+        return frozenset(self._order[:lo])
+
+    def _span(self, e) -> tuple:
+        """The ranks of the endpoints of the edge e, ascending."""
         u, v = e
-        if frozenset((u, v)) not in self.edges:
+        ru, rv = self._rank.get(u), self._rank.get(v)
+        if ru is None or rv is None or not self._bits[ru] >> rv & 1:
             raise InputError(f"edge ({u!r},{v!r}) not in graph")
-        lo = min(self._pos[u], self._pos[v])
-        return self.interval(NEG_INF, lo, include_hi=False)
+        return min(ru, rv), max(ru, rv)
 
-    def under_left(self, e) -> tuple[frozenset, frozenset]:
-        return self.under(e), self.left_of(e)
 
-    def forward_neighbors(self, v) -> frozenset:
-        r = self.rank(v)
-        return frozenset(self._order[s] for s in _ranks(self._bits[r] & -(2 << r)))
+def _maximal_edges(bits: tuple, mask: int) -> tuple:
+    """mx on the ranks in `mask`, with neighbors `bits[r] & mask`: the
+    edges (a, b), a < b, that no other edge (x, y) with x <= a and b <= y
+    spans, in left-to-right order.
+
+    One sweep: an edge is spanned by the edge from its left end to that
+    end's farthest later neighbor, and that edge is maximal exactly when
+    the neighbor lies beyond every earlier rank's farthest. So left and
+    right ends both increase strictly; a result that breaks this order
+    contract is a bug and raises `InternalError`.
+    """
+    out = []
+    reach = -1  # the farthest later neighbor of the ranks swept so far
+    for r in _ranks(mask):
+        far = (bits[r] & mask).bit_length() - 1
+        if far > r and far > reach:
+            out.append((r, far))
+            reach = far
+    for (a1, b1), (a2, b2) in zip(out, out[1:]):
+        if not (a1 < a2 and b1 < b2):
+            raise InternalError("maximal edges break the order contract")
+    return tuple(out)
 
 
 def _ranks(mask: int):

@@ -37,6 +37,7 @@ from .kernels import (
     _mask_at,
     _mcs_peo,
     _propagate_bits,
+    _wide,
     boundary_guesses,
     has_k4,
     solve_small_class,
@@ -53,14 +54,6 @@ class PadSets:
     c: frozenset
     c_prime: frozenset
     d: frozenset
-
-
-def _wide(has) -> int:
-    """The wide set of a member given as color bitsets (see
-    `kernels._color_bits`): the ranks whose list keeps two or three
-    colors, as a rank bitmask."""
-    h0, h1, h2 = has
-    return h0 & h1 | h0 & h2 | h1 & h2
 
 
 def _forward_degree_above_two(bits: tuple, wide: int) -> bool:
@@ -97,21 +90,31 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[tuple]:
     Yields nothing when a 4-clique makes everything moot. The engine
     yields propagated lists and drops every guess in which a list empties,
     before narrowing could refuse on it. Members whose lists empty during
-    narrowing hold no coloring and are omitted, and each member is
-    yielded once. A narrowing step that runs into the forbidden pattern
-    raises a refusal; a member whose wide set keeps a vertex with three
-    forward wide neighbors is a bug and raises `InternalError`.
+    narrowing hold no coloring and are omitted. A narrowing step that
+    runs into the forbidden pattern raises a refusal; a member whose wide
+    set keeps a vertex with three forward wide neighbors is a bug and
+    raises `InternalError`.
+
+    Each member is yielded once without a dedup, as two different
+    guesses never narrow to the same lists. Take the first color i on
+    which they differ; up to it they placed the same sets. If their
+    first-sets differ, let x be the earliest rank in one first-set, f,
+    and not in the other, f'. Then f' ends after x and the other guess's
+    last-set starts after f' ends, so x is in neither of its sets and
+    not strictly after its first-set: that guess strips i from x, while
+    this one forces x to i. If only the last-sets differ, the latest such
+    rank does the same from the other side. Propagation and narrowing
+    only shrink lists, and a yielded member has no empty list, so x keeps
+    exactly {i} in one member and lacks i in the other.
     """
     g = inst.graph
     if has_k4(g):
         return
     bits = g.adjacency_bits()
-    seen = set()
     for a_sets, b_sets, has in boundary_guesses(inst, k, l):
         narrowed = _narrow(g, has, a_sets, b_sets)
-        if narrowed is None or narrowed in seen:
+        if narrowed is None:
             continue
-        seen.add(narrowed)
         if _forward_degree_above_two(bits, _wide(narrowed)):
             raise InternalError("narrowed member has forward degree above two on its wide set")
         yield narrowed

@@ -5,6 +5,10 @@ The engine enumerates colored seeds on the span of each maximal edge,
 chains them left to right through a compatibility condition decided on the
 span of the previous maximal edge, and reads the answer off the seeds of a
 forced dominating edge appended on the right.
+
+From the guess to the witness, a member is the three color bitsets of its
+lists on the input graph's ranks (see `kernels._color_bits`), and the
+chain runs on the mask of its ranks whose list keeps two or more colors.
 """
 
 from __future__ import annotations
@@ -13,18 +17,26 @@ from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import (
-    COLORS,
     Coloring,
     Instance,
     ListAssignment,
-    OrderedGraph,
-    Refinement,
-    _fresh_id,
+    _maximal_edges,
+    _ranks,
     checked_witness,
     contains_pattern,
 )
 from .errors import InternalError, RefusalError
-from .kernels import _refinement, boundary_guesses, has_k4, solve_few_wide, solve_small_class
+from .kernels import (
+    _ONLY,
+    _SETS,
+    _TUPLES,
+    _mask_at,
+    _wide,
+    boundary_guesses,
+    has_k4,
+    solve_few_wide,
+    solve_small_class,
+)
 from .oracle import solve_bruteforce
 from .patterns import build_pattern
 
@@ -39,155 +51,153 @@ def class_cap(w: int) -> int:
 
 
 @dataclass(frozen=True)
+class Member:
+    """A list instance on ranks, which the seed chain runs on: the ranks in
+    `mask`, rank r with the neighbors `bits[r] & mask` and the colors
+    i + 1 whose bitset `has[i]` holds r. Ranks below `base.graph.n` are
+    the input graph's; `augment_star` appends two more."""
+
+    base: Instance
+    bits: tuple
+    has: tuple
+    mask: int
+
+
+@dataclass(frozen=True)
 class ColoredSeed:
-    """A colored subset of the span of an edge: support sorted by position,
+    """A colored subset of the span of an edge: support ranks ascending,
     colors parallel to the support."""
 
     support: tuple
     colors: tuple
 
-    def assignment(self) -> dict:
-        return dict(zip(self.support, self.colors))
+    def classes(self) -> list:
+        """The three color classes as rank masks, color 1 first."""
+        out = [0, 0, 0]
+        for r, c in zip(self.support, self.colors):
+            out[c - 1] |= 1 << r
+        return out
 
-    def color_class(self, color: int) -> frozenset:
-        return frozenset(v for v, c in zip(self.support, self.colors) if c == color)
+
+def _between(a: int, b: int) -> int:
+    """The ranks a..b, inclusive, as a mask."""
+    return (2 << b) - (1 << a)
 
 
-def gamma(inst: Instance, e, w: int) -> Iterator[ColoredSeed]:
-    """All seeds on the span of e: supports containing both endpoints, in
-    ascending bitmask order over the position-sorted span; per support, all
-    proper list colorings in lexicographic order, with every color class
-    bounded by the width-dependent cap."""
-    g = inst.graph
-    u, v = e
-    und = sorted(g.under((u, v)), key=g.rank)
+def gamma(m: Member, e: tuple, w: int) -> Iterator[ColoredSeed]:
+    """All seeds on the span of the edge e, a rank pair of m: supports
+    containing both endpoints, in ascending bitmask order over the span's
+    ranks; per support, all proper list colorings in lexicographic order,
+    with every color class bounded by `class_cap(w)`.
+
+    Every support of the span is enumerated. `solve_jw` runs the chain
+    with w + 1, so at w = 1 the cap is `class_cap(2)` = 111, and it cannot
+    bind on a span of 111 ranks or fewer.
+    """
+    a, b = e
+    free = list(_ranks(m.mask & _between(a + 1, b - 1)))
     cap = class_cap(w)
-    fixed = {und.index(u), und.index(v)}
-    free = [i for i in range(len(und)) if i not in fixed]
-    fixed_mask = sum(1 << i for i in fixed)
-    lists = [tuple(sorted(inst.lists.get(x))) for x in und]
-    adj = [
-        [g.has_edge(und[i], und[j]) for j in range(len(und))] for i in range(len(und))
-    ]
-
     for sub in range(1 << len(free)):
-        mask = fixed_mask
-        m = sub
-        for bit_pos, i in enumerate(free):
-            if m >> bit_pos & 1:
-                mask |= 1 << i
-        support = [i for i in range(len(und)) if mask >> i & 1]
-        yield from _seed_colorings(und, support, lists, adj, cap)
+        inner = [r for i, r in enumerate(free) if sub >> i & 1]
+        yield from _seed_colorings(m, [a, *inner, b], cap)
 
 
-def _seed_colorings(und, support, lists, adj, cap):
+def _seed_colorings(m: Member, support: list, cap: int) -> Iterator[ColoredSeed]:
     k = len(support)
-    counts = {1: 0, 2: 0, 3: 0}
+    lists = [_TUPLES[_mask_at(m.has, r)] for r in support]
+    classes = [0, 0, 0]  # per color, the support ranks colored so far
     chosen = [0] * k
 
     def rec(i: int):
         if i == k:
-            yield ColoredSeed(
-                tuple(und[s] for s in support), tuple(chosen)
-            )
+            yield ColoredSeed(tuple(support), tuple(chosen))
             return
-        si = support[i]
-        for c in lists[si]:
-            if counts[c] + 1 > cap:
-                continue
-            if any(adj[si][support[j]] and chosen[j] == c for j in range(i)):
+        r = support[i]
+        for c in lists[i]:
+            cls = classes[c - 1]
+            if cls.bit_count() >= cap or m.bits[r] & cls:
                 continue
             chosen[i] = c
-            counts[c] += 1
+            classes[c - 1] = cls | 1 << r
             yield from rec(i + 1)
-            counts[c] -= 1
+            classes[c - 1] = cls
 
     yield from rec(0)
 
 
-def augment_star(inst: Instance) -> tuple[Instance, tuple]:
-    """Append a forced two-vertex edge after all positions: colors {1} and
-    {2}. Returns the new instance and the appended edge; the appended edge
-    is always the new last maximal edge."""
-    g = inst.graph
-    positions = g.positions()
-    base = max(positions.values()) if positions else 0
-    q1, q2 = _fresh_id(positions, "q1"), _fresh_id(positions, "q2")
-    new_graph = OrderedGraph(
-        list(positions.items()) + [(q1, base + 1), (q2, base + 2)],
-        [tuple(e) for e in g.edges] + [(q1, q2)],
+def augment_star(m: Member) -> tuple[Member, tuple]:
+    """Append a forced two-rank edge after all ranks: colors {1} and {2}.
+    Returns the new member and the appended edge; the appended edge is
+    always the new last maximal edge."""
+    q1 = len(m.bits)
+    q2 = q1 + 1
+    h0, h1, h2 = m.has
+    star = Member(
+        m.base,
+        m.bits + (1 << q2, 1 << q1),
+        (h0 | 1 << q1, h1 | 1 << q2, h2),
+        m.mask | 1 << q1 | 1 << q2,
     )
-    new_lists = {v: inst.lists.get(v) for v in g.vertices}
-    new_lists[q1] = frozenset((1,))
-    new_lists[q2] = frozenset((2,))
-    out = Instance(new_graph, ListAssignment(new_lists))
-    old_mx = {frozenset(e) for e in g.maximal_edges()}
-    new_mx = {frozenset(e) for e in new_graph.maximal_edges()}
-    if new_mx != old_mx | {frozenset((q1, q2))}:
+    if _maximal_edges(star.bits, star.mask) != _maximal_edges(m.bits, m.mask) + ((q1, q2),):
         raise InternalError("the appended edge is not the only new maximal edge")
-    return out, (q1, q2)
+    return star, (q1, q2)
 
 
-def check_link(inst: Instance, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> bool:
+def _neighborhood(bits: tuple, mask: int) -> int:
+    """The ranks adjacent to some rank in `mask`."""
+    out = 0
+    for r in _ranks(mask):
+        out |= bits[r]
+    return out
+
+
+def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> bool:
     """Decide whether some list coloring psi of the span of e_prev makes
     both (psi, seed-at-e) and (psi, seed-at-e_prev) satisfy the
     compatibility and left-domination properties.
 
     The check reduces to a derived list assignment on the span of e_prev
     (forced values on seed supports, struck colors from seed neighborhoods
-    and from left vertices anticomplete to a seed class) and decides it
-    with the bounded-wide-set solver. A reduction that leaves more than
-    `WIDE_CAP` full lists raises `InternalError`.
+    and from left vertices anticomplete to a seed class), built as one
+    rank mask per color, and decides it with the bounded-wide-set solver
+    on the induced sub-instance. A derived list that is empty decides the
+    link at once. A reduction that leaves more than `WIDE_CAP` full lists
+    raises `InternalError`.
     """
-    g = inst.graph
-    und_prev = g.under(e_prev)
-    lft_prev = g.left_of(e_prev)
-    und_e = g.under(e)
-    lft_e = g.left_of(e)
-    sigma = g_seed.assignment()
-    tau = g_prev.assignment()
-    sigma_class = {i: g_seed.color_class(i) for i in COLORS}
-    tau_class = {i: g_prev.color_class(i) for i in COLORS}
+    bits, mask = m.bits, m.mask
+    (a, b), (a_prev, b_prev) = e, e_prev
+    und_prev = mask & _between(a_prev, b_prev)
+    und_e = mask & _between(a, b)
+    sigma, tau = g_seed.classes(), g_prev.classes()
+    s_set = sigma[0] | sigma[1] | sigma[2]
+    t_set = tau[0] | tau[1] | tau[2]
+    derived = []
+    for i in range(3):
+        # the left vertices anticomplete to each seed's class i
+        anti_tau = mask & ((1 << a_prev) - 1) & ~_neighborhood(bits, tau[i])
+        anti_sigma = mask & ((1 << a) - 1) & ~_neighborhood(bits, sigma[i])
+        strike = anti_tau | sigma[i] | tau[i]
+        keep = und_prev & (
+            m.has[i] & ~(s_set | t_set)  # on neither support: its own list
+            | sigma[i] & ~t_set  # on one support: that seed's color
+            | tau[i] & ~s_set
+            | sigma[i] & tau[i]  # on both: their color, if they agree
+        )
+        for x in _ranks(keep):
+            if bits[x] & ((strike | anti_sigma) if und_e >> x & 1 else strike):
+                keep ^= 1 << x
+        derived.append(keep)
 
-    # colors i such that a left vertex is anticomplete to the seed class i
-    anti_tau = {
-        y: frozenset(i for i in COLORS if not (g.neighbors(y) & tau_class[i]))
-        for y in lft_prev
-    }
-    anti_sigma = {
-        y: frozenset(i for i in COLORS if not (g.neighbors(y) & sigma_class[i]))
-        for y in lft_e
-    }
-
-    s_set = set(g_seed.support)
-    t_set = set(g_prev.support)
-    new_lists = {}
-    for x in sorted(und_prev, key=g.rank):
-        nbrs = g.neighbors(x)
-        c_x: set = set()
-        for y in nbrs & lft_prev:
-            c_x |= anti_tau[y]
-        if x in und_e:
-            for y in nbrs & lft_e:
-                c_x |= anti_sigma[y]
-        d_x = set(c_x)
-        d_x |= {sigma[y] for y in nbrs & s_set}
-        d_x |= {tau[y] for y in nbrs & t_set}
-        if x in t_set and x not in s_set:
-            base = {tau[x]}
-        elif x in s_set and x not in t_set:
-            base = {sigma[x]}
-        elif x in s_set and x in t_set:
-            base = {sigma[x]} & {tau[x]}
-        else:
-            base = set(inst.lists.get(x))
-        new_lists[x] = frozenset(base - d_x)
-
-    sub = Instance(g.induced(und_prev), ListAssignment(new_lists))
-    wide = sum(1 for cs in new_lists.values() if len(cs) == 3)
+    wide = (derived[0] & derived[1] & derived[2]).bit_count()
     if wide > WIDE_CAP:
         raise InternalError(f"link reduction left {wide} full lists, above the cap {WIDE_CAP}")
-    return solve_few_wide(sub, wide) is not None
+    if derived[0] | derived[1] | derived[2] != und_prev:
+        return False
+    g = m.base.graph
+    order = g.vertices
+    span = [order[r] for r in _ranks(und_prev)]
+    lists = {order[r]: _SETS[_mask_at(derived, r)] for r in _ranks(und_prev)}
+    return solve_few_wide(Instance(g.induced(span), ListAssignment(lists)), wide) is not None
 
 
 @dataclass(frozen=True)
@@ -202,52 +212,51 @@ class SuccessTable:
         return self.successful[-1] if self.successful else ()
 
 
-def success_table(inst: Instance, w: int) -> SuccessTable:
-    """Left-to-right dynamic program over the maximal edges: on the first
-    edge every seed is successful; afterwards a seed survives when some
-    successful seed on the previous edge links to it (`check_link`)."""
-    mx = inst.graph.maximal_edges()
+def success_table(m: Member, w: int) -> SuccessTable:
+    """Left-to-right dynamic program over the maximal edges of m: on the
+    first edge every seed is successful; afterwards a seed survives when
+    some successful seed on the previous edge links to it (`check_link`)."""
+    mx = _maximal_edges(m.bits, m.mask)
     per_edge = []
     prev_edge = None
     prev_success: list = []
     for e in mx:
         if prev_edge is None:
-            current = list(gamma(inst, e, w))
+            current = list(gamma(m, e, w))
         else:
             current = []
-            for g_seed in gamma(inst, e, w):
+            for g_seed in gamma(m, e, w):
                 for g_prev in prev_success:
-                    if check_link(inst, e, prev_edge, g_seed, g_prev):
+                    if check_link(m, e, prev_edge, g_seed, g_prev):
                         current.append(g_seed)
                         break
         per_edge.append(tuple(current))
         prev_edge = e
         prev_success = current
-    return SuccessTable(tuple(mx), tuple(per_edge))
+    return SuccessTable(mx, tuple(per_edge))
 
 
-def build_sigma_profile(inst: Instance, w: int) -> Iterator[Refinement]:
+def build_sigma_profile(inst: Instance, w: int) -> Iterator[tuple]:
     """The guessing profile: for every six-tuple of `kernels.boundary_guesses`
-    with set sizes (w, w), the propagated forced lists with their
-    one-color vertices deleted. Duplicate members are yielded once.
+    with set sizes (w, w), the propagated forced lists as color bitsets on
+    `inst`'s ranks. Duplicate members are yielded once.
 
     The engine already drops every guess whose propagated lists hold an
     empty list, which is exactly what the paper's procedure discards. A
-    member is keyed on its bitsets before anything is built: the mask of
-    ranks whose list keeps two or more colors, and each color bitset
-    within that mask. Only a new key builds its `Refinement`, and only
-    when iteration reaches it, so `solve_jw` builds none past the one it
-    accepts.
+    member is keyed on the mask of ranks whose list keeps two or more
+    colors and each color bitset within that mask; the one-color ranks
+    are the paper's deleted singletons. The first guess with a new key is
+    yielded, so the forced colors are that guess's.
     """
     seen = set()
     for _, _, has in boundary_guesses(inst, w, w):
         h0, h1, h2 = has
-        wide = h0 & h1 | h0 & h2 | h1 & h2
+        wide = _wide(has)
         key = (wide, h0 & wide, h1 & wide, h2 & wide)
         if key in seen:
             continue
         seen.add(key)
-        yield _refinement(inst, has)
+        yield has
 
 
 def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Coloring]:
@@ -258,28 +267,50 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
     smaller than 2w (`kernels.solve_small_class`, shared with `solve_j16`);
     otherwise walk the guessing profile and accept at the first member
     whose augmented instance has a successful seed on its appended final
-    edge. Every link of the chain is
-    decided by `check_link`.
+    edge. Every link of the chain is decided by `check_link`. The chain
+    runs with w + 1, so at w = 1 a seed's color classes are capped at
+    `class_cap(2)` = 111, which cannot bind on a span of 111 vertices or
+    fewer.
 
-    The chain itself only decides; on yes instances the witness is
-    recovered by rerunning the exhaustive oracle on the accepting member,
-    which is sized for desk scale.
+    The chain itself only decides. On yes instances the witness comes from
+    the exhaustive oracle, run on the sub-instance of the accepting
+    member's wide ranks and extended by its forced colors: the
+    sub-instance's vertices first, then the forced ones in vertex order.
+    So `solve_jw` is exponential exactly when it accepts.
     """
     if check_freeness:
         witness = contains_pattern(inst.graph, build_pattern(f"Jw:{w}"))
         if witness is not None:
             raise RefusalError(f"Jw:{w}", witness)
-    if has_k4(inst.graph):
+    g = inst.graph
+    if has_k4(g):
         return None
     small = solve_small_class(inst, 2 * w)
     if small is not None:
         return checked_witness(small, inst)
-    for member in build_sigma_profile(inst, w):
-        star, _ = augment_star(member.sub)
-        table = success_table(star, w + 1)
-        if table.final():
-            inner = solve_bruteforce(member.sub, cap=member.sub.graph.n)
-            if inner is None:
-                raise InternalError("a member with a successful chain has no coloring")
-            return checked_witness(member.extend(inner), inst)
+    bits = g.adjacency_bits()
+    for has in build_sigma_profile(inst, w):
+        wide = _wide(has)
+        star, _ = augment_star(Member(inst, bits, has, wide))
+        if success_table(star, w + 1).final():
+            return checked_witness(_oracle_witness(inst, has, wide), inst)
     return None
+
+
+def _oracle_witness(inst: Instance, has: tuple, wide: int) -> Coloring:
+    """The oracle's coloring of the member `has` on its wide ranks,
+    extended by the colors of its one-color ranks in vertex order."""
+    g = inst.graph
+    order = g.vertices
+    kept = list(_ranks(wide))
+    sub = Instance(
+        g.induced([order[r] for r in kept]),
+        ListAssignment({order[r]: _SETS[_mask_at(has, r)] for r in kept}),
+    )
+    inner = solve_bruteforce(sub, cap=sub.graph.n)
+    if inner is None:
+        raise InternalError("a member with a successful chain has no coloring")
+    out = dict(inner.items())
+    for r in _ranks(((1 << g.n) - 1) & ~wide):
+        out[order[r]] = _ONLY[_mask_at(has, r)]
+    return Coloring(out)

@@ -39,6 +39,14 @@ def _mask_at(has, r: int) -> int:
     return (has[0] >> r & 1) | (has[1] >> r & 1) << 1 | (has[2] >> r & 1) << 2
 
 
+def _wide(has) -> int:
+    """The wide set of a member given as color bitsets (see
+    `_color_bits`): the ranks whose list keeps two or three colors, as a
+    rank bitmask."""
+    h0, h1, h2 = has
+    return h0 & h1 | h0 & h2 | h1 & h2
+
+
 def _lists_from_bits(order: tuple, has) -> ListAssignment:
     return ListAssignment({v: _SETS[_mask_at(has, r)] for r, v in enumerate(order)})
 
@@ -175,14 +183,8 @@ def drop_singletons(inst: Instance) -> Refinement:
     only and admits a coloring iff the input does. Propagation leaves no
     singleton that has not struck, so one pass of `_propagate_bits` on
     the whole graph suffices."""
-    return _refinement(inst, _propagate_bits(inst.graph.adjacency_bits(), _color_bits(inst)))
-
-
-def _refinement(base: Instance, has) -> Refinement:
-    """The refinement of `base` that the propagated bitsets `has` describe:
-    the ranks whose list is not a single color, with those lists, and the
-    one-color ranks recorded as forced."""
-    g = base.graph
+    g = inst.graph
+    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
     forced: dict = {}
     rest: dict = {}
     for r, v in enumerate(g.vertices):
@@ -192,7 +194,7 @@ def _refinement(base: Instance, has) -> Refinement:
         else:
             rest[v] = _SETS[m]
     sub = Instance(g.induced(rest) if forced else g, ListAssignment(rest))
-    return Refinement(base, sub, forced)
+    return Refinement(inst, sub, forced)
 
 
 class _TwoSat:

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from dataclasses import dataclass
 from typing import Optional
@@ -13,14 +14,26 @@ from ordered_coloring import (
     OrderedGraph,
     PreconditionError,
     RefusalError,
+    build_pattern,
+    contains_pattern,
     drop_singletons,
     enumerate_colorings,
     has_k4,
     is_isomorphic,
     propagate_singletons,
+    solve_small_class,
 )
-from ordered_coloring.kernels import _lists_from_bits, _mcs_peo, boundary_guesses
-from ordered_coloring.rand import random_ordered_graph
+from ordered_coloring.core import _ranks
+from ordered_coloring.jw import Member
+from ordered_coloring.kernels import (
+    _SETS,
+    _color_bits,
+    _lists_from_bits,
+    _mask_at,
+    _mcs_peo,
+    boundary_guesses,
+)
+from ordered_coloring.rand import random_lists, random_ordered_graph
 
 
 def brute_contains(g: OrderedGraph, h: OrderedGraph):
@@ -33,11 +46,39 @@ def brute_contains(g: OrderedGraph, h: OrderedGraph):
     return None
 
 
+def chain_member(inst: Instance) -> Member:
+    """The whole instance as a member the seed chain runs on: every rank,
+    with its list."""
+    g = inst.graph
+    return Member(inst, g.adjacency_bits(), tuple(_color_bits(inst)), (1 << g.n) - 1)
+
+
+def rank_instance(m: Member) -> Instance:
+    """The member as an `Instance` whose vertex ids and positions are its
+    ranks, appended ones included."""
+    return _rank_instance(m.bits, m.has, m.mask)
+
+
+@functools.lru_cache(maxsize=32)
+def _rank_instance(bits, has, mask) -> Instance:
+    ranks = list(_ranks(mask))
+    edges = [(r, s) for r in ranks for s in _ranks(bits[r] & mask & -(2 << r))]
+    lists = {r: _SETS[_mask_at(has, r)] for r in ranks}
+    return Instance(OrderedGraph([(r, r) for r in ranks], edges), ListAssignment(lists))
+
+
+def span_and_left(g: OrderedGraph, e) -> tuple:
+    """und(e) and lft(e) as rank ranges of g: the vertices from one
+    endpoint of e to the other, and those before both."""
+    lo, hi = sorted(g.rank(x) for x in e)
+    return frozenset(g.vertices[lo : hi + 1]), frozenset(g.vertices[:lo])
+
+
 def property_x(inst: Instance, phi: Coloring, seed) -> bool:
     """Compatibility plus joint properness: phi and the seed agree where
     they overlap, and their union is a proper list coloring of the graph
     induced on the union of their domains."""
-    sigma = seed.assignment()
+    sigma = dict(zip(seed.support, seed.colors))
     for v in seed.support:
         if v in phi and phi[v] != sigma[v]:
             return False
@@ -57,13 +98,13 @@ def property_y(inst: Instance, phi: Coloring, seed, e) -> bool:
     """Compatibility plus left-domination: every vertex left of e seeing
     color i inside the span of e (under phi) also has a seed neighbor of
     color i."""
-    sigma = seed.assignment()
+    sigma = dict(zip(seed.support, seed.colors))
     for v in seed.support:
         if v in phi and phi[v] != sigma[v]:
             return False
     g = inst.graph
-    und, lft = g.under_left(e)
-    classes = {i: seed.color_class(i) for i in COLORS}
+    und, lft = span_and_left(g, e)
+    classes = {i: frozenset(v for v, c in sigma.items() if c == i) for i in COLORS}
     for x in lft:
         nbrs = g.neighbors(x)
         for y in nbrs:
@@ -74,11 +115,14 @@ def property_y(inst: Instance, phi: Coloring, seed, e) -> bool:
     return True
 
 
-def reference_check_link(inst: Instance, e, e_prev, g_seed, g_prev) -> bool:
+def reference_check_link(m: Member, e, e_prev, g_seed, g_prev) -> bool:
     """Independent oracle for `jw.check_link`: sweep every list coloring
     psi of the span of e_prev and test both properties against both seeds
-    directly. Same signature, so it can stand in for the link check."""
-    sub = inst.sub_instance(inst.graph.under(e_prev))
+    directly, on the member as an instance keyed by ranks. Same signature,
+    so it can stand in for the link check."""
+    inst = rank_instance(m)
+    und_prev, _ = span_and_left(inst.graph, e_prev)
+    sub = inst.sub_instance(und_prev)
     for psi in enumerate_colorings(sub, cap=sub.graph.n):
         if (
             property_x(inst, psi, g_seed)
@@ -88,6 +132,61 @@ def reference_check_link(inst: Instance, e, e_prev, g_seed, g_prev) -> bool:
         ):
             return True
     return False
+
+
+def reference_maximal_edges(bits: tuple, mask: int) -> tuple:
+    """Independent mx for `core._maximal_edges`: every edge (a, b), a < b,
+    among the ranks in `mask`, that no other such edge (x, y) with
+    x <= a and b <= y dominates, sorted by left end."""
+    edges = [(a, b) for a in _ranks(mask) for b in _ranks(bits[a] & mask & -(2 << a))]
+    return tuple(
+        sorted(
+            (a, b)
+            for a, b in edges
+            if not any((x, y) != (a, b) and x <= a and b <= y for x, y in edges)
+        )
+    )
+
+
+JW1 = build_pattern("Jw:1")
+
+
+def band_chain_instance(rng, n: int, obstruct: bool) -> Instance:
+    """A band instance that reaches the seed chain: vertices v1..vn at
+    positions 1..n, each edge i < j <= i + 2 present with probability
+    0.7, 80% full lists. Drawn until the graph is Jw:1-free and K4-free
+    and no coloring has a color class smaller than 2, so the choice rests
+    on instance properties only. With `obstruct`, the last triangle's
+    three lists become {1, 2}, so no coloring exists; such draws repeat
+    until the graph has a triangle."""
+    names = [f"v{i}" for i in range(1, n + 1)]
+    while True:
+        edges = [
+            (names[i], names[j])
+            for i in range(n)
+            for j in (i + 1, i + 2)
+            if j < n and rng.random() < 0.7
+        ]
+        g = OrderedGraph([(v, i + 1) for i, v in enumerate(names)], edges)
+        lists = random_lists(rng, g, 0.8)
+        if obstruct:
+            corners = [
+                names[i : i + 3]
+                for i in range(n - 2)
+                if g.has_edge(names[i], names[i + 1])
+                and g.has_edge(names[i + 1], names[i + 2])
+                and g.has_edge(names[i], names[i + 2])
+            ]
+            if not corners:
+                continue
+            lists = lists.updated({v: frozenset((1, 2)) for v in corners[-1]})
+        inst = Instance(g, lists)
+        if (
+            contains_pattern(g, JW1) is None
+            and not has_k4(g)
+            and solve_small_class(inst, 2) is None
+        ):
+            return inst
 
 
 @dataclass(frozen=True)
@@ -264,8 +363,9 @@ def reference_fwdnbr_members(inst: Instance, k: int, l: int):
         if key in seen:
             continue
         seen.add(key)
-        wide = set(wide_set(narrowed))
-        if any(len(g.forward_neighbors(v) & wide) > 2 for v in wide):
+        wide = sum(1 << g.rank(v) for v in wide_set(narrowed))
+        bits = g.adjacency_bits()
+        if any((bits[r] & wide & -(2 << r)).bit_count() > 2 for r in _ranks(wide)):
             raise InternalError("narrowed member has forward degree above two on its wide set")
         yield narrowed
 
@@ -286,7 +386,9 @@ def _reference_narrow(inst: Instance, a_sets: tuple, b_sets: tuple):
         v = None
         fwd_nbrs: list = []
         for cand in wide:
-            fwd = [u for u in g.forward_neighbors(cand) if u in wide_pos]
+            r = g.rank(cand)
+            later = g.adjacency_bits()[r] & -(2 << r)
+            fwd = [g.vertices[s] for s in _ranks(later) if g.vertices[s] in wide_pos]
             if len(fwd) >= 3:
                 v = cand
                 fwd_nbrs = sorted(fwd, key=g.rank)

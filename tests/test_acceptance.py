@@ -30,6 +30,7 @@ from ordered_coloring import (
     verify_gadget,
 )
 from ordered_coloring import j16, jw
+from ordered_coloring.core import _ranks
 from ordered_coloring.gadgets import gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
 from ordered_coloring.jw import ColoredSeed, augment_star, class_cap, success_table
 from ordered_coloring.kernels import propagate_singletons
@@ -44,10 +45,12 @@ from ordered_coloring.rand import (
     random_pattern_free_instance,
 )
 from conftest import (
+    chain_member,
     graph,
     property_x,
     property_y,
     random_two_list_instance,
+    rank_instance,
     reference_check_link,
     small_source_graphs,
 )
@@ -111,10 +114,11 @@ def _forward_clique_instance(rng, obstruct):
     list on all three corners, which no coloring can satisfy."""
     while True:
         g = random_forward_clique_graph(rng, 20, 0.65)
+        later = [bits & -(2 << r) for r, bits in enumerate(g.adjacency_bits())]
         triangles = [
-            (v, *sorted(g.forward_neighbors(v), key=g.rank)[:2])
-            for v in g.vertices
-            if len(g.forward_neighbors(v)) >= 2
+            (v, *(g.vertices[s] for s in list(_ranks(later[r]))[:2]))
+            for r, v in enumerate(g.vertices)
+            if later[r].bit_count() >= 2
         ]
         if triangles:
             break
@@ -218,9 +222,9 @@ def test_criterion_4_chain_level_checks():
         for phi in enumerate_colorings(inst):
             for e in g.edges:
                 e = tuple(sorted(e, key=g.rank))
-                und = sorted(g.under(e), key=g.rank)
+                und = g.vertices[g.rank(e[0]) : g.rank(e[1]) + 1]
                 seed = ColoredSeed(tuple(und), tuple(phi[x] for x in und))
-                assert all(len(seed.color_class(i)) <= class_cap(1) for i in (1, 2, 3))
+                assert all(seed.colors.count(i) <= class_cap(1) for i in (1, 2, 3))
                 assert property_x(inst, phi, seed)
                 assert property_y(inst, phi, seed, e)
                 seed_checks += 1
@@ -229,7 +233,7 @@ def test_criterion_4_chain_level_checks():
     for inst in corpus:
         if any(not cs for _, cs in inst.lists.items()):
             continue
-        star, _ = augment_star(inst)
+        star, _ = augment_star(chain_member(inst))
         assert bool(success_table(star, 2).final()) == (solve_bruteforce(inst) is not None)
         dp_checks += 1
 
@@ -324,9 +328,10 @@ def test_criterion_8_structural_invariants():
         lefts = [inst.graph.position(u) for u, _ in mx]
         rights = [inst.graph.position(v) for _, v in mx]
         assert lefts == sorted(lefts) and rights == sorted(rights)
-        star, qe = augment_star(inst)
-        assert {frozenset(e) for e in star.graph.maximal_edges()} == {
-            frozenset(e) for e in mx
+        star, qe = augment_star(chain_member(inst))
+        g = inst.graph
+        assert {frozenset(e) for e in rank_instance(star).graph.maximal_edges()} == {
+            frozenset(map(g.rank, e)) for e in mx
         } | {frozenset(qe)}
 
     # exhaustive monotone-subsequence success for bounds 1..3

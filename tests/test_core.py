@@ -8,17 +8,25 @@ from hypothesis import given, settings, strategies as st
 
 from ordered_coloring import (
     InputError,
-    NEG_INF,
-    POS_INF,
     OrderedGraph,
     build_pattern,
     contains_pattern,
     is_isomorphic,
     monotone_subsequence,
 )
+from ordered_coloring.core import _maximal_edges, _ranks
 from ordered_coloring.gadgets import gen_bipartite, gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
-from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_nae
-from conftest import brute_contains, graph, instance, path_graph, rank_normalized, small_source_graphs
+from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_nae, random_ordered_graph
+from conftest import (
+    brute_contains,
+    graph,
+    instance,
+    path_graph,
+    rank_normalized,
+    reference_maximal_edges,
+    small_source_graphs,
+    span_and_left,
+)
 
 
 def random_graph_strategy(max_n=7):
@@ -70,20 +78,6 @@ class TestReverse:
         assert is_isomorphic(j15.reverse(), j15)
         assert not is_isomorphic(j15.reverse(), j16)
         assert is_isomorphic(j16.reverse(), build_pattern("neg:J16"))
-
-
-class TestInterval:
-    def test_whole_line(self):
-        g = path_graph(3)
-        assert g.interval(NEG_INF, POS_INF, include_hi=False) == frozenset(g.vertices)
-
-    def test_half_open(self):
-        g = graph({f"v{i}": i for i in (1, 2, 3)})
-        assert g.interval(1, 3) == {"v2", "v3"}
-
-    def test_degenerate_closed(self):
-        g = graph({f"v{i}": i for i in (1, 2, 3)})
-        assert g.interval(2, 2, include_lo=True, include_hi=True) == {"v2"}
 
 
 class TestIsomorphism:
@@ -349,6 +343,19 @@ class TestMaximalEdges:
         g = path_graph(4)
         assert g.maximal_edges() == ((1, 2), (2, 3), (3, 4))
 
+    def test_sweep_matches_dominated_pairs(self):
+        # the one-sweep mx on rank masks against the dominated-pair scan
+        rng = make_rng(81)
+        empty = 0  # edgeless graphs, the vertexless ones among them
+        for t in range(1200):
+            n = rng.randint(0, 12)
+            bits = random_ordered_graph(rng, n, rng.random()).adjacency_bits()
+            mask = (1 << n) - 1 if t % 4 == 0 else rng.getrandbits(n) if n else 0
+            got = _maximal_edges(bits, mask)
+            assert got == reference_maximal_edges(bits, mask)
+            empty += not any(bits)
+        assert empty >= 100
+
     @settings(max_examples=120, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_domination_contract(self, g):
@@ -371,7 +378,7 @@ class TestMaximalEdges:
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_every_nonisolated_vertex_under_some_maximal_edge(self, g):
-        spans = [g.under(e) for e in g.maximal_edges()]
+        spans = [span_and_left(g, e)[0] for e in g.maximal_edges()]
         for v in g.vertices:
             if g.neighbors(v):
                 assert any(v in s for s in spans)
@@ -380,19 +387,19 @@ class TestMaximalEdges:
 class TestUnderLeft:
     def test_single_edge(self):
         g = graph({"u": 1, "v": 2}, [("u", "v")])
-        und, lft = g.under_left(("u", "v"))
+        und, lft = g.under(("u", "v")), g.left_of(("u", "v"))
         assert und == {"u", "v"} and lft == frozenset()
 
     def test_middle_edge(self):
         g = graph({i: i for i in range(1, 6)}, [(2, 4)])
-        und, lft = g.under_left((2, 4))
+        und, lft = g.under((2, 4)), g.left_of((2, 4))
         assert und == {2, 3, 4} and lft == {1}
 
     def test_first_maximal_edge_has_no_earlier_endpoints(self):
         g = graph({i: i for i in range(1, 7)}, [(2, 3), (4, 6), (5, 6)])
         mx = g.maximal_edges()
         first = mx[0]
-        lft = g.left_of(first)
+        lft = set(g.vertices[: g.rank(first[0])])
         for e in mx:
             assert not (set(e) & lft)
 
@@ -470,7 +477,8 @@ def neighborhoods(g, v, rho):
         dist.update((y, d) for y in frontier)
     exact = frozenset(x for x, dx in dist.items() if dx == rho)
     ball = frozenset(dist) - {v}
-    fwd = g.forward_neighbors(v)
+    r = g.rank(v)
+    fwd = frozenset(g.vertices[s] for s in _ranks(g.adjacency_bits()[r] & -(2 << r)))
     return exact, ball, fwd, g.neighbors(v) - fwd
 
 

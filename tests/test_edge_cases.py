@@ -29,7 +29,7 @@ from ordered_coloring.rand import (
     random_j16free_instance,
     random_pattern_free_instance,
 )
-from conftest import graph, instance
+from conftest import chain_member, graph, instance, rank_instance
 
 
 class TestEmptyListsThroughSolvers:
@@ -95,8 +95,8 @@ class TestParameterGenerality:
         monkeypatch.setattr(jw, "WIDE_CAP", 0)
         g = graph({i: i for i in range(1, 8)}, [(1, 7), (2, 6)])
         inst = Instance.with_full_lists(g)
-        star, _ = augment_star(inst)
-        mx = star.graph.maximal_edges()
+        star, _ = augment_star(chain_member(inst))
+        mx = rank_instance(star).graph.maximal_edges()
         e_prev, e = mx[0], mx[1]
         g_prev = next(iter(gamma(star, e_prev, 2)))
         g_cur = next(iter(gamma(star, e, 2)))

@@ -136,12 +136,12 @@ class TestProfileFwdnbr:
             inst = random_j16free_instance(rng, 1, 0, rng.randint(2, 9))
             for has in _fwdnbr_members(inst, 1, 0):
                 member = as_instance(inst, has)
-                wide = wide_set(member)
-                wide_pos = set(wide)
                 g = member.graph
-                for v in wide:
-                    fwd = [u for u in g.forward_neighbors(v) if u in wide_pos]
-                    assert len(fwd) <= 2
+                ranks = [g.rank(v) for v in wide_set(member)]
+                wide = sum(1 << r for r in ranks)
+                for r in ranks:
+                    fwd = g.adjacency_bits()[r] & wide & -(2 << r)
+                    assert fwd.bit_count() <= 2
 
     def test_big_class_coloring_lands_in_a_member(self):
         rng = make_rng(74)
@@ -216,7 +216,7 @@ def _forked_instance(rng, n):
 class TestNarrowingDifferential:
     """`_fwdnbr_members` on color bitsets against the list version kept as
     `conftest.reference_fwdnbr_members`: the same members in the same
-    order, and the same refusal pattern and witness."""
+    order, pairwise distinct, and the same refusal pattern and witness."""
 
     def _run(self, draws, monkeypatch):
         """Compare on every draw; count members, refusals and the forcing
@@ -234,6 +234,8 @@ class TestNarrowingDifferential:
             expected, expected_refusal = _collect(reference_fwdnbr_members(inst, k, l))
             assert [as_instance(inst, m).lists for m in got] == [m.lists for m in expected]
             assert got_refusal == expected_refusal
+            # `_fwdnbr_members` keeps no dedup: distinct guesses narrow apart
+            assert len(set(got)) == len(got)
             counts["members"] += len(got)
             counts["refusals"] += got_refusal is not None
         return counts

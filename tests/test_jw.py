@@ -9,12 +9,16 @@ import pytest
 from ordered_coloring import (
     Coloring,
     Instance,
+    ListAssignment,
+    OrderedGraph,
     RefusalError,
     build_pattern,
     contains_pattern,
     solve_bruteforce,
     solve_jw,
 )
+from ordered_coloring import jw
+from ordered_coloring.core import _ranks
 from ordered_coloring.jw import (
     ColoredSeed,
     augment_star,
@@ -24,13 +28,16 @@ from ordered_coloring.jw import (
     gamma,
     success_table,
 )
-from ordered_coloring.kernels import has_k4, solve_small_class
+from ordered_coloring.kernels import _ONLY, _SETS, _mask_at, _wide, has_k4, solve_small_class
 from ordered_coloring.rand import make_rng, random_pattern_free_instance
 from conftest import (
+    band_chain_instance,
+    chain_member,
     graph,
     instance,
     property_x,
     property_y,
+    rank_instance,
     reference_check_link,
     reference_sigma_members,
 )
@@ -39,7 +46,7 @@ JW1 = build_pattern("Jw:1")
 
 # A Jw:1-free yes-instance with string ids that the seed chain accepts on
 # a member in which every vertex is forced, so its whole witness comes
-# from `Refinement.extend`.
+# from the member's forced colors.
 FORCED_CHAIN_INSTANCE = """ograph forced
 vtx v1 1
 vtx v2 2
@@ -82,35 +89,53 @@ def jw1_free_instance(rng, n_max=8, full_bias=None):
     return random_pattern_free_instance(rng, JW1, n, rng.uniform(0.3, 0.9), bias)
 
 
+def member_parts(inst, has):
+    """A profile member, color bitsets on inst's ranks, as (wide vertices,
+    their lists, forced colors of the others), as in
+    `conftest.reference_sigma_members`."""
+    order = inst.graph.vertices
+    wide = _wide(has)
+    kept = tuple(order[r] for r in _ranks(wide))
+    lists = ListAssignment({order[r]: _SETS[_mask_at(has, r)] for r in _ranks(wide)})
+    forced = {v: _ONLY[_mask_at(has, r)] for r, v in enumerate(order) if not wide >> r & 1}
+    return kept, lists, forced
+
+
+def band_corpus(seed, count=12):
+    """`count` band instances, alternately plain and obstructed, n=12-16."""
+    rng = make_rng(seed)
+    return [band_chain_instance(rng, rng.randint(12, 16), t % 2 == 1) for t in range(count)]
+
+
 class TestGamma:
     def test_single_edge_full_lists(self):
         inst = instance({"u": 1, "v": 2}, [("u", "v")])
-        seeds = list(gamma(inst, ("u", "v"), 1))
-        # only support {u, v}; proper pairs of distinct colors
+        seeds = list(gamma(chain_member(inst), (0, 1), 1))
+        # only support {u, v}, as ranks; proper pairs of distinct colors
         assert len(seeds) == 6
         for s in seeds:
-            assert set(s.support) == {"u", "v"}
-            cu, cv = s.assignment()["u"], s.assignment()["v"]
+            assert set(s.support) == {0, 1}
+            cu, cv = s.colors
             assert cu != cv
 
     def test_conflicting_forced_lists_give_nothing(self):
         inst = instance(
             {"u": 1, "v": 2}, [("u", "v")], lists={"u": (1,), "v": (1,)}
         )
-        assert list(gamma(inst, ("u", "v"), 1)) == []
+        assert list(gamma(chain_member(inst), (0, 1), 1)) == []
 
     def test_endpoints_always_in_support(self):
         inst = instance({i: i for i in range(1, 5)}, [(1, 4), (2, 3)])
-        for seed in gamma(inst, (1, 4), 1):
-            assert 1 in seed.support and 4 in seed.support
+        for seed in gamma(chain_member(inst), (0, 3), 1):
+            assert 0 in seed.support and 3 in seed.support
 
     def test_class_cap_enforced(self):
         # width cap of 30 per class is inactive at this size, but every
         # emitted seed still satisfies it
         inst = instance({i: i for i in range(1, 7)}, [(1, 6)])
-        for seed in gamma(inst, (1, 6), 1):
+        for seed in gamma(chain_member(inst), (0, 5), 1):
             for i in (1, 2, 3):
-                assert len(seed.color_class(i)) <= class_cap(1)
+                assert seed.colors.count(i) <= class_cap(1)
 
     def test_seeds_are_proper_and_list_respecting(self):
         inst = instance(
@@ -118,10 +143,11 @@ class TestGamma:
             [(1, 4), (2, 3)],
             lists={1: (1, 2), 2: (2, 3), 3: (1, 3), 4: (1, 2, 3)},
         )
-        seeds = list(gamma(inst, (1, 4), 1))
+        seeds = list(gamma(chain_member(inst), (0, 3), 1))
         assert seeds
+        order = inst.graph.vertices
         for seed in seeds:
-            col = Coloring(seed.assignment())
+            col = Coloring({order[r]: c for r, c in zip(seed.support, seed.colors)})
             assert col.is_proper(inst.graph) and col.respects(inst.lists)
 
 
@@ -173,7 +199,7 @@ class TestProperties:
                 continue
             e = next(iter(g.edges))
             e = tuple(sorted(e, key=g.rank))
-            und = sorted(g.under(e), key=g.rank)
+            und = g.vertices[g.rank(e[0]) : g.rank(e[1]) + 1]
             seed = ColoredSeed(tuple(und), tuple(full[x] for x in und))
             domain = sorted(full.domain(), key=str)
             for cut in range(len(domain) + 1):
@@ -184,26 +210,27 @@ class TestProperties:
 
 class TestAugmentStar:
     def test_empty_graph(self):
-        star, (q1, q2) = augment_star(instance({}))
-        assert star.graph.n == 2
-        assert star.lists.get(q1) == {1} and star.lists.get(q2) == {2}
-        assert star.graph.maximal_edges() == ((q1, q2),)
+        star, (q1, q2) = augment_star(chain_member(instance({})))
+        ranked = rank_instance(star)
+        assert ranked.graph.n == 2
+        assert ranked.lists.get(q1) == {1} and ranked.lists.get(q2) == {2}
+        assert ranked.graph.maximal_edges() == ((q1, q2),)
 
     def test_size_grows_by_two(self):
         inst = instance({i: i for i in range(1, 5)}, [(1, 2)])
-        star, _ = augment_star(inst)
-        assert star.graph.n == inst.graph.n + 2
+        star, _ = augment_star(chain_member(inst))
+        assert rank_instance(star).graph.n == inst.graph.n + 2
 
     def test_maximal_edges_extended(self):
         # checked by an internal assertion on every call; exercise a few shapes
         rng = make_rng(62)
         for _ in range(40):
             inst = jw1_free_instance(rng, n_max=7)
-            star, qe = augment_star(inst)
-            mx = star.graph.maximal_edges()
+            star, qe = augment_star(chain_member(inst))
+            mx = rank_instance(star).graph.maximal_edges()
             assert mx[-1] == qe
             assert {frozenset(e) for e in mx} == {
-                frozenset(e) for e in inst.graph.maximal_edges()
+                frozenset(map(inst.graph.rank, e)) for e in inst.graph.maximal_edges()
             } | {frozenset(qe)}
 
     def test_freeness_degree_rises(self):
@@ -211,8 +238,8 @@ class TestAugmentStar:
         jw2 = build_pattern("Jw:2")
         for _ in range(25):
             inst = jw1_free_instance(rng, n_max=7)
-            star, _ = augment_star(inst)
-            assert contains_pattern(star.graph, jw2) is None
+            star, _ = augment_star(chain_member(inst))
+            assert contains_pattern(rank_instance(star).graph, jw2) is None
 
 
 class TestCheckLink:
@@ -222,8 +249,8 @@ class TestCheckLink:
         agreements = 0
         for _ in range(200):
             inst = jw1_free_instance(rng, n_max=6)
-            star, _ = augment_star(inst)
-            mx = star.graph.maximal_edges()
+            star, _ = augment_star(chain_member(inst))
+            mx = rank_instance(star).graph.maximal_edges()
             if len(mx) < 2:
                 continue
             idx = rng.randrange(len(mx) - 1)
@@ -242,24 +269,24 @@ class TestCheckLink:
 
     def test_incompatible_shared_endpoint(self):
         g = graph({1: 1, 2: 2, 3: 3}, [(1, 2), (2, 3)])
-        inst = Instance.with_full_lists(g)
-        e_prev, e = g.maximal_edges()
-        seed_prev = ColoredSeed((1, 2), (1, 2))
-        seed_cur = ColoredSeed((2, 3), (1, 2))  # colors 2 vs 1 on the shared vertex
-        assert not check_link(inst, e, e_prev, seed_cur, seed_prev)
-        compatible = ColoredSeed((2, 3), (2, 1))
-        assert check_link(inst, e, e_prev, compatible, seed_prev)
+        m = chain_member(Instance.with_full_lists(g))
+        e_prev, e = rank_instance(m).graph.maximal_edges()
+        seed_prev = ColoredSeed((0, 1), (1, 2))
+        seed_cur = ColoredSeed((1, 2), (1, 2))  # colors 2 vs 1 on the shared vertex
+        assert not check_link(m, e, e_prev, seed_cur, seed_prev)
+        compatible = ColoredSeed((1, 2), (2, 1))
+        assert check_link(m, e, e_prev, compatible, seed_prev)
 
 
 class TestSuccessTable:
     def test_first_edge_gets_everything(self):
-        inst = instance({i: i for i in range(1, 5)}, [(1, 3)])
-        table = success_table(inst, 1)
-        assert table.successful[0] == tuple(gamma(inst, table.edges[0], 1))
+        m = chain_member(instance({i: i for i in range(1, 5)}, [(1, 3)]))
+        table = success_table(m, 1)
+        assert table.successful[0] == tuple(gamma(m, table.edges[0], 1))
 
     def test_nested_edges_single_entry(self):
         inst = instance({i: i for i in range(1, 5)}, [(1, 4), (2, 3)])
-        table = success_table(inst, 1)
+        table = success_table(chain_member(inst), 1)
         assert len(table.edges) == 1
 
     def test_colorable_iff_final_seed_on_augmented(self):
@@ -268,7 +295,7 @@ class TestSuccessTable:
             inst = jw1_free_instance(rng, n_max=7)
             if any(not cs for _, cs in inst.lists.items()):
                 continue
-            star, _ = augment_star(inst)
+            star, _ = augment_star(chain_member(inst))
             final = success_table(star, 2).final()
             assert bool(final) == (solve_bruteforce(inst) is not None)
 
@@ -278,10 +305,13 @@ class TestSigmaProfile:
         rng = make_rng(66)
         for _ in range(30):
             inst = jw1_free_instance(rng, n_max=7)
-            for member in build_sigma_profile(inst, 1):
-                for v in member.sub.graph.vertices:
-                    assert member.sub.lists.get(v) <= inst.lists.get(v)
-                    assert len(member.sub.lists.get(v)) != 1
+            for has in build_sigma_profile(inst, 1):
+                kept, lists, forced = member_parts(inst, has)
+                assert set(kept) | set(forced) == set(inst.graph.vertices)
+                for v in kept:
+                    assert lists.get(v) <= inst.lists.get(v)
+                    assert len(lists.get(v)) != 1
+                assert all(c in inst.lists.get(v) for v, c in forced.items())
 
     def test_colorable_iff_small_class_or_member_colorable(self):
         rng = make_rng(67)
@@ -291,10 +321,11 @@ class TestSigmaProfile:
                 continue
             lhs = solve_bruteforce(inst) is not None
             small = solve_small_class(inst, 2) is not None
-            members = build_sigma_profile(inst, 1)
-            rhs = small or any(
-                solve_bruteforce(m.sub, cap=m.sub.graph.n) is not None for m in members
+            subs = (
+                Instance(inst.graph.induced(kept), lists)
+                for kept, lists, _ in (member_parts(inst, has) for has in build_sigma_profile(inst, 1))
             )
+            rhs = small or any(solve_bruteforce(sub, cap=sub.graph.n) is not None for sub in subs)
             assert lhs == rhs
 
     def test_members_match_reference_profile(self):
@@ -310,9 +341,7 @@ class TestSigmaProfile:
         )
         members = several = 0
         for inst in [color3_apart] + [jw1_free_instance(rng) for _ in range(300)]:
-            got = [
-                (m.sub.graph.vertices, m.sub.lists, m.forced) for m in build_sigma_profile(inst, 1)
-            ]
+            got = [member_parts(inst, has) for has in build_sigma_profile(inst, 1)]
             assert got == list(reference_sigma_members(inst, 1))
             members += len(got)
             several += len(got) > 1
@@ -376,3 +405,59 @@ class TestSolveJw:
             inst = random_pattern_free_instance(rng, jw2, n, rng.uniform(0.4, 0.9), 0.5)
             got = solve_jw(inst, 2)
             assert (got is None) == (solve_bruteforce(inst) is None)
+
+
+class TestChainCorpus:
+    """The seed chain inside `solve_jw`, on band instances that reach it
+    (`conftest.band_chain_instance`)."""
+
+    def test_links_and_verdicts_match_references(self, monkeypatch):
+        # every link the chain decides against the enumeration reference,
+        # every verdict against the oracle
+        real = jw.check_link
+        links = 0
+
+        def checked(m, e, e_prev, g_seed, g_prev):
+            nonlocal links
+            links += 1
+            got = real(m, e, e_prev, g_seed, g_prev)
+            assert got == reference_check_link(m, e, e_prev, g_seed, g_prev)
+            return got
+
+        monkeypatch.setattr(jw, "check_link", checked)
+        verdicts = set()
+        for inst in band_corpus(70):
+            got = solve_jw(inst, 1)
+            expected = solve_bruteforce(inst, cap=inst.graph.n)
+            assert (got is None) == (expected is None)
+            if got is not None:
+                assert got.validates(inst)
+            verdicts.add(got is None)
+        assert links >= 200 and verdicts == {True, False}, links
+
+    def test_graphs_built_per_link(self, monkeypatch):
+        # one induced graph per link check at most, plus one for the
+        # sub-instance of the accepted member
+        real_init = OrderedGraph.__init__
+        real_link = jw.check_link
+        counts = {"graphs": 0, "links": 0}
+
+        def counting_init(self, *args, **kwargs):
+            counts["graphs"] += 1
+            real_init(self, *args, **kwargs)
+
+        def counting_link(*args):
+            counts["links"] += 1
+            return real_link(*args)
+
+        rng = make_rng(72)
+        corpus = band_corpus(71) + [jw1_free_instance(rng) for _ in range(40)]
+        monkeypatch.setattr(OrderedGraph, "__init__", counting_init)
+        monkeypatch.setattr(jw, "check_link", counting_link)
+        total = 0
+        for inst in corpus:
+            counts["graphs"] = counts["links"] = 0
+            got = solve_jw(inst, 1, check_freeness=False)
+            assert counts["graphs"] <= counts["links"] + (got is not None)
+            total += counts["links"]
+        assert total >= 100
