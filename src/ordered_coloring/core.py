@@ -41,7 +41,7 @@ class OrderedGraph:
     for isomorphism and pattern containment.
     """
 
-    __slots__ = ("_pos", "_order", "_rank", "_adj", "_edges", "_bits")
+    __slots__ = ("_pos", "_order", "_rank", "_adj", "_edges", "_bits", "_reach")
 
     def __init__(self, vertices: Iterable[tuple[object, object]], edges: Iterable[tuple] = ()):
         pos: dict = {}
@@ -80,6 +80,7 @@ class OrderedGraph:
         self._bits = tuple(bits)
         self._adj = None  # vertex -> frozenset of neighbors, built on first use
         self._edges = None
+        self._reach = None  # `_reach_tables`, built on first use
 
     # -- basic accessors ---------------------------------------------------
 
@@ -274,12 +275,23 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     consistent with every placement so far. Placing p at rank r narrows
     each other mask to the ranks adjacent (or not adjacent, as in H) to r
     and below (or above) r, and a branch dies as soon as some mask is
-    empty. Initial masks leave room for the pattern vertices before and
-    after, and give a pattern vertex with a later (earlier) neighbor only
-    host vertices with a later (earlier) neighbor. Candidates are tried in
-    ascending rank, so the search order and the first witness are those of
-    a plain check-every-placed-vertex backtracking: forward checking only
-    skips branches that cannot finish.
+    empty. Two bound rules drop candidates before they are tried:
+
+    - degree rule: a pattern vertex with d later (earlier) pattern
+      neighbors starts with only the host ranks that have at least d later
+      (earlier) neighbors; its initial mask also leaves room for the
+      pattern vertices before and after it;
+    - range rule, at every level after the first: for each unplaced
+      pattern neighbor q of the vertex being placed, a candidate needs a
+      later neighbor at or before the last rank still open to q (q later),
+      or an earlier neighbor at or after the first rank open to q (q
+      earlier): one AND with a table of `_reach_tables`.
+
+    Both rules only drop ranks that no embedding extending the current
+    placements can use, and candidates are tried in ascending rank, so the
+    search order and the first witness are those of a plain
+    check-every-placed-vertex backtracking: the pruning only skips branches
+    that cannot finish.
     """
     t, n = h.n, g.n
     if t == 0:
@@ -301,21 +313,26 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     plan += [p for p in range(t) if p not in plan]
 
     gbits = g.adjacency_bits()
-    has_later = sum(1 << r for r, bits in enumerate(gbits) if bits >> r)
-    has_earlier = sum(1 << r for r, bits in enumerate(gbits) if bits & ((1 << r) - 1))
+    later = [(bits >> p + 1).bit_count() for p, bits in enumerate(pbits)]
+    earlier = [(bits & ((1 << p) - 1)).bit_count() for p, bits in enumerate(pbits)]
+    later_at_least = _at_least(
+        [(bits >> r + 1).bit_count() for r, bits in enumerate(gbits)], max(later)
+    )
+    earlier_at_least = _at_least(
+        [(bits & ((1 << r) - 1)).bit_count() for r, bits in enumerate(gbits)], max(earlier)
+    )
     room = (1 << (n - t + 1)) - 1
-    masks = [
-        (room << p)
-        & (has_later if pbits[p] >> p else -1)
-        & (has_earlier if pbits[p] & ((1 << p) - 1) else -1)
-        for p in plan
-    ]
+    masks = [(room << p) & later_at_least[later[p]] & earlier_at_least[earlier[p]] for p in plan]
     # per plan step: (adjacent, before) against each later step, the next
-    # one apart, since most candidates empty the next step's mask
-    later = []
+    # one apart, since most candidates empty the next step's mask; and the
+    # range rule's (later step, q after p) for each unplaced neighbor q
+    steps, rules = [], []
     for i, p in enumerate(plan[:-1]):
         kinds = [(pbits[p] >> q & 1, q < p) for q in plan[i + 1 :]]
-        later.append((kinds[0], kinds[1:]))
+        steps.append((kinds[0], kinds[1:]))
+        rules.append(
+            [(j, q > p) for j, q in enumerate(plan[i + 1 :], 1) if pbits[p] >> q & 1] if i else []
+        )
     found = [0] * t
 
     def extend(i: int, masks: list) -> bool:
@@ -323,7 +340,13 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
         if i == t - 1:  # every rank left fits all placed vertices
             found[i] = (m & -m).bit_length() - 1
             return True
-        (linked, before), others = later[i]
+        for j, after in rules[i]:
+            mq = masks[j]
+            if after:
+                m &= reach_by[mq.bit_length() - 1]
+            else:
+                m &= reach_from[(mq & -mq).bit_length() - 1]
+        (linked, before), others = steps[i]
         nxt, rest = masks[1], masks[2:]
         while m:
             low = m & -m
@@ -345,9 +368,46 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
                     return True
         return False
 
-    if all(masks) and extend(0, masks):
+    if not all(masks):
+        return None
+    reach_by, reach_from = _reach_tables(g) if any(rules) else ((), ())
+    if extend(0, masks):
         return frozenset(g.vertices[r] for r in found)
     return None
+
+
+def _at_least(degrees: list, top: int) -> list:
+    """Per d in 0..top, the ranks whose entry in `degrees` is at least d,
+    as a mask."""
+    out = [0] * (top + 1)
+    for r, x in enumerate(degrees):
+        out[min(x, top)] |= 1 << r
+    for d in range(top - 1, -1, -1):
+        out[d] |= out[d + 1]
+    return out
+
+
+def _reach_tables(g: OrderedGraph) -> tuple:
+    """The range rule's two tables for g, built in O(n) on first use and
+    kept on the graph: `reach_by[j]` holds the ranks r with a later
+    neighbor in (r, j], `reach_from[j]` the ranks r with an earlier
+    neighbor in [j, r)."""
+    if g._reach is None:
+        bits, n = g.adjacency_bits(), g.n
+        by, since = [0] * n, [0] * n
+        for r, b in enumerate(bits):
+            up = b >> r + 1
+            if up:
+                by[r + (up & -up).bit_length()] |= 1 << r
+            down = b & ((1 << r) - 1)
+            if down:
+                since[down.bit_length() - 1] |= 1 << r
+        for j in range(1, n):
+            by[j] |= by[j - 1]
+        for j in range(n - 2, -1, -1):
+            since[j] |= since[j + 1]
+        g._reach = (tuple(by), tuple(since))
+    return g._reach
 
 
 def monotone_subsequence(seq, n: int):

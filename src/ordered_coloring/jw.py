@@ -13,7 +13,7 @@ chain runs on the mask of its ranks whose list keeps two or more colors.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
 from .core import (
@@ -66,10 +66,14 @@ class Member:
 @dataclass(frozen=True)
 class ColoredSeed:
     """A colored subset of the span of an edge: support ranks ascending,
-    colors parallel to the support."""
+    colors parallel to the support. `gamma` also records `masks`: the
+    color classes as rank masks and, per class, the ranks adjacent to it
+    in the member the seed was enumerated on. `check_link` derives them
+    for a seed built without."""
 
     support: tuple
     colors: tuple
+    masks: Optional[tuple] = field(default=None, compare=False, repr=False)
 
     def classes(self) -> list:
         """The three color classes as rank masks, color 1 first."""
@@ -106,21 +110,23 @@ def _seed_colorings(m: Member, support: list, cap: int) -> Iterator[ColoredSeed]
     k = len(support)
     lists = [_TUPLES[_mask_at(m.has, r)] for r in support]
     classes = [0, 0, 0]  # per color, the support ranks colored so far
+    near = [0, 0, 0]  # per color, the ranks adjacent to its class
     chosen = [0] * k
 
     def rec(i: int):
         if i == k:
-            yield ColoredSeed(tuple(support), tuple(chosen))
+            yield ColoredSeed(tuple(support), tuple(chosen), (tuple(classes), tuple(near)))
             return
         r = support[i]
         for c in lists[i]:
-            cls = classes[c - 1]
+            cls, adj = classes[c - 1], near[c - 1]
             if cls.bit_count() >= cap or m.bits[r] & cls:
                 continue
             chosen[i] = c
             classes[c - 1] = cls | 1 << r
+            near[c - 1] = adj | m.bits[r]
             yield from rec(i + 1)
-            classes[c - 1] = cls
+            classes[c - 1], near[c - 1] = cls, adj
 
     yield from rec(0)
 
@@ -151,6 +157,14 @@ def _neighborhood(bits: tuple, mask: int) -> int:
     return out
 
 
+def _seed_masks(bits: tuple, seed: ColoredSeed) -> tuple:
+    """`seed.masks`, derived from the support when the seed has none."""
+    if seed.masks is not None:
+        return seed.masks
+    classes = seed.classes()
+    return classes, [_neighborhood(bits, cls) for cls in classes]
+
+
 def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> bool:
     """Decide whether some list coloring psi of the span of e_prev makes
     both (psi, seed-at-e) and (psi, seed-at-e_prev) satisfy the
@@ -168,14 +182,15 @@ def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -
     (a, b), (a_prev, b_prev) = e, e_prev
     und_prev = mask & _between(a_prev, b_prev)
     und_e = mask & _between(a, b)
-    sigma, tau = g_seed.classes(), g_prev.classes()
+    sigma, sigma_near = _seed_masks(bits, g_seed)
+    tau, tau_near = _seed_masks(bits, g_prev)
     s_set = sigma[0] | sigma[1] | sigma[2]
     t_set = tau[0] | tau[1] | tau[2]
     derived = []
     for i in range(3):
         # the left vertices anticomplete to each seed's class i
-        anti_tau = mask & ((1 << a_prev) - 1) & ~_neighborhood(bits, tau[i])
-        anti_sigma = mask & ((1 << a) - 1) & ~_neighborhood(bits, sigma[i])
+        anti_tau = mask & ((1 << a_prev) - 1) & ~tau_near[i]
+        anti_sigma = mask & ((1 << a) - 1) & ~sigma_near[i]
         strike = anti_tau | sigma[i] | tau[i]
         keep = und_prev & (
             m.has[i] & ~(s_set | t_set)  # on neither support: its own list

@@ -7,6 +7,7 @@ Pattern ids are parseable strings: ``J9``, ``M5``, ``Jw:3``, ``J16:2,1``,
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Optional
 
@@ -105,8 +106,10 @@ def _parse_int(s: str, what: str) -> int:
         raise InputError(f"bad {what}: {s!r}") from None
 
 
+@functools.cache
 def build_pattern(pid) -> OrderedGraph:
-    """Construct the ordered graph named by a pattern id (or id string)."""
+    """Construct the ordered graph named by a pattern id (or id string).
+    Cached per argument: the graphs are immutable, so callers share them."""
     if isinstance(pid, str):
         pid = parse_pattern_id(pid)
     if pid.kind == "J":

@@ -14,8 +14,9 @@ from ordered_coloring import (
     is_isomorphic,
     monotone_subsequence,
 )
-from ordered_coloring.core import _maximal_edges, _ranks
+from ordered_coloring.core import _at_least, _maximal_edges, _ranks, _reach_tables
 from ordered_coloring.gadgets import gen_bipartite, gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
+from ordered_coloring.oracle import nae_bruteforce
 from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_nae, random_ordered_graph
 from conftest import (
     brute_contains,
@@ -282,6 +283,31 @@ class TestMatcherDifferential:
                     found += fast is not None
         assert found >= len(builds) // 4
 
+    def test_benchmark_scale_gadgets(self):
+        # 12-clause NAE sources at v=6-9, the size the gadget benchmark
+        # draws (about 60-90 vertices), satisfiable and not; every
+        # advertised pattern plus two that embed in most gadgets
+        rng = make_rng(4404)
+        sources = [random_nae(rng, v, 12) for v in (6, 7, 8, 9) for _ in range(3)]
+        unsat = []
+        while len(unsat) < 3:  # about 1 in 340 draws at v=6
+            nae = random_nae(rng, 6, 12)
+            if nae_bruteforce(nae) is None:
+                unsat.append(nae)
+        assert all(nae_bruteforce(nae) is not None for nae in sources[-6:])
+        found = checked = 0
+        for nae in sources + unsat:
+            for out in [gen_h1(nae, o) for o in ("t1", "t2", "t3")] + [gen_h2(nae)]:
+                g = out.instance.graph
+                for host in (g, with_planted_edge(rng, g)):
+                    for pid in out.advertised_free + ("J16:1,1", "Jw:1"):
+                        h = build_pattern(pid)
+                        fast = contains_pattern(host, h)
+                        assert fast == reference_contains_pattern(host, h), (pid, nae)
+                        found += fast is not None
+                        checked += 1
+        assert checked // 3 < found < checked
+
     def test_forward_clique_graphs_j16(self):
         rng = make_rng(4403)
         h = build_pattern("J16:0,0")
@@ -293,6 +319,34 @@ class TestMatcherDifferential:
                 assert fast == reference_contains_pattern(host, h)
                 found += fast is not None
         assert 0 < found < 20
+
+
+class TestBoundTables:
+    """The matcher's bound rules against their definitions."""
+
+    def test_reach_tables(self):
+        rng = make_rng(4405)
+        for _ in range(80):
+            g = random_ordered_graph(rng, rng.randint(1, 24), rng.random())
+            n, bits = g.n, g.adjacency_bits()
+            reach_by, reach_from = _reach_tables(g)
+            assert _reach_tables(g) is _reach_tables(g)
+            for j in range(n):
+                assert reach_by[j] == sum(
+                    1 << r for r in range(n) if any(bits[r] >> s & 1 for s in range(r + 1, j + 1))
+                )
+                assert reach_from[j] == sum(
+                    1 << r for r in range(n) if any(bits[r] >> s & 1 for s in range(j, r))
+                )
+
+    def test_at_least(self):
+        rng = make_rng(4406)
+        degrees = [rng.randint(0, 4) for _ in range(30)]
+        for top in range(6):
+            masks = _at_least(degrees, top)
+            assert masks == [
+                sum(1 << r for r, x in enumerate(degrees) if x >= d) for d in range(top + 1)
+            ]
 
 
 class TestContainsPattern:
