@@ -7,13 +7,12 @@ from ordered_coloring import (
     ListAssignment,
     OrderedGraph,
     build_pattern,
-    count_colorings,
-    drop_singletons,
-    propagate_singletons,
     solve_bruteforce,
     solve_chordal,
+    solve_few_wide,
     solve_j16,
     solve_jw,
+    solve_small_class,
     solve_two_lists,
 )
 from ordered_coloring.rand import (
@@ -27,23 +26,21 @@ rng = make_rng(4242)
 
 # --- kernels ---------------------------------------------------------------
 
-# Singleton propagation: a forced vertex strips its color from neighbors,
-# preserving the coloring set exactly.
-g = OrderedGraph([("u", 1), ("v", 2), ("w", 3)], [("u", "v"), ("v", "w")])
-inst = Instance(g, ListAssignment({"u": {1}, "v": {1, 2}, "w": {2, 3}}))
-print("before:", {v: sorted(cs) for v, cs in sorted(inst.lists.items())})
-after = propagate_singletons(inst)
-print("after: ", {v: sorted(cs) for v, cs in sorted(after.lists.items())})
-print("coloring count unchanged:", count_colorings(inst) == count_colorings(after))
-
-# Dropping the forced vertices keeps colorability and records their colors.
-ref = drop_singletons(inst)
-print("kept vertices:", ref.sub.graph.vertices, " forced:", ref.forced)
-
 # Lists of size two reduce to 2-SAT; an odd cycle on one pair is infeasible.
 c5 = OrderedGraph([(i, i) for i in range(5)], [(i, (i + 1) % 5) for i in range(5)])
 two = Instance(c5, ListAssignment({v: {1, 2} for v in c5.vertices}))
 print("odd cycle on two colors:", solve_two_lists(two))
+
+# A few full lists: each coloring of them is tried, and 2-SAT finishes.
+g = OrderedGraph([("u", 1), ("v", 2), ("w", 3)], [("u", "v"), ("v", "w")])
+inst = Instance(g, ListAssignment({"u": {1}, "v": {1, 2, 3}, "w": {2}}))
+print("path with one full list:", solve_few_wide(inst, 1))
+
+# A coloring with a color class below c vertices: pin the class to each
+# small stable set in turn, then 2-SAT. The odd cycle needs color 3 once.
+three = Instance(c5, ListAssignment({v: {1, 2, 3} for v in c5.vertices}))
+print("class below 2 on the 5-cycle:", solve_small_class(three, 2))
+print("class below 1 on the 5-cycle:", solve_small_class(three, 1))
 
 # Chordal instances get a perfect-elimination dynamic program.
 chordal_inst = random_chordal_instance(rng, 10)

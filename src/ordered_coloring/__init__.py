@@ -13,7 +13,6 @@ from .core import (
     Instance,
     ListAssignment,
     OrderedGraph,
-    Refinement,
     contains_pattern,
     is_isomorphic,
     monotone_subsequence,
@@ -40,9 +39,7 @@ from .gadgets import (
 from .j16 import solve_j16
 from .jw import solve_jw
 from .kernels import (
-    drop_singletons,
     has_k4,
-    propagate_singletons,
     solve_chordal,
     solve_few_wide,
     solve_small_class,

@@ -485,10 +485,6 @@ class ListAssignment:
     def domain(self) -> frozenset:
         return frozenset(self._lists)
 
-    def view(self, color: int) -> frozenset:
-        """L^(i): vertices whose list contains the color."""
-        return frozenset(v for v, cs in self._lists.items() if color in cs)
-
     def items(self):
         return self._lists.items()
 
@@ -627,51 +623,3 @@ def checked_witness(coloring: Coloring, inst: Instance) -> Coloring:
     if not coloring.validates(inst):
         raise InternalError("solver witness failed validation against its instance")
     return coloring
-
-
-class Refinement:
-    """An instance over an induced subgraph with shrunken lists.
-
-    `forced` records colors of vertices that were removed because their
-    color became determined, which lets a coloring of the sub-instance be
-    extended back to the base graph.
-    """
-
-    __slots__ = ("base", "sub", "forced")
-
-    def __init__(self, base: Instance, sub: Instance, forced: Mapping = ()):
-        base_vs = set(base.graph.vertices)
-        sub_vs = set(sub.graph.vertices)
-        if not sub_vs <= base_vs:
-            raise InputError("refinement subgraph must use base vertices")
-        for v in sub_vs:
-            if base.graph.position(v) != sub.graph.position(v):
-                raise InputError(f"position of {v!r} changed in refinement")
-            if not sub.lists.get(v) <= base.lists.get(v):
-                raise InputError(f"list of {v!r} grew in refinement")
-        expected_edges = frozenset(e for e in base.graph.edges if e <= sub_vs)
-        if sub.graph.edges != expected_edges:
-            raise InputError("refinement subgraph is not induced")
-        self.base = base
-        self.sub = sub
-        self.forced = dict(forced)
-
-    @property
-    def spanning(self) -> bool:
-        return set(self.sub.graph.vertices) == set(self.base.graph.vertices)
-
-    def extend(self, coloring: Coloring) -> Coloring:
-        """Extend a coloring of the sub-instance to the base vertex set
-        using the recorded forced colors: the sub-instance's keys first,
-        then the removed vertices in base vertex order."""
-        out = dict(coloring.items())
-        for v in self.base.graph.vertices:
-            if v in out:
-                continue
-            if v not in self.forced:
-                raise InputError(f"no forced color recorded for removed vertex {v!r}")
-            out[v] = self.forced[v]
-        return Coloring(out)
-
-    def __repr__(self):
-        return f"Refinement(sub_n={self.sub.graph.n}, spanning={self.spanning})"

@@ -30,18 +30,18 @@ from .kernels import (
     _ONLY,
     _SETS,
     _TUPLES,
+    _few_wide,
     _mask_at,
     _wide,
     boundary_guesses,
     has_k4,
-    solve_few_wide,
     solve_small_class,
 )
 from .oracle import solve_bruteforce
 from .patterns import build_pattern
 
-# Most full lists a link reduction may leave; `solve_few_wide` enumerates
-# 3^c colorings of them, so more is a bug, not a slow instance.
+# Most full lists a link reduction may leave; `kernels._few_wide` tries
+# up to 3^c colorings of them, so more is a bug, not a slow instance.
 WIDE_CAP = 16
 
 
@@ -173,8 +173,9 @@ def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -
     The check reduces to a derived list assignment on the span of e_prev
     (forced values on seed supports, struck colors from seed neighborhoods
     and from left vertices anticomplete to a seed class), built as one
-    rank mask per color, and decides it with the bounded-wide-set solver
-    on the induced sub-instance. A derived list that is empty decides the
+    rank mask per color, and decides it with the bounded-wide-set kernel
+    `kernels._few_wide` on the member's ranks in that span, with no
+    induced graph. A derived list that is empty decides the
     link at once. A reduction that leaves more than `WIDE_CAP` full lists
     raises `InternalError`.
     """
@@ -208,11 +209,7 @@ def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -
         raise InternalError(f"link reduction left {wide} full lists, above the cap {WIDE_CAP}")
     if derived[0] | derived[1] | derived[2] != und_prev:
         return False
-    g = m.base.graph
-    order = g.vertices
-    span = [order[r] for r in _ranks(und_prev)]
-    lists = {order[r]: _SETS[_mask_at(derived, r)] for r in _ranks(und_prev)}
-    return solve_few_wide(Instance(g.induced(span), ListAssignment(lists)), wide) is not None
+    return _few_wide(bits, und_prev, derived) is not None
 
 
 @dataclass(frozen=True)

@@ -1,22 +1,14 @@
 """Polynomial subroutines shared by both main solvers: the boundary
-guessing engine, singleton propagation, the no-singleton refinement, 2-SAT
-list coloring, bounded wide-set and small-class solvers, clique-4
-detection, chordality, and chordal list coloring."""
+guessing engine, singleton propagation, 2-SAT list coloring, bounded
+wide-set and small-class solvers, clique-4 detection, chordality, and
+chordal list coloring."""
 
 from __future__ import annotations
 
 import itertools
 from typing import Iterator, Optional
 
-from .core import (
-    COLORS,
-    Coloring,
-    Instance,
-    ListAssignment,
-    OrderedGraph,
-    Refinement,
-    checked_witness,
-)
+from .core import COLORS, Coloring, Instance, OrderedGraph, _ranks, checked_witness
 from .errors import PreconditionError
 
 _ONLY = {1: 1, 2: 2, 4: 3}  # singleton mask -> its color
@@ -45,10 +37,6 @@ def _wide(has) -> int:
     rank bitmask."""
     h0, h1, h2 = has
     return h0 & h1 | h0 & h2 | h1 & h2
-
-
-def _lists_from_bits(order: tuple, has) -> ListAssignment:
-    return ListAssignment({v: _SETS[_mask_at(has, r)] for r, v in enumerate(order)})
 
 
 def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
@@ -87,22 +75,8 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     if has0[0] | has0[1] | has0[2] != everyone:
         return
 
-    def stable_sets(i: int, size: int) -> list:
-        out = []
-        candidates = [r for r in range(n) if has0[i] >> r & 1]
-        for combo in itertools.combinations(candidates, size):
-            bits = nbrs = 0
-            for r in combo:
-                if nbrs >> r & 1:
-                    break
-                bits |= 1 << r
-                nbrs |= adj[r]
-            else:
-                out.append((combo, bits, nbrs))
-        return out
-
-    firsts = [stable_sets(i, first) for i in range(3)]
-    lasts = firsts if last == first else [stable_sets(i, last) for i in range(3)]
+    firsts = [list(_stable_sets(adj, has, first)) for has in has0]
+    lasts = firsts if last == first else [list(_stable_sets(adj, has, last)) for has in has0]
 
     def place(i: int, has: list, used: int, picks: tuple):
         if i == 3:
@@ -140,6 +114,21 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     yield from place(0, has0, 0, ())
 
 
+def _stable_sets(adj: tuple, mask: int, size: int) -> Iterator[tuple]:
+    """The stable `size`-subsets of the ranks in `mask`, in
+    `itertools.combinations` order over those ranks ascending, each as
+    (its ranks, their mask, the mask of their neighbors)."""
+    for combo in itertools.combinations(_ranks(mask), size):
+        bits = nbrs = 0
+        for r in combo:
+            if nbrs >> r & 1:
+                break
+            bits |= 1 << r
+            nbrs |= adj[r]
+        else:
+            yield combo, bits, nbrs
+
+
 def _propagate_bits(bits: tuple, has) -> tuple:
     """Singleton propagation on the three color bitsets `has` (see
     `_color_bits`) of the graph with adjacency bitsets `bits`: in every
@@ -166,35 +155,6 @@ def _propagate_bits(bits: tuple, has) -> tuple:
                 struck |= bits[low.bit_length() - 1]
                 single ^= low
             has[i] &= ~struck
-
-
-def propagate_singletons(inst: Instance) -> Instance:
-    """Equivalent spanning refinement in which no vertex keeps the color of
-    a one-color neighbor. Preserves the exact set of colorings. Runs
-    `_propagate_bits` on the graph's adjacency bitsets."""
-    g = inst.graph
-    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
-    return Instance(g, _lists_from_bits(g.vertices, has))
-
-
-def drop_singletons(inst: Instance) -> Refinement:
-    """Propagate, then delete every vertex whose list is a single color,
-    recording the forced colors. The result has lists of size 0, 2, or 3
-    only and admits a coloring iff the input does. Propagation leaves no
-    singleton that has not struck, so one pass of `_propagate_bits` on
-    the whole graph suffices."""
-    g = inst.graph
-    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
-    forced: dict = {}
-    rest: dict = {}
-    for r, v in enumerate(g.vertices):
-        m = _mask_at(has, r)
-        if m in _ONLY:
-            forced[v] = _ONLY[m]
-        else:
-            rest[v] = _SETS[m]
-    sub = Instance(g.induced(rest) if forced else g, ListAssignment(rest))
-    return Refinement(inst, sub, forced)
 
 
 class _TwoSat:
@@ -266,107 +226,120 @@ class _TwoSat:
         return out
 
 
-def solve_two_lists(inst: Instance) -> Optional[Coloring]:
-    """List coloring when every list has at most two colors, by 2-SAT.
+def _two_lists(bits: tuple, mask: int, has) -> Optional[dict]:
+    """List coloring of the ranks in `mask`, with neighbors `bits[r] &
+    mask` and at most two colors each in the bitsets `has` (see
+    `_color_bits`), by 2-SAT. Returns {rank: color}, ranks ascending, or
+    None when no coloring exists.
 
-    Boolean per vertex: False picks the smaller list entry, True the
-    larger; one-color lists are forced, empty lists are unsatisfiable.
+    One variable per rank, ranks ascending: False picks the smaller color
+    of its list, True the larger. A one-color rank is a unit clause, and
+    an empty list has no coloring. The edges are walked as rank pairs
+    r < s in ascending order; for each color both ends hold, a clause
+    forbids both picking it.
     """
-    order = inst.graph.vertices
-    choices = []
-    for v in order:
-        cs = tuple(sorted(inst.lists.get(v)))
-        if len(cs) > 2:
-            raise PreconditionError(f"vertex {v!r} has a 3-color list")
-        if not cs:
-            return None
-        choices.append(cs)
-    idx = {v: i for i, v in enumerate(order)}
-    sat = _TwoSat(len(order))
-
-    def lit(i: int, pick: int) -> int:
-        # literal asserting vertex i picks entry `pick` of its list
-        return 2 * i if pick == 1 else 2 * i + 1
-
+    ranks = list(_ranks(mask))
+    choices = [_TUPLES[_mask_at(has, r)] for r in ranks]
+    if not all(choices):
+        return None
+    index = {r: i for i, r in enumerate(ranks)}
+    sat = _TwoSat(len(ranks))
+    # literal 2i + a is "rank i does not pick entry a of its list"
     for i, cs in enumerate(choices):
         if len(cs) == 1:
-            neg = lit(i, 1) ^ 1
-            sat.add_clause(neg, neg)
-    for e in inst.graph.edges:
-        u, v = tuple(e)
-        i, j = idx[u], idx[v]
-        for a, ca in enumerate(choices[i]):
-            for b, cb in enumerate(choices[j]):
-                if ca == cb:
-                    sat.add_clause(lit(i, a) ^ 1, lit(j, b) ^ 1)
+            sat.add_clause(2 * i + 1, 2 * i + 1)
+    for i, r in enumerate(ranks):
+        for s in _ranks(bits[r] & mask & -(2 << r)):
+            j = index[s]
+            for a, ca in enumerate(choices[i]):
+                for b, cb in enumerate(choices[j]):
+                    if ca == cb:
+                        sat.add_clause(2 * i + a, 2 * j + b)
     model = sat.solve()
     if model is None:
         return None
-    assignment = {}
-    for i, v in enumerate(order):
-        cs = choices[i]
-        pick = 1 if (model[i] and len(cs) == 2) else 0
-        assignment[v] = cs[pick]
-    return checked_witness(Coloring(assignment), inst)
+    return {r: cs[-1] if up else cs[0] for r, cs, up in zip(ranks, choices, model)}
+
+
+def _few_wide(bits: tuple, mask: int, has) -> Optional[dict]:
+    """List coloring of the ranks in `mask` (as in `_two_lists`) whose
+    full-list ranks are few: each coloring of them in turn, ranks
+    ascending and colors in `itertools.product` order, fixes their
+    colors, strikes them from their other neighbors and hands the rest
+    to `_two_lists`. The first success wins."""
+    full = mask & has[0] & has[1] & has[2]
+    wide = list(_ranks(full))
+    rest = [h & ~full for h in has]
+    for combo in itertools.product(range(3), repeat=len(wide)):
+        pinned = [0, 0, 0]
+        near = [0, 0, 0]
+        for r, i in zip(wide, combo):
+            pinned[i] |= 1 << r
+            near[i] |= bits[r]
+        if pinned[0] & near[0] or pinned[1] & near[1] or pinned[2] & near[2]:
+            continue  # two adjacent wide ranks share a color
+        ranks = _two_lists(bits, mask, [pinned[i] | rest[i] & ~near[i] for i in range(3)])
+        if ranks is not None:
+            return ranks
+    return None
+
+
+def _witness(inst: Instance, ranks: Optional[dict]) -> Optional[Coloring]:
+    """A kernel's {rank: color} as a coloring of inst, in the same key
+    order, once it validates; None stays None."""
+    if ranks is None:
+        return None
+    order = inst.graph.vertices
+    return checked_witness(Coloring({order[r]: c for r, c in ranks.items()}), inst)
+
+
+def solve_two_lists(inst: Instance) -> Optional[Coloring]:
+    """List coloring when every list has at most two colors, by 2-SAT
+    (`_two_lists`); a 3-color list is a precondition error."""
+    g = inst.graph
+    has = _color_bits(inst)
+    full = has[0] & has[1] & has[2]
+    if full:
+        v = g.vertices[(full & -full).bit_length() - 1]
+        raise PreconditionError(f"vertex {v!r} has a 3-color list")
+    return _witness(inst, _two_lists(g.adjacency_bits(), (1 << g.n) - 1, has))
 
 
 def solve_few_wide(inst: Instance, c: int) -> Optional[Coloring]:
     """Decide colorability when at most c vertices have full lists, by
-    enumerating the wide vertices' colors and finishing with 2-SAT. The
-    first success in enumeration order (wide vertices by position, colors
-    ascending) wins."""
-    wide = [v for v in inst.graph.vertices if len(inst.lists.get(v)) == 3]
-    if len(wide) > c:
-        raise PreconditionError(f"{len(wide)} wide vertices exceed the bound {c}")
-    if not wide:
-        return solve_two_lists(inst)
+    enumerating the wide vertices' colors and finishing with 2-SAT
+    (`_few_wide`). The first success in enumeration order (wide vertices
+    by position, colors ascending) wins."""
     g = inst.graph
-    for combo in itertools.product(COLORS, repeat=len(wide)):
-        chosen = dict(zip(wide, combo))
-        if any(
-            g.has_edge(u, v) and chosen[u] == chosen[v]
-            for u, v in itertools.combinations(wide, 2)
-        ):
-            continue
-        new_lists = {}
-        for v in g.vertices:
-            if v in chosen:
-                new_lists[v] = frozenset((chosen[v],))
-            else:
-                struck = {chosen[w] for w in g.neighbors(v) if w in chosen}
-                new_lists[v] = inst.lists.get(v) - struck
-        result = solve_two_lists(Instance(g, ListAssignment(new_lists)))
-        if result is not None:
-            return result
-    return None
+    has = _color_bits(inst)
+    wide = (has[0] & has[1] & has[2]).bit_count()
+    if wide > c:
+        raise PreconditionError(f"{wide} wide vertices exceed the bound {c}")
+    return _witness(inst, _few_wide(g.adjacency_bits(), (1 << g.n) - 1, has))
 
 
 def solve_small_class(inst: Instance, c: int) -> Optional[Coloring]:
     """Find an L-coloring in which some color class has fewer than c
     vertices, if one exists.
 
-    For each color i and each stable A within L^(i) with |A| < c, pin the
-    class of i to exactly A and finish with 2-SAT.
+    For each color i and each stable A within L^(i) with |A| < c (by
+    size, then in `_stable_sets` order), pin the class of i to exactly A
+    on the color bitsets and finish with 2-SAT (`_two_lists`).
     """
     if c <= 0:
         return None  # no class has fewer than zero vertices
     g = inst.graph
-    for i in COLORS:
-        candidates = sorted(inst.lists.view(i), key=g.rank)
-        for size in range(0, c):
-            for combo in itertools.combinations(candidates, size):
-                if any(g.has_edge(u, v) for u, v in itertools.combinations(combo, 2)):
-                    continue
-                pinned = set(combo)
-                new_lists = {}
-                for v in g.vertices:
-                    if v in pinned:
-                        new_lists[v] = frozenset((i,))
-                    else:
-                        new_lists[v] = inst.lists.get(v) - {i}
-                result = solve_two_lists(Instance(g, ListAssignment(new_lists)))
-                if result is not None:
-                    return result
+    bits = g.adjacency_bits()
+    everyone = (1 << g.n) - 1
+    has = _color_bits(inst)
+    for i in range(3):
+        for size in range(c):
+            for _, pinned, _ in _stable_sets(bits, has[i], size):
+                lists = [h & ~pinned for h in has]
+                lists[i] = pinned
+                ranks = _two_lists(bits, everyone, lists)
+                if ranks is not None:
+                    return _witness(inst, ranks)
     return None
 
 
@@ -505,7 +478,4 @@ def solve_chordal(inst: Instance) -> Optional[Coloring]:
     that is not chordal is a precondition error."""
     g = inst.graph
     colors = [tuple(sorted(inst.lists.get(v))) for v in g.vertices]
-    ranks = _chordal_coloring(g.adjacency_bits(), (1 << g.n) - 1, colors)
-    if ranks is None:
-        return None
-    return checked_witness(Coloring({g.vertices[r]: c for r, c in ranks.items()}), inst)
+    return _witness(inst, _chordal_coloring(g.adjacency_bits(), (1 << g.n) - 1, colors))

@@ -16,21 +16,20 @@ from ordered_coloring import (
     RefusalError,
     build_pattern,
     contains_pattern,
-    drop_singletons,
     enumerate_colorings,
     has_k4,
     is_isomorphic,
-    propagate_singletons,
     solve_small_class,
 )
-from ordered_coloring.core import _ranks
+from ordered_coloring.core import _ranks, checked_witness
 from ordered_coloring.jw import Member
 from ordered_coloring.kernels import (
     _SETS,
+    _TwoSat,
     _color_bits,
-    _lists_from_bits,
     _mask_at,
     _mcs_peo,
+    _propagate_bits,
     boundary_guesses,
 )
 from ordered_coloring.rand import random_lists, random_ordered_graph
@@ -43,6 +42,126 @@ def brute_contains(g: OrderedGraph, h: OrderedGraph):
     for combo in itertools.combinations(g.vertices, h.n):
         if is_isomorphic(g.induced(combo), h):
             return frozenset(combo)
+    return None
+
+
+def lists_from_bits(order: tuple, has) -> ListAssignment:
+    """The color bitsets `has` (see `kernels._color_bits`) as frozenset
+    lists keyed by the vertices in `order`."""
+    return ListAssignment({v: _SETS[_mask_at(has, r)] for r, v in enumerate(order)})
+
+
+def propagated(inst: Instance) -> Instance:
+    """inst with its lists run through the package's propagation kernel,
+    `kernels._propagate_bits`."""
+    g = inst.graph
+    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+    return Instance(g, lists_from_bits(g.vertices, has))
+
+
+def reference_propagation(g, lists) -> dict:
+    """Frozenset singleton propagation in rounds: every one-color list
+    strikes its color from all its neighbors at once, until nothing
+    changes."""
+    lists = dict(lists)
+    while True:
+        singles = {v: c for v, cs in lists.items() if len(cs) == 1 for c in cs}
+        new = {
+            v: cs - {singles[u] for u in g.neighbors(v) if u in singles}
+            for v, cs in lists.items()
+        }
+        if new == lists:
+            return lists
+        lists = new
+
+
+def reference_solve_two_lists(inst: Instance) -> Optional[Coloring]:
+    """Independent 2-SAT list coloring for `kernels.solve_two_lists`: the
+    frozenset version the package ran before its rank kernel, with the
+    edges walked as rank pairs in ascending order. Returns the same
+    Coloring, in the same key order, or None."""
+    g = inst.graph
+    order = g.vertices
+    choices = []
+    for v in order:
+        cs = tuple(sorted(inst.lists.get(v)))
+        if len(cs) > 2:
+            raise PreconditionError(f"vertex {v!r} has a 3-color list")
+        if not cs:
+            return None
+        choices.append(cs)
+    sat = _TwoSat(len(order))
+
+    def lit(i: int, pick: int) -> int:
+        # literal asserting vertex i picks entry `pick` of its list
+        return 2 * i if pick == 1 else 2 * i + 1
+
+    for i, cs in enumerate(choices):
+        if len(cs) == 1:
+            neg = lit(i, 1) ^ 1
+            sat.add_clause(neg, neg)
+    for i, j in sorted(tuple(sorted(g.rank(x) for x in e)) for e in g.edges):
+        for a, ca in enumerate(choices[i]):
+            for b, cb in enumerate(choices[j]):
+                if ca == cb:
+                    sat.add_clause(lit(i, a) ^ 1, lit(j, b) ^ 1)
+    model = sat.solve()
+    if model is None:
+        return None
+    assignment = {}
+    for i, v in enumerate(order):
+        cs = choices[i]
+        pick = 1 if (model[i] and len(cs) == 2) else 0
+        assignment[v] = cs[pick]
+    return checked_witness(Coloring(assignment), inst)
+
+
+def reference_solve_few_wide(inst: Instance, c: int) -> Optional[Coloring]:
+    """Independent bounded wide-set solver for `kernels.solve_few_wide`:
+    every coloring of the full-list vertices (by position, colors in
+    product order) becomes a new frozenset instance for
+    `reference_solve_two_lists`; the first success wins."""
+    g = inst.graph
+    wide = [v for v in g.vertices if len(inst.lists.get(v)) == 3]
+    if len(wide) > c:
+        raise PreconditionError(f"{len(wide)} wide vertices exceed the bound {c}")
+    for combo in itertools.product(COLORS, repeat=len(wide)):
+        chosen = dict(zip(wide, combo))
+        if any(
+            g.has_edge(u, v) and chosen[u] == chosen[v]
+            for u, v in itertools.combinations(wide, 2)
+        ):
+            continue
+        new_lists = {}
+        for v in g.vertices:
+            if v in chosen:
+                new_lists[v] = frozenset((chosen[v],))
+            else:
+                struck = {chosen[w] for w in g.neighbors(v) if w in chosen}
+                new_lists[v] = inst.lists.get(v) - struck
+        result = reference_solve_two_lists(Instance(g, ListAssignment(new_lists)))
+        if result is not None:
+            return result
+    return None
+
+
+def reference_solve_small_class(inst: Instance, c: int) -> Optional[Coloring]:
+    """Independent small-class solver for `kernels.solve_small_class`:
+    for each color i and each stable A within L^(i) with |A| < c, by size
+    and then in combination order, a new frozenset instance pins the
+    class of i to exactly A for `reference_solve_two_lists`."""
+    g = inst.graph
+    for i in COLORS:
+        candidates = [v for v in g.vertices if i in inst.lists.get(v)]
+        for size in range(0, c):
+            for combo in _stable(g, candidates, size):
+                new_lists = {
+                    v: frozenset((i,)) if v in combo else inst.lists.get(v) - {i}
+                    for v in g.vertices
+                }
+                result = reference_solve_two_lists(Instance(g, ListAssignment(new_lists)))
+                if result is not None:
+                    return result
     return None
 
 
@@ -221,8 +340,9 @@ def reference_guesses(inst, first, last, ordered):
     enumeration), otherwise the union of the two must be stable (the J16
     enumeration)."""
     g = inst.graph
-    firsts = {i: _stable(g, sorted(inst.lists.view(i), key=g.rank), first) for i in COLORS}
-    lasts = {i: _stable(g, sorted(inst.lists.view(i), key=g.rank), last) for i in COLORS}
+    holders = {i: [v for v in g.vertices if i in inst.lists.get(v)] for i in COLORS}
+    firsts = {i: _stable(g, holders[i], first) for i in COLORS}
+    lasts = {i: _stable(g, holders[i], last) for i in COLORS}
 
     def rec(i, used, xs, ys):
         if i > 3:
@@ -264,18 +384,23 @@ def reference_lists_jw(inst, xs, ys):
 
 def reference_sigma_members(inst, w):
     """Independent guessing profile for `jw.build_sigma_profile`: every
-    six-tuple's forced lists go through `drop_singletons`, members are
-    deduplicated on (sub vertices, sub lists), and members with an empty
-    list are skipped. Yields (sub vertices, sub lists, forced)."""
+    six-tuple's forced lists go through `reference_propagation`, the
+    one-color vertices are set aside as forced, members are deduplicated
+    on (other vertices, their lists), and members with an empty list are
+    skipped. Yields (other vertices, their lists, forced)."""
     seen = set()
+    g = inst.graph
     for xs, ys in reference_guesses(inst, w, w, ordered=True):
-        dropped = drop_singletons(Instance(inst.graph, reference_lists_jw(inst, xs, ys)))
-        key = (frozenset(dropped.sub.graph.vertices), frozenset(dropped.sub.lists.items()))
+        lists = reference_propagation(g, reference_lists_jw(inst, xs, ys).items())
+        forced = {v: c for v in g.vertices if len(lists[v]) == 1 for c in lists[v]}
+        kept = tuple(v for v in g.vertices if v not in forced)
+        sub = ListAssignment({v: lists[v] for v in kept})
+        key = (frozenset(kept), frozenset(sub.items()))
         if key in seen:
             continue
         seen.add(key)
-        if all(cs for _, cs in dropped.sub.lists.items()):
-            yield dropped.sub.graph.vertices, dropped.sub.lists, dropped.forced
+        if all(cs for _, cs in sub.items()):
+            yield kept, sub, forced
 
 
 def reference_solve_chordal(inst: Instance):
@@ -348,7 +473,7 @@ def reference_fwdnbr_members(inst: Instance, k: int, l: int):
     """Independent narrowing for `j16._fwdnbr_members`: the list version
     the package ran before its bitset one. Each guess of
     `kernels.boundary_guesses` becomes an `Instance` narrowed on frozenset
-    lists with `propagate_singletons`, and members are deduplicated on
+    lists with `reference_propagation`, and members are deduplicated on
     their lists. Yields the members as instances, in order; a refusal
     raises `RefusalError` with the pattern and witness of the package's."""
     if has_k4(inst.graph):
@@ -356,7 +481,7 @@ def reference_fwdnbr_members(inst: Instance, k: int, l: int):
     g = inst.graph
     seen = set()
     for a_sets, b_sets, has in boundary_guesses(inst, k, l):
-        narrowed = _reference_narrow(Instance(g, _lists_from_bits(g.vertices, has)), a_sets, b_sets)
+        narrowed = _reference_narrow(Instance(g, lists_from_bits(g.vertices, has)), a_sets, b_sets)
         if narrowed is None:
             continue
         key = frozenset(narrowed.lists.items())
@@ -440,7 +565,8 @@ def _reference_narrow(inst: Instance, a_sets: tuple, b_sets: tuple):
                 changes[y] = current.lists.get(y) - {i}
         else:
             raise InternalError(f"unexpected third-neighbor list {sorted(lx)}")
-        current = propagate_singletons(Instance(g, current.lists.updated(changes)))
+        lists = reference_propagation(g, current.lists.updated(changes).items())
+        current = Instance(g, ListAssignment(lists))
 
 
 def _reference_refuse(a_sets, b_sets, v, u, w, color):

@@ -33,7 +33,6 @@ from ordered_coloring import j16, jw
 from ordered_coloring.core import _ranks
 from ordered_coloring.gadgets import gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
 from ordered_coloring.jw import ColoredSeed, augment_star, class_cap, success_table
-from ordered_coloring.kernels import propagate_singletons
 from ordered_coloring.rand import (
     make_rng,
     random_chordal_instance,
@@ -47,6 +46,7 @@ from ordered_coloring.rand import (
 from conftest import (
     chain_member,
     graph,
+    propagated,
     property_x,
     property_y,
     random_two_list_instance,
@@ -244,7 +244,7 @@ def test_criterion_4_chain_level_checks():
         }
         after = {
             tuple(sorted((str(v), c) for v, c in col.items()))
-            for col in enumerate_colorings(propagate_singletons(inst))
+            for col in enumerate_colorings(propagated(inst))
         }
         assert before == after
 

@@ -13,9 +13,9 @@ reference's propagated lists.
 import itertools
 
 from ordered_coloring import COLORS, Instance, ListAssignment, build_pattern
-from ordered_coloring.kernels import _lists_from_bits, boundary_guesses, propagate_singletons
+from ordered_coloring.kernels import boundary_guesses
 from ordered_coloring.rand import make_rng, random_j16free_instance, random_pattern_free_instance
-from conftest import reference_guesses, reference_lists_jw
+from conftest import lists_from_bits, reference_guesses, reference_lists_jw, reference_propagation
 
 
 def _reference_lists_j16(inst, a_sets, b_sets):
@@ -40,7 +40,7 @@ def _propagated(inst, lists):
     """The propagated lists, or None when some list is empty afterwards."""
     if any(not cs for _, cs in lists.items()):
         return None
-    out = propagate_singletons(Instance(inst.graph, lists)).lists
+    out = ListAssignment(reference_propagation(inst.graph, lists.items()))
     return None if any(not cs for _, cs in out.items()) else out
 
 
@@ -48,7 +48,7 @@ def _engine(inst, first, last):
     """The engine's guesses as ((first-sets, last-sets), propagated lists)."""
     order = inst.graph.vertices
     for f, s, has in boundary_guesses(inst, first, last):
-        yield (f, s), _lists_from_bits(order, has)
+        yield (f, s), lists_from_bits(order, has)
 
 
 def _compare(inst, engine, reference):

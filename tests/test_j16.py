@@ -23,13 +23,7 @@ from ordered_coloring.j16 import (
     _wide,
     pad_sets,
 )
-from ordered_coloring.kernels import (
-    _color_bits,
-    _lists_from_bits,
-    propagate_singletons,
-    solve_small_class,
-    solve_two_lists,
-)
+from ordered_coloring.kernels import _color_bits, _propagate_bits, solve_small_class
 from ordered_coloring.oracle import enumerate_colorings
 from ordered_coloring.rand import (
     make_rng,
@@ -43,15 +37,18 @@ from conftest import (
     forward_clique_instances,
     graph,
     instance,
+    lists_from_bits,
     reference_fwdnbr_members,
+    reference_propagation,
     reference_solve_chordal,
+    reference_solve_two_lists,
     wide_set,
 )
 
 
 def as_instance(inst, has):
     """The member with color bitsets `has` on inst's graph, as an Instance."""
-    return Instance(inst.graph, _lists_from_bits(inst.graph.vertices, has))
+    return Instance(inst.graph, lists_from_bits(inst.graph.vertices, has))
 
 
 def _special_members_reference(inst, k, l):
@@ -61,7 +58,7 @@ def _special_members_reference(inst, k, l):
     g = inst.graph
     seen = set()
     for i in COLORS:
-        candidates = sorted(inst.lists.view(i), key=g.rank)
+        candidates = [v for v in g.vertices if i in inst.lists.get(v)]
         for size in range(0, k + l):
             for combo in itertools.combinations(candidates, size):
                 if any(g.has_edge(x, y) for x, y in itertools.combinations(combo, 2)):
@@ -83,7 +80,7 @@ def _special_members_reference(inst, k, l):
 
 def _special_reference(inst, k, l):
     for member in _special_members_reference(inst, k, l):
-        result = solve_two_lists(member)
+        result = reference_solve_two_lists(member)
         if result is not None:
             return result
     return None
@@ -159,18 +156,24 @@ class TestProfileFwdnbr:
         assert checked >= 5
 
     def test_profile_cardinality_bounds(self, monkeypatch):
+        # every 2-SAT solve of the small-class stage goes through the
+        # kernel, so counting its calls counts the stage's members
         calls = []
+        real = kernels._two_lists
         monkeypatch.setattr(
-            kernels, "solve_two_lists", lambda inst, _f=solve_two_lists: calls.append(1) or _f(inst)
+            kernels, "_two_lists", lambda *args: calls.append(1) or real(*args)
         )
         rng = make_rng(81)
+        counted = 0
         for _ in range(20):
             n = rng.randint(2, 8)
             inst = random_j16free_instance(rng, 1, 1, n)
             calls.clear()
             solve_small_class(inst, 2)
             assert len(calls) <= 3 * n ** 2
+            counted += len(calls)
             assert len(list(_fwdnbr_members(inst, 1, 0))) <= n ** 3
+        assert counted >= 1
 
     def test_narrowing_detects_pattern_violation(self):
         # a center with three pairwise nonadjacent later neighbors contains
@@ -389,11 +392,12 @@ class TestFinishMember:
         rng = make_rng(79)
         outcomes = {"colored": 0, "none": 0}
         for inst in forward_clique_instances(rng, 200, empty_share=0):
-            member = propagate_singletons(inst)
-            if not all(cs for _, cs in member.lists.items()):
+            g = inst.graph
+            has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+            if has[0] | has[1] | has[2] != (1 << g.n) - 1:
                 continue
-            got = _finish_member(member.graph, tuple(_color_bits(member)))
-            expected = reference_finish_member(member)
+            got = _finish_member(g, has)
+            expected = reference_finish_member(as_instance(inst, has))
             assert (got is None) == (expected is None)
             if got is None:
                 outcomes["none"] += 1
@@ -427,8 +431,8 @@ class TestFinalizeSmall:
                 member = as_instance(inst, member)
                 assert all(len(cs) <= 1 for _, cs in member.lists.items())
                 # colorability of a fully forced member is edge consistency
-                final = propagate_singletons(member)
-                empty = any(not cs for _, cs in final.lists.items())
+                final = reference_propagation(member.graph, member.lists.items())
+                empty = not all(final.values())
                 assert (solve_bruteforce(member) is not None) == (not empty)
 
 

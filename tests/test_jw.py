@@ -29,7 +29,8 @@ from ordered_coloring.jw import (
     success_table,
 )
 from ordered_coloring.kernels import _ONLY, _SETS, _mask_at, _wide, has_k4, solve_small_class
-from ordered_coloring.rand import make_rng, random_pattern_free_instance
+from ordered_coloring.io import serialize_instance
+from ordered_coloring.rand import make_rng, random_ordered_graph, random_pattern_free_instance
 from conftest import (
     band_chain_instance,
     chain_member,
@@ -369,6 +370,31 @@ class TestSolveJw:
         assert [v for v, _ in witness] == ["v1", "v2", "v3", "v4", "v5", "v6"]
         assert report["verdict"] == "colorable" and report["witness"] == dict(witness)
 
+    def test_two_sat_report_does_not_depend_on_hash_seed(self, tmp_path):
+        # the 2-SAT clauses follow rank order; on this draw, clauses in the
+        # hash order of the edge set give other witnesses under seed 1
+        # than under seed 0
+        rng = make_rng(3)
+        for _ in range(22):
+            g = random_ordered_graph(rng, 14, 0.2)
+            lists = {v: frozenset(rng.sample((1, 2, 3), 2)) for v in g.vertices}
+        path = tmp_path / "two.txt"
+        inst = Instance(g, ListAssignment(lists))
+        path.write_text(serialize_instance("two", inst))
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        argv = ["-m", "ordered_coloring.cli", "--json", "solve", str(path), "--alg", "2sat"]
+        reports = []
+        for seed in ("0", "1"):
+            env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+            run = subprocess.run([sys.executable, *argv], env=env, capture_output=True, text=True)
+            assert run.returncode == 0, run.stderr
+            report = json.loads(run.stdout.splitlines()[-1])
+            report.pop("time_ms")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["verdict"] == "colorable"
+        assert Coloring(reports[0]["witness"]).validates(inst)
+
     def test_k4_with_far_isolated_vertices(self):
         # a 4-clique padded so the single-edge pattern cannot embed
         verts = {i: i for i in range(1, 5)}
@@ -436,8 +462,8 @@ class TestChainCorpus:
         assert links >= 200 and verdicts == {True, False}, links
 
     def test_graphs_built_per_link(self, monkeypatch):
-        # one induced graph per link check at most, plus one for the
-        # sub-instance of the accepted member
+        # no graph per link check: only the sub-instance of the accepted
+        # member builds one
         real_init = OrderedGraph.__init__
         real_link = jw.check_link
         counts = {"graphs": 0, "links": 0}
@@ -458,6 +484,6 @@ class TestChainCorpus:
         for inst in corpus:
             counts["graphs"] = counts["links"] = 0
             got = solve_jw(inst, 1, check_freeness=False)
-            assert counts["graphs"] <= counts["links"] + (got is not None)
+            assert counts["graphs"] <= (got is not None)
             total += counts["links"]
         assert total >= 100

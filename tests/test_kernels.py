@@ -9,17 +9,22 @@ from ordered_coloring import (
     PreconditionError,
     build_pattern,
     contains_pattern,
-    drop_singletons,
     enumerate_colorings,
     has_k4,
-    propagate_singletons,
     solve_bruteforce,
     solve_chordal,
     solve_few_wide,
     solve_small_class,
     solve_two_lists,
 )
-from ordered_coloring.kernels import _color_bits, _mcs_peo, _propagate_bits
+from ordered_coloring.core import _ranks
+from ordered_coloring.kernels import (
+    _color_bits,
+    _mcs_peo,
+    _propagate_bits,
+    _stable_sets,
+    _two_lists,
+)
 from ordered_coloring.rand import (
     make_rng,
     positions_fuzzed,
@@ -29,12 +34,18 @@ from ordered_coloring.rand import (
     random_ordered_graph,
 )
 from conftest import (
+    _stable,
     chordal_peo,
     forward_clique_instances,
     graph,
     instance,
+    propagated,
     random_two_list_instance,
+    reference_propagation,
     reference_solve_chordal,
+    reference_solve_few_wide,
+    reference_solve_small_class,
+    reference_solve_two_lists,
 )
 
 
@@ -46,14 +57,16 @@ def coloring_set(inst, cap=20):
 
 
 class TestPropagateSingletons:
+    """Singleton propagation, `_propagate_bits`, on small cases."""
+
     def test_single_firing(self):
         inst = instance({"u": 1, "v": 2}, [("u", "v")], lists={"u": (1,), "v": (1, 2)})
-        out = propagate_singletons(inst)
+        out = propagated(inst)
         assert out.lists.get("v") == {2}
 
     def test_wide_lists_untouched(self):
         inst = instance({"a": 1, "b": 2}, [("a", "b")])
-        assert propagate_singletons(inst).lists == inst.lists
+        assert propagated(inst).lists == inst.lists
 
     def test_chained_firings(self):
         inst = instance(
@@ -61,7 +74,7 @@ class TestPropagateSingletons:
             [("u", "v"), ("v", "w")],
             lists={"u": (1,), "v": (1, 2), "w": (2, 3)},
         )
-        out = propagate_singletons(inst)
+        out = propagated(inst)
         assert out.lists.get("v") == {2} and out.lists.get("w") == {3}
         assert coloring_set(inst) == coloring_set(out)
 
@@ -69,7 +82,7 @@ class TestPropagateSingletons:
         rng = make_rng(31)
         for _ in range(60):
             inst = random_instance(rng, rng.randint(1, 8), rng.random(), rng.random())
-            out = propagate_singletons(inst)
+            out = propagated(inst)
             for e in out.graph.edges:
                 u, v = tuple(e)
                 if len(out.lists.get(v)) == 1:
@@ -81,23 +94,7 @@ class TestPropagateSingletons:
         rng = make_rng(32)
         for _ in range(60):
             inst = random_instance(rng, rng.randint(1, 8), rng.random(), rng.random())
-            assert coloring_set(inst) == coloring_set(propagate_singletons(inst))
-
-
-def reference_propagation(g, lists):
-    """Frozenset singleton propagation in rounds: every one-color list
-    strikes its color from all its neighbors at once, until nothing
-    changes."""
-    lists = dict(lists)
-    while True:
-        singles = {v: c for v, cs in lists.items() if len(cs) == 1 for c in cs}
-        new = {
-            v: cs - {singles[u] for u in g.neighbors(v) if u in singles}
-            for v, cs in lists.items()
-        }
-        if new == lists:
-            return lists
-        lists = new
+            assert coloring_set(inst) == coloring_set(propagated(inst))
 
 
 def sequential_propagation(rng, g, lists):
@@ -141,13 +138,13 @@ class TestPropagateBits:
                 for r, v in enumerate(g.vertices)
             }
             assert got == reference_propagation(g, dict(inst.lists.items()))
-            assert propagate_singletons(inst).lists == ListAssignment(got)
+            assert propagated(inst).lists == ListAssignment(got)
 
     def test_any_order_gives_the_same_lists_or_an_empty_one(self):
         emptied = 0
         for rng, inst in self.corpus(35):
             g = inst.graph
-            got = propagate_singletons(inst).lists
+            got = propagated(inst).lists
             other = sequential_propagation(rng, g, dict(inst.lists.items()))
             if all(cs for _, cs in got.items()):
                 assert other == dict(got.items())
@@ -155,41 +152,6 @@ class TestPropagateBits:
                 assert not all(other.values())
                 emptied += 1
         assert 20 <= emptied <= 130  # both outcomes well represented
-
-
-class TestDropSingletons:
-    def test_identity_on_full_lists(self):
-        inst = instance({"a": 1, "b": 2}, [("a", "b")])
-        ref = drop_singletons(inst)
-        assert ref.spanning and ref.sub == inst
-
-    def test_forced_vertex_removed(self):
-        inst = instance({"a": 1}, lists={"a": (2,)})
-        ref = drop_singletons(inst)
-        assert ref.sub.graph.n == 0 and ref.forced == {"a": 2}
-
-    def test_no_singletons_remain_and_equicolorable(self):
-        rng = make_rng(33)
-        for _ in range(80):
-            inst = random_instance(rng, rng.randint(1, 8), rng.random(), rng.random())
-            ref = drop_singletons(inst)
-            assert all(len(ref.sub.lists.get(v)) in (0, 2, 3) for v in ref.sub.graph.vertices)
-            a = solve_bruteforce(inst) is not None
-            b = solve_bruteforce(ref.sub) is not None
-            assert a == b
-            if b:
-                extended = ref.extend(solve_bruteforce(ref.sub))
-                assert extended.validates(inst)
-
-    def test_triangle_cascade(self):
-        inst = instance(
-            {"u": 1, "v": 2, "w": 3},
-            [("u", "v"), ("u", "w"), ("v", "w")],
-            lists={"u": (1,), "v": (1, 2), "w": (1, 2, 3)},
-        )
-        ref = drop_singletons(inst)
-        assert ref.sub.graph.n == 0
-        assert ref.forced == {"u": 1, "v": 2, "w": 3}
 
 
 class TestSolveTwoLists:
@@ -276,6 +238,118 @@ class TestSolveSmallClass:
                 if got is not None:
                     assert got.validates(inst)
                     assert min(len(got.color_class(i)) for i in (1, 2, 3)) < c
+
+
+def mixed_corpus(seed, count, full_bias):
+    """`count` random instances, n = 0-11, string ids: lists of one, two
+    or (with weight `full_bias`) three colors, and in a fifth of them one
+    list emptied."""
+    rng = make_rng(seed)
+    for _ in range(count):
+        inst = random_instance(rng, rng.randint(0, 11), rng.random(), full_bias)
+        if inst.graph.n and rng.random() < 0.2:
+            v = rng.choice(inst.graph.vertices)
+            inst = Instance(inst.graph, inst.lists.updated({v: frozenset()}))
+        yield inst
+
+
+def same(got, expected) -> bool:
+    """Both None, or the same witness item for item, key order included."""
+    if got is None or expected is None:
+        return got is expected
+    return list(got.items()) == list(expected.items())
+
+
+class TestReferenceDifferential:
+    """The rank-kernel wrappers against the frozenset code they replaced
+    (`conftest.reference_solve_*`): the same witness, key for key, in
+    the same order."""
+
+    def test_two_lists(self):
+        colored = 0
+        for inst in mixed_corpus(40, 400, full_bias=0):
+            got = solve_two_lists(inst)
+            assert same(got, reference_solve_two_lists(inst))
+            colored += got is not None
+        assert 100 <= colored <= 300, colored
+
+    def test_two_lists_on_sparse_draws(self):
+        # sparse graphs with mostly two-color lists leave many choices
+        # free, so the model there depends on the clause order; walking
+        # the edges in another order changes about one witness in 125
+        rng = make_rng(45)
+        colored = 0
+        for _ in range(1500):
+            g = random_ordered_graph(rng, rng.randint(8, 16), rng.uniform(0.1, 0.3))
+            lists = {
+                v: frozenset(rng.sample(COLORS, rng.choice((1, 2, 2, 2, 2)))) for v in g.vertices
+            }
+            inst = Instance(g, ListAssignment(lists))
+            got = solve_two_lists(inst)
+            assert same(got, reference_solve_two_lists(inst))
+            colored += got is not None
+        assert 500 <= colored <= 1000, colored
+
+    def test_two_lists_full_list_raises_in_both(self):
+        inst = instance({"a": 1, "b": 2}, [("a", "b")], lists={"a": (1, 2)})
+        for solve in (solve_two_lists, reference_solve_two_lists):
+            with pytest.raises(PreconditionError):
+                solve(inst)
+
+    def test_few_wide(self):
+        colored = 0
+        for inst in mixed_corpus(41, 400, full_bias=0.3):
+            wide = sum(len(cs) == 3 for _, cs in inst.lists.items())
+            if wide > 4:
+                for solve in (solve_few_wide, reference_solve_few_wide):
+                    with pytest.raises(PreconditionError):
+                        solve(inst, 4)
+                continue
+            got = solve_few_wide(inst, 4)
+            assert same(got, reference_solve_few_wide(inst, 4))
+            colored += got is not None
+        assert colored >= 60, colored
+
+    def test_small_class(self):
+        colored = 0
+        for inst in mixed_corpus(42, 300, full_bias=0.4):
+            for c in (0, 1, 2, 3):
+                got = solve_small_class(inst, c)
+                assert same(got, reference_solve_small_class(inst, c))
+                colored += got is not None
+        assert colored >= 150, colored
+
+    def test_kernel_on_a_rank_mask(self):
+        # `_two_lists` on some ranks equals the reference on the induced
+        # sub-instance, as the link check uses it
+        rng = make_rng(43)
+        colored = 0
+        for _ in range(300):
+            inst = random_two_list_instance(rng, rng.randint(0, 11), rng.random())
+            g = inst.graph
+            mask = rng.getrandbits(g.n)
+            got = _two_lists(g.adjacency_bits(), mask, _color_bits(inst))
+            sub = inst.sub_instance([g.vertices[r] for r in _ranks(mask)])
+            expected = reference_solve_two_lists(sub)
+            if got is None or expected is None:
+                assert got is expected
+                continue
+            assert [(g.vertices[r], c) for r, c in got.items()] == list(expected.items())
+            colored += 1
+        assert colored >= 100, colored
+
+    def test_stable_sets_match_combinations(self):
+        rng = make_rng(44)
+        for _ in range(100):
+            g = random_ordered_graph(rng, rng.randint(0, 9), rng.random())
+            mask = rng.getrandbits(g.n)
+            members = [g.vertices[r] for r in _ranks(mask)]
+            for size in range(4):
+                got = [
+                    tuple(g.vertices[r] for r in combo)
+                    for combo, _, _ in _stable_sets(g.adjacency_bits(), mask, size)
+                ]
+                assert got == _stable(g, members, size)
 
 
 class TestHasK4:
