@@ -29,7 +29,8 @@ print("rank of d:", g.rank("d"), " ranks 1 to 3:", g.vertices[1:4])
 # Their left endpoints increase, and so do their right endpoints.
 print("maximal edges:", g.maximal_edges())
 e = g.maximal_edges()[0]
-print(f"span of {e}:", sorted(g.under(e)), " left of it:", sorted(g.left_of(e)))
+# The span of an edge is the rank range from one endpoint to the other.
+print(f"span of {e}:", g.vertices[g.rank(e[0]) : g.rank(e[1]) + 1])
 
 # Pattern containment is order-preserving and induced: the witness set
 # induces exactly the pattern's edges, in the same vertex order.

@@ -47,7 +47,6 @@ from .kernels import (
 )
 from .oracle import (
     NaeInstance,
-    count_colorings,
     enumerate_colorings,
     nae_bruteforce,
     solve_bruteforce,

@@ -197,24 +197,6 @@ class OrderedGraph:
             (order[a], order[b]) for a, b in _maximal_edges(self._bits, (1 << len(order)) - 1)
         )
 
-    def under(self, e) -> frozenset:
-        """und(e): vertices between the endpoints of e, inclusive."""
-        lo, hi = self._span(e)
-        return frozenset(self._order[lo : hi + 1])
-
-    def left_of(self, e) -> frozenset:
-        """lft(e): vertices strictly left of both endpoints of e."""
-        lo, _ = self._span(e)
-        return frozenset(self._order[:lo])
-
-    def _span(self, e) -> tuple:
-        """The ranks of the endpoints of the edge e, ascending."""
-        u, v = e
-        ru, rv = self._rank.get(u), self._rank.get(v)
-        if ru is None or rv is None or not self._bits[ru] >> rv & 1:
-            raise InputError(f"edge ({u!r},{v!r}) not in graph")
-        return min(ru, rv), max(ru, rv)
-
 
 def _maximal_edges(bits: tuple, mask: int) -> tuple:
     """mx on the ranks in `mask`, with neighbors `bits[r] & mask`: the

@@ -10,7 +10,9 @@ forcing a constant-size boundary, and finishes with chordal list coloring
 on the remaining wide set. The mirrored pattern is handled by reversal.
 
 From the guess to the finish, a member is the three color bitsets of its
-lists on the input graph's ranks (see `kernels._color_bits`).
+lists on the input graph's ranks (see `kernels._color_bits`). The
+constant-size blocks that get forced are colored on those bitsets by
+`kernels._list_colorings`; no sub-instance is built.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from typing import Iterator, Optional
 from .core import (
     Coloring,
     Instance,
-    ListAssignment,
     OrderedGraph,
     _ranks,
     checked_witness,
@@ -30,10 +31,9 @@ from .core import (
 )
 from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
-    _SETS,
     _TUPLES,
     _chordal_coloring,
-    _color_bits,
+    _list_colorings,
     _mask_at,
     _mcs_peo,
     _propagate_bits,
@@ -42,18 +42,17 @@ from .kernels import (
     has_k4,
     solve_small_class,
 )
-from .oracle import enumerate_colorings
 from .patterns import build_pattern
 
 
 @dataclass(frozen=True)
 class PadSets:
-    """Left cover (k rounds of leftmost wide vertex plus its forward
-    neighbors), its chosen stable core, and the trailing block."""
+    """The boundary block of a padding step as rank masks: the left cover
+    `c` (k rounds of the leftmost wide rank plus its forward wide
+    neighbors) and the trailing block `d`."""
 
-    c: frozenset
-    c_prime: frozenset
-    d: frozenset
+    c: int
+    d: int
 
 
 def _forward_degree_above_two(bits: tuple, wide: int) -> bool:
@@ -66,19 +65,13 @@ def _force(has, mask: int, color: int) -> tuple:
     return tuple(h | mask if i == color - 1 else h & ~mask for i, h in enumerate(has))
 
 
-def _forced_colorings(g: OrderedGraph, has, vertices: list) -> Iterator[list]:
-    """The member `has` with the constant-size block `vertices` forced,
-    once per list coloring of the block in `enumerate_colorings` order,
-    as color bitsets; nothing is propagated."""
-    lists = {v: _SETS[_mask_at(has, g.rank(v))] for v in vertices}
-    mask = sum(1 << g.rank(v) for v in vertices)
-    unforced = [h & ~mask for h in has]
-    block = Instance(g.induced(vertices), ListAssignment(lists))
-    for f in enumerate_colorings(block, cap=len(vertices)):
-        forced = list(unforced)
-        for v in vertices:
-            forced[f[v] - 1] |= 1 << g.rank(v)
-        yield forced
+def _forced_colorings(bits: tuple, has, block: int) -> Iterator[list]:
+    """The member `has` with the ranks in `block` forced, once per list
+    coloring of the block in `kernels._list_colorings` order, as color
+    bitsets; nothing is propagated."""
+    unforced = [h & ~block for h in has]
+    for _, classes, _ in _list_colorings(bits, block, has):
+        yield [unforced[i] | classes[i] for i in range(3)]
 
 
 def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[tuple]:
@@ -197,29 +190,21 @@ def _refuse(a_sets: tuple, b_sets: tuple, order: tuple, v: int, u: int, w: int, 
     raise RefusalError(f"J16:{len(a)},{len(b)}", set(a) | set(b) | {order[v], order[u], order[w]})
 
 
-def pad_sets(inst: Instance, k: int, l: int, has=None) -> PadSets:
-    """k rounds of taking the leftmost uncovered wide vertex with its
-    forward wide neighbors, then the trailing block of the remainder.
-    The wide set is that of `inst`'s lists, or of the member's color
-    bitsets `has` on `inst`'s graph when given."""
-    g = inst.graph
-    bits = g.adjacency_bits()
-    wide = _wide(_color_bits(inst) if has is None else has)
-    c = c_prime = 0
+def pad_sets(bits: tuple, has, k: int, l: int) -> PadSets:
+    """k rounds of taking the leftmost uncovered wide rank with its
+    forward wide neighbors, then the trailing block of the remainder: its
+    last 3l + 6 wide ranks. The wide set is that of the member's color
+    bitsets `has`, on a graph with adjacency bitsets `bits`."""
+    wide = _wide(has)
+    c = 0
     for _ in range(k):
         left = wide & ~c
         if not left:
             raise PreconditionError("wide set is too small for boundary padding")
         v = (left & -left).bit_length() - 1
-        c_prime |= 1 << v
         c |= 1 << v | (bits[v] & wide & -(2 << v))
     d = list(_ranks(wide & ~c))[-(3 * l + 6):]
-    order = g.vertices
-    return PadSets(
-        frozenset(order[r] for r in _ranks(c)),
-        frozenset(order[r] for r in _ranks(c_prime)),
-        frozenset(order[r] for r in d),
-    )
+    return PadSets(c, sum(1 << r for r in d))
 
 
 def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[tuple]:
@@ -242,33 +227,16 @@ def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[
         raise PreconditionError("wide set has a vertex with three forward neighbors")
     if wide.bit_count() < 3 * k + 3 * l + 6:
         raise PreconditionError("wide set is too small for boundary padding")
-    pads = pad_sets(inst, k, l, has)
-    block = sorted(pads.c | pads.d, key=g.rank)
-    block_mask = sum(1 << g.rank(v) for v in block)
-    check_each = _mcs_peo(bits, wide & ~block_mask) is None
+    pads = pad_sets(bits, has, k, l)
+    block = pads.c | pads.d
+    check_each = _mcs_peo(bits, wide & ~block) is None
     everyone = (1 << g.n) - 1
-    for forced in _forced_colorings(g, has, block):
+    for forced in _forced_colorings(bits, has, block):
         member = _propagate_bits(bits, forced)
         if check_each and _mcs_peo(bits, _wide(member)) is None:
             raise InternalError("wide remainder of a padded member is not chordal")
         if member[0] | member[1] | member[2] == everyone:
             yield member
-
-
-def _finalize_small_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[tuple]:
-    """When the wide set of the member `has` is below the padding
-    threshold, force each of its list colorings outright; members have
-    only forced or empty lists, and a member that keeps a wider list is a
-    bug and raises."""
-    g = inst.graph
-    wide = _wide(has)
-    if wide.bit_count() >= 3 * k + 3 * l + 6:
-        raise PreconditionError("wide set is large enough for boundary padding")
-    for forced in _forced_colorings(g, has, [g.vertices[r] for r in _ranks(wide)]):
-        h0, h1, h2 = forced
-        if h0 & h1 | h0 & h2 | h1 & h2:
-            raise InternalError("a finalized member keeps a list with two colors")
-        yield tuple(forced)
 
 
 def solve_j16(
@@ -281,6 +249,14 @@ def solve_j16(
     """Decision procedure with witness for instances free of the padded
     two-forward-edge pattern; `reverse` solves the mirrored family by
     running on the reversed graph (colorings ignore the ordering).
+
+    A member whose wide set is below the padding threshold is finished by
+    forcing each list coloring of its wide ranks (`_forced_colorings`),
+    and the first one is a coloring. The member is propagated to a
+    fixpoint with no empty list, so every one-color rank has struck its
+    color from its neighbors and no two adjacent one-color ranks share a
+    color; hence every list coloring of the wide ranks extends, through
+    the forced colors, to a proper coloring.
 
     The witness is validated once, here, against `inst`."""
     if reverse:
@@ -297,16 +273,13 @@ def solve_j16(
 
     g = inst.graph
     bits = g.adjacency_bits()
-    everyone = (1 << g.n) - 1
-    threshold = 3 * k + 3 * l + 6
     for member in _fwdnbr_members(inst, k, l):
-        if _wide(member).bit_count() >= threshold:
+        wide = _wide(member)
+        if wide.bit_count() >= 3 * k + 3 * l + 6:
             stage = _chordalize_members(inst, member, k, l)  # propagated, no empty list
         else:
-            stage = (_propagate_bits(bits, f) for f in _finalize_small_members(inst, member, k, l))
+            stage = _forced_colorings(bits, member, wide)  # one color per rank, proper
         for final in stage:
-            if final[0] | final[1] | final[2] != everyone:
-                continue
             coloring = _finish_member(g, final)
             if coloring is not None:
                 return checked_witness(coloring, inst)

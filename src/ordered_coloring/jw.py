@@ -29,8 +29,8 @@ from .errors import InternalError, RefusalError
 from .kernels import (
     _ONLY,
     _SETS,
-    _TUPLES,
     _few_wide,
+    _list_colorings,
     _mask_at,
     _wide,
     boundary_guesses,
@@ -92,7 +92,8 @@ def gamma(m: Member, e: tuple, w: int) -> Iterator[ColoredSeed]:
     """All seeds on the span of the edge e, a rank pair of m: supports
     containing both endpoints, in ascending bitmask order over the span's
     ranks; per support, all proper list colorings in lexicographic order,
-    with every color class bounded by `class_cap(w)`.
+    with every color class bounded by `class_cap(w)`, from
+    `kernels._list_colorings`, which also gives each seed its `masks`.
 
     Every support of the span is enumerated. `solve_jw` runs the chain
     with w + 1, so at w = 1 the cap is `class_cap(2)` = 111, and it cannot
@@ -102,33 +103,10 @@ def gamma(m: Member, e: tuple, w: int) -> Iterator[ColoredSeed]:
     free = list(_ranks(m.mask & _between(a + 1, b - 1)))
     cap = class_cap(w)
     for sub in range(1 << len(free)):
-        inner = [r for i, r in enumerate(free) if sub >> i & 1]
-        yield from _seed_colorings(m, [a, *inner, b], cap)
-
-
-def _seed_colorings(m: Member, support: list, cap: int) -> Iterator[ColoredSeed]:
-    k = len(support)
-    lists = [_TUPLES[_mask_at(m.has, r)] for r in support]
-    classes = [0, 0, 0]  # per color, the support ranks colored so far
-    near = [0, 0, 0]  # per color, the ranks adjacent to its class
-    chosen = [0] * k
-
-    def rec(i: int):
-        if i == k:
-            yield ColoredSeed(tuple(support), tuple(chosen), (tuple(classes), tuple(near)))
-            return
-        r = support[i]
-        for c in lists[i]:
-            cls, adj = classes[c - 1], near[c - 1]
-            if cls.bit_count() >= cap or m.bits[r] & cls:
-                continue
-            chosen[i] = c
-            classes[c - 1] = cls | 1 << r
-            near[c - 1] = adj | m.bits[r]
-            yield from rec(i + 1)
-            classes[c - 1], near[c - 1] = cls, adj
-
-    yield from rec(0)
+        support = 1 << a | 1 << b | sum(1 << r for i, r in enumerate(free) if sub >> i & 1)
+        ranks = tuple(_ranks(support))
+        for colors, classes, near in _list_colorings(m.bits, support, m.has, cap):
+            yield ColoredSeed(ranks, colors, (classes, near))
 
 
 def augment_star(m: Member) -> tuple[Member, tuple]:

@@ -1,7 +1,8 @@
 """Polynomial subroutines shared by both main solvers: the boundary
-guessing engine, singleton propagation, 2-SAT list coloring, bounded
-wide-set and small-class solvers, clique-4 detection, chordality, and
-chordal list coloring."""
+guessing engine, singleton propagation, the enumerator of list colorings
+of constant-size rank sets, 2-SAT list coloring, bounded wide-set and
+small-class solvers, clique-4 detection, chordality, and chordal list
+coloring."""
 
 from __future__ import annotations
 
@@ -261,23 +262,50 @@ def _two_lists(bits: tuple, mask: int, has) -> Optional[dict]:
     return {r: cs[-1] if up else cs[0] for r, cs, up in zip(ranks, choices, model)}
 
 
+def _list_colorings(bits: tuple, mask: int, has, cap: Optional[int] = None) -> Iterator[tuple]:
+    """Every proper list coloring of the ranks in `mask`, with neighbors
+    `bits[r] & mask` and the colors of the bitsets `has` (see
+    `_color_bits`), in lexicographic order: ranks ascending, colors
+    ascending. With `cap`, no color class holds more than `cap` ranks.
+
+    Yields (colors, classes, near): the colors parallel to the ranks, the
+    three color classes as rank masks, and per class the ranks adjacent
+    to it, `bits[r]` unrestricted. A plain backtracker, exponential in the
+    number of ranks: the solvers call it on constant-size sets only."""
+    ranks = list(_ranks(mask))
+    lists = [_TUPLES[_mask_at(has, r)] for r in ranks]
+    size = len(ranks)
+    chosen = [0] * size
+    classes = [0, 0, 0]
+    near = [0, 0, 0]
+
+    def rec(i: int):
+        if i == size:
+            yield tuple(chosen), tuple(classes), tuple(near)
+            return
+        r = ranks[i]
+        for c in lists[i]:
+            cls, adj = classes[c - 1], near[c - 1]
+            if adj >> r & 1 or cap is not None and cls.bit_count() >= cap:
+                continue
+            chosen[i] = c
+            classes[c - 1] = cls | 1 << r
+            near[c - 1] = adj | bits[r]
+            yield from rec(i + 1)
+            classes[c - 1], near[c - 1] = cls, adj
+
+    yield from rec(0)
+
+
 def _few_wide(bits: tuple, mask: int, has) -> Optional[dict]:
     """List coloring of the ranks in `mask` (as in `_two_lists`) whose
-    full-list ranks are few: each coloring of them in turn, ranks
-    ascending and colors in `itertools.product` order, fixes their
-    colors, strikes them from their other neighbors and hands the rest
-    to `_two_lists`. The first success wins."""
+    full-list ranks are few: each proper coloring of them in turn, in
+    `_list_colorings` order, fixes their colors, strikes them from their
+    other neighbors and hands the rest to `_two_lists`. The first success
+    wins."""
     full = mask & has[0] & has[1] & has[2]
-    wide = list(_ranks(full))
     rest = [h & ~full for h in has]
-    for combo in itertools.product(range(3), repeat=len(wide)):
-        pinned = [0, 0, 0]
-        near = [0, 0, 0]
-        for r, i in zip(wide, combo):
-            pinned[i] |= 1 << r
-            near[i] |= bits[r]
-        if pinned[0] & near[0] or pinned[1] & near[1] or pinned[2] & near[2]:
-            continue  # two adjacent wide ranks share a color
+    for _, pinned, near in _list_colorings(bits, full, has):
         ranks = _two_lists(bits, mask, [pinned[i] | rest[i] & ~near[i] for i in range(3)])
         if ranks is not None:
             return ranks
@@ -449,10 +477,10 @@ def _chordal_coloring(bits: tuple, mask: int, colors) -> Optional[dict]:
     tables = []  # per rank: its row for each coloring of its later neighbors
     for r, later in zip(order, laters):
         rows = {}
-        total = 1
+        combos = [()]  # the colorings of the later neighbors, first one major
         for u in later:
-            total *= len(colors[u])
-        for combo in itertools.product(*(colors[u] for u in later)):
+            combos = [combo + (c,) for combo in combos for c in colors[u]]
+        for combo in combos:
             env = dict(zip(later, combo))
             for c in colors[r]:
                 if c in combo:
@@ -464,7 +492,7 @@ def _chordal_coloring(bits: tuple, mask: int, colors) -> Optional[dict]:
         if not rows:
             return None
         tables.append(rows)
-        if later and len(rows) < total:
+        if later and len(rows) < len(combos):
             buckets[later[0]].append((tuple(later), frozenset(rows)))
 
     assignment: dict = {}

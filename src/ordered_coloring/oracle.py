@@ -89,10 +89,6 @@ def solve_bruteforce(inst: Instance, cap: int = DEFAULT_CAP) -> Optional[Colorin
     return None
 
 
-def count_colorings(inst: Instance, cap: int = DEFAULT_CAP) -> int:
-    return sum(1 for _ in enumerate_colorings(inst, cap=cap))
-
-
 @dataclass(frozen=True)
 class NaeInstance:
     """Monotone NAE3SAT: clauses are 3-sets of 1-based variable indices."""

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from .core import OrderedGraph, contains_pattern, is_isomorphic
-from .errors import InputError
+from .errors import InputError, InternalError
 
 # Edge lists over vertices 1..n placed at positions 1..n.
 _J_EDGES = {
@@ -173,7 +173,7 @@ def _classify_shared_end(h: OrderedGraph) -> ComplexityVerdict:
     for name in ("J10", "neg:J10", "J11", "neg:J11", "J15"):
         if contains_pattern(h, build_pattern(name)) is not None:
             return ComplexityVerdict(NP_COMPLETE, f"shared-end-contains-{name}")
-    raise AssertionError("two edges sharing an end must match a known case")
+    raise InternalError("two edges sharing an end must match a known case")
 
 
 def _classify_disjoint(h: OrderedGraph) -> ComplexityVerdict:
@@ -187,7 +187,7 @@ def _classify_disjoint(h: OrderedGraph) -> ComplexityVerdict:
         return ComplexityVerdict(OPEN, "open-family-pad-of-M7")
     if _padded_match(h, build_pattern("M8")) is not None:
         return ComplexityVerdict(OPEN, "open-family-pad-of-M8")
-    raise AssertionError("two disjoint edges must match a known case")
+    raise InternalError("two disjoint edges must match a known case")
 
 
 def _padded_match(h: OrderedGraph, core: OrderedGraph) -> Optional[tuple[int, int]]:

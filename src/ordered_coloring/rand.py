@@ -8,7 +8,6 @@ the seed that names it.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 
 from .core import Instance, ListAssignment, OrderedGraph, contains_pattern
 from .errors import CapExceededError, InternalError
@@ -152,17 +151,3 @@ def random_nae(rng: random.Random, num_vars: int, num_clauses: int) -> NaeInstan
         tuple(sorted(rng.sample(range(1, num_vars + 1), 3))) for _ in range(num_clauses)
     ]
     return NaeInstance(num_vars, clauses)
-
-
-def positions_fuzzed(rng: random.Random, g: OrderedGraph) -> OrderedGraph:
-    """Same order type with fresh random rational positions."""
-    n = g.n
-    raw = sorted(rng.sample(range(-10 * n, 10 * n), n))
-    new_positions = [Fraction(x, rng.randint(1, 3)) for x in raw]
-    new_positions.sort()
-    if len(set(new_positions)) != n:
-        return positions_fuzzed(rng, g)
-    return OrderedGraph(
-        [(v, new_positions[i]) for i, v in enumerate(g.vertices)],
-        [tuple(e) for e in g.edges],
-    )

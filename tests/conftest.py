@@ -1,6 +1,7 @@
 import functools
 import itertools
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 import pytest
@@ -32,6 +33,7 @@ from ordered_coloring.kernels import (
     _propagate_bits,
     boundary_guesses,
 )
+from ordered_coloring.oracle import DEFAULT_CAP
 from ordered_coloring.rand import random_lists, random_ordered_graph
 
 
@@ -43,6 +45,43 @@ def brute_contains(g: OrderedGraph, h: OrderedGraph):
         if is_isomorphic(g.induced(combo), h):
             return frozenset(combo)
     return None
+
+
+def positions_fuzzed(rng, g: OrderedGraph) -> OrderedGraph:
+    """Same order type with fresh random rational positions."""
+    n = g.n
+    raw = sorted(rng.sample(range(-10 * n, 10 * n), n))
+    new_positions = [Fraction(x, rng.randint(1, 3)) for x in raw]
+    new_positions.sort()
+    if len(set(new_positions)) != n:
+        return positions_fuzzed(rng, g)
+    return OrderedGraph(
+        [(v, new_positions[i]) for i, v in enumerate(g.vertices)],
+        [tuple(e) for e in g.edges],
+    )
+
+
+def count_colorings(inst: Instance, cap: int = DEFAULT_CAP) -> int:
+    """The number of list colorings of inst, by the oracle's enumeration."""
+    return sum(1 for _ in enumerate_colorings(inst, cap=cap))
+
+
+def reference_forced_colorings(g: OrderedGraph, has, block: int):
+    """The member `has` (color bitsets on g) with the ranks in `block`
+    forced, once per list coloring of the block, as color bitsets: the
+    oracle's enumeration on the block's induced sub-instance, in its
+    order. `j16._forced_colorings` must give the same sequence."""
+    vertices = [g.vertices[r] for r in _ranks(block)]
+    sub = Instance(
+        g.induced(vertices),
+        ListAssignment({v: _SETS[_mask_at(has, g.rank(v))] for v in vertices}),
+    )
+    unforced = [h & ~block for h in has]
+    for f in enumerate_colorings(sub, cap=len(vertices)):
+        forced = list(unforced)
+        for v in vertices:
+            forced[f[v] - 1] |= 1 << g.rank(v)
+        yield forced
 
 
 def lists_from_bits(order: tuple, has) -> ListAssignment:

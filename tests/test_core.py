@@ -439,15 +439,7 @@ class TestMaximalEdges:
 
 
 class TestUnderLeft:
-    def test_single_edge(self):
-        g = graph({"u": 1, "v": 2}, [("u", "v")])
-        und, lft = g.under(("u", "v")), g.left_of(("u", "v"))
-        assert und == {"u", "v"} and lft == frozenset()
-
-    def test_middle_edge(self):
-        g = graph({i: i for i in range(1, 6)}, [(2, 4)])
-        und, lft = g.under((2, 4)), g.left_of((2, 4))
-        assert und == {2, 3, 4} and lft == {1}
+    """The vertices left of an edge are the ranks below its earlier end."""
 
     def test_first_maximal_edge_has_no_earlier_endpoints(self):
         g = graph({i: i for i in range(1, 7)}, [(2, 3), (4, 6), (5, 6)])
@@ -456,10 +448,6 @@ class TestUnderLeft:
         lft = set(g.vertices[: g.rank(first[0])])
         for e in mx:
             assert not (set(e) & lft)
-
-    def test_missing_edge_rejected(self):
-        with pytest.raises(InputError):
-            path_graph(3).under((1, 3))
 
 
 class TestPad:

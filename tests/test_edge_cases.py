@@ -16,12 +16,7 @@ from ordered_coloring import (
 )
 from ordered_coloring.core import checked_witness
 from ordered_coloring import j16, jw, kernels
-from ordered_coloring.j16 import (
-    PadSets,
-    _chordalize_members,
-    _finalize_small_members,
-    _fwdnbr_members,
-)
+from ordered_coloring.j16 import PadSets, _chordalize_members, _fwdnbr_members
 from ordered_coloring.jw import augment_star, check_link, gamma
 from ordered_coloring.kernels import _color_bits
 from ordered_coloring.rand import (
@@ -199,10 +194,7 @@ class TestMemberChecks:
     def test_chordal_remainder_check(self, monkeypatch):
         # with an empty boundary block nothing gets forced, so the wide
         # remainder keeps an induced four-cycle of forward degree at most two
-        monkeypatch.setattr(
-            "ordered_coloring.j16.pad_sets",
-            lambda inst, k, l, has=None: PadSets(frozenset(), frozenset(), frozenset()),
-        )
+        monkeypatch.setattr("ordered_coloring.j16.pad_sets", lambda bits, has, k, l: PadSets(0, 0))
         # nor is the wide set minus the block chordal, so the member gets
         # its own check: the search runs twice
         searched = []
@@ -222,11 +214,3 @@ class TestMemberChecks:
         star = instance({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
         with pytest.raises(InternalError):
             list(_fwdnbr_members(star, 0, 0))
-
-    def test_finalized_member_check(self, monkeypatch):
-        # with its wide set hidden, finalizing forces nothing and the
-        # member keeps a two-color list
-        monkeypatch.setattr("ordered_coloring.j16._wide", lambda has: 0)
-        inst = instance({1: 1, 2: 2}, [(1, 2)], lists={1: (1, 2)})
-        with pytest.raises(InternalError):
-            list(_finalize_small_members(inst, _color_bits(inst), 0, 0))

@@ -14,11 +14,13 @@ from ordered_coloring import (
     solve_bruteforce,
     solve_j16,
 )
-from ordered_coloring import j16, kernels
+import ordered_coloring
+from ordered_coloring import j16, jw, kernels, oracle
+from ordered_coloring.core import OrderedGraph, _ranks
 from ordered_coloring.j16 import (
     _chordalize_members,
-    _finalize_small_members,
     _finish_member,
+    _forced_colorings,
     _fwdnbr_members,
     _wide,
     pad_sets,
@@ -34,10 +36,12 @@ from ordered_coloring.rand import (
 )
 from conftest import (
     chordal_peo,
+    count_colorings,
     forward_clique_instances,
     graph,
     instance,
     lists_from_bits,
+    reference_forced_colorings,
     reference_fwdnbr_members,
     reference_propagation,
     reference_solve_chordal,
@@ -288,10 +292,12 @@ class TestChordalize:
             if member is None:
                 continue
             found += 1
-            pads = pad_sets(inst, 0, 0, member)
-            assert pads.c == pads.c_prime == frozenset()
-            assert len(pads.d) == 6
-            assert pad_sets(as_instance(inst, member), 0, 0) == pads
+            wide = _wide(member)
+            pads = pad_sets(inst.graph.adjacency_bits(), member, 0, 0)
+            assert pads.c == 0
+            # the trailing block is the last six wide ranks
+            assert pads.d.bit_count() == 6 and pads.d & ~wide == 0
+            assert (wide & ~pads.d) >> min(_ranks(pads.d)) == 0
         assert found >= 3
 
     def test_members_have_chordal_wide_sets(self):
@@ -351,8 +357,8 @@ class TestChordalize:
             if member is None:
                 continue
             g = inst.graph
-            pads = pad_sets(inst, 0, 0, member)
-            block = sum(1 << g.rank(v) for v in pads.c | pads.d)
+            pads = pad_sets(g.adjacency_bits(), member, 0, 0)
+            block = pads.c | pads.d
             if real(g.adjacency_bits(), _wide(member) & ~block) is None:
                 continue  # the fallback, see TestMemberChecks in test_edge_cases.py
             calls.clear()
@@ -407,19 +413,48 @@ class TestFinishMember:
         assert sum(outcomes.values()) >= 100 and min(outcomes.values()) >= 10, outcomes
 
 
+class TestForcedColorings:
+    """`_forced_colorings` gives the sequence of the oracle's enumeration on
+    the block's induced sub-instance, item for item, on the boundary blocks
+    of padded members."""
+
+    @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_matches_reference_on_padding_blocks(self, k, l):
+        rng = make_rng(85 + 2 * k + l)
+        blocks = forced = 0
+        while blocks < 10:
+            g = random_forward_clique_graph(rng, rng.randint(14, 20), rng.uniform(0.1, 0.5))
+            inst = Instance(g, random_lists(rng, g, rng.uniform(0.8, 1.0)))
+            bits = g.adjacency_bits()
+            for member in itertools.islice(_fwdnbr_members(inst, k, l), 3):
+                if _wide(member).bit_count() < 3 * k + 3 * l + 6:
+                    continue
+                pads = pad_sets(bits, member, k, l)
+                block = pads.c | pads.d
+                got = list(_forced_colorings(bits, member, block))
+                assert got == list(reference_forced_colorings(g, member, block))
+                blocks += 1
+                forced += len(got)
+        assert forced >= 100, forced
+
+
 class TestFinalizeSmall:
-    """Small wide sets: `_finalize_small_members`."""
+    """Small wide sets: `solve_j16` forces each list coloring of the wide
+    ranks (`_forced_colorings` on the whole wide set) and finishes the
+    first one."""
 
     def test_empty_wide_set_single_member(self):
         inst = instance(
             {i: i for i in range(1, 3)}, lists={1: (1,), 2: (2,)}
         )
-        members = list(_finalize_small_members(inst, _color_bits(inst), 0, 0))
+        has = _color_bits(inst)
+        members = list(_forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)))
         assert len(members) == 1 and as_instance(inst, members[0]) == inst
 
     def test_one_wide_vertex_two_members(self):
         inst = instance({1: 1}, lists={1: (1, 2)})
-        assert len(list(_finalize_small_members(inst, _color_bits(inst), 0, 0))) == 2
+        has = _color_bits(inst)
+        assert len(list(_forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)))) == 2
 
     def test_members_fully_forced(self):
         rng = make_rng(78)
@@ -427,13 +462,70 @@ class TestFinalizeSmall:
             inst = random_j16free_instance(rng, 1, 1, rng.randint(1, 6))
             if len(wide_set(inst)) >= 12:
                 continue
-            for member in _finalize_small_members(inst, _color_bits(inst), 1, 1):
+            has = _color_bits(inst)
+            for member in _forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)):
                 member = as_instance(inst, member)
                 assert all(len(cs) <= 1 for _, cs in member.lists.items())
                 # colorability of a fully forced member is edge consistency
                 final = reference_propagation(member.graph, member.lists.items())
                 empty = not all(final.values())
                 assert (solve_bruteforce(member) is not None) == (not empty)
+
+    @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (0, 1), (1, 1)])
+    def test_every_forced_coloring_of_a_member_is_a_coloring(self, k, l):
+        # a member is propagated with no empty list, so each list coloring
+        # of its wide ranks extends through its forced colors
+        rng = make_rng(90 + 2 * k + l)
+        members = forced = 0
+        for _ in range(200):
+            inst = random_j16free_instance(rng, k, l, rng.randint(2, 10))
+            bits = inst.graph.adjacency_bits()
+            for member in _fwdnbr_members(inst, k, l):
+                wide = _wide(member)
+                if wide.bit_count() >= 3 * k + 3 * l + 6:
+                    continue
+                count = 0
+                for final in _forced_colorings(bits, member, wide):
+                    coloring = Coloring(
+                        {v: c for v, (c,) in lists_from_bits(inst.graph.vertices, final).items()}
+                    )
+                    assert coloring.validates(inst)
+                    count += 1
+                assert count == count_colorings(as_instance(inst, member))
+                members += 1
+                forced += count
+        assert members >= 100 and forced >= 200, (members, forced)
+
+
+class TestWithoutOracleOrInducedGraphs:
+    """`solve_j16` builds no induced graph and calls no oracle: with them
+    patched to raise, it answers the criterion-2 corpus as before."""
+
+    def test_criterion_2_corpus(self, monkeypatch):
+        rng = make_rng(2024_02)
+        draws = []
+        for k, l in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            for _ in range(125):
+                inst = random_j16free_instance(rng, k, l, rng.randint(2, 10), rng.uniform(0.2, 0.8))
+                draws.append((inst, k, l, solve_j16(inst, k, l, check_freeness=False)))
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_j16 called the oracle or built an induced graph")
+
+        monkeypatch.setattr(OrderedGraph, "induced", forbidden)
+        for name in ("enumerate_colorings", "solve_bruteforce"):
+            real = getattr(oracle, name)
+            for module in (oracle, ordered_coloring, j16, jw, kernels):
+                if getattr(module, name, None) is real:
+                    monkeypatch.setattr(module, name, forbidden)
+        padded = []
+        real_pad_sets = j16.pad_sets
+        monkeypatch.setattr(j16, "pad_sets", lambda *a: padded.append(a) or real_pad_sets(*a))
+        for inst, k, l, expected in draws:
+            got = solve_j16(inst, k, l, check_freeness=False)
+            assert got == expected
+        colorable = sum(expected is not None for *_, expected in draws)
+        assert 50 <= colorable <= len(draws) - 50 and len(padded) >= 10, (colorable, len(padded))
 
 
 class TestSolveJ16:

@@ -1,4 +1,6 @@
+import functools
 import itertools
+from operator import or_
 
 import pytest
 
@@ -20,6 +22,7 @@ from ordered_coloring import (
 from ordered_coloring.core import _ranks
 from ordered_coloring.kernels import (
     _color_bits,
+    _list_colorings,
     _mcs_peo,
     _propagate_bits,
     _stable_sets,
@@ -27,7 +30,6 @@ from ordered_coloring.kernels import (
 )
 from ordered_coloring.rand import (
     make_rng,
-    positions_fuzzed,
     random_chordal_instance,
     random_forward_clique_graph,
     random_instance,
@@ -39,6 +41,7 @@ from conftest import (
     forward_clique_instances,
     graph,
     instance,
+    positions_fuzzed,
     propagated,
     random_two_list_instance,
     reference_propagation,
@@ -350,6 +353,38 @@ class TestReferenceDifferential:
                     for combo, _, _ in _stable_sets(g.adjacency_bits(), mask, size)
                 ]
                 assert got == _stable(g, members, size)
+
+
+class TestListColorings:
+    """`_list_colorings` on a rank mask gives the oracle's enumeration on
+    the induced sub-instance, in order; with `cap`, that sequence filtered
+    by class size. Each yield's classes and neighborhoods follow its
+    colors."""
+
+    def test_matches_oracle_on_rank_masks(self):
+        rng = make_rng(46)
+        colorings = capped = 0
+        for _ in range(300):
+            inst = random_instance(rng, rng.randint(0, 10), rng.uniform(0.1, 0.6), rng.random())
+            g = inst.graph
+            bits, has = g.adjacency_bits(), _color_bits(inst)
+            mask = rng.getrandbits(g.n)
+            ranks = list(_ranks(mask))
+            sub = inst.sub_instance([g.vertices[r] for r in ranks])
+            expected = [tuple(f[v] for v in sub.graph.vertices) for f in enumerate_colorings(sub)]
+            got = list(_list_colorings(bits, mask, has))
+            assert [colors for colors, _, _ in got] == expected
+            for colors, classes, near in got:
+                for i, color in enumerate(COLORS):
+                    cls = sum(1 << r for r, c in zip(ranks, colors) if c == color)
+                    assert classes[i] == cls
+                    assert near[i] == functools.reduce(or_, (bits[r] for r in _ranks(cls)), 0)
+            cap = rng.randint(0, 3)
+            small = [cs for cs in expected if all(cs.count(c) <= cap for c in COLORS)]
+            assert [colors for colors, _, _ in _list_colorings(bits, mask, has, cap)] == small
+            colorings += len(expected)
+            capped += len(expected) - len(small)
+        assert colorings >= 2000 and capped >= 1000, (colorings, capped)
 
 
 class TestHasK4:

@@ -5,13 +5,12 @@ from ordered_coloring import (
     InputError,
     Instance,
     NaeInstance,
-    count_colorings,
     enumerate_colorings,
     nae_bruteforce,
     solve_bruteforce,
 )
-from ordered_coloring.rand import make_rng, positions_fuzzed, random_instance
-from conftest import instance
+from ordered_coloring.rand import make_rng, random_instance
+from conftest import count_colorings, instance, positions_fuzzed
 
 
 class TestSolveBruteforce:

@@ -1,9 +1,12 @@
+import contextlib
+import io
 import itertools
 
 import pytest
 
 from ordered_coloring import (
     InputError,
+    InternalError,
     NP_COMPLETE,
     OPEN,
     POLYNOMIAL,
@@ -12,6 +15,8 @@ from ordered_coloring import (
     is_isomorphic,
     parse_pattern_id,
 )
+from ordered_coloring import patterns
+from ordered_coloring.cli import main
 from conftest import graph
 
 
@@ -142,3 +147,30 @@ class TestClassifyTotality:
             v = classify(h)
             assert v.status in (POLYNOMIAL, NP_COMPLETE, OPEN)
             assert classify(h.reverse()).status == v.status
+
+
+class TestClassifierFaults:
+    """A two-edge pattern that matches no case of the decision table is an
+    internal fault: `InternalError`, and exit 4 from `oglc classify`, never
+    a verdict. Hiding every match reaches the last line of each case."""
+
+    @pytest.mark.parametrize(
+        "edges",
+        [[("v1", "v2"), ("v1", "v3")], [("v1", "v2"), ("v3", "v4")]],
+        ids=["shared-end", "disjoint"],
+    )
+    def test_unmatched_two_edge_pattern(self, tmp_path, monkeypatch, edges):
+        monkeypatch.setattr(patterns, "contains_pattern", lambda g, h: None)
+        monkeypatch.setattr(patterns, "_padded_match", lambda h, core: None)
+        positions = {f"v{i}": i for i in range(1, 5)}
+        with pytest.raises(InternalError):
+            classify(graph(positions, edges))
+        path = tmp_path / "h.og"
+        path.write_text(
+            "ograph h\n"
+            + "".join(f"vtx {v} {p}\n" for v, p in positions.items())
+            + "".join(f"edg {u} {v}\n" for u, v in edges),
+            encoding="utf-8",
+        )
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["classify", str(path)]) == 4
