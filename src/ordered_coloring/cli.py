@@ -319,6 +319,11 @@ def cmd_verify(args) -> RunReport:
 
 
 def cmd_random_instance(args) -> RunReport:
+    if args.n < 0:
+        raise InputError(f"--n must be nonnegative, got {args.n}")
+    for flag, p in (("--edge-prob", args.edge_prob), ("--full-bias", args.full_bias)):
+        if not 0 <= p <= 1:
+            raise InputError(f"{flag} must lie in [0, 1], got {p}")
     report = RunReport("random-instance", "generated")
     rng = rand.make_rng(args.seed)
     if args.pattern:
@@ -328,11 +333,9 @@ def cmd_random_instance(args) -> RunReport:
         )
     else:
         inst = rand.random_instance(rng, args.n, args.edge_prob, args.full_bias)
-    text = serialize_instance(f"random-{args.seed}", inst)
-    sys.stdout.write(text)
+    sys.stdout.write(serialize_instance(f"random-{args.seed}", inst))
     report.add("n", inst.graph.n)
     report.add("edges", len(inst.graph.edges))
-    report.exit_code = EXIT_YES
     return report
 
 

@@ -464,23 +464,8 @@ class ListAssignment:
 
     __getitem__ = get
 
-    def domain(self) -> frozenset:
-        return frozenset(self._lists)
-
     def items(self):
         return self._lists.items()
-
-    def restrict(self, xs) -> "ListAssignment":
-        xs = set(xs)
-        return ListAssignment({v: cs for v, cs in self._lists.items() if v in xs})
-
-    def updated(self, changes: Mapping) -> "ListAssignment":
-        merged = dict(self._lists)
-        for v, cs in changes.items():
-            if v not in merged:
-                raise InputError(f"no list for vertex {v!r}")
-            merged[v] = cs
-        return ListAssignment(merged)
 
     def __eq__(self, other):
         return isinstance(other, ListAssignment) and self._lists == other._lists
@@ -493,23 +478,35 @@ class ListAssignment:
 
 
 class Instance:
-    """An ordered graph paired with a list assignment over its vertices."""
+    """An ordered graph paired with a list assignment over its vertices.
 
-    __slots__ = ("graph", "lists")
+    `color_bits` holds the lists as three rank bitsets, built once here:
+    bit r of `color_bits[i]` is set when the list of the rank-r vertex
+    holds color i + 1. The solvers read these; `lists` stays for I/O, the
+    oracle and witness validation."""
+
+    __slots__ = ("graph", "lists", "color_bits")
 
     def __init__(self, graph: OrderedGraph, lists: ListAssignment):
-        if lists.domain() != frozenset(graph.vertices):
-            raise InputError("list assignment domain must equal the vertex set")
-        self.graph = graph
-        self.lists = lists
+        by_vertex = lists._lists
+        has = [0, 0, 0]
+        if len(by_vertex) == graph.n:  # then a list for every vertex leaves no extra one
+            for r, v in enumerate(graph.vertices):
+                colors = by_vertex.get(v)
+                if colors is None:
+                    break
+                for c in colors:
+                    has[c - 1] |= 1 << r
+            else:
+                self.graph = graph
+                self.lists = lists
+                self.color_bits = tuple(has)
+                return
+        raise InputError("list assignment domain must equal the vertex set")
 
     @classmethod
     def with_full_lists(cls, graph: OrderedGraph) -> "Instance":
         return cls(graph, ListAssignment.full(graph))
-
-    def sub_instance(self, xs) -> "Instance":
-        xs = set(xs)
-        return Instance(self.graph.induced(xs), self.lists.restrict(xs))
 
     def __eq__(self, other):
         return (
@@ -556,9 +553,6 @@ class Coloring:
     def __len__(self):
         return len(self._assignment)
 
-    def color_class(self, color: int) -> frozenset:
-        return frozenset(v for v, c in self._assignment.items() if c == color)
-
     def is_proper(self, g: OrderedGraph) -> bool:
         """No edge of g has both ends colored alike, tested per color on
         the graph's adjacency bits."""
@@ -582,10 +576,6 @@ class Coloring:
             and self.is_proper(inst.graph)
             and self.respects(inst.lists)
         )
-
-    def restrict(self, xs) -> "Coloring":
-        xs = set(xs)
-        return Coloring({v: c for v, c in self._assignment.items() if v in xs})
 
     def __eq__(self, other):
         return isinstance(other, Coloring) and self._assignment == other._assignment

@@ -10,7 +10,7 @@ forcing a constant-size boundary, and finishes with chordal list coloring
 on the remaining wide set. The mirrored pattern is handled by reversal.
 
 From the guess to the finish, a member is the three color bitsets of its
-lists on the input graph's ranks (see `kernels._color_bits`). The
+lists on the input graph's ranks (see `Instance.color_bits`). The
 constant-size blocks that get forced are colored on those bitsets by
 `kernels._list_colorings`; no sub-instance is built.
 """
@@ -31,6 +31,7 @@ from .core import (
 )
 from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
+    _ONLY,
     _TUPLES,
     _chordal_coloring,
     _list_colorings,
@@ -296,12 +297,10 @@ def _finish_member(g: OrderedGraph, has: tuple) -> Optional[Coloring]:
     wide = _wide(has)
     assignment = {}
     if wide:
-        colors = {r: _TUPLES[_mask_at(has, r)] for r in _ranks(wide)}
-        ranks = _chordal_coloring(g.adjacency_bits(), wide, colors)
+        ranks = _chordal_coloring(g.adjacency_bits(), wide, has)
         if ranks is None:
             return None
         assignment = {order[r]: c for r, c in ranks.items()}
-    h0, h1, _ = has
     for r in _ranks(((1 << len(order)) - 1) & ~wide):
-        assignment[order[r]] = 1 if h0 >> r & 1 else 2 if h1 >> r & 1 else 3
+        assignment[order[r]] = _ONLY[_mask_at(has, r)]
     return Coloring(assignment)

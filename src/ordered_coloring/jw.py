@@ -7,7 +7,7 @@ span of the previous maximal edge, and reads the answer off the seeds of a
 forced dominating edge appended on the right.
 
 From the guess to the witness, a member is the three color bitsets of its
-lists on the input graph's ranks (see `kernels._color_bits`), and the
+lists on the input graph's ranks (see `Instance.color_bits`), and the
 chain runs on the mask of its ranks whose list keeps two or more colors.
 """
 
@@ -66,21 +66,13 @@ class Member:
 @dataclass(frozen=True)
 class ColoredSeed:
     """A colored subset of the span of an edge: support ranks ascending,
-    colors parallel to the support. `gamma` also records `masks`: the
-    color classes as rank masks and, per class, the ranks adjacent to it
-    in the member the seed was enumerated on. `check_link` derives them
-    for a seed built without."""
+    colors parallel to the support. `gamma` also records `masks`, which
+    `check_link` reads: the color classes as rank masks and, per class,
+    the ranks adjacent to it in the member the seed was enumerated on."""
 
     support: tuple
     colors: tuple
     masks: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-    def classes(self) -> list:
-        """The three color classes as rank masks, color 1 first."""
-        out = [0, 0, 0]
-        for r, c in zip(self.support, self.colors):
-            out[c - 1] |= 1 << r
-        return out
 
 
 def _between(a: int, b: int) -> int:
@@ -127,22 +119,6 @@ def augment_star(m: Member) -> tuple[Member, tuple]:
     return star, (q1, q2)
 
 
-def _neighborhood(bits: tuple, mask: int) -> int:
-    """The ranks adjacent to some rank in `mask`."""
-    out = 0
-    for r in _ranks(mask):
-        out |= bits[r]
-    return out
-
-
-def _seed_masks(bits: tuple, seed: ColoredSeed) -> tuple:
-    """`seed.masks`, derived from the support when the seed has none."""
-    if seed.masks is not None:
-        return seed.masks
-    classes = seed.classes()
-    return classes, [_neighborhood(bits, cls) for cls in classes]
-
-
 def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> bool:
     """Decide whether some list coloring psi of the span of e_prev makes
     both (psi, seed-at-e) and (psi, seed-at-e_prev) satisfy the
@@ -151,18 +127,18 @@ def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -
     The check reduces to a derived list assignment on the span of e_prev
     (forced values on seed supports, struck colors from seed neighborhoods
     and from left vertices anticomplete to a seed class), built as one
-    rank mask per color, and decides it with the bounded-wide-set kernel
-    `kernels._few_wide` on the member's ranks in that span, with no
-    induced graph. A derived list that is empty decides the
-    link at once. A reduction that leaves more than `WIDE_CAP` full lists
-    raises `InternalError`.
+    rank mask per color from the seeds' `masks`, and decides it with the
+    bounded-wide-set kernel `kernels._few_wide` on the member's ranks in
+    that span, with no induced graph. A derived list that is empty
+    decides the link at once. A reduction that leaves more than
+    `WIDE_CAP` full lists raises `InternalError`.
     """
     bits, mask = m.bits, m.mask
     (a, b), (a_prev, b_prev) = e, e_prev
     und_prev = mask & _between(a_prev, b_prev)
     und_e = mask & _between(a, b)
-    sigma, sigma_near = _seed_masks(bits, g_seed)
-    tau, tau_near = _seed_masks(bits, g_prev)
+    sigma, sigma_near = g_seed.masks
+    tau, tau_near = g_prev.masks
     s_set = sigma[0] | sigma[1] | sigma[2]
     t_set = tau[0] | tau[1] | tau[2]
     derived = []

@@ -17,16 +17,6 @@ _SETS = tuple(frozenset(c for c in COLORS if m & 1 << (c - 1)) for m in range(8)
 _TUPLES = tuple(tuple(sorted(cs)) for cs in _SETS)  # mask -> its colors, ascending
 
 
-def _color_bits(inst: Instance) -> list:
-    """The lists as three rank bitsets: bit r of `has[i]` is set when the
-    list of the rank-r vertex holds color i + 1."""
-    has = [0, 0, 0]
-    for r, v in enumerate(inst.graph.vertices):
-        for c in inst.lists.get(v):
-            has[c - 1] |= 1 << r
-    return has
-
-
 def _mask_at(has, r: int) -> int:
     """The 3-bit color mask of rank r."""
     return (has[0] >> r & 1) | (has[1] >> r & 1) << 1 | (has[2] >> r & 1) << 2
@@ -34,8 +24,8 @@ def _mask_at(has, r: int) -> int:
 
 def _wide(has) -> int:
     """The wide set of a member given as color bitsets (see
-    `_color_bits`): the ranks whose list keeps two or three colors, as a
-    rank bitmask."""
+    `Instance.color_bits`): the ranks whose list keeps two or three
+    colors, as a rank bitmask."""
     h0, h1, h2 = has
     return h0 & h1 | h0 & h2 | h1 & h2
 
@@ -72,7 +62,7 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     order = g.vertices
     adj = g.adjacency_bits()
     everyone = (1 << n) - 1
-    has0 = _color_bits(inst)
+    has0 = inst.color_bits
     if has0[0] | has0[1] | has0[2] != everyone:
         return
 
@@ -132,10 +122,10 @@ def _stable_sets(adj: tuple, mask: int, size: int) -> Iterator[tuple]:
 
 def _propagate_bits(bits: tuple, has) -> tuple:
     """Singleton propagation on the three color bitsets `has` (see
-    `_color_bits`) of the graph with adjacency bitsets `bits`: in every
-    round, each rank whose list is the single color i strikes i from all
-    its neighbors at once; rounds repeat until no new singleton appears.
-    Returns the propagated bitsets.
+    `Instance.color_bits`) of the graph with adjacency bitsets `bits`: in
+    every round, each rank whose list is the single color i strikes i from
+    all its neighbors at once; rounds repeat until no new singleton
+    appears. Returns the propagated bitsets.
 
     Striking preserves the colorings. While no list empties, a singleton
     stays one, so every striking order ends in the same lists; when one
@@ -230,8 +220,8 @@ class _TwoSat:
 def _two_lists(bits: tuple, mask: int, has) -> Optional[dict]:
     """List coloring of the ranks in `mask`, with neighbors `bits[r] &
     mask` and at most two colors each in the bitsets `has` (see
-    `_color_bits`), by 2-SAT. Returns {rank: color}, ranks ascending, or
-    None when no coloring exists.
+    `Instance.color_bits`), by 2-SAT. Returns {rank: color}, ranks
+    ascending, or None when no coloring exists.
 
     One variable per rank, ranks ascending: False picks the smaller color
     of its list, True the larger. A one-color rank is a unit clause, and
@@ -265,8 +255,9 @@ def _two_lists(bits: tuple, mask: int, has) -> Optional[dict]:
 def _list_colorings(bits: tuple, mask: int, has, cap: Optional[int] = None) -> Iterator[tuple]:
     """Every proper list coloring of the ranks in `mask`, with neighbors
     `bits[r] & mask` and the colors of the bitsets `has` (see
-    `_color_bits`), in lexicographic order: ranks ascending, colors
-    ascending. With `cap`, no color class holds more than `cap` ranks.
+    `Instance.color_bits`), in lexicographic order: ranks ascending,
+    colors ascending. With `cap`, no color class holds more than `cap`
+    ranks.
 
     Yields (colors, classes, near): the colors parallel to the ranks, the
     three color classes as rank masks, and per class the ranks adjacent
@@ -325,7 +316,7 @@ def solve_two_lists(inst: Instance) -> Optional[Coloring]:
     """List coloring when every list has at most two colors, by 2-SAT
     (`_two_lists`); a 3-color list is a precondition error."""
     g = inst.graph
-    has = _color_bits(inst)
+    has = inst.color_bits
     full = has[0] & has[1] & has[2]
     if full:
         v = g.vertices[(full & -full).bit_length() - 1]
@@ -339,7 +330,7 @@ def solve_few_wide(inst: Instance, c: int) -> Optional[Coloring]:
     (`_few_wide`). The first success in enumeration order (wide vertices
     by position, colors ascending) wins."""
     g = inst.graph
-    has = _color_bits(inst)
+    has = inst.color_bits
     wide = (has[0] & has[1] & has[2]).bit_count()
     if wide > c:
         raise PreconditionError(f"{wide} wide vertices exceed the bound {c}")
@@ -359,7 +350,7 @@ def solve_small_class(inst: Instance, c: int) -> Optional[Coloring]:
     g = inst.graph
     bits = g.adjacency_bits()
     everyone = (1 << g.n) - 1
-    has = _color_bits(inst)
+    has = inst.color_bits
     for i in range(3):
         for size in range(c):
             for _, pinned, _ in _stable_sets(bits, has[i], size):
@@ -437,13 +428,13 @@ def _mcs_peo(bits: tuple, mask: int) -> Optional[list]:
     return reverse_order
 
 
-def _chordal_coloring(bits: tuple, mask: int, colors) -> Optional[dict]:
+def _chordal_coloring(bits: tuple, mask: int, has) -> Optional[dict]:
     """List coloring of the ranks in `mask`, with neighbors `bits[r] &
-    mask` and `colors[r]` the sorted color tuple of rank r, by bucket
-    elimination along the perfect elimination ordering of `_mcs_peo`.
-    Returns {rank: color} in reverse elimination order, or None when no
-    coloring exists; ranks that induce a graph that is not chordal are a
-    precondition error.
+    mask` and the colors of the bitsets `has` (see `Instance.color_bits`),
+    by bucket elimination along the perfect elimination ordering of
+    `_mcs_peo`. Returns {rank: color} in reverse elimination order, or
+    None when no coloring exists; ranks that induce a graph that is not
+    chordal are a precondition error.
 
     A rank with three later neighbors closes a 4-clique, which has no
     coloring, so every separator has at most two ranks. Each rank keeps,
@@ -454,7 +445,8 @@ def _chordal_coloring(bits: tuple, mask: int, colors) -> Optional[dict]:
     order = _mcs_peo(bits, mask)
     if order is None:
         raise PreconditionError("graph is not chordal")
-    if any(not colors[r] for r in order):
+    colors = {r: _TUPLES[_mask_at(has, r)] for r in order}
+    if not all(colors.values()):
         return None
     index = {r: i for i, r in enumerate(order)}
     laters = []
@@ -505,5 +497,4 @@ def solve_chordal(inst: Instance) -> Optional[Coloring]:
     """List coloring of a chordal graph (see `_chordal_coloring`); a graph
     that is not chordal is a precondition error."""
     g = inst.graph
-    colors = [tuple(sorted(inst.lists.get(v))) for v in g.vertices]
-    return _witness(inst, _chordal_coloring(g.adjacency_bits(), (1 << g.n) - 1, colors))
+    return _witness(inst, _chordal_coloring(g.adjacency_bits(), (1 << g.n) - 1, inst.color_bits))

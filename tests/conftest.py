@@ -23,11 +23,10 @@ from ordered_coloring import (
     solve_small_class,
 )
 from ordered_coloring.core import _ranks, checked_witness
-from ordered_coloring.jw import Member
+from ordered_coloring.jw import ColoredSeed, Member
 from ordered_coloring.kernels import (
     _SETS,
     _TwoSat,
-    _color_bits,
     _mask_at,
     _mcs_peo,
     _propagate_bits,
@@ -84,8 +83,40 @@ def reference_forced_colorings(g: OrderedGraph, has, block: int):
         yield forced
 
 
+def reference_color_bits(inst: Instance) -> tuple:
+    """`Instance.color_bits` straight from the frozenset lists: per color,
+    the mask of the ranks whose list holds it."""
+    order = inst.graph.vertices
+    return tuple(
+        sum(1 << r for r, v in enumerate(order) if c in inst.lists.get(v)) for c in COLORS
+    )
+
+
+def sub_instance(inst: Instance, xs) -> Instance:
+    """The order-preserving induced sub-instance on the vertices xs."""
+    xs = set(xs)
+    lists = ListAssignment({v: cs for v, cs in inst.lists.items() if v in xs})
+    return Instance(inst.graph.induced(xs), lists)
+
+
+def updated_lists(lists: ListAssignment, changes) -> ListAssignment:
+    """`lists` with the lists of the vertices in `changes` replaced."""
+    return ListAssignment({**dict(lists.items()), **changes})
+
+
+def color_class(coloring: Coloring, color: int) -> frozenset:
+    """The vertices that `coloring` gives `color`."""
+    return frozenset(v for v, c in coloring.items() if c == color)
+
+
+def restrict_coloring(coloring: Coloring, xs) -> Coloring:
+    """`coloring` on the vertices of xs only."""
+    xs = set(xs)
+    return Coloring({v: c for v, c in coloring.items() if v in xs})
+
+
 def lists_from_bits(order: tuple, has) -> ListAssignment:
-    """The color bitsets `has` (see `kernels._color_bits`) as frozenset
+    """The color bitsets `has` (see `Instance.color_bits`) as frozenset
     lists keyed by the vertices in `order`."""
     return ListAssignment({v: _SETS[_mask_at(has, r)] for r, v in enumerate(order)})
 
@@ -94,7 +125,7 @@ def propagated(inst: Instance) -> Instance:
     """inst with its lists run through the package's propagation kernel,
     `kernels._propagate_bits`."""
     g = inst.graph
-    has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+    has = _propagate_bits(g.adjacency_bits(), inst.color_bits)
     return Instance(g, lists_from_bits(g.vertices, has))
 
 
@@ -208,7 +239,17 @@ def chain_member(inst: Instance) -> Member:
     """The whole instance as a member the seed chain runs on: every rank,
     with its list."""
     g = inst.graph
-    return Member(inst, g.adjacency_bits(), tuple(_color_bits(inst)), (1 << g.n) - 1)
+    return Member(inst, g.adjacency_bits(), inst.color_bits, (1 << g.n) - 1)
+
+
+def rank_seed(m: Member, support: tuple, colors: tuple) -> ColoredSeed:
+    """A seed on m's ranks, with the `masks` that `jw.gamma` records: the
+    color classes as rank masks and, per class, its neighbors in m."""
+    classes, near = [0, 0, 0], [0, 0, 0]
+    for r, c in zip(support, colors):
+        classes[c - 1] |= 1 << r
+        near[c - 1] |= m.bits[r]
+    return ColoredSeed(support, colors, (tuple(classes), tuple(near)))
 
 
 def rank_instance(m: Member) -> Instance:
@@ -280,7 +321,7 @@ def reference_check_link(m: Member, e, e_prev, g_seed, g_prev) -> bool:
     so it can stand in for the link check."""
     inst = rank_instance(m)
     und_prev, _ = span_and_left(inst.graph, e_prev)
-    sub = inst.sub_instance(und_prev)
+    sub = sub_instance(inst, und_prev)
     for psi in enumerate_colorings(sub, cap=sub.graph.n):
         if (
             property_x(inst, psi, g_seed)
@@ -337,7 +378,7 @@ def band_chain_instance(rng, n: int, obstruct: bool) -> Instance:
             ]
             if not corners:
                 continue
-            lists = lists.updated({v: frozenset((1, 2)) for v in corners[-1]})
+            lists = updated_lists(lists, {v: frozenset((1, 2)) for v in corners[-1]})
         inst = Instance(g, lists)
         if (
             contains_pattern(g, JW1) is None
@@ -504,7 +545,7 @@ def forward_clique_instances(rng, count, empty_share=0.2):
         g = random_forward_clique_graph(rng, rng.randint(1, 40), rng.random())
         lists = random_lists(rng, g, rng.random())
         if rng.random() < empty_share:
-            lists = lists.updated({rng.choice(g.vertices): frozenset()})
+            lists = updated_lists(lists, {rng.choice(g.vertices): frozenset()})
         yield Instance(g, lists)
 
 
@@ -604,7 +645,7 @@ def _reference_narrow(inst: Instance, a_sets: tuple, b_sets: tuple):
                 changes[y] = current.lists.get(y) - {i}
         else:
             raise InternalError(f"unexpected third-neighbor list {sorted(lx)}")
-        lists = reference_propagation(g, current.lists.updated(changes).items())
+        lists = reference_propagation(g, updated_lists(current.lists, changes).items())
         current = Instance(g, ListAssignment(lists))
 
 

@@ -45,6 +45,7 @@ from ordered_coloring.rand import (
 )
 from conftest import (
     chain_member,
+    color_class,
     graph,
     propagated,
     property_x,
@@ -53,6 +54,7 @@ from conftest import (
     rank_instance,
     reference_check_link,
     small_source_graphs,
+    updated_lists,
 )
 
 
@@ -125,7 +127,7 @@ def _forward_clique_instance(rng, obstruct):
     lists = random_lists(rng, g, rng.uniform(0.8, 1.0))
     if obstruct:
         pair = frozenset(rng.choice(((1, 2), (1, 3), (2, 3))))
-        lists = lists.updated({v: pair for v in rng.choice(triangles)})
+        lists = updated_lists(lists, {v: pair for v in rng.choice(triangles)})
     return Instance(g, lists)
 
 
@@ -190,12 +192,12 @@ def test_criterion_3_kernel_equivalences():
         c = rng.randint(1, 3)
         got = solve_small_class(inst, c)
         expected = any(
-            min(len(col.color_class(i)) for i in (1, 2, 3)) < c
+            min(len(color_class(col, i)) for i in (1, 2, 3)) < c
             for col in enumerate_colorings(inst)
         )
         assert (got is not None) == expected
         if got is not None:
-            assert min(len(got.color_class(i)) for i in (1, 2, 3)) < c
+            assert min(len(color_class(got, i)) for i in (1, 2, 3)) < c
 
     for t in range(trials):
         inst = random_chordal_instance(rng, rng.randint(0, 12), rng.random())

@@ -7,7 +7,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordered_coloring import (
+    Instance,
     InputError,
+    ListAssignment,
     OrderedGraph,
     build_pattern,
     contains_pattern,
@@ -16,17 +18,26 @@ from ordered_coloring import (
 )
 from ordered_coloring.core import _at_least, _maximal_edges, _ranks, _reach_tables
 from ordered_coloring.gadgets import gen_bipartite, gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
+from ordered_coloring.io import parse_instance, serialize_instance
 from ordered_coloring.oracle import nae_bruteforce
-from ordered_coloring.rand import make_rng, random_forward_clique_graph, random_nae, random_ordered_graph
+from ordered_coloring.rand import (
+    make_rng,
+    random_forward_clique_graph,
+    random_instance,
+    random_nae,
+    random_ordered_graph,
+)
 from conftest import (
     brute_contains,
     graph,
     instance,
     path_graph,
     rank_normalized,
+    reference_color_bits,
     reference_maximal_edges,
     small_source_graphs,
     span_and_left,
+    updated_lists,
 )
 
 
@@ -581,3 +592,39 @@ class TestValidation:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InputError):
             graph({"a": 1, "b": 2}, [("a", "b"), ("b", "a")])
+
+
+class TestInstance:
+    """`Instance` checks its list domain and builds `color_bits` in one
+    walk over the vertices."""
+
+    @pytest.mark.parametrize(
+        "positions,lists",
+        [
+            ({"a": 1, "b": 2}, {"a": (1,)}),  # a missing list
+            ({"a": 1}, {"a": (1,), "b": (2,)}),  # an extra list
+            ({}, {"x": (1, 2, 3)}),  # a list for an unknown id
+        ],
+    )
+    def test_domain_error(self, positions, lists):
+        with pytest.raises(InputError, match=r"^list assignment domain must equal the vertex set$"):
+            Instance(graph(positions), ListAssignment(lists))
+
+    def test_color_bits_match_lists(self):
+        rng = make_rng(4501)
+        insts = []
+        for _ in range(60):
+            inst = random_instance(rng, rng.randint(0, 12), rng.random(), rng.random())
+            if inst.graph.n and rng.random() < 0.3:
+                emptied = {rng.choice(inst.graph.vertices): frozenset()}
+                inst = Instance(inst.graph, updated_lists(inst.lists, emptied))
+            mirrored = Instance(inst.graph.reverse(), inst.lists)
+            _, parsed = parse_instance(serialize_instance("x", inst))
+            insts += [inst, mirrored, parsed]
+        for src in small_source_graphs(3):
+            insts += [gen_h3(src, "t5").instance, gen_h3(src, "t6").instance]
+        sizes = set()
+        for inst in insts:
+            assert inst.color_bits == reference_color_bits(inst)
+            sizes |= {len(cs) for _, cs in inst.lists.items()}
+        assert sizes == {0, 1, 2, 3}

@@ -18,7 +18,6 @@ from ordered_coloring.core import checked_witness
 from ordered_coloring import j16, jw, kernels
 from ordered_coloring.j16 import PadSets, _chordalize_members, _fwdnbr_members
 from ordered_coloring.jw import augment_star, check_link, gamma
-from ordered_coloring.kernels import _color_bits
 from ordered_coloring.rand import (
     make_rng,
     random_j16free_instance,
@@ -172,7 +171,7 @@ class TestWitnessChecks:
         # kernel here gives every wide rank color 1
         monkeypatch.setattr(
             "ordered_coloring.j16._chordal_coloring",
-            lambda bits, mask, colors: {r: 1 for r in range(len(bits)) if mask >> r & 1},
+            lambda bits, mask, has: {r: 1 for r in range(len(bits)) if mask >> r & 1},
         )
         path = instance({i: i for i in range(1, 9)}, [(i, i + 1) for i in range(1, 8)])
         with pytest.raises(InternalError):
@@ -204,7 +203,7 @@ class TestMemberChecks:
         )
         cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(InternalError):
-            list(_chordalize_members(cycle, _color_bits(cycle), 0, 0))
+            list(_chordalize_members(cycle, cycle.color_bits, 0, 0))
         assert len(searched) == 2
 
     def test_narrowing_shape_check(self, monkeypatch):

@@ -15,7 +15,13 @@ import itertools
 from ordered_coloring import COLORS, Instance, ListAssignment, build_pattern
 from ordered_coloring.kernels import boundary_guesses
 from ordered_coloring.rand import make_rng, random_j16free_instance, random_pattern_free_instance
-from conftest import lists_from_bits, reference_guesses, reference_lists_jw, reference_propagation
+from conftest import (
+    lists_from_bits,
+    reference_guesses,
+    reference_lists_jw,
+    reference_propagation,
+    updated_lists,
+)
 
 
 def _reference_lists_j16(inst, a_sets, b_sets):
@@ -106,6 +112,6 @@ def test_a_vertex_without_colors_yields_no_guess():
     rng = make_rng(3103)
     inst = random_j16free_instance(rng, 0, 0, 6)
     v = inst.graph.vertices[2]
-    emptied = Instance(inst.graph, inst.lists.updated({v: frozenset()}))
+    emptied = Instance(inst.graph, updated_lists(inst.lists, {v: frozenset()}))
     assert list(boundary_guesses(emptied, 0, 0)) == []
     assert list(boundary_guesses(emptied, 1, 1)) == []

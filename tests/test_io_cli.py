@@ -293,6 +293,29 @@ class TestCli:
         assert "verdict input-error" in captured.err
         assert "error no pattern-free graph found in 5000 tries (n=3)" in captured.err
 
+    @pytest.mark.parametrize(
+        "flag,value",
+        [
+            ("--n", "-1"),
+            ("--edge-prob", "2"),
+            ("--edge-prob", "-0.1"),
+            ("--edge-prob", "nan"),
+            ("--full-bias", "-1"),
+            ("--full-bias", "1.5"),
+        ],
+    )
+    def test_random_instance_rejects_out_of_range(self, capsys, flag, value):
+        assert main(["random-instance", "--seed", "1", flag, value]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "verdict input-error" in captured.err and f"error {flag} must" in captured.err
+
+    def test_random_instance_accepts_range_ends(self, capsys):
+        argv = ["random-instance", "--seed", "1", "--n", "0", "--edge-prob", "0", "--full-bias", "1"]
+        assert main(argv) == 0
+        assert main(argv[:3] + ["--edge-prob", "1.0", "--full-bias", "0"]) == 0
+        assert "verdict generated" in capsys.readouterr().err
+
     def test_random_instance_reproducible(self, tmp_path):
         code1, out1 = run_cli(tmp_path, "random-instance", "--seed", "7", "--n", "6")
         code2, out2 = run_cli(tmp_path, "random-instance", "--seed", "7", "--n", "6")

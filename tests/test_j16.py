@@ -25,7 +25,7 @@ from ordered_coloring.j16 import (
     _wide,
     pad_sets,
 )
-from ordered_coloring.kernels import _color_bits, _propagate_bits, solve_small_class
+from ordered_coloring.kernels import _propagate_bits, solve_small_class
 from ordered_coloring.oracle import enumerate_colorings
 from ordered_coloring.rand import (
     make_rng,
@@ -36,6 +36,7 @@ from ordered_coloring.rand import (
 )
 from conftest import (
     chordal_peo,
+    color_class,
     count_colorings,
     forward_clique_instances,
     graph,
@@ -46,6 +47,7 @@ from conftest import (
     reference_propagation,
     reference_solve_chordal,
     reference_solve_two_lists,
+    sub_instance,
     wide_set,
 )
 
@@ -102,7 +104,7 @@ class TestProfileFwdnbrSpecial:
         inst = instance({i: i for i in range(1, 4)})
         got = solve_small_class(inst, 1)
         assert got is not None and got.validates(inst)
-        assert min(len(got.color_class(i)) for i in COLORS) == 0
+        assert min(len(color_class(got, i)) for i in COLORS) == 0
 
     def test_small_class_coloring_lands_in_a_member(self):
         rng = make_rng(72)
@@ -110,9 +112,9 @@ class TestProfileFwdnbrSpecial:
             inst = random_j16free_instance(rng, 1, 1, rng.randint(2, 8))
             got = solve_small_class(inst, 2)
             for col in enumerate_colorings(inst):
-                if min(len(col.color_class(i)) for i in (1, 2, 3)) < 2:
+                if min(len(color_class(col, i)) for i in (1, 2, 3)) < 2:
                     assert got is not None and got.validates(inst)
-                    assert min(len(got.color_class(i)) for i in (1, 2, 3)) < 2
+                    assert min(len(color_class(got, i)) for i in (1, 2, 3)) < 2
                     break
 
     @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (0, 1), (1, 1)])
@@ -151,7 +153,7 @@ class TestProfileFwdnbr:
             inst = random_j16free_instance(rng, 1, 1, rng.randint(4, 9))
             members = None
             for col in enumerate_colorings(inst):
-                if min(len(col.color_class(i)) for i in (1, 2, 3)) >= 2:
+                if min(len(color_class(col, i)) for i in (1, 2, 3)) >= 2:
                     if members is None:
                         members = [as_instance(inst, m) for m in _fwdnbr_members(inst, 1, 1)]
                     assert any(col.respects(m.lists) for m in members)
@@ -319,7 +321,7 @@ class TestChordalize:
     def test_precondition_small_wide_set(self):
         inst = instance({i: i for i in range(1, 4)})
         with pytest.raises(PreconditionError):
-            list(_chordalize_members(inst, _color_bits(inst), 0, 0))
+            list(_chordalize_members(inst, inst.color_bits, 0, 0))
 
     def test_surviving_colorings_land_in_members(self):
         rng = make_rng(77)
@@ -380,7 +382,7 @@ def reference_finish_member(member):
     wide = wide_set(member)
     assignment = {}
     if wide:
-        partial = reference_solve_chordal(member.sub_instance(wide))
+        partial = reference_solve_chordal(sub_instance(member, wide))
         if partial is None:
             return None
         assignment.update(partial.items())
@@ -399,7 +401,7 @@ class TestFinishMember:
         outcomes = {"colored": 0, "none": 0}
         for inst in forward_clique_instances(rng, 200, empty_share=0):
             g = inst.graph
-            has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+            has = _propagate_bits(g.adjacency_bits(), inst.color_bits)
             if has[0] | has[1] | has[2] != (1 << g.n) - 1:
                 continue
             got = _finish_member(g, has)
@@ -447,13 +449,13 @@ class TestFinalizeSmall:
         inst = instance(
             {i: i for i in range(1, 3)}, lists={1: (1,), 2: (2,)}
         )
-        has = _color_bits(inst)
+        has = inst.color_bits
         members = list(_forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)))
         assert len(members) == 1 and as_instance(inst, members[0]) == inst
 
     def test_one_wide_vertex_two_members(self):
         inst = instance({1: 1}, lists={1: (1, 2)})
-        has = _color_bits(inst)
+        has = inst.color_bits
         assert len(list(_forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)))) == 2
 
     def test_members_fully_forced(self):
@@ -462,7 +464,7 @@ class TestFinalizeSmall:
             inst = random_j16free_instance(rng, 1, 1, rng.randint(1, 6))
             if len(wide_set(inst)) >= 12:
                 continue
-            has = _color_bits(inst)
+            has = inst.color_bits
             for member in _forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)):
                 member = as_instance(inst, member)
                 assert all(len(cs) <= 1 for _, cs in member.lists.items())

@@ -39,8 +39,10 @@ from conftest import (
     property_x,
     property_y,
     rank_instance,
+    rank_seed,
     reference_check_link,
     reference_sigma_members,
+    restrict_coloring,
 )
 
 JW1 = build_pattern("Jw:1")
@@ -204,7 +206,7 @@ class TestProperties:
             seed = ColoredSeed(tuple(und), tuple(full[x] for x in und))
             domain = sorted(full.domain(), key=str)
             for cut in range(len(domain) + 1):
-                phi = full.restrict(domain[:cut])
+                phi = restrict_coloring(full, domain[:cut])
                 assert property_x(inst, phi, seed)
                 assert property_y(inst, phi, seed, e)
 
@@ -272,10 +274,10 @@ class TestCheckLink:
         g = graph({1: 1, 2: 2, 3: 3}, [(1, 2), (2, 3)])
         m = chain_member(Instance.with_full_lists(g))
         e_prev, e = rank_instance(m).graph.maximal_edges()
-        seed_prev = ColoredSeed((0, 1), (1, 2))
-        seed_cur = ColoredSeed((1, 2), (1, 2))  # colors 2 vs 1 on the shared vertex
+        seed_prev = rank_seed(m, (0, 1), (1, 2))
+        seed_cur = rank_seed(m, (1, 2), (1, 2))  # colors 2 vs 1 on the shared vertex
         assert not check_link(m, e, e_prev, seed_cur, seed_prev)
-        compatible = ColoredSeed((1, 2), (2, 1))
+        compatible = rank_seed(m, (1, 2), (2, 1))
         assert check_link(m, e, e_prev, compatible, seed_prev)
 
 

@@ -21,7 +21,6 @@ from ordered_coloring import (
 )
 from ordered_coloring.core import _ranks
 from ordered_coloring.kernels import (
-    _color_bits,
     _list_colorings,
     _mcs_peo,
     _propagate_bits,
@@ -38,6 +37,7 @@ from ordered_coloring.rand import (
 from conftest import (
     _stable,
     chordal_peo,
+    color_class,
     forward_clique_instances,
     graph,
     instance,
@@ -49,6 +49,8 @@ from conftest import (
     reference_solve_few_wide,
     reference_solve_small_class,
     reference_solve_two_lists,
+    sub_instance,
+    updated_lists,
 )
 
 
@@ -129,13 +131,13 @@ class TestPropagateBits:
             inst = random_instance(rng, rng.randint(0, 14), rng.uniform(0, 0.5), rng.random())
             if inst.graph.n and rng.random() < 0.3:
                 v = rng.choice(inst.graph.vertices)
-                inst = Instance(inst.graph, inst.lists.updated({v: frozenset()}))
+                inst = Instance(inst.graph, updated_lists(inst.lists, {v: frozenset()}))
             yield rng, inst
 
     def test_matches_round_reference(self):
         for _, inst in self.corpus(34):
             g = inst.graph
-            has = _propagate_bits(g.adjacency_bits(), _color_bits(inst))
+            has = _propagate_bits(g.adjacency_bits(), inst.color_bits)
             got = {
                 v: frozenset(c for c in COLORS if has[c - 1] >> r & 1)
                 for r, v in enumerate(g.vertices)
@@ -234,13 +236,13 @@ class TestSolveSmallClass:
             for c in (1, 2, 3):
                 got = solve_small_class(inst, c)
                 expected = any(
-                    min(len(col.color_class(i)) for i in (1, 2, 3)) < c
+                    min(len(color_class(col, i)) for i in (1, 2, 3)) < c
                     for col in enumerate_colorings(inst)
                 )
                 assert (got is not None) == expected
                 if got is not None:
                     assert got.validates(inst)
-                    assert min(len(got.color_class(i)) for i in (1, 2, 3)) < c
+                    assert min(len(color_class(got, i)) for i in (1, 2, 3)) < c
 
 
 def mixed_corpus(seed, count, full_bias):
@@ -252,7 +254,7 @@ def mixed_corpus(seed, count, full_bias):
         inst = random_instance(rng, rng.randint(0, 11), rng.random(), full_bias)
         if inst.graph.n and rng.random() < 0.2:
             v = rng.choice(inst.graph.vertices)
-            inst = Instance(inst.graph, inst.lists.updated({v: frozenset()}))
+            inst = Instance(inst.graph, updated_lists(inst.lists, {v: frozenset()}))
         yield inst
 
 
@@ -331,8 +333,8 @@ class TestReferenceDifferential:
             inst = random_two_list_instance(rng, rng.randint(0, 11), rng.random())
             g = inst.graph
             mask = rng.getrandbits(g.n)
-            got = _two_lists(g.adjacency_bits(), mask, _color_bits(inst))
-            sub = inst.sub_instance([g.vertices[r] for r in _ranks(mask)])
+            got = _two_lists(g.adjacency_bits(), mask, inst.color_bits)
+            sub = sub_instance(inst, [g.vertices[r] for r in _ranks(mask)])
             expected = reference_solve_two_lists(sub)
             if got is None or expected is None:
                 assert got is expected
@@ -367,10 +369,10 @@ class TestListColorings:
         for _ in range(300):
             inst = random_instance(rng, rng.randint(0, 10), rng.uniform(0.1, 0.6), rng.random())
             g = inst.graph
-            bits, has = g.adjacency_bits(), _color_bits(inst)
+            bits, has = g.adjacency_bits(), inst.color_bits
             mask = rng.getrandbits(g.n)
             ranks = list(_ranks(mask))
-            sub = inst.sub_instance([g.vertices[r] for r in ranks])
+            sub = sub_instance(inst, [g.vertices[r] for r in ranks])
             expected = [tuple(f[v] for v in sub.graph.vertices) for f in enumerate_colorings(sub)]
             got = list(_list_colorings(bits, mask, has))
             assert [colors for colors, _, _ in got] == expected
