@@ -41,7 +41,9 @@ class OrderedGraph:
     for isomorphism and pattern containment.
     """
 
-    __slots__ = ("_pos", "_order", "_rank", "_adj", "_edges", "_bits", "_reach")
+    __slots__ = (
+        "_pos", "_order", "_rank", "_adj", "_edges", "_bits", "_reach", "_degrees", "_plans"
+    )
 
     def __init__(self, vertices: Iterable[tuple[object, object]], edges: Iterable[tuple] = ()):
         pos: dict = {}
@@ -81,6 +83,8 @@ class OrderedGraph:
         self._adj = None  # vertex -> frozenset of neighbors, built on first use
         self._edges = None
         self._reach = None  # `_reach_tables`, built on first use
+        self._degrees = None  # `_degree_masks`, built on first use
+        self._plans = None  # `_pattern_plans`, built on first use
 
     # -- basic accessors ---------------------------------------------------
 
@@ -251,18 +255,98 @@ def is_isomorphic(g: OrderedGraph, h: OrderedGraph) -> bool:
 def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     """A witness X with G[X] order-isomorphic to H, or None if G is H-free.
 
-    Backtracking over the pattern vertices in plan order: endpoints of the
-    pattern's edges in sorted edge order, then isolated pattern vertices.
-    Each unplaced pattern vertex keeps a bitmask of the host ranks still
-    consistent with every placement so far. Placing p at rank r narrows
-    each other mask to the ranks adjacent (or not adjacent, as in H) to r
-    and below (or above) r, and a branch dies as soon as some mask is
-    empty. Two bound rules drop candidates before they are tried:
+    The search is `_embed`, run along one of two plans that order the
+    pattern vertices; both are built once per pattern (`_pattern_plans`):
+
+    - the fail-first plan decides: the pattern vertex of highest degree
+      first, then always the unplaced vertex with the most placed pattern
+      neighbors (ties to the higher degree, then to the leftmost), so most
+      placements are pinned by an adjacency to a placed vertex;
+    - the canonical plan picks the witness: the endpoints of the pattern's
+      edges in sorted edge order, then the isolated pattern vertices.
+
+    Whether an embedding exists does not depend on the order in which the
+    search places the pattern vertices, so a fail-first search that finds
+    none settles the answer. When it finds one and the plans differ, the
+    canonical search runs and its first embedding is the witness. The
+    witness is therefore that of a plain backtracking over the canonical
+    plan with candidates in ascending rank, whatever the deciding plan.
+    For `Jw:w` and every `J16:k,l` the two plans coincide, so one search
+    runs.
+    """
+    t = h.n
+    if t == 0:
+        return frozenset()
+    if t > g.n:
+        return None
+    first, canonical = _pattern_plans(h)
+    found = _embed(g, first)
+    if found is not None and canonical is not first:
+        found = _embed(g, canonical)
+    return found
+
+
+def _pattern_plans(h: OrderedGraph) -> tuple:
+    """The fail-first and the canonical plan of a nonempty pattern (see
+    `contains_pattern`), built on first use and kept on the pattern; one
+    object twice when the two orders agree. A plan is its pattern ranks in
+    order, each one's later and earlier pattern degree, and `_embed`'s
+    per-step tables."""
+    if h._plans is None:
+        pbits, t = h.adjacency_bits(), h.n
+        canonical = []
+        for a in range(t):
+            for b in _ranks(pbits[a] & -(2 << a)):
+                canonical += [p for p in (a, b) if p not in canonical]
+        canonical += [p for p in range(t) if p not in canonical]
+        degree = [bits.bit_count() for bits in pbits]
+        first, placed = [], 0
+        for _ in range(t):
+            p = max(
+                (q for q in range(t) if not placed >> q & 1),
+                key=lambda q: ((pbits[q] & placed).bit_count(), degree[q], -q),
+            )
+            first.append(p)
+            placed |= 1 << p
+        plan = _plan_tables(pbits, canonical)
+        h._plans = (plan, plan) if first == canonical else (_plan_tables(pbits, first), plan)
+    return h._plans
+
+
+def _plan_tables(pbits: tuple, order: list) -> tuple:
+    """`_embed`'s tables for the pattern vertices placed in `order`."""
+    starts = [
+        (p, (pbits[p] >> p + 1).bit_count(), (pbits[p] & ((1 << p) - 1)).bit_count())
+        for p in order
+    ]
+    # per step: (adjacent, before) against each later step, the next one
+    # apart, since most candidates empty the next step's mask; and the range
+    # rule's (later step, q after p) for each unplaced neighbor q
+    steps, rules = [], []
+    for i, p in enumerate(order[:-1]):
+        kinds = [(pbits[p] >> q & 1, q < p) for q in order[i + 1 :]]
+        steps.append((kinds[0], kinds[1:]))
+        rules.append(
+            [(j, q > p) for j, q in enumerate(order[i + 1 :], 1) if pbits[p] >> q & 1] if i else []
+        )
+    return tuple(order), starts, steps, rules
+
+
+def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
+    """The first embedding of the pattern into g along `plan` (from
+    `_pattern_plans`), as a set of host vertices, or None.
+
+    Backtracking over the pattern vertices in plan order. Each unplaced
+    pattern vertex keeps a bitmask of the host ranks still consistent with
+    every placement so far. Placing p at rank r narrows each other mask to
+    the ranks adjacent (or not adjacent, as in H) to r and below (or above)
+    r, and a branch dies as soon as some mask is empty. Two bound rules
+    drop candidates before they are tried:
 
     - degree rule: a pattern vertex with d later (earlier) pattern
       neighbors starts with only the host ranks that have at least d later
-      (earlier) neighbors; its initial mask also leaves room for the
-      pattern vertices before and after it;
+      (earlier) neighbors (`_degree_masks`); its initial mask also leaves
+      room for the pattern vertices before and after it;
     - range rule, at every level after the first: for each unplaced
       pattern neighbor q of the vertex being placed, a candidate needs a
       later neighbor at or before the last rank still open to q (q later),
@@ -271,50 +355,22 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
 
     Both rules only drop ranks that no embedding extending the current
     placements can use, and candidates are tried in ascending rank, so the
-    search order and the first witness are those of a plain
-    check-every-placed-vertex backtracking: the pruning only skips branches
-    that cannot finish.
+    search order and the first embedding are those of a plain
+    check-every-placed-vertex backtracking along the same plan: the
+    pruning only skips branches that cannot finish.
     """
-    t, n = h.n, g.n
-    if t == 0:
-        return frozenset()
-    if t > n:
-        return None
-
-    hrank = {v: i for i, v in enumerate(h.vertices)}
-    pbits = [0] * t
-    pedges = []
-    for e in h.edges:
-        a, b = sorted(hrank[x] for x in e)
-        pbits[a] |= 1 << b
-        pbits[b] |= 1 << a
-        pedges.append((a, b))
-    plan = []
-    for e in sorted(pedges):
-        plan += [p for p in e if p not in plan]
-    plan += [p for p in range(t) if p not in plan]
-
+    order, starts, steps, rules = plan
+    t = len(order)
     gbits = g.adjacency_bits()
-    later = [(bits >> p + 1).bit_count() for p, bits in enumerate(pbits)]
-    earlier = [(bits & ((1 << p) - 1)).bit_count() for p, bits in enumerate(pbits)]
-    later_at_least = _at_least(
-        [(bits >> r + 1).bit_count() for r, bits in enumerate(gbits)], max(later)
-    )
-    earlier_at_least = _at_least(
-        [(bits & ((1 << r) - 1)).bit_count() for r, bits in enumerate(gbits)], max(earlier)
-    )
-    room = (1 << (n - t + 1)) - 1
-    masks = [(room << p) & later_at_least[later[p]] & earlier_at_least[earlier[p]] for p in plan]
-    # per plan step: (adjacent, before) against each later step, the next
-    # one apart, since most candidates empty the next step's mask; and the
-    # range rule's (later step, q after p) for each unplaced neighbor q
-    steps, rules = [], []
-    for i, p in enumerate(plan[:-1]):
-        kinds = [(pbits[p] >> q & 1, q < p) for q in plan[i + 1 :]]
-        steps.append((kinds[0], kinds[1:]))
-        rules.append(
-            [(j, q > p) for j, q in enumerate(plan[i + 1 :], 1) if pbits[p] >> q & 1] if i else []
-        )
+    later_at_least, earlier_at_least = _degree_masks(g)
+    top_later, top_earlier = len(later_at_least), len(earlier_at_least)
+    room = (1 << (g.n - t + 1)) - 1
+    masks = [
+        (room << p)
+        & (later_at_least[d] if d < top_later else 0)
+        & (earlier_at_least[e] if e < top_earlier else 0)
+        for p, d, e in starts
+    ]
     found = [0] * t
 
     def extend(i: int, masks: list) -> bool:
@@ -367,6 +423,22 @@ def _at_least(degrees: list, top: int) -> list:
     for d in range(top - 1, -1, -1):
         out[d] |= out[d + 1]
     return out
+
+
+def _degree_masks(g: OrderedGraph) -> tuple:
+    """The degree rule's two tables for g, built on first use and kept on
+    the graph: `_at_least` over each rank's later and over its earlier
+    neighbor count, up to the largest count (a larger pattern degree fits
+    no rank)."""
+    if g._degrees is None:
+        bits = g.adjacency_bits()
+        later = [(b >> r + 1).bit_count() for r, b in enumerate(bits)]
+        earlier = [(b & ((1 << r) - 1)).bit_count() for r, b in enumerate(bits)]
+        g._degrees = (
+            _at_least(later, max(later, default=0)),
+            _at_least(earlier, max(earlier, default=0)),
+        )
+    return g._degrees
 
 
 def _reach_tables(g: OrderedGraph) -> tuple:

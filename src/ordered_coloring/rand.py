@@ -10,7 +10,7 @@ from __future__ import annotations
 import random
 
 from .core import Instance, ListAssignment, OrderedGraph, contains_pattern
-from .errors import CapExceededError, InternalError
+from .errors import CapExceededError, InputError, InternalError
 from .oracle import NaeInstance
 
 _PROPER_SUBSETS = (
@@ -27,7 +27,19 @@ def make_rng(seed: int) -> random.Random:
     return random.Random(seed)
 
 
+def _check_size(n: int) -> None:
+    if n < 0:
+        raise InputError(f"n must be nonnegative, got {n}")
+
+
+def _check_prob(name: str, p: float) -> None:
+    if not 0 <= p <= 1:  # NaN fails both comparisons
+        raise InputError(f"{name} must lie in [0, 1], got {p}")
+
+
 def random_ordered_graph(rng: random.Random, n: int, edge_prob: float) -> OrderedGraph:
+    _check_size(n)
+    _check_prob("edge_prob", edge_prob)
     verts = [(f"v{i}", i) for i in range(1, n + 1)]
     edges = [
         (f"v{i}", f"v{j}")
@@ -39,6 +51,7 @@ def random_ordered_graph(rng: random.Random, n: int, edge_prob: float) -> Ordere
 
 
 def random_lists(rng: random.Random, g: OrderedGraph, full_bias: float = 0.5) -> ListAssignment:
+    _check_prob("full_bias", full_bias)
     lists = {}
     for v in g.vertices:
         if rng.random() < full_bias:
@@ -76,6 +89,8 @@ def random_forward_clique_graph(rng: random.Random, n: int, attach_prob: float =
     """Build a graph in which every vertex's forward neighborhood is a
     clique, by choosing each vertex's forward neighbors as a clique among
     the later vertices. Such graphs avoid the two-forward-edge pattern."""
+    _check_size(n)
+    _check_prob("attach_prob", attach_prob)
     names = [f"v{i}" for i in range(1, n + 1)]
     fwd: dict = {v: set() for v in names}
     for i in range(n - 2, -1, -1):

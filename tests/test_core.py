@@ -16,8 +16,24 @@ from ordered_coloring import (
     is_isomorphic,
     monotone_subsequence,
 )
-from ordered_coloring.core import _at_least, _maximal_edges, _ranks, _reach_tables
-from ordered_coloring.gadgets import gen_bipartite, gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
+from ordered_coloring import core as core_module, rand
+from ordered_coloring.core import (
+    _at_least,
+    _degree_masks,
+    _maximal_edges,
+    _pattern_plans,
+    _ranks,
+    _reach_tables,
+)
+from ordered_coloring.gadgets import (
+    gen_bipartite,
+    gen_h1,
+    gen_h2,
+    gen_h3,
+    gen_h4,
+    gen_h5,
+    verify_gadget,
+)
 from ordered_coloring.io import parse_instance, serialize_instance
 from ordered_coloring.oracle import nae_bruteforce
 from ordered_coloring.rand import (
@@ -331,9 +347,97 @@ class TestMatcherDifferential:
                 found += fast is not None
         assert 0 < found < 20
 
+    @pytest.mark.parametrize("pid", CATALOG_IDS + ["Jw:3", "J16:2,2", "neg:J16:2,1"])
+    def test_each_id_found_and_free(self, pid):
+        # a free host is settled by the fail-first search alone, a host
+        # with an embedding takes its witness from the canonical search
+        rng = make_rng(4407)
+        h = build_pattern(pid)
+        outcomes = set()
+        for tries in range(1, 401):
+            g = random_ordered_graph(rng, rng.randint(max(4, h.n), 16), rng.random())
+            fast = contains_pattern(g, h)
+            assert fast == reference_contains_pattern(g, h), sorted(g.edges, key=sorted)
+            outcomes.add(fast is None)
+            if tries >= 30 and len(outcomes) == 2:
+                break
+        assert outcomes == {True, False}
+
+
+class TestPlans:
+    """The fail-first plan decides, the canonical plan picks the witness."""
+
+    @pytest.mark.parametrize(
+        "pid", ["Jw:1", "Jw:2"] + [f"J16:{k},{l}" for k in range(3) for l in range(3)]
+    )
+    def test_solver_patterns_have_one_plan(self, pid):
+        first, canonical = _pattern_plans(build_pattern(pid))
+        assert first is canonical
+
+    def test_orders(self):
+        # J13: edges (0,4), (1,2), (2,3); rank 2 is the one of degree 2
+        first, canonical = _pattern_plans(build_pattern("J13"))
+        assert first[0] == (2, 1, 3, 0, 4)
+        assert canonical[0] == (0, 4, 1, 2, 3)
+        # J16 mirrored: edges (0,2), (1,2)
+        first, canonical = _pattern_plans(build_pattern("neg:J16"))
+        assert first[0] == (2, 0, 1)
+        assert canonical[0] == (0, 2, 1)
+        h = build_pattern("J7")
+        assert _pattern_plans(h) is _pattern_plans(h)
+
+    @pytest.mark.parametrize(
+        "pid,plans", [("J13", 2), ("J14", 2), ("neg:J16", 2), ("Jw:1", 1), ("J16:1,0", 1)]
+    )
+    def test_searches_per_call(self, monkeypatch, pid, plans):
+        calls = []
+        embed = core_module._embed
+
+        def counting(g, plan):
+            calls.append(plan[0])
+            return embed(g, plan)
+
+        monkeypatch.setattr(core_module, "_embed", counting)
+        h = build_pattern(pid)
+        first, canonical = _pattern_plans(h)
+        assert (first is not canonical) == (plans == 2)
+        free = graph({i: i for i in range(1, 8)})
+        assert contains_pattern(free, h) is None
+        assert calls == [first[0]]
+        calls.clear()
+        host = h.pad(1, 2)
+        witness = contains_pattern(host, h)
+        assert witness is not None and witness == reference_contains_pattern(host, h)
+        assert calls == [first[0], canonical[0]][:plans]
+
 
 class TestBoundTables:
     """The matcher's bound rules against their definitions."""
+
+    def test_degree_masks(self):
+        rng = make_rng(4408)
+        for _ in range(60):
+            g = random_ordered_graph(rng, rng.randint(1, 24), rng.random())
+            n, bits = g.n, g.adjacency_bits()
+            later_at_least, earlier_at_least = _degree_masks(g)
+            assert _degree_masks(g) is _degree_masks(g)
+            later = [(bits[r] >> r + 1).bit_count() for r in range(n)]
+            earlier = [(bits[r] & ((1 << r) - 1)).bit_count() for r in range(n)]
+            for table, counts in ((later_at_least, later), (earlier_at_least, earlier)):
+                assert table == [
+                    sum(1 << r for r in range(n) if counts[r] >= d) for d in range(max(counts) + 1)
+                ]
+
+    def test_host_tables_built_once_per_gadget(self, monkeypatch):
+        calls = []
+        at_least = core_module._at_least
+        monkeypatch.setattr(
+            core_module, "_at_least", lambda *args: calls.append(args) or at_least(*args)
+        )
+        out = gen_h2(random_nae(make_rng(4409), 5, 4))
+        assert len(out.advertised_free) == 3
+        assert verify_gadget(out).passed
+        assert len(calls) == 2  # the later and the earlier table, once
 
     def test_reach_tables(self):
         rng = make_rng(4405)
@@ -592,6 +696,49 @@ class TestValidation:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InputError):
             graph({"a": 1, "b": 2}, [("a", "b"), ("b", "a")])
+
+
+class TestRandArguments:
+    """The generators reject a negative size and a probability outside
+    [0, 1] before they draw."""
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda rng: rand.random_ordered_graph(rng, -1, 0.5),
+            lambda rng: rand.random_ordered_graph(rng, 4, 1.5),
+            lambda rng: rand.random_ordered_graph(rng, 4, -0.1),
+            lambda rng: rand.random_ordered_graph(rng, 4, float("nan")),
+            lambda rng: rand.random_lists(rng, graph({"a": 1}), 2.0),
+            lambda rng: rand.random_lists(rng, graph({"a": 1}), -1.0),
+            lambda rng: rand.random_lists(rng, graph({"a": 1}), float("nan")),
+            lambda rng: rand.random_instance(rng, -1, 0.5),
+            lambda rng: rand.random_instance(rng, 4, 2.0),
+            lambda rng: rand.random_instance(rng, 4, 0.5, -1.0),
+            lambda rng: rand.random_instance(rng, 4, float("nan")),
+            lambda rng: rand.random_instance(rng, 4, 0.5, float("nan")),
+            lambda rng: rand.random_forward_clique_graph(rng, -1),
+            lambda rng: rand.random_forward_clique_graph(rng, 4, 1.01),
+            lambda rng: rand.random_forward_clique_graph(rng, 4, -0.5),
+            lambda rng: rand.random_forward_clique_graph(rng, 4, float("nan")),
+        ],
+    )
+    def test_rejected(self, call):
+        with pytest.raises(InputError, match=r"must (be nonnegative|lie in \[0, 1\])"):
+            call(make_rng(1))
+
+    def test_range_ends(self):
+        rng = make_rng(1)
+        assert rand.random_ordered_graph(rng, 0, 0.5).n == 0
+        assert not rand.random_ordered_graph(rng, 5, 0).edges
+        assert len(rand.random_ordered_graph(rng, 5, 1).edges) == 10
+        g = rand.random_ordered_graph(rng, 5, 0.5)
+        assert all(cs == frozenset((1, 2, 3)) for _, cs in rand.random_lists(rng, g, 1).items())
+        assert all(len(cs) < 3 for _, cs in rand.random_lists(rng, g, 0).items())
+        inst = rand.random_instance(rng, 6, 1.0, 0.0)
+        assert len(inst.graph.edges) == 15
+        assert not rand.random_forward_clique_graph(rng, 6, 0).edges
+        assert rand.random_forward_clique_graph(rng, 6, 1.0).n == 6
 
 
 class TestInstance:
