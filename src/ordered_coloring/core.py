@@ -51,10 +51,7 @@ class OrderedGraph:
             if vid in pos:
                 raise InputError(f"duplicate vertex id {vid!r}")
             pos[vid] = as_position(p)
-        # positions as exact integers over their common denominator: ordered
-        # and compared like the positions, with no `Fraction` hashed
-        scale = lcm(*{p.denominator for p in pos.values()})
-        keys = {vid: p.numerator * (scale // p.denominator) for vid, p in pos.items()}
+        keys = _position_keys(pos)
         if len(set(keys.values())) != len(keys):
             seen_positions: dict = {}
             for vid, key in keys.items():
@@ -76,10 +73,23 @@ class OrderedGraph:
                 raise InputError(f"duplicate edge ({u!r},{v!r})")
             bits[ru] |= 1 << rv
             bits[rv] |= 1 << ru
+        self._store(pos, order, rank, tuple(bits))
+
+    @classmethod
+    def _trusted(cls, pos: dict, order: tuple, rank: dict, bits: tuple) -> "OrderedGraph":
+        """The graph from parts that its caller has checked, stored as they
+        are: `pos` maps each id to a `Fraction`, no two alike; `order` is
+        the ids by position, `rank` its inverse; and `bits` the per-rank
+        adjacency bitmasks of a simple graph."""
+        g = cls.__new__(cls)
+        g._store(pos, order, rank, bits)
+        return g
+
+    def _store(self, pos: dict, order: tuple, rank: dict, bits: tuple):
         self._pos = pos
         self._order = order
         self._rank = rank
-        self._bits = tuple(bits)
+        self._bits = bits
         self._adj = None  # vertex -> frozenset of neighbors, built on first use
         self._edges = None
         self._reach = None  # `_reach_tables`, built on first use
@@ -224,6 +234,14 @@ def _maximal_edges(bits: tuple, mask: int) -> tuple:
         if not (a1 < a2 and b1 < b2):
             raise InternalError("maximal edges break the order contract")
     return tuple(out)
+
+
+def _position_keys(pos: dict) -> dict:
+    """Each id's position (a `Fraction`) as an exact integer over the
+    common denominator: ordered and compared like the positions, with no
+    `Fraction` hashed."""
+    scale = lcm(*{p.denominator for p in pos.values()})
+    return {vid: p.numerator * (scale // p.denominator) for vid, p in pos.items()}
 
 
 def _ranks(mask: int):
@@ -525,6 +543,14 @@ class ListAssignment:
         self._lists = clean
 
     @classmethod
+    def _trusted(cls, lists: dict) -> "ListAssignment":
+        """The assignment stored as it is: its caller has checked that
+        `lists` maps ids to frozensets within {1,2,3}."""
+        la = cls.__new__(cls)
+        la._lists = lists
+        return la
+
+    @classmethod
     def full(cls, g: OrderedGraph) -> "ListAssignment":
         return cls({v: COLORS for v in g.vertices})
 
@@ -575,6 +601,17 @@ class Instance:
                 self.color_bits = tuple(has)
                 return
         raise InputError("list assignment domain must equal the vertex set")
+
+    @classmethod
+    def _trusted(cls, graph: OrderedGraph, lists: ListAssignment, color_bits: tuple) -> "Instance":
+        """The instance stored as it is: its caller has checked that
+        `lists` has one list for each vertex of `graph` and that
+        `color_bits` holds them (see the class docstring)."""
+        inst = cls.__new__(cls)
+        inst.graph = graph
+        inst.lists = lists
+        inst.color_bits = color_bits
+        return inst
 
     @classmethod
     def with_full_lists(cls, graph: OrderedGraph) -> "Instance":

@@ -7,7 +7,7 @@ from __future__ import annotations
 import itertools
 from fractions import Fraction
 
-from .core import COLORS, Instance, ListAssignment, OrderedGraph
+from .core import COLORS, Instance, ListAssignment, OrderedGraph, _position_keys, _ranks
 from .errors import InputError
 from .oracle import NaeInstance
 
@@ -48,14 +48,19 @@ def parse_instance(text: str) -> tuple[str, Instance]:
     <pos>`, `edg <id> <id>`, optional `lst <id> <digits>` ("0" means the
     empty list; missing lines default to all three colors).
 
-    Each record is checked once, with its line number; positions are
-    compared as (numerator, denominator) pairs, so no `Fraction` is hashed."""
+    Each record is checked once, with its line number: duplicate ids and
+    positions (compared as (numerator, denominator) pairs, so no
+    `Fraction` is hashed), unknown ends, self-loops and duplicate edges,
+    list digits, and one list per vertex. The parser then builds the rank
+    order, the adjacency bits and the color bitsets itself and hands them
+    to the trusted constructors of `OrderedGraph`, `ListAssignment` and
+    `Instance`, which check none of it again."""
     name = ""
     saw_header = False
     positions: dict = {}
+    index: dict = {}  # vertex id -> its place among the `vtx` records
     pos_owner: dict = {}  # (numerator, denominator) -> vertex id
-    edges: list = []
-    edge_seen: set = set()
+    adj: list = []  # per place: the places of its neighbors, as a bitmask
     lists: dict = {}
     for lineno, parts in _lines(text):
         kind = parts[0]
@@ -64,20 +69,20 @@ def parse_instance(text: str) -> tuple[str, Instance]:
                 raise InputError(f"line {lineno}: expected `edg <id> <id>`")
             u, v = parts[1], parts[2]
             for x in (u, v):
-                if x not in positions:
+                if x not in index:
                     raise InputError(f"line {lineno}: unknown vertex {x!r}")
             if u == v:
                 raise InputError(f"line {lineno}: self-loop at {u!r}")
-            key = (u, v) if u < v else (v, u)
-            if key in edge_seen:
+            iu, iv = index[u], index[v]
+            if adj[iu] >> iv & 1:
                 raise InputError(f"line {lineno}: duplicate edge {u!r} {v!r}")
-            edge_seen.add(key)
-            edges.append((u, v))
+            adj[iu] |= 1 << iv
+            adj[iv] |= 1 << iu
         elif kind == "vtx":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected `vtx <id> <pos>`")
             vid = parts[1]
-            if vid in positions:
+            if vid in index:
                 raise InputError(f"line {lineno}: duplicate vertex {vid!r}")
             p = parse_position_token(parts[2], lineno)
             key = (p.numerator, p.denominator)
@@ -86,12 +91,14 @@ def parse_instance(text: str) -> tuple[str, Instance]:
                     f"line {lineno}: position {parts[2]} already used by {pos_owner[key]!r}"
                 )
             positions[vid] = p
+            index[vid] = len(adj)
             pos_owner[key] = vid
+            adj.append(0)
         elif kind == "lst":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected `lst <id> <digits>`")
             vid, digits = parts[1], parts[2]
-            if vid not in positions:
+            if vid not in index:
                 raise InputError(f"line {lineno}: unknown vertex {vid!r}")
             if vid in lists:
                 raise InputError(f"line {lineno}: duplicate list for {vid!r}")
@@ -107,9 +114,29 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             saw_header = True
         else:
             raise InputError(f"line {lineno}: unknown record {kind!r}")
-    graph = OrderedGraph(positions.items(), edges)
-    full = {v: lists.get(v, _FULL) for v in positions}
-    return name, Instance(graph, ListAssignment(full))
+
+    keys = _position_keys(positions)
+    order = tuple(sorted(positions, key=keys.__getitem__))
+    rank = {vid: r for r, vid in enumerate(order)}
+    if order == tuple(index):  # the `vtx` records came in position order
+        bits = tuple(adj)
+    else:
+        to_rank = [rank[vid] for vid in index]
+        remapped = [0] * len(order)
+        for i, nbrs in enumerate(adj):
+            remapped[to_rank[i]] = sum(1 << to_rank[j] for j in _ranks(nbrs))
+        bits = tuple(remapped)
+    listed = 0
+    has = [0, 0, 0]
+    for vid, colors in lists.items():
+        r = rank[vid]
+        listed |= 1 << r
+        for c in colors:
+            has[c - 1] |= 1 << r
+    unlisted = ((1 << len(order)) - 1) & ~listed
+    graph = OrderedGraph._trusted(positions, order, rank, bits)
+    full = ListAssignment._trusted({vid: lists.get(vid, _FULL) for vid in positions})
+    return name, Instance._trusted(graph, full, tuple(h | unlisted for h in has))
 
 
 def serialize_instance(name: str, inst: Instance) -> str:

@@ -36,7 +36,6 @@ from .kernels import (
     _chordal_coloring,
     _list_colorings,
     _mask_at,
-    _mcs_peo,
     _propagate_bits,
     _wide,
     boundary_guesses,
@@ -204,8 +203,12 @@ def pad_sets(bits: tuple, has, k: int, l: int) -> PadSets:
             raise PreconditionError("wide set is too small for boundary padding")
         v = (left & -left).bit_length() - 1
         c |= 1 << v | (bits[v] & wide & -(2 << v))
-    d = list(_ranks(wide & ~c))[-(3 * l + 6):]
-    return PadSets(c, sum(1 << r for r in d))
+    rest, d = wide & ~c, 0
+    for _ in range(min(3 * l + 6, rest.bit_count())):
+        top = 1 << rest.bit_length() - 1
+        rest ^= top
+        d |= top
+    return PadSets(c, d)
 
 
 def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[tuple]:
@@ -214,28 +217,25 @@ def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[
     trailing block), in the order of those colorings; members in which
     some list empties are dropped.
 
-    Each member is forced on the block and `_propagate_bits` runs on the
-    parent's adjacency bits. Lists only shrink and the block ends forced
-    or empty, so every member's wide set lies inside the wide set minus
-    the block; when that is chordal, so is every member's, as induced
-    subgraphs of chordal graphs are. Only when it is not is each member's
-    own wide set checked, empty lists or not. A member whose wide set is
-    not chordal is a bug and raises, also under `python -O`."""
-    g = inst.graph
-    bits = g.adjacency_bits()
+    `has` is a propagated fixpoint, as `_fwdnbr_members` yields it: its
+    ranks outside the wide set hold one color each, already struck from
+    their neighbors. So each forced member is propagated from there
+    (`_propagate_bits` with those ranks done): only the block's ranks and
+    what they force strike, and the result is the full propagation's.
+
+    The wide set of a member must be chordal. That is not checked here:
+    `_finish_member` runs the chordality search on every member it
+    colors and raises `InternalError` when it fails. A member dropped
+    for an empty list holds no coloring, and `solve_j16` reads no member
+    after its first coloring, so no output goes unchecked."""
+    bits = inst.graph.adjacency_bits()
     wide = _wide(has)
-    if _forward_degree_above_two(bits, wide):
-        raise PreconditionError("wide set has a vertex with three forward neighbors")
     if wide.bit_count() < 3 * k + 3 * l + 6:
         raise PreconditionError("wide set is too small for boundary padding")
     pads = pad_sets(bits, has, k, l)
-    block = pads.c | pads.d
-    check_each = _mcs_peo(bits, wide & ~block) is None
-    everyone = (1 << g.n) - 1
-    for forced in _forced_colorings(bits, has, block):
-        member = _propagate_bits(bits, forced)
-        if check_each and _mcs_peo(bits, _wide(member)) is None:
-            raise InternalError("wide remainder of a padded member is not chordal")
+    everyone = (1 << inst.graph.n) - 1
+    for forced in _forced_colorings(bits, has, pads.c | pads.d):
+        member = _propagate_bits(bits, forced, ~wide)
         if member[0] | member[1] | member[2] == everyone:
             yield member
 
@@ -288,16 +288,20 @@ def solve_j16(
 
 
 def _finish_member(g: OrderedGraph, has: tuple) -> Optional[Coloring]:
-    """List color the member's chordal wide set with `_chordal_coloring`
-    on g's adjacency bits, restricted to the wide ranks, then extend by
-    the forced colors. The member has no empty list. The coloring is not
-    validated here: `solve_j16` checks its witness against its own
-    instance, whose lists contain the member's."""
+    """List color the member's wide set with `_chordal_coloring` on g's
+    adjacency bits, restricted to the wide ranks, then extend by the
+    forced colors. The member has no empty list. A wide set that is not
+    chordal is a bug and raises `InternalError`, also under `python -O`.
+    The coloring is not validated here: `solve_j16` checks its witness
+    against its own instance, whose lists contain the member's."""
     order = g.vertices
     wide = _wide(has)
     assignment = {}
     if wide:
-        ranks = _chordal_coloring(g.adjacency_bits(), wide, has)
+        try:
+            ranks = _chordal_coloring(g.adjacency_bits(), wide, has)
+        except PreconditionError:
+            raise InternalError("wide set of a finished member is not chordal") from None
         if ranks is None:
             return None
         assignment = {order[r]: c for r, c in ranks.items()}

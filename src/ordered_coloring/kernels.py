@@ -109,6 +109,9 @@ def _stable_sets(adj: tuple, mask: int, size: int) -> Iterator[tuple]:
     """The stable `size`-subsets of the ranks in `mask`, in
     `itertools.combinations` order over those ranks ascending, each as
     (its ranks, their mask, the mask of their neighbors)."""
+    if size == 0:  # the one 0-subset, without listing the ranks of `mask`
+        yield (), 0, 0
+        return
     for combo in itertools.combinations(_ranks(mask), size):
         bits = nbrs = 0
         for r in combo:
@@ -120,7 +123,7 @@ def _stable_sets(adj: tuple, mask: int, size: int) -> Iterator[tuple]:
             yield combo, bits, nbrs
 
 
-def _propagate_bits(bits: tuple, has) -> tuple:
+def _propagate_bits(bits: tuple, has, done: int = 0) -> tuple:
     """Singleton propagation on the three color bitsets `has` (see
     `Instance.color_bits`) of the graph with adjacency bitsets `bits`: in
     every round, each rank whose list is the single color i strikes i from
@@ -131,9 +134,14 @@ def _propagate_bits(bits: tuple, has) -> tuple:
     stays one, so every striking order ends in the same lists; when one
     order empties a list, every order does, though not always the same
     one. Ranks with an empty list stay in place.
+
+    `done` marks ranks that have already struck. The caller guarantees
+    that each holds at most one color in `has` and that none of its
+    neighbors holds that color. Lists only shrink, so such a rank is
+    never struck and striking its color again changes nothing: the
+    result is that of `done=0`.
     """
     has = list(has)
-    done = 0  # singleton ranks that have already struck
     while True:
         singles = [has[i] & ~(has[i - 1] | has[i - 2]) & ~done for i in range(3)]
         if not any(singles):
@@ -438,58 +446,70 @@ def _chordal_coloring(bits: tuple, mask: int, has) -> Optional[dict]:
 
     A rank with three later neighbors closes a 4-clique, which has no
     coloring, so every separator has at most two ranks. Each rank keeps,
-    per coloring of its later neighbors, its first color consistent with
-    the constraints its earlier neighbors left on it, and hands the
-    colorings that have one on to its earliest later neighbor.
+    per coloring of its later neighbors (the earliest one's color major),
+    its first color consistent with the constraints its earlier neighbors
+    left on it, and hands the colorings that have one on to its earliest
+    later neighbor. Those constraints are bitmasks kept per position of
+    the ordering: the colors it may take, bit c for color c, and per
+    later neighbor the color pairs it may take with it, bit 4c + c'.
     """
     order = _mcs_peo(bits, mask)
     if order is None:
         raise PreconditionError("graph is not chordal")
-    colors = {r: _TUPLES[_mask_at(has, r)] for r in order}
-    if not all(colors.values()):
+    lists = [_mask_at(has, r) for r in order]
+    if not all(lists):
         return None
     index = {r: i for i, r in enumerate(order)}
-    laters = []
+    laters = []  # per position: the positions of its later neighbors, ascending
     after = mask  # the ranks after r in the elimination order
     for r in order:
         after ^= 1 << r
         nbrs = bits[r] & after
         if nbrs.bit_count() > 2:
             return None
-        later = []
-        while nbrs:
-            low = nbrs & -nbrs
-            nbrs ^= low
-            later.append(low.bit_length() - 1)
-        laters.append(sorted(later, key=index.__getitem__))
+        laters.append(sorted(index[u] for u in _ranks(nbrs)))
 
-    # buckets[r]: constraints (scope, allowed) whose earliest rank is r;
-    # scopes are cliques of later neighbors
-    buckets: dict = {r: [] for r in order}
-    tables = []  # per rank: its row for each coloring of its later neighbors
-    for r, later in zip(order, laters):
+    n = len(order)
+    alone = [0b1110] * n  # colors allowed at each position, bit c
+    pair = [[0xFFFF, 0xFFFF] for _ in range(n)]  # per later slot, bit 4c + c'
+    tables = []  # per position: its color for each coloring of its later neighbors
+    for i, later in enumerate(laters):
+        free = lists[i] << 1 & alone[i]
+        p0, p1 = pair[i]
+        heads = _TUPLES[lists[later[0]]] if later else (0,)
+        tails = _TUPLES[lists[later[1]]] if len(later) == 2 else (0,)
         rows = {}
-        combos = [()]  # the colorings of the later neighbors, first one major
-        for u in later:
-            combos = [combo + (c,) for combo in combos for c in colors[u]]
-        for combo in combos:
-            env = dict(zip(later, combo))
-            for c in colors[r]:
-                if c in combo:
-                    continue
-                env[r] = c
-                if all(tuple(env[u] for u in scope) in allowed for scope, allowed in buckets[r]):
-                    rows[combo] = c
-                    break
+        allowed = 0
+        for a in heads:
+            for b in tails:
+                key = 4 * a + b if b else a
+                cand = free & ~(1 << a | 1 << b)
+                while cand:
+                    low = cand & -cand
+                    c = low.bit_length() - 1
+                    if p0 >> 4 * c + a & 1 and p1 >> 4 * c + b & 1:
+                        rows[key] = c
+                        allowed |= 1 << key
+                        break
+                    cand ^= low
         if not rows:
             return None
         tables.append(rows)
-        if later and len(rows) < len(combos):
-            buckets[later[0]].append((tuple(later), frozenset(rows)))
+        if later and len(rows) < len(heads) * len(tails):
+            head = later[0]
+            if len(later) == 1:
+                alone[head] &= allowed
+            else:
+                pair[head][laters[head].index(later[1])] &= allowed
 
+    chosen = [0] * n
     assignment: dict = {}
-    for r, later, rows in zip(reversed(order), reversed(laters), reversed(tables)):
-        assignment[r] = rows[tuple(assignment[u] for u in later)]
+    for i in range(n - 1, -1, -1):
+        later = laters[i]
+        a = chosen[later[0]] if later else 0
+        c = tables[i][4 * a + chosen[later[1]] if len(later) == 2 else a]
+        chosen[i] = c
+        assignment[order[i]] = c
     return assignment
 
 

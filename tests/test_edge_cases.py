@@ -15,8 +15,8 @@ from ordered_coloring import (
     solve_two_lists,
 )
 from ordered_coloring.core import checked_witness
-from ordered_coloring import j16, jw, kernels
-from ordered_coloring.j16 import PadSets, _chordalize_members, _fwdnbr_members
+from ordered_coloring import jw, kernels
+from ordered_coloring.j16 import PadSets, _chordalize_members, _finish_member, _fwdnbr_members
 from ordered_coloring.jw import augment_star, check_link, gamma
 from ordered_coloring.rand import (
     make_rng,
@@ -194,17 +194,20 @@ class TestMemberChecks:
         # with an empty boundary block nothing gets forced, so the wide
         # remainder keeps an induced four-cycle of forward degree at most two
         monkeypatch.setattr("ordered_coloring.j16.pad_sets", lambda bits, has, k, l: PadSets(0, 0))
-        # nor is the wide set minus the block chordal, so the member gets
-        # its own check: the search runs twice
+        # padding yields the member unchecked; the finish's chordality
+        # search, the only one, fails on it
         searched = []
-        real = j16._mcs_peo
+        real = kernels._mcs_peo
         monkeypatch.setattr(
-            "ordered_coloring.j16._mcs_peo", lambda bits, mask: searched.append(mask) or real(bits, mask)
+            "ordered_coloring.kernels._mcs_peo",
+            lambda bits, mask: searched.append(mask) or real(bits, mask),
         )
         cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        (member,) = _chordalize_members(cycle, cycle.color_bits, 0, 0)
+        assert searched == []
         with pytest.raises(InternalError):
-            list(_chordalize_members(cycle, cycle.color_bits, 0, 0))
-        assert len(searched) == 2
+            _finish_member(cycle.graph, member)
+        assert len(searched) == 1
 
     def test_narrowing_shape_check(self, monkeypatch):
         # hiding the nonadjacent pair among a center's three forward

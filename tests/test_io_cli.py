@@ -4,15 +4,25 @@ from pathlib import Path
 
 import pytest
 
-from ordered_coloring import InputError, InternalError, build_pattern
+from ordered_coloring import (
+    InputError,
+    Instance,
+    InternalError,
+    ListAssignment,
+    OrderedGraph,
+    build_pattern,
+    solve_j16,
+)
 from ordered_coloring.cli import main
 from ordered_coloring.io import (
     parse_instance,
     parse_nae,
+    parse_position_token,
     parse_provenance,
     serialize_instance,
     serialize_provenance,
 )
+from ordered_coloring.j16 import PadSets
 from ordered_coloring.rand import make_rng, random_instance, random_nae, random_pattern_free_instance
 from conftest import instance, serialize_nae
 
@@ -48,6 +58,48 @@ class TestOrderedGraphFormat:
             name, back = parse_instance(text)
             assert name == "rt" and back == inst
             assert serialize_instance("rt", back) == text
+
+    def test_trusted_parse_matches_checked_constructors(self):
+        # the parser builds the rank order, the adjacency bits and the color
+        # bitsets itself; they must equal what the checked constructors
+        # build from the same records, whatever the record order and the
+        # spelling of the positions
+        rng = make_rng(202)
+        shuffled = fractional = 0
+        for t in range(80):
+            inst = random_instance(rng, 6 if t == 0 else rng.randint(0, 12), rng.random(), rng.random())
+            g = inst.graph
+            tokens = {}
+            for v, y in zip(g.vertices, rng.sample(range(-60, 60), g.n)):
+                x, scale = Fraction(y, 4), rng.choice((1, 2))  # 2/4 spells 1/2
+                num, den = x.numerator * scale, x.denominator * scale
+                tokens[v] = f"{num}/{den}" if den > 1 else str(num)
+            if t == 0:
+                tokens = dict(zip(g.vertices, ("5/2", "2/4", "-3", "-7/3", "0", "9/4")))
+            verts = list(g.vertices)
+            rng.shuffle(verts)
+            records = [f"lst {v} {''.join(map(str, sorted(inst.lists[v]))) or '0'}" for v in verts]
+            records = [r for r in records if not r.endswith(" 123") or rng.random() < 0.3]
+            records += [f"edg {u} {v}" if rng.random() < 0.5 else f"edg {v} {u}" for u, v in g._edge_pairs()]
+            rng.shuffle(records)
+            text = "\n".join(["ograph t"] + [f"vtx {v} {tokens[v]}" for v in verts] + records)
+
+            _, got = parse_instance(text)
+            want = Instance(
+                OrderedGraph([(v, parse_position_token(tokens[v])) for v in verts], g._edge_pairs()),
+                ListAssignment({v: inst.lists[v] for v in verts}),
+            )
+            gg, wg = got.graph, want.graph
+            assert gg.vertices == wg.vertices
+            assert [gg.rank(v) for v in verts] == [wg.rank(v) for v in verts]
+            assert gg.adjacency_bits() == wg.adjacency_bits()
+            assert gg.positions() == wg.positions()
+            assert list(got.lists.items()) == list(want.lists.items())
+            assert got.color_bits == want.color_bits
+            assert got == want
+            shuffled += tuple(verts) != gg.vertices
+            fractional += any("/" in x or "-" in x for x in tokens.values())
+        assert shuffled >= 40 and fractional >= 40, (shuffled, fractional)
 
     @pytest.mark.parametrize(
         "bad,fragment",
@@ -191,6 +243,25 @@ class TestCli:
         payload = json.loads(out.strip().splitlines()[-1])
         assert payload["verdict"] == "internal-error"
         assert payload["error"].startswith(type(error).__name__)
+
+    def test_unchordal_finish_exit_code(self, tmp_path, monkeypatch):
+        # an empty boundary block leaves this host's induced four-cycle in
+        # the wide remainder, and the finish's chordality search, the only
+        # one, fails on it: a bug, never an input error (3) or a verdict (1).
+        # Every order of a four-cycle contains J16:0,0 at its first vertex,
+        # so the freeness check is bypassed too
+        monkeypatch.setattr("ordered_coloring.j16.pad_sets", lambda bits, has, k, l: PadSets(0, 0))
+        monkeypatch.setattr("ordered_coloring.j16.contains_pattern", lambda g, h: None)
+        cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
+        with pytest.raises(InternalError):
+            solve_j16(cycle, 0, 0)
+        path = tmp_path / "cycle.og"
+        path.write_text(serialize_instance("cycle", cycle), encoding="utf-8")
+        code, out = run_cli(tmp_path, "--json", "solve", str(path), "--alg", "j16")
+        assert code == 4 and "verdict internal-error" in out
+        payload = json.loads(out.strip().splitlines()[-1])
+        assert payload["verdict"] == "internal-error"
+        assert payload["error"].startswith("InternalError")
 
     def test_check_free_by_id_and_by_file(self, tmp_path, k4_file):
         code, _ = run_cli(tmp_path, "check-free", "J16", k4_file)

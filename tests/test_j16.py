@@ -1,4 +1,5 @@
 import itertools
+from collections import Counter
 
 import pytest
 
@@ -339,10 +340,44 @@ class TestChordalize:
                 break
         assert found >= 2
 
+    def test_incremental_propagation_matches_full(self):
+        # a member that reaches padding is a propagated fixpoint, so with
+        # its ranks outside the wide set done, propagating a forced block
+        # gives the full propagation's lists; where one empties, both do
+        rng = make_rng(81)
+        members, compared, emptied = Counter(), 0, 0
+        for k, l in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            base = 3 * k + 3 * l + 6
+            for _ in range(40):
+                g = random_forward_clique_graph(rng, rng.randint(base + 2, base + 10), 0.5)
+                inst = Instance(g, random_lists(rng, g, 0.5))
+                bits = g.adjacency_bits()
+                everyone = (1 << g.n) - 1
+                for member in _fwdnbr_members(inst, k, l):
+                    wide = _wide(member)
+                    if wide.bit_count() < base:
+                        continue
+                    members[k, l] += 1
+                    pads = pad_sets(bits, member, k, l)
+                    block = _forced_colorings(bits, member, pads.c | pads.d)
+                    for forced in itertools.islice(block, 200):
+                        fast = _propagate_bits(bits, forced, ~wide)
+                        full = _propagate_bits(bits, forced)
+                        if full[0] | full[1] | full[2] == everyone:
+                            assert fast == full
+                        else:
+                            assert fast[0] | fast[1] | fast[2] != everyone
+                            emptied += 1
+                        compared += 1
+        assert min(members.values()) >= 10 and compared >= 10_000 and emptied >= 100, (
+            members,
+            compared,
+            emptied,
+        )
+
     def test_one_chordality_check_per_padding_call(self, monkeypatch):
-        # when the wide set minus the boundary block is chordal, the
-        # members get no check of their own: one search per padding call,
-        # plus the one the finish of each member with a wide set runs
+        # padding runs no chordality search of its own: the finish runs
+        # one on the wide set of each member it colors, and that is all
         real = kernels._mcs_peo
         calls = []
 
@@ -351,26 +386,21 @@ class TestChordalize:
             return real(bits, mask)
 
         monkeypatch.setattr(kernels, "_mcs_peo", counting)
-        monkeypatch.setattr(j16, "_mcs_peo", counting)
         rng = make_rng(80)
         checked = finished = 0
         for _ in range(150):
             inst, member = self._prepared_member(rng, 0, 0, rng.randint(7, 12))
             if member is None:
                 continue
-            g = inst.graph
-            pads = pad_sets(g.adjacency_bits(), member, 0, 0)
-            block = pads.c | pads.d
-            if real(g.adjacency_bits(), _wide(member) & ~block) is None:
-                continue  # the fallback, see TestMemberChecks in test_edge_cases.py
             calls.clear()
-            wide_members = 0
-            for final in _chordalize_members(inst, member, 0, 0):
-                wide_members += bool(wide_set(as_instance(inst, final)))
-                _finish_member(g, final)
-            assert len(calls) == 1 + wide_members
+            stage = list(_chordalize_members(inst, member, 0, 0))
+            assert calls == []
+            for final in stage:
+                _finish_member(inst.graph, final)
+            wide_sets = [_wide(final) for final in stage if _wide(final)]
+            assert calls == wide_sets
             checked += 1
-            finished += wide_members
+            finished += len(wide_sets)
             if checked >= 8:
                 break
         assert checked >= 8 and finished >= 8, (checked, finished)
