@@ -9,8 +9,8 @@ from ordered_coloring import (
     build_pattern,
     contains_pattern,
     is_isomorphic,
-    monotone_subsequence,
 )
+from ordered_coloring.core import _maximal_edges
 
 # An ordered graph is a graph plus an injective rational position per vertex.
 # Only the order of the positions matters; halves and thirds are fine.
@@ -25,12 +25,14 @@ print("neighbors of d:", sorted(g.neighbors("d")))
 # that order, and a stretch of the line is a range of ranks.
 print("rank of d:", g.rank("d"), " ranks 1 to 3:", g.vertices[1:4])
 
-# A maximal edge is not out-spanned on both sides by another edge.
-# Their left endpoints increase, and so do their right endpoints.
-print("maximal edges:", g.maximal_edges())
-e = g.maximal_edges()[0]
+# A maximal edge is not out-spanned on both sides by another edge. The
+# solvers find them in one sweep over the adjacency bitmasks, as rank
+# pairs; their left ends increase, and so do their right ends.
+mx = _maximal_edges(g.adjacency_bits(), (1 << g.n) - 1)
+print("maximal edges:", [(g.vertices[a], g.vertices[b]) for a, b in mx])
 # The span of an edge is the rank range from one endpoint to the other.
-print(f"span of {e}:", g.vertices[g.rank(e[0]) : g.rank(e[1]) + 1])
+a, b = mx[0]
+print(f"span of {(g.vertices[a], g.vertices[b])}:", g.vertices[a : b + 1])
 
 # Pattern containment is order-preserving and induced: the witness set
 # induces exactly the pattern's edges, in the same vertex order.
@@ -49,8 +51,3 @@ padded = build_pattern("J16:2,1")
 print("J16 padded with 2+1 isolated vertices has", padded.n, "vertices")
 print("reversal matches the mirrored catalog entry:",
       is_isomorphic(build_pattern("J16").reverse(), build_pattern("neg:J16")))
-
-# Any 10 distinct numbers contain a monotone run of length 4.
-seq = [3, 9, 1, 7, 2, 8, 5, 6, 0, 4]
-idx = monotone_subsequence(seq, 3)
-print("monotone subsequence:", [seq[i] for i in idx])

@@ -9,12 +9,12 @@ from ordered_coloring import (
     build_pattern,
     solve_bruteforce,
     solve_chordal,
-    solve_few_wide,
     solve_j16,
     solve_jw,
     solve_small_class,
     solve_two_lists,
 )
+from ordered_coloring.kernels import _few_wide
 from ordered_coloring.rand import (
     make_rng,
     random_chordal_instance,
@@ -32,9 +32,11 @@ two = Instance(c5, ListAssignment({v: {1, 2} for v in c5.vertices}))
 print("odd cycle on two colors:", solve_two_lists(two))
 
 # A few full lists: each coloring of them is tried, and 2-SAT finishes.
+# The kernel works on adjacency and color bitmasks and answers by rank.
 g = OrderedGraph([("u", 1), ("v", 2), ("w", 3)], [("u", "v"), ("v", "w")])
 inst = Instance(g, ListAssignment({"u": {1}, "v": {1, 2, 3}, "w": {2}}))
-print("path with one full list:", solve_few_wide(inst, 1))
+ranks = _few_wide(g.adjacency_bits(), (1 << g.n) - 1, inst.color_bits)
+print("path with one full list:", {g.vertices[r]: c for r, c in ranks.items()})
 
 # A coloring with a color class below c vertices: pin the class to each
 # small stable set in turn, then 2-SAT. The odd cycle needs color 3 once.

@@ -15,7 +15,6 @@ from .core import (
     OrderedGraph,
     contains_pattern,
     is_isomorphic,
-    monotone_subsequence,
 )
 from .errors import (
     CapExceededError,
@@ -41,7 +40,6 @@ from .jw import solve_jw
 from .kernels import (
     has_k4,
     solve_chordal,
-    solve_few_wide,
     solve_small_class,
     solve_two_lists,
 )

@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import functools
 import json
-import re
 import sys
 import time
 import traceback
@@ -202,7 +201,9 @@ def cmd_gen(args) -> RunReport:
     meta = {"gadget": (args.gadget,), "free": tuple(out.advertised_free)}
     if order:
         meta["order"] = (order,)
-    prov_path.write_text(serialize_provenance(out.provenance, meta), encoding="utf-8")
+    prov_path.write_text(
+        serialize_provenance(out.provenance, meta, out.path_registry), encoding="utf-8"
+    )
     report.add("gadget", args.gadget)
     if order:
         report.add("order", order)
@@ -214,80 +215,20 @@ def cmd_gen(args) -> RunReport:
     return report
 
 
-_W_ROLE = re.compile(r"^w_(\d+)\((.*),(.*),(\d+)\)$")
-_X_ROLE = re.compile(r"^x_(\d+)\^(\d+)\((.*),(.*),(\d+)\)$")
-_Z3_ROLE = re.compile(r"^z_(\d+)\((.*),(.*),(\d+)\)$")
-_Z4_ROLE = re.compile(r"^z_(\d+)$")
-
-
-def _reconstruct_registry(graph: OrderedGraph, roles: dict) -> dict:
-    """Rebuild branch paths from role tags: group each branch's vertices,
-    then walk the unique simple path from one endpoint to the other."""
-    side_vertices: dict = {}
-    closing_extra: dict = {}
-    closers: dict = {}
-    originals = {vid for vid, role in roles.items() if role.startswith("orig_")}
-    for vid, role in roles.items():
-        m = _W_ROLE.match(role)
-        if m:
-            i, a, b, j = int(m.group(1)), m.group(2), m.group(3), int(m.group(4))
-            side_vertices.setdefault((a, b, j), []).append(vid)
-            if i == j:
-                closers[j] = (a, b)
-            continue
-        m = _X_ROLE.match(role)
-        if m:
-            a, b, j = m.group(3), m.group(4), int(m.group(5))
-            side_vertices.setdefault((a, b, j), []).append(vid)
-            continue
-        m = _Z3_ROLE.match(role)
-        if m:
-            level = int(m.group(1))
-            closing_extra.setdefault(level, []).append(vid)
-            continue
-        m = _Z4_ROLE.match(role)
-        if m:
-            closing_extra.setdefault(int(m.group(1)), []).append(vid)
-    registry = {}
-    for level, (a, b) in sorted(closers.items()):
-        u, v = sorted((a, b), key=graph.rank)
-        branch = (level - 1) % 3 + 1
-        members = set(side_vertices.get((u, v, level), []))
-        members |= set(side_vertices.get((v, u, level), []))
-        members |= set(closing_extra.get(level, []))
-        members |= {u, v}
-        path = _walk_path(graph, members, u, v)
-        if path is None:
-            raise InputError(f"cannot reconstruct branch path for level {level}")
-        registry[((u, v), branch)] = tuple(path)
-    return registry
-
-
-def _walk_path(graph: OrderedGraph, members: set, start, goal):
-    path = [start]
-    seen = {start}
-    current = start
-    while current != goal:
-        nxt = [
-            x for x in graph.neighbors(current) if x in members and x not in seen
-        ]
-        if len(nxt) != 1:
-            return None
-        current = nxt[0]
-        seen.add(current)
-        path.append(current)
-    return path
-
-
 def cmd_verify(args) -> RunReport:
     report = RunReport("verify", "error")
     _, inst = parse_instance(_read(args.file))
-    roles, meta = parse_provenance(_read(args.prov))
+    roles, meta, registry = parse_provenance(_read(args.prov))
     advertised = meta.get("free", ())
     gadget = meta.get("gadget", ("",))[0]
-    registry = {}
-    if gadget in ("h3", "h4", "h5"):
-        registry = _reconstruct_registry(inst.graph, roles)
+    if gadget not in _GEN_ORDERS:
+        # without it no check would be chosen, and an empty report passes
+        raise InputError(f"{args.prov} has no `meta gadget` line naming a gadget")
+    if gadget not in ("h3", "h4", "h5"):
+        registry = None
+    elif not registry and inst.graph.edges:
+        # every edge of an expander lies on a registered path
+        raise InputError(f"{args.prov} has no `path` records; regenerate it with `oglc gen`")
     source = None
     source_kind = ""
     if args.source:

@@ -1,7 +1,6 @@
 """Ordered graphs with exact rational vertex positions, and the structural
 primitives built on them: order-preserving induced subgraphs, spans and
-neighborhoods, maximal edges, pattern containment, padding, and monotone
-subsequences.
+neighborhoods, maximal edges, pattern containment, and padding.
 
 Positions are `fractions.Fraction` values so that half-offset constructions
 stay bit-exact; no floating point enters any comparison. All values are
@@ -10,7 +9,6 @@ immutable after construction and every operation is a pure function.
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Mapping, Optional
@@ -19,8 +17,6 @@ from .errors import InputError, InternalError
 
 COLORS = (1, 2, 3)
 _ALL_COLORS = frozenset(COLORS)
-
-Position = Fraction
 
 
 def as_position(value) -> Fraction:
@@ -201,15 +197,6 @@ class OrderedGraph:
         for i in range(1, l + 1):
             verts.append((_fresh_id(self._pos, f"b{i}"), hi + i))
         return OrderedGraph(verts, self._edge_pairs())
-
-    def maximal_edges(self) -> tuple:
-        """mx(G): edges not spanned on both sides by another edge, as
-        (earlier, later) vertex pairs in left-to-right order (see
-        `_maximal_edges`)."""
-        order = self._order
-        return tuple(
-            (order[a], order[b]) for a, b in _maximal_edges(self._bits, (1 << len(order)) - 1)
-        )
 
 
 def _maximal_edges(bits: tuple, mask: int) -> tuple:
@@ -480,52 +467,6 @@ def _reach_tables(g: OrderedGraph) -> tuple:
             since[j] |= since[j + 1]
         g._reach = (tuple(by), tuple(since))
     return g._reach
-
-
-def monotone_subsequence(seq, n: int):
-    """Indices of a strictly monotone subsequence of length n+1.
-
-    The input must have at least n^2+1 distinct entries; by the
-    Erdos-Szekeres bound a monotone subsequence of the required length
-    always exists (increasing is preferred when both are available).
-    """
-    seq = list(seq)
-    if len(set(seq)) != len(seq):
-        raise InputError("entries must be distinct")
-    if len(seq) < n * n + 1:
-        raise InputError(f"need at least {n * n + 1} entries, got {len(seq)}")
-    inc = _longest_monotone(seq, increasing=True)
-    if len(inc) >= n + 1:
-        return inc[: n + 1]
-    dec = _longest_monotone(seq, increasing=False)
-    if len(dec) < n + 1:
-        raise InternalError("Erdos-Szekeres bound violated")
-    return dec[: n + 1]
-
-
-def _longest_monotone(seq, increasing: bool):
-    """Patience-sorting longest strictly increasing (or decreasing)
-    subsequence; returns indices."""
-    keys = seq if increasing else [-x for x in seq]
-    tails: list[float] = []  # last key of the best chain of each length
-    tails_idx: list[int] = []
-    parent = [-1] * len(keys)
-    for i, k in enumerate(keys):
-        j = bisect_left(tails, k)
-        if j == len(tails):
-            tails.append(k)
-            tails_idx.append(i)
-        else:
-            tails[j] = k
-            tails_idx[j] = i
-        parent[i] = tails_idx[j - 1] if j > 0 else -1
-    chain = []
-    cur = tails_idx[-1]
-    while cur != -1:
-        chain.append(cur)
-        cur = parent[cur]
-    chain.reverse()
-    return chain
 
 
 class ListAssignment:

@@ -6,6 +6,7 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from typing import Optional
 
 from .core import COLORS, Instance, ListAssignment, OrderedGraph, _position_keys, _ranks
 from .errors import InputError
@@ -191,11 +192,14 @@ def parse_nae(text: str) -> NaeInstance:
         raise InputError(str(exc)) from None
 
 
-def parse_provenance(text: str) -> tuple[dict, dict]:
-    """Parse a provenance sidecar into (roles, meta). Meta lines carry the
-    generator name, ordering, and advertised pattern list."""
+def parse_provenance(text: str) -> tuple[dict, dict, dict]:
+    """Parse a provenance sidecar into (roles, meta, registry). Meta lines
+    carry the generator name, ordering, and advertised pattern list; `path
+    <branch> <ids...>` lines carry an expander's path registry, keyed by
+    (ends, branch) in file order."""
     roles: dict = {}
     meta: dict = {}
+    registry: dict = {}
     for lineno, parts in _lines(text):
         kind = parts[0]
         if kind == "prov":
@@ -207,16 +211,29 @@ def parse_provenance(text: str) -> tuple[dict, dict]:
         elif kind == "meta":
             if len(parts) < 3:
                 raise InputError(f"line {lineno}: expected `meta <key> <values...>`")
+            if parts[1] in meta:
+                raise InputError(f"line {lineno}: duplicate meta key {parts[1]!r}")
             meta[parts[1]] = tuple(parts[2:])
+        elif kind == "path":
+            if len(parts) < 4:
+                raise InputError(f"line {lineno}: expected `path <branch> <id> <id> ...`")
+            if parts[1] not in ("1", "2", "3"):
+                raise InputError(f"line {lineno}: branch must be 1, 2 or 3, got {parts[1]!r}")
+            key = ((parts[2], parts[-1]), int(parts[1]))
+            if key in registry:
+                raise InputError(f"line {lineno}: duplicate path for {key[0]!r} branch {key[1]}")
+            registry[key] = tuple(parts[2:])
         else:
             raise InputError(f"line {lineno}: unknown record {kind!r}")
-    return roles, meta
+    return roles, meta, registry
 
 
-def serialize_provenance(roles: dict, meta: dict) -> str:
+def serialize_provenance(roles: dict, meta: dict, registry: Optional[dict] = None) -> str:
     out = []
     for key in sorted(meta):
         out.append(f"meta {key} " + " ".join(str(x) for x in meta[key]))
     for vid in sorted(roles, key=str):
         out.append(f"prov {vid} {roles[vid]}")
+    for (_, branch), path in (registry or {}).items():
+        out.append(f"path {branch} " + " ".join(map(str, path)))
     return "\n".join(out) + "\n"

@@ -1,8 +1,8 @@
 """Polynomial subroutines shared by both main solvers: the boundary
 guessing engine, singleton propagation, the enumerator of list colorings
-of constant-size rank sets, 2-SAT list coloring, bounded wide-set and
-small-class solvers, clique-4 detection, chordality, and chordal list
-coloring."""
+of constant-size rank sets, 2-SAT list coloring, the few-full-lists
+finish, the small-class solver, clique-4 detection, chordality, and
+chordal list coloring."""
 
 from __future__ import annotations
 
@@ -330,19 +330,6 @@ def solve_two_lists(inst: Instance) -> Optional[Coloring]:
         v = g.vertices[(full & -full).bit_length() - 1]
         raise PreconditionError(f"vertex {v!r} has a 3-color list")
     return _witness(inst, _two_lists(g.adjacency_bits(), (1 << g.n) - 1, has))
-
-
-def solve_few_wide(inst: Instance, c: int) -> Optional[Coloring]:
-    """Decide colorability when at most c vertices have full lists, by
-    enumerating the wide vertices' colors and finishing with 2-SAT
-    (`_few_wide`). The first success in enumeration order (wide vertices
-    by position, colors ascending) wins."""
-    g = inst.graph
-    has = inst.color_bits
-    wide = (has[0] & has[1] & has[2]).bit_count()
-    if wide > c:
-        raise PreconditionError(f"{wide} wide vertices exceed the bound {c}")
-    return _witness(inst, _few_wide(g.adjacency_bits(), (1 << g.n) - 1, has))
 
 
 def solve_small_class(inst: Instance, c: int) -> Optional[Coloring]:

@@ -186,15 +186,13 @@ def reference_solve_two_lists(inst: Instance) -> Optional[Coloring]:
     return checked_witness(Coloring(assignment), inst)
 
 
-def reference_solve_few_wide(inst: Instance, c: int) -> Optional[Coloring]:
-    """Independent bounded wide-set solver for `kernels.solve_few_wide`:
-    every coloring of the full-list vertices (by position, colors in
-    product order) becomes a new frozenset instance for
+def reference_few_wide(inst: Instance) -> Optional[Coloring]:
+    """Independent few-full-lists solver for `kernels._few_wide`: every
+    coloring of the full-list vertices (by position, colors in product
+    order) becomes a new frozenset instance for
     `reference_solve_two_lists`; the first success wins."""
     g = inst.graph
     wide = [v for v in g.vertices if len(inst.lists.get(v)) == 3]
-    if len(wide) > c:
-        raise PreconditionError(f"{len(wide)} wide vertices exceed the bound {c}")
     for combo in itertools.product(COLORS, repeat=len(wide)):
         chosen = dict(zip(wide, combo))
         if any(

@@ -18,11 +18,9 @@ from ordered_coloring import (
     classify,
     contains_pattern,
     enumerate_colorings,
-    monotone_subsequence,
     nae_bruteforce,
     solve_bruteforce,
     solve_chordal,
-    solve_few_wide,
     solve_j16,
     solve_jw,
     solve_small_class,
@@ -30,9 +28,10 @@ from ordered_coloring import (
     verify_gadget,
 )
 from ordered_coloring import j16, jw
-from ordered_coloring.core import _ranks
+from ordered_coloring.core import _maximal_edges, _ranks
 from ordered_coloring.gadgets import gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
 from ordered_coloring.jw import ColoredSeed, augment_star, class_cap, success_table
+from ordered_coloring.kernels import _few_wide
 from ordered_coloring.rand import (
     make_rng,
     random_chordal_instance,
@@ -51,7 +50,6 @@ from conftest import (
     property_x,
     property_y,
     random_two_list_instance,
-    rank_instance,
     reference_check_link,
     small_source_graphs,
     updated_lists,
@@ -184,7 +182,9 @@ def test_criterion_3_kernel_equivalences():
         wides = sum(1 for v in inst.graph.vertices if len(inst.lists.get(v)) == 3)
         if wides > 3:
             continue
-        assert (solve_few_wide(inst, 3) is None) == (solve_bruteforce(inst) is None)
+        bits, everyone = inst.graph.adjacency_bits(), (1 << inst.graph.n) - 1
+        got = _few_wide(bits, everyone, inst.color_bits)
+        assert (got is None) == (solve_bruteforce(inst) is None)
         done += 1
 
     for t in range(trials):
@@ -326,27 +326,13 @@ def test_criterion_8_structural_invariants():
     # also asserted inside the operations on every call across this suite
     for _ in range(200):
         inst = random_instance(rng, rng.randint(0, 9), rng.random(), rng.random())
-        mx = inst.graph.maximal_edges()
-        lefts = [inst.graph.position(u) for u, _ in mx]
-        rights = [inst.graph.position(v) for _, v in mx]
+        m = chain_member(inst)
+        mx = _maximal_edges(m.bits, m.mask)
+        lefts = [a for a, _ in mx]
+        rights = [b for _, b in mx]
         assert lefts == sorted(lefts) and rights == sorted(rights)
-        star, qe = augment_star(chain_member(inst))
-        g = inst.graph
-        assert {frozenset(e) for e in rank_instance(star).graph.maximal_edges()} == {
-            frozenset(map(g.rank, e)) for e in mx
-        } | {frozenset(qe)}
-
-    # exhaustive monotone-subsequence success for bounds 1..3
-    checked = 0
-    for n in (1, 2, 3):
-        length = n * n + 1
-        for perm in itertools.permutations(range(length)):
-            idx = monotone_subsequence(perm, n)
-            assert len(idx) == n + 1
-            values = [perm[i] for i in idx]
-            assert list(idx) == sorted(idx)
-            assert values == sorted(values) or values == sorted(values, reverse=True)
-            checked += 1
+        star, qe = augment_star(m)
+        assert _maximal_edges(star.bits, star.mask) == mx + (qe,)
 
     # freeness is reversal-symmetric
     for _ in range(300):
@@ -358,6 +344,5 @@ def test_criterion_8_structural_invariants():
 
     report(
         "criterion-8 structural-invariants",
-        f"200 maximal-edge checks, {checked} exhaustive monotone-subsequence calls, "
-        f"300 reversal checks, {time.time() - start:.1f}s",
+        f"200 maximal-edge checks, 300 reversal checks, {time.time() - start:.1f}s",
     )

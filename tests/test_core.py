@@ -14,7 +14,6 @@ from ordered_coloring import (
     build_pattern,
     contains_pattern,
     is_isomorphic,
-    monotone_subsequence,
 )
 from ordered_coloring import core as core_module, rand
 from ordered_coloring.core import (
@@ -500,17 +499,23 @@ class TestContainsPattern:
         )
 
 
+def mx(g: OrderedGraph) -> tuple:
+    return _maximal_edges(g.adjacency_bits(), (1 << g.n) - 1)
+
+
 class TestMaximalEdges:
+    """`_maximal_edges` on whole graphs, as rank pairs."""
+
     def test_edgeless(self):
-        assert path_graph(1).maximal_edges() == ()
+        assert mx(path_graph(1)) == ()
 
     def test_dominated_edge_dropped(self):
         g = graph({i: i for i in range(1, 5)}, [(1, 4), (2, 3)])
-        assert g.maximal_edges() == ((1, 4),)
+        assert mx(g) == ((0, 3),)
 
     def test_path_keeps_all(self):
         g = path_graph(4)
-        assert g.maximal_edges() == ((1, 2), (2, 3), (3, 4))
+        assert mx(g) == ((0, 1), (1, 2), (2, 3))
 
     def test_sweep_matches_dominated_pairs(self):
         # the one-sweep mx on rank masks against the dominated-pair scan
@@ -528,26 +533,26 @@ class TestMaximalEdges:
     @settings(max_examples=120, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_domination_contract(self, g):
-        mx = g.maximal_edges()
-        mx_set = {frozenset(e) for e in mx}
-        oriented = [tuple(sorted(e, key=g.position)) for e in g.edges]
+        maximal = mx(g)
+        oriented = sorted(tuple(sorted(map(g.rank, e))) for e in g.edges)
 
         def dominates(e, f):
-            return e != f and g.position(e[0]) <= g.position(f[0]) and g.position(f[1]) <= g.position(e[1])
+            return e != f and e[0] <= f[0] and f[1] <= e[1]
 
         for f in oriented:
-            if frozenset(f) in mx_set:
+            if f in maximal:
                 assert not any(dominates(e, f) for e in oriented)
             else:
-                assert any(dominates(e, f) for e in oriented if frozenset(e) in mx_set)
-        lefts = [g.position(u) for u, _ in mx]
-        rights = [g.position(v) for _, v in mx]
+                assert any(dominates(e, f) for e in maximal)
+        lefts = [a for a, _ in maximal]
+        rights = [b for _, b in maximal]
         assert lefts == sorted(lefts) and rights == sorted(rights)
 
     @settings(max_examples=100, deadline=None)
     @given(random_graph_strategy(max_n=7))
     def test_every_nonisolated_vertex_under_some_maximal_edge(self, g):
-        spans = [span_and_left(g, e)[0] for e in g.maximal_edges()]
+        order = g.vertices
+        spans = [span_and_left(g, (order[a], order[b]))[0] for a, b in mx(g)]
         for v in g.vertices:
             if g.neighbors(v):
                 assert any(v in s for s in spans)
@@ -558,11 +563,10 @@ class TestUnderLeft:
 
     def test_first_maximal_edge_has_no_earlier_endpoints(self):
         g = graph({i: i for i in range(1, 7)}, [(2, 3), (4, 6), (5, 6)])
-        mx = g.maximal_edges()
-        first = mx[0]
-        lft = set(g.vertices[: g.rank(first[0])])
-        for e in mx:
-            assert not (set(e) & lft)
+        maximal = mx(g)
+        first = maximal[0][0]
+        for e in maximal:
+            assert min(e) >= first
 
 
 class TestPad:
@@ -592,36 +596,6 @@ class TestPad:
     def test_pad_induced_round_trip(self, g, k, l):
         padded = g.pad(k, l)
         assert is_isomorphic(padded.induced(g.vertices), g)
-
-
-class TestMonotoneSubsequence:
-    def test_increasing_input(self):
-        assert monotone_subsequence([1, 2, 3, 4, 5], 2) == [0, 1, 2]
-
-    def test_decreasing_input(self):
-        idx = monotone_subsequence([5, 4, 3, 2, 1], 2)
-        values = [[5, 4, 3, 2, 1][i] for i in idx]
-        assert len(idx) == 3 and values == sorted(values, reverse=True)
-
-    def test_mixed_input(self):
-        # longest increasing run has length 3 (for example 3, 4, 5)
-        seq = [3, 1, 4, 2, 5]
-        idx = monotone_subsequence(seq, 2)
-        values = [seq[i] for i in idx]
-        assert len(values) == 3 and values == sorted(values)
-
-    def test_too_short_rejected(self):
-        with pytest.raises(InputError):
-            monotone_subsequence([2, 1, 3], 2)
-
-    @settings(max_examples=200, deadline=None)
-    @given(st.permutations(list(range(10))))
-    def test_always_succeeds_at_bound(self, seq):
-        idx = monotone_subsequence(seq, 3)
-        assert len(idx) == 4
-        assert idx == sorted(idx) and len(set(idx)) == 4
-        values = [seq[i] for i in idx]
-        assert values == sorted(values) or values == sorted(values, reverse=True)
 
 
 def neighborhoods(g, v, rho):

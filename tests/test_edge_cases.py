@@ -14,7 +14,7 @@ from ordered_coloring import (
     solve_jw,
     solve_two_lists,
 )
-from ordered_coloring.core import checked_witness
+from ordered_coloring.core import _maximal_edges, checked_witness
 from ordered_coloring import jw, kernels
 from ordered_coloring.j16 import PadSets, _chordalize_members, _finish_member, _fwdnbr_members
 from ordered_coloring.jw import augment_star, check_link, gamma
@@ -23,7 +23,7 @@ from ordered_coloring.rand import (
     random_j16free_instance,
     random_pattern_free_instance,
 )
-from conftest import chain_member, graph, instance, rank_instance
+from conftest import chain_member, graph, instance
 
 
 class TestEmptyListsThroughSolvers:
@@ -90,7 +90,7 @@ class TestParameterGenerality:
         g = graph({i: i for i in range(1, 8)}, [(1, 7), (2, 6)])
         inst = Instance.with_full_lists(g)
         star, _ = augment_star(chain_member(inst))
-        mx = rank_instance(star).graph.maximal_edges()
+        mx = _maximal_edges(star.bits, star.mask)
         e_prev, e = mx[0], mx[1]
         g_prev = next(iter(gamma(star, e_prev, 2)))
         g_cur = next(iter(gamma(star, e, 2)))

@@ -26,7 +26,7 @@ from ordered_coloring.gadgets import (
 )
 from ordered_coloring import enumerate_colorings, gadgets, nae_bruteforce
 from ordered_coloring.rand import make_rng, random_nae
-from conftest import complete_graph, graph, instance, small_source_graphs
+from conftest import complete_graph, graph, instance, small_source_graphs, updated_lists
 
 
 def enumerate_colorings_capped(inst, limit):
@@ -340,6 +340,17 @@ class TestVerifyNegativeControls:
         )
         report = verify_gadget(bad, oracle_cap=1000)
         assert any(name == "path-registry" and not ok for name, ok, _ in report.entries)
+
+
+    def test_list_off_the_realization_detected(self):
+        src = graph({"a": 1, "b": 2}, [("a", "b")])
+        for name, gen in EXPANDERS:
+            out = gen(src)
+            w = out.path_registry[(("a", "b"), 1)][1]
+            lists = updated_lists(out.instance.lists, {w: (1, 2, 3)})
+            bad = dataclasses.replace(out, instance=Instance(out.instance.graph, lists))
+            report = verify_gadget(bad)
+            assert ("path-registry", False, "lists differ from the realization") in report.entries, name
 
 
 def nae_builds(nae):

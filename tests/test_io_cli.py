@@ -14,6 +14,7 @@ from ordered_coloring import (
     solve_j16,
 )
 from ordered_coloring.cli import main
+from ordered_coloring.gadgets import gen_h3, gen_h4, gen_h5
 from ordered_coloring.io import (
     parse_instance,
     parse_nae,
@@ -170,10 +171,43 @@ class TestProvenanceFormat:
         roles = {"x": "x", "m1": "m_1", "t1_2": "t_{1,2}"}
         meta = {"gadget": ("h1",), "free": ("J3", "neg:J11")}
         text = serialize_provenance(roles, meta)
-        back_roles, back_meta = parse_provenance(text)
+        back_roles, back_meta, back_registry = parse_provenance(text)
         assert back_roles == roles
         assert back_meta == meta
+        assert back_registry == {}
         assert serialize_provenance(back_roles, back_meta) == text
+        # path records keep registry order, which is not sorted order
+        registry = {
+            (("b", "c"), 2): ("b", "w1(b,c,2)", "z2", "c"),
+            (("a", "b"), 1): ("a", "w1(a,b,1)", "w1(b,a,1)", "b"),
+        }
+        text = serialize_provenance(roles, meta, registry)
+        assert text.endswith("path 2 b w1(b,c,2) z2 c\npath 1 a w1(a,b,1) w1(b,a,1) b\n")
+        back = parse_provenance(text)
+        assert back == (roles, meta, registry)
+        assert list(back[2]) == list(registry)
+        assert serialize_provenance(*back) == text
+
+    @pytest.mark.parametrize(
+        "bad,fragment",
+        [
+            ("meta gadget h1\nmeta gadget h2", "duplicate meta key 'gadget'"),
+            ("path 0 a x b", "branch must be 1, 2 or 3, got '0'"),
+            ("path 4 a x b", "branch must be 1, 2 or 3, got '4'"),
+            ("path one a x b", "branch must be 1, 2 or 3, got 'one'"),
+            ("path 1 a", "expected `path <branch> <id> <id> ...`"),
+            ("path 1", "expected `path <branch> <id> <id> ...`"),
+            ("path 2 a x b\npath 2 a y z b", "duplicate path for ('a', 'b') branch 2"),
+            ("prov a x\nprov a y", "duplicate provenance for 'a'"),
+            ("edge a b", "unknown record"),
+        ],
+    )
+    def test_strict_errors_carry_line_numbers(self, bad, fragment):
+        lineno = bad.count("\n") + 1  # the offending record is always the last line
+        with pytest.raises(InputError) as err:
+            parse_provenance("# sidecar\n" + bad)
+        assert fragment in str(err.value)
+        assert str(err.value).startswith(f"line {lineno + 1}: ")
 
 
 def run_cli(tmp_path, *argv):
@@ -312,6 +346,82 @@ class TestCli:
             tmp_path, "verify", prefix + ".og", "--prov", prefix + ".prov", "--source", str(src)
         )
         assert code == 0 and "check:path-registry pass" in out
+
+    @pytest.mark.parametrize("gadget,order", [("h3", "t5"), ("h3", "t6"), ("h4", None), ("h5", None)])
+    def test_expander_registry_round_trip(self, tmp_path, gadget, order):
+        text = "ograph src\nvtx a 1\nvtx b 2\nvtx c 3\nedg a b\nedg b c\n"
+        src = tmp_path / "src.og"
+        src.write_text(text, encoding="utf-8")
+        prefix = str(tmp_path / gadget)
+        argv = ["gen", str(src), "--gadget", gadget, "--out", prefix]
+        code, _ = run_cli(tmp_path, *argv, *(["--order", order] if order else []))
+        assert code == 0
+        _, _, registry = parse_provenance(Path(prefix + ".prov").read_text(encoding="utf-8"))
+        gens = {"h3": lambda g: gen_h3(g, order), "h4": gen_h4, "h5": gen_h5}
+        expected = gens[gadget](parse_instance(text)[1].graph).path_registry
+        assert list(registry.items()) == list(expected.items())
+        code, report = run_cli(
+            tmp_path, "verify", prefix + ".og", "--prov", prefix + ".prov", "--source", str(src)
+        )
+        assert code == 0 and "check:path-registry pass" in report
+
+    def h4_files(self, tmp_path):
+        src = tmp_path / "tri.og"
+        src.write_text(
+            "ograph tri\nvtx a 1\nvtx b 2\nvtx c 3\nedg a b\nedg b c\nedg a c\n",
+            encoding="utf-8",
+        )
+        prefix = str(tmp_path / "h4")
+        code, _ = run_cli(tmp_path, "gen", str(src), "--gadget", "h4", "--out", prefix)
+        assert code == 0
+        return Path(prefix + ".og"), Path(prefix + ".prov"), src
+
+    def test_verify_checks_expander_lists(self, tmp_path):
+        og, prov, src = self.h4_files(tmp_path)
+        text = og.read_text(encoding="utf-8")
+        assert "lst w1(a,b,1) 12\n" in text
+        og.write_text(text.replace("lst w1(a,b,1) 12\n", "lst w1(a,b,1) 123\n"), encoding="utf-8")
+        for extra in ((), ("--source", str(src))):
+            code, out = run_cli(tmp_path, "verify", str(og), "--prov", str(prov), *extra)
+            assert code == 1 and "check:path-registry fail" in out
+
+    def test_verify_rejects_tampered_path_record(self, tmp_path):
+        og, prov, _ = self.h4_files(tmp_path)
+        text = prov.read_text(encoding="utf-8")
+        # branch 1 of edge (a, b) detours through branch 2's first vertex
+        good = "path 1 a w1(a,b,1) z1 w1(b,a,1) b\n"
+        assert good in text
+        prov.write_text(text.replace(good, "path 1 a w1(a,b,2) z1 w1(b,a,1) b\n"), encoding="utf-8")
+        code, out = run_cli(tmp_path, "verify", str(og), "--prov", str(prov))
+        assert code == 1 and "check:path-registry fail" in out
+
+    def test_verify_refuses_sidecar_without_paths(self, tmp_path):
+        og, prov, src = self.h4_files(tmp_path)
+        lines = prov.read_text(encoding="utf-8").splitlines(keepends=True)
+        prov.write_text("".join(x for x in lines if not x.startswith("path ")), encoding="utf-8")
+        code, out = run_cli(tmp_path, "verify", str(og), "--prov", str(prov), "--source", str(src))
+        assert code == 3 and "verdict input-error" in out
+        assert "regenerate it with `oglc gen`" in out
+
+    def test_verify_refuses_sidecar_without_gadget(self, tmp_path):
+        og, prov, _ = self.h4_files(tmp_path)
+        lines = prov.read_text(encoding="utf-8").splitlines(keepends=True)
+        prov.write_text("".join(x for x in lines if not x.startswith("meta gadget ")), encoding="utf-8")
+        code, out = run_cli(tmp_path, "verify", str(og), "--prov", str(prov))
+        assert code == 3 and "no `meta gadget` line" in out
+
+    def test_edgeless_expander_checks_its_empty_registry(self, tmp_path):
+        src = tmp_path / "two.og"
+        src.write_text("ograph two\nvtx a 1\nvtx b 2\n", encoding="utf-8")
+        prefix = str(tmp_path / "h4")
+        run_cli(tmp_path, "gen", str(src), "--gadget", "h4", "--out", prefix)
+        assert "path " not in Path(prefix + ".prov").read_text(encoding="utf-8")
+        code, out = run_cli(tmp_path, "verify", prefix + ".og", "--prov", prefix + ".prov")
+        assert code == 0 and "check:path-registry pass" in out
+        og = Path(prefix + ".og")
+        og.write_text(og.read_text(encoding="utf-8") + "lst a 12\n", encoding="utf-8")
+        code, out = run_cli(tmp_path, "verify", prefix + ".og", "--prov", prefix + ".prov")
+        assert code == 1 and "check:path-registry fail" in out
 
     def test_verify_detects_corruption(self, tmp_path):
         nae_path = tmp_path / "i.nae"

@@ -6,6 +6,7 @@ import pytest
 
 from ordered_coloring import (
     COLORS,
+    Coloring,
     Instance,
     ListAssignment,
     PreconditionError,
@@ -15,12 +16,12 @@ from ordered_coloring import (
     has_k4,
     solve_bruteforce,
     solve_chordal,
-    solve_few_wide,
     solve_small_class,
     solve_two_lists,
 )
 from ordered_coloring.core import _ranks
 from ordered_coloring.kernels import (
+    _few_wide,
     _list_colorings,
     _mcs_peo,
     _propagate_bits,
@@ -46,7 +47,7 @@ from conftest import (
     random_two_list_instance,
     reference_propagation,
     reference_solve_chordal,
-    reference_solve_few_wide,
+    reference_few_wide,
     reference_solve_small_class,
     reference_solve_two_lists,
     sub_instance,
@@ -186,11 +187,15 @@ class TestSolveTwoLists:
 
 
 class TestSolveFewWide:
+    """`_few_wide` on whole instances: {rank: color} or None."""
+
     def test_no_wide_equals_two_lists(self):
         rng = make_rng(35)
         for _ in range(40):
             inst = random_two_list_instance(rng, rng.randint(0, 8), rng.random())
-            assert (solve_few_wide(inst, 0) is None) == (solve_two_lists(inst) is None)
+            g = inst.graph
+            got = _few_wide(g.adjacency_bits(), (1 << g.n) - 1, inst.color_bits)
+            assert (got is None) == (solve_two_lists(inst) is None)
 
     def test_forced_third_color(self):
         inst = instance(
@@ -198,13 +203,8 @@ class TestSolveFewWide:
             [("a", "b"), ("b", "c")],
             lists={"a": (1,), "c": (2,), "b": (1, 2, 3)},
         )
-        result = solve_few_wide(inst, 1)
-        assert result is not None and result["b"] == 3
-
-    def test_too_many_wide_rejected(self):
-        inst = instance({"a": 1, "b": 2})
-        with pytest.raises(PreconditionError):
-            solve_few_wide(inst, 1)
+        result = _few_wide(inst.graph.adjacency_bits(), 0b111, inst.color_bits)
+        assert result is not None and result[1] == 3
 
     def test_matches_oracle(self):
         rng = make_rng(36)
@@ -213,10 +213,11 @@ class TestSolveFewWide:
             wide = sum(1 for v in inst.graph.vertices if len(inst.lists.get(v)) == 3)
             if wide > 3:
                 continue
-            got = solve_few_wide(inst, 3)
+            g = inst.graph
+            got = _few_wide(g.adjacency_bits(), (1 << g.n) - 1, inst.color_bits)
             assert (got is None) == (solve_bruteforce(inst) is None)
             if got is not None:
-                assert got.validates(inst)
+                assert Coloring({g.vertices[r]: c for r, c in got.items()}).validates(inst)
 
 
 class TestSolveSmallClass:
@@ -266,9 +267,9 @@ def same(got, expected) -> bool:
 
 
 class TestReferenceDifferential:
-    """The rank-kernel wrappers against the frozenset code they replaced
-    (`conftest.reference_solve_*`): the same witness, key for key, in
-    the same order."""
+    """The rank kernels against the frozenset code they replaced
+    (`conftest.reference_*`): the same witness, key for key, in the same
+    order."""
 
     def test_two_lists(self):
         colored = 0
@@ -306,12 +307,14 @@ class TestReferenceDifferential:
         for inst in mixed_corpus(41, 400, full_bias=0.3):
             wide = sum(len(cs) == 3 for _, cs in inst.lists.items())
             if wide > 4:
-                for solve in (solve_few_wide, reference_solve_few_wide):
-                    with pytest.raises(PreconditionError):
-                        solve(inst, 4)
                 continue
-            got = solve_few_wide(inst, 4)
-            assert same(got, reference_solve_few_wide(inst, 4))
+            g = inst.graph
+            got = _few_wide(g.adjacency_bits(), (1 << g.n) - 1, inst.color_bits)
+            expected = reference_few_wide(inst)
+            if got is None or expected is None:
+                assert got is expected
+            else:
+                assert list(got.items()) == [(g.rank(v), c) for v, c in expected.items()]
             colored += got is not None
         assert colored >= 60, colored
 
