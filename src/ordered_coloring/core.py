@@ -2,15 +2,18 @@
 primitives built on them: order-preserving induced subgraphs, spans and
 neighborhoods, maximal edges, pattern containment, and padding.
 
-Positions are `fractions.Fraction` values so that half-offset constructions
-stay bit-exact; no floating point enters any comparison. All values are
-immutable after construction and every operation is a pure function.
+Positions are exact rationals, so that half-offset constructions stay
+bit-exact; no floating point enters any comparison. A graph keeps them as
+integer keys over a common denominator and builds `fractions.Fraction`
+values only on demand: for `position()`, `positions()`, hashing and
+error messages. All values are immutable after construction and every
+operation is a pure function.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, InternalError
@@ -35,10 +38,16 @@ class OrderedGraph:
 
     Vertex identity is opaque (any hashable); only the position order matters
     for isomorphism and pattern containment.
+
+    Positions are stored as one integer key per vertex over the graph's
+    common denominator, the least common multiple of the positions'
+    reduced denominators. The keys order and compare like the positions,
+    and `Fraction`s are built only when asked for.
     """
 
     __slots__ = (
-        "_pos", "_order", "_rank", "_adj", "_edges", "_bits", "_reach", "_degrees", "_plans"
+        "_keys", "_den", "_order", "_rank", "_adj", "_edges", "_bits", "_reach", "_degrees",
+        "_plans",
     )
 
     def __init__(self, vertices: Iterable[tuple[object, object]], edges: Iterable[tuple] = ()):
@@ -46,17 +55,40 @@ class OrderedGraph:
         for vid, p in vertices:
             if vid in pos:
                 raise InputError(f"duplicate vertex id {vid!r}")
-            pos[vid] = as_position(p)
-        keys = _position_keys(pos)
+            pos[vid] = p if type(p) is int else as_position(p)
+        den = lcm(*{p.denominator for p in pos.values()})
+        self._build({vid: p.numerator * (den // p.denominator) for vid, p in pos.items()}, den, edges)
+
+    @classmethod
+    def _trusted(cls, keys: dict, den: int, order: tuple, rank: dict, bits: tuple) -> "OrderedGraph":
+        """The graph from parts that its caller has checked, stored as they
+        are: `keys` maps each id to its integer position key over the
+        common denominator `den`, no two alike; `order` is the ids by
+        key, `rank` its inverse; and `bits` the per-rank adjacency
+        bitmasks of a simple graph."""
+        g = cls.__new__(cls)
+        g._store(keys, den, order, rank, bits)
+        return g
+
+    @classmethod
+    def _from_keys(cls, keys: dict, den: int, edges: Iterable[tuple]) -> "OrderedGraph":
+        """The graph on the integer position keys `keys` over the common
+        denominator `den` (see the class docstring), checked like the
+        public constructor's."""
+        g = cls.__new__(cls)
+        g._build(keys, den, edges)
+        return g
+
+    def _build(self, keys: dict, den: int, edges: Iterable[tuple]):
         if len(set(keys.values())) != len(keys):
             seen_positions: dict = {}
             for vid, key in keys.items():
                 if key in seen_positions:
                     raise InputError(
-                        f"duplicate position {pos[vid]} for {seen_positions[key]!r} and {vid!r}"
+                        f"duplicate position {Fraction(key, den)} for {seen_positions[key]!r} and {vid!r}"
                     )
                 seen_positions[key] = vid
-        order = tuple(sorted(pos, key=keys.__getitem__))
+        order = tuple(sorted(keys, key=keys.__getitem__))
         rank = {vid: i for i, vid in enumerate(order)}
         bits = [0] * len(order)
         for u, v in edges:
@@ -69,20 +101,11 @@ class OrderedGraph:
                 raise InputError(f"duplicate edge ({u!r},{v!r})")
             bits[ru] |= 1 << rv
             bits[rv] |= 1 << ru
-        self._store(pos, order, rank, tuple(bits))
+        self._store(keys, den, order, rank, tuple(bits))
 
-    @classmethod
-    def _trusted(cls, pos: dict, order: tuple, rank: dict, bits: tuple) -> "OrderedGraph":
-        """The graph from parts that its caller has checked, stored as they
-        are: `pos` maps each id to a `Fraction`, no two alike; `order` is
-        the ids by position, `rank` its inverse; and `bits` the per-rank
-        adjacency bitmasks of a simple graph."""
-        g = cls.__new__(cls)
-        g._store(pos, order, rank, bits)
-        return g
-
-    def _store(self, pos: dict, order: tuple, rank: dict, bits: tuple):
-        self._pos = pos
+    def _store(self, keys: dict, den: int, order: tuple, rank: dict, bits: tuple):
+        self._keys = keys
+        self._den = den
         self._order = order
         self._rank = rank
         self._bits = bits
@@ -96,7 +119,7 @@ class OrderedGraph:
 
     @property
     def n(self) -> int:
-        return len(self._pos)
+        return len(self._order)
 
     @property
     def vertices(self) -> tuple:
@@ -111,12 +134,13 @@ class OrderedGraph:
 
     def position(self, v) -> Fraction:
         try:
-            return self._pos[v]
+            return Fraction(self._keys[v], self._den)
         except KeyError:
             raise InputError(f"unknown vertex {v!r}") from None
 
     def positions(self) -> Mapping:
-        return dict(self._pos)
+        den = self._den
+        return {v: Fraction(key, den) for v, key in self._keys.items()}
 
     def rank(self, v) -> int:
         try:
@@ -139,7 +163,7 @@ class OrderedGraph:
         return v in self.neighbors(u)
 
     def has_vertex(self, v) -> bool:
-        return v in self._pos
+        return v in self._rank
 
     def adjacency_bits(self) -> tuple:
         """Per-rank adjacency bitmasks (bit j set iff adjacent to rank j)."""
@@ -154,15 +178,18 @@ class OrderedGraph:
                 yield order[r], order[s]
 
     def __eq__(self, other):
-        # equal position maps give equal rank orders, so the bits compare edges
+        # the common denominator is the least one, so equal position maps
+        # have equal denominators and keys, and give equal rank orders, so
+        # the bits compare edges
         return (
             isinstance(other, OrderedGraph)
-            and self._pos == other._pos
+            and self._den == other._den
+            and self._keys == other._keys
             and self._bits == other._bits
         )
 
     def __hash__(self):
-        return hash((frozenset(self._pos.items()), self._bits))
+        return hash((frozenset(self.positions().items()), self._bits))
 
     def __repr__(self):
         return f"OrderedGraph(n={self.n}, m={sum(map(int.bit_count, self._bits)) // 2})"
@@ -173,30 +200,28 @@ class OrderedGraph:
         """The order-preserving induced subgraph on vertex set `xs`."""
         xs = set(xs)
         for v in xs:
-            if v not in self._pos:
+            if v not in self._rank:
                 raise InputError(f"unknown vertex {v!r}")
-        verts = [(v, self._pos[v]) for v in xs]
-        return OrderedGraph(verts, self._edge_pairs(sum(1 << self._rank[v] for v in xs)))
+        keys, den = _least_denominator({v: self._keys[v] for v in xs}, self._den)
+        return OrderedGraph._from_keys(keys, den, self._edge_pairs(sum(1 << self._rank[v] for v in xs)))
 
     def reverse(self) -> "OrderedGraph":
         """Same vertices and edges with every position negated."""
-        return OrderedGraph([(v, -p) for v, p in self._pos.items()], self._edge_pairs())
+        keys = {v: -key for v, key in self._keys.items()}
+        return OrderedGraph._from_keys(keys, self._den, self._edge_pairs())
 
     def pad(self, k: int, l: int) -> "OrderedGraph":
         """Add k isolated vertices before and l after, at unit gaps."""
         if k < 0 or l < 0:
             raise InputError("pad counts must be nonnegative")
-        if self._pos:
-            lo = min(self._pos.values())
-            hi = max(self._pos.values())
-        else:
-            lo = hi = Fraction(0)
-        verts = list(self._pos.items())
+        keys, den = self._keys, self._den
+        lo, hi = min(keys.values(), default=0), max(keys.values(), default=0)
+        padded = dict(keys)
         for i in range(1, k + 1):
-            verts.append((_fresh_id(self._pos, f"a{i}"), lo - (k + 1 - i)))
+            padded[_fresh_id(keys, f"a{i}")] = lo - (k + 1 - i) * den
         for i in range(1, l + 1):
-            verts.append((_fresh_id(self._pos, f"b{i}"), hi + i))
-        return OrderedGraph(verts, self._edge_pairs())
+            padded[_fresh_id(keys, f"b{i}")] = hi + i * den
+        return OrderedGraph._from_keys(padded, den, self._edge_pairs())
 
 
 def _maximal_edges(bits: tuple, mask: int) -> tuple:
@@ -223,12 +248,15 @@ def _maximal_edges(bits: tuple, mask: int) -> tuple:
     return tuple(out)
 
 
-def _position_keys(pos: dict) -> dict:
-    """Each id's position (a `Fraction`) as an exact integer over the
-    common denominator: ordered and compared like the positions, with no
-    `Fraction` hashed."""
-    scale = lcm(*{p.denominator for p in pos.values()})
-    return {vid: p.numerator * (scale // p.denominator) for vid, p in pos.items()}
+def _least_denominator(keys: dict, den: int) -> tuple:
+    """The position keys `keys` over `den` rewritten over the least common
+    denominator of the positions they spell, and that denominator: what a
+    subset of a graph's vertices needs to compare like a graph built from
+    its positions."""
+    least = lcm(*{den // gcd(key, den) for key in keys.values()})
+    if least == den:
+        return keys, den
+    return {v: key // (den // least) for v, key in keys.items()}, least
 
 
 def _ranks(mask: int):

@@ -6,9 +6,10 @@ from __future__ import annotations
 
 import itertools
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from .core import COLORS, Instance, ListAssignment, OrderedGraph, _position_keys, _ranks
+from .core import COLORS, Instance, ListAssignment, OrderedGraph, _ranks
 from .errors import InputError
 from .oracle import NaeInstance
 
@@ -42,6 +43,8 @@ _LIST_DIGITS = {"0": frozenset()} | {
     for p in itertools.permutations("123", size)
 }
 _FULL = frozenset(COLORS)
+# per list, the indices of the colors it leaves out
+_MISSING = {cs: tuple(c - 1 for c in COLORS if c not in cs) for cs in _LIST_DIGITS.values()}
 
 
 def parse_instance(text: str) -> tuple[str, Instance]:
@@ -49,52 +52,46 @@ def parse_instance(text: str) -> tuple[str, Instance]:
     <pos>`, `edg <id> <id>`, optional `lst <id> <digits>` ("0" means the
     empty list; missing lines default to all three colors).
 
-    Each record is checked once, with its line number: duplicate ids and
-    positions (compared as (numerator, denominator) pairs, so no
-    `Fraction` is hashed), unknown ends, self-loops and duplicate edges,
-    list digits, and one list per vertex. The parser then builds the rank
-    order, the adjacency bits and the color bitsets itself and hands them
-    to the trusted constructors of `OrderedGraph`, `ListAssignment` and
-    `Instance`, which check none of it again."""
+    One pass over the lines checks each record once, with its line
+    number: duplicate ids and positions, unknown ends, self-loops and
+    duplicate edges, list digits, and one list per vertex. `edg`, the
+    most common record, is told apart first, then `lst` and `vtx`. An
+    integer position token becomes the key (n, 1) with no `Fraction`
+    built; only a `num/den` token goes through `parse_position_token`.
+    Positions compare as those (numerator, denominator) pairs, in lowest
+    terms, and then become integer keys over their common denominator.
+
+    The parser then builds the rank order, the adjacency bits and the
+    color bitsets itself. When the keys already increase in record order,
+    the ranks are the record places and nothing is sorted or remapped.
+    The color bitsets start full and each `lst` record clears the colors
+    its list leaves out. All of it goes to the trusted constructors of
+    `OrderedGraph`, `ListAssignment` and `Instance`, which check none of
+    it again."""
     name = ""
     saw_header = False
-    positions: dict = {}
     index: dict = {}  # vertex id -> its place among the `vtx` records
-    pos_owner: dict = {}  # (numerator, denominator) -> vertex id
+    pos_owner: dict = {}  # (numerator, denominator) -> vertex id, in record order
     adj: list = []  # per place: the places of its neighbors, as a bitmask
     lists: dict = {}
-    for lineno, parts in _lines(text):
+    for lineno, raw in enumerate(text.splitlines(), 1):
+        parts = raw.split()
+        if not parts:
+            continue
         kind = parts[0]
         if kind == "edg":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected `edg <id> <id>`")
             u, v = parts[1], parts[2]
-            for x in (u, v):
-                if x not in index:
-                    raise InputError(f"line {lineno}: unknown vertex {x!r}")
-            if u == v:
+            iu, iv = index.get(u), index.get(v)
+            if iu is None or iv is None:
+                raise InputError(f"line {lineno}: unknown vertex {(u if iu is None else v)!r}")
+            if iu == iv:
                 raise InputError(f"line {lineno}: self-loop at {u!r}")
-            iu, iv = index[u], index[v]
             if adj[iu] >> iv & 1:
                 raise InputError(f"line {lineno}: duplicate edge {u!r} {v!r}")
             adj[iu] |= 1 << iv
             adj[iv] |= 1 << iu
-        elif kind == "vtx":
-            if len(parts) != 3:
-                raise InputError(f"line {lineno}: expected `vtx <id> <pos>`")
-            vid = parts[1]
-            if vid in index:
-                raise InputError(f"line {lineno}: duplicate vertex {vid!r}")
-            p = parse_position_token(parts[2], lineno)
-            key = (p.numerator, p.denominator)
-            if key in pos_owner:
-                raise InputError(
-                    f"line {lineno}: position {parts[2]} already used by {pos_owner[key]!r}"
-                )
-            positions[vid] = p
-            index[vid] = len(adj)
-            pos_owner[key] = vid
-            adj.append(0)
         elif kind == "lst":
             if len(parts) != 3:
                 raise InputError(f"line {lineno}: expected `lst <id> <digits>`")
@@ -106,6 +103,27 @@ def parse_instance(text: str) -> tuple[str, Instance]:
             if digits not in _LIST_DIGITS:
                 raise InputError(f"line {lineno}: bad list digits {digits!r}")
             lists[vid] = _LIST_DIGITS[digits]
+        elif kind == "vtx":
+            if len(parts) != 3:
+                raise InputError(f"line {lineno}: expected `vtx <id> <pos>`")
+            vid, token = parts[1], parts[2]
+            if vid in index:
+                raise InputError(f"line {lineno}: duplicate vertex {vid!r}")
+            if "/" in token:
+                p = parse_position_token(token, lineno)
+                key = (p.numerator, p.denominator)
+            else:
+                try:
+                    key = (int(token), 1)
+                except ValueError:
+                    raise InputError(f"line {lineno}: bad position {token!r}") from None
+            if key in pos_owner:
+                raise InputError(
+                    f"line {lineno}: position {token} already used by {pos_owner[key]!r}"
+                )
+            pos_owner[key] = vid
+            index[vid] = len(adj)
+            adj.append(0)
         elif kind == "ograph":
             if saw_header:
                 raise InputError(f"line {lineno}: duplicate header")
@@ -113,31 +131,31 @@ def parse_instance(text: str) -> tuple[str, Instance]:
                 raise InputError(f"line {lineno}: expected `ograph <name>`")
             name = parts[1]
             saw_header = True
-        else:
+        elif not kind.startswith("#"):
             raise InputError(f"line {lineno}: unknown record {kind!r}")
 
-    keys = _position_keys(positions)
-    order = tuple(sorted(positions, key=keys.__getitem__))
-    rank = {vid: r for r, vid in enumerate(order)}
-    if order == tuple(index):  # the `vtx` records came in position order
-        bits = tuple(adj)
+    den = lcm(*{d for _, d in pos_owner})
+    keys = {vid: num * (den // d) for (num, d), vid in pos_owner.items()}
+    record_keys = list(keys.values())
+    if record_keys == sorted(record_keys):  # the `vtx` records came in position order
+        order, rank, bits = tuple(keys), index, tuple(adj)
     else:
+        order = tuple(sorted(keys, key=keys.__getitem__))
+        rank = {vid: r for r, vid in enumerate(order)}
         to_rank = [rank[vid] for vid in index]
         remapped = [0] * len(order)
         for i, nbrs in enumerate(adj):
             remapped[to_rank[i]] = sum(1 << to_rank[j] for j in _ranks(nbrs))
         bits = tuple(remapped)
-    listed = 0
-    has = [0, 0, 0]
+    everyone = (1 << len(order)) - 1
+    has = [everyone, everyone, everyone]
     for vid, colors in lists.items():
-        r = rank[vid]
-        listed |= 1 << r
-        for c in colors:
-            has[c - 1] |= 1 << r
-    unlisted = ((1 << len(order)) - 1) & ~listed
-    graph = OrderedGraph._trusted(positions, order, rank, bits)
-    full = ListAssignment._trusted({vid: lists.get(vid, _FULL) for vid in positions})
-    return name, Instance._trusted(graph, full, tuple(h | unlisted for h in has))
+        bit = 1 << rank[vid]
+        for i in _MISSING[colors]:
+            has[i] &= ~bit
+    graph = OrderedGraph._trusted(keys, den, order, rank, bits)
+    full = ListAssignment._trusted({vid: lists.get(vid, _FULL) for vid in keys})
+    return name, Instance._trusted(graph, full, tuple(has))
 
 
 def serialize_instance(name: str, inst: Instance) -> str:

@@ -10,9 +10,10 @@ forcing a constant-size boundary, and finishes with chordal list coloring
 on the remaining wide set. The mirrored pattern is handled by reversal.
 
 From the guess to the finish, a member is the three color bitsets of its
-lists on the input graph's ranks (see `Instance.color_bits`). The
-constant-size blocks that get forced are colored on those bitsets by
-`kernels._list_colorings`; no sub-instance is built.
+lists on the input graph's ranks (see `Instance.color_bits`). The padding
+block is forced on those bitsets rank by rank, with propagation after
+each rank; a small wide set is colored on them by
+`kernels._list_colorings`. No sub-instance is built.
 """
 
 from __future__ import annotations
@@ -214,14 +215,32 @@ def pad_sets(bits: tuple, has, k: int, l: int) -> PadSets:
 def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[tuple]:
     """Propagated members of the member `has` (color bitsets on `inst`'s
     graph), one per list coloring of the boundary block (left cover plus
-    trailing block), in the order of those colorings; members in which
-    some list empties are dropped.
+    trailing block) in which no list empties, in the order of those
+    colorings: ranks ascending, colors ascending.
 
-    `has` is a propagated fixpoint, as `_fwdnbr_members` yields it: its
-    ranks outside the wide set hold one color each, already struck from
-    their neighbors. So each forced member is propagated from there
-    (`_propagate_bits` with those ranks done): only the block's ranks and
-    what they force strike, and the result is the full propagation's.
+    The block is forced rank by rank, depth first. A rank tries the
+    colors its current lists still hold, ascending. Each forcing is
+    propagated at once, and a prefix in which a list empties is dropped
+    with everything under it. `has` is a propagated fixpoint with no
+    empty list, as `_fwdnbr_members` yields it, and so is every prefix
+    kept. So `_propagate_bits` runs with the current one-color ranks
+    done, which have struck already, and gives the full propagation.
+
+    This is what forcing each block coloring f whole and propagating it
+    gives; write L(f) for those lists. Propagation strikes a color only
+    from a neighbor of a one-color rank that holds it. So a fixpoint with
+    no empty list that lies below some lists (pointwise) stays below them
+    through every strike, and lies below their propagation.
+    - If L(f) has no empty list, it lies below `has`. Rank by rank along
+      f, it lies below the walk's lists with the next rank forced to f's
+      color, since L(f) holds only that color there, and so below their
+      propagation. The walk never empties a list or skips f's color on
+      the way, and f is a leaf.
+    - At a leaf f, the walk's lists are a fixpoint with no empty list
+      below f's whole forcing, so they lie below L(f); and by the first
+      point L(f) lies below them. They are L(f).
+    So a dropped prefix holds only colorings whose L(f) empties a list,
+    and the members and their order are those of the whole forcings.
 
     The wide set of a member must be chordal. That is not checked here:
     `_finish_member` runs the chordality search on every member it
@@ -229,15 +248,24 @@ def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[
     for an empty list holds no coloring, and `solve_j16` reads no member
     after its first coloring, so no output goes unchecked."""
     bits = inst.graph.adjacency_bits()
-    wide = _wide(has)
-    if wide.bit_count() < 3 * k + 3 * l + 6:
+    if _wide(has).bit_count() < 3 * k + 3 * l + 6:
         raise PreconditionError("wide set is too small for boundary padding")
     pads = pad_sets(bits, has, k, l)
+    block = tuple(_ranks(pads.c | pads.d))
     everyone = (1 << inst.graph.n) - 1
-    for forced in _forced_colorings(bits, has, pads.c | pads.d):
-        member = _propagate_bits(bits, forced, ~wide)
-        if member[0] | member[1] | member[2] == everyone:
-            yield member
+
+    def walk(i: int, cur: tuple) -> Iterator[tuple]:
+        if i == len(block):
+            yield cur
+            return
+        r = block[i]
+        done = ~_wide(cur)
+        for c in _TUPLES[_mask_at(cur, r)]:
+            nxt = _propagate_bits(bits, _force(cur, 1 << r, c), done)
+            if nxt[0] | nxt[1] | nxt[2] == everyone:
+                yield from walk(i + 1, nxt)
+
+    yield from walk(0, has)
 
 
 def solve_j16(

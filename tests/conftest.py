@@ -23,6 +23,7 @@ from ordered_coloring import (
     solve_small_class,
 )
 from ordered_coloring.core import _ranks, checked_witness
+from ordered_coloring.j16 import _forced_colorings, pad_sets
 from ordered_coloring.jw import ColoredSeed, Member
 from ordered_coloring.kernels import (
     _SETS,
@@ -30,6 +31,7 @@ from ordered_coloring.kernels import (
     _mask_at,
     _mcs_peo,
     _propagate_bits,
+    _wide,
     boundary_guesses,
 )
 from ordered_coloring.oracle import DEFAULT_CAP
@@ -81,6 +83,24 @@ def reference_forced_colorings(g: OrderedGraph, has, block: int):
         for v in vertices:
             forced[f[v] - 1] |= 1 << g.rank(v)
         yield forced
+
+
+def reference_chordalize_members(inst: Instance, has: tuple, k: int, l: int):
+    """Flat boundary padding for `j16._chordalize_members`: every list
+    coloring of the block forced whole (`j16._forced_colorings`), each
+    propagated with the ranks outside the wide set done, and the ones in
+    which a list empties dropped. Yields the propagated color bitsets in
+    the order of the block colorings."""
+    bits = inst.graph.adjacency_bits()
+    wide = _wide(has)
+    if wide.bit_count() < 3 * k + 3 * l + 6:
+        raise PreconditionError("wide set is too small for boundary padding")
+    pads = pad_sets(bits, has, k, l)
+    everyone = (1 << inst.graph.n) - 1
+    for forced in _forced_colorings(bits, has, pads.c | pads.d):
+        member = _propagate_bits(bits, forced, ~wide)
+        if member[0] | member[1] | member[2] == everyone:
+            yield member
 
 
 def reference_color_bits(inst: Instance) -> tuple:

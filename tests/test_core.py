@@ -1,4 +1,5 @@
 import itertools
+import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
@@ -47,6 +48,7 @@ from conftest import (
     graph,
     instance,
     path_graph,
+    positions_fuzzed,
     rank_normalized,
     reference_color_bits,
     reference_maximal_edges,
@@ -670,6 +672,64 @@ class TestValidation:
     def test_duplicate_edge_rejected(self):
         with pytest.raises(InputError):
             graph({"a": 1, "b": 2}, [("a", "b"), ("b", "a")])
+
+
+class TestIntegerPositions:
+    """A graph keeps its positions as integer keys over a common
+    denominator; every derived graph keeps the parent's positions, and
+    equality and hashing agree with a graph built from those positions."""
+
+    @staticmethod
+    def _same_as_rebuilt(g):
+        rebuilt = OrderedGraph(list(g.positions().items()), [tuple(e) for e in g.edges])
+        assert g == rebuilt and hash(g) == hash(rebuilt)
+
+    def test_derived_graphs_keep_the_parents_positions(self):
+        rng = make_rng(303)
+        coarser = 0
+        for _ in range(120):
+            g = positions_fuzzed(rng, random_ordered_graph(rng, rng.randint(0, 9), rng.random()))
+            pos = g.positions()
+            assert all(isinstance(p, Fraction) for p in pos.values())
+
+            rev = g.reverse()
+            assert rev.positions() == {v: -p for v, p in pos.items()}
+            self._same_as_rebuilt(rev)
+
+            k, l = rng.randint(0, 3), rng.randint(0, 3)
+            padded = g.pad(k, l)
+            assert {v: padded.position(v) for v in g.vertices} == pos
+            assert padded.n == g.n + k + l
+            self._same_as_rebuilt(padded)
+
+            xs = rng.sample(g.vertices, rng.randint(0, g.n))
+            sub = g.induced(xs)
+            assert sub.positions() == {v: pos[v] for v in xs}
+            self._same_as_rebuilt(sub)
+            dens = [p.denominator for p in pos.values()]
+            sub_dens = [pos[v].denominator for v in xs]
+            coarser += math.lcm(*sub_dens) < math.lcm(*dens)
+        assert coarser >= 20, coarser
+
+    def test_induced_drops_the_finer_denominator(self):
+        g = graph({"a": Fraction(1, 2), "b": 1, "c": 2}, [("a", "b"), ("b", "c")])
+        sub = g.induced(["b", "c"])
+        plain = graph({"b": 1, "c": 2}, [("b", "c")])
+        assert sub == plain and hash(sub) == hash(plain)
+        assert sub.position("c") == 2 and isinstance(sub.position("c"), Fraction)
+
+    def test_int_and_fraction_spellings_agree(self):
+        as_ints = graph({"a": -3, "b": 0, "c": 4})
+        as_fractions = graph({"a": Fraction(-6, 2), "b": Fraction(0), "c": Fraction(8, 2)})
+        assert as_ints == as_fractions and hash(as_ints) == hash(as_fractions)
+        assert as_ints.positions() == as_fractions.positions()
+        assert as_ints != graph({"a": -3, "b": 0, "c": Fraction(9, 2)})
+        # the same keys over another denominator are other positions
+        assert graph({"a": 1, "b": 2}) != graph({"a": Fraction(1, 2), "b": 1})
+
+    def test_bool_positions_rejected(self):
+        with pytest.raises(InputError):
+            graph({"a": True})
 
 
 class TestRandArguments:

@@ -1,4 +1,5 @@
 import json
+import re
 from fractions import Fraction
 from pathlib import Path
 
@@ -24,7 +25,14 @@ from ordered_coloring.io import (
     serialize_provenance,
 )
 from ordered_coloring.j16 import PadSets
-from ordered_coloring.rand import make_rng, random_instance, random_nae, random_pattern_free_instance
+from ordered_coloring.rand import (
+    make_rng,
+    random_forward_clique_graph,
+    random_instance,
+    random_lists,
+    random_nae,
+    random_pattern_free_instance,
+)
 from conftest import instance, serialize_nae
 
 
@@ -68,7 +76,7 @@ class TestOrderedGraphFormat:
         rng = make_rng(202)
         shuffled = fractional = 0
         for t in range(80):
-            inst = random_instance(rng, 6 if t == 0 else rng.randint(0, 12), rng.random(), rng.random())
+            inst = random_instance(rng, 6 if t < 2 else rng.randint(0, 12), rng.random(), rng.random())
             g = inst.graph
             tokens = {}
             for v, y in zip(g.vertices, rng.sample(range(-60, 60), g.n)):
@@ -77,6 +85,8 @@ class TestOrderedGraphFormat:
                 tokens[v] = f"{num}/{den}" if den > 1 else str(num)
             if t == 0:
                 tokens = dict(zip(g.vertices, ("5/2", "2/4", "-3", "-7/3", "0", "9/4")))
+            if t == 1:  # integer and fractional spellings of integers, mixed
+                tokens = dict(zip(g.vertices, ("6/2", "-0", "2/4", "7", "-10/5", "11/3")))
             verts = list(g.vertices)
             rng.shuffle(verts)
             records = [f"lst {v} {''.join(map(str, sorted(inst.lists[v]))) or '0'}" for v in verts]
@@ -98,9 +108,28 @@ class TestOrderedGraphFormat:
             assert list(got.lists.items()) == list(want.lists.items())
             assert got.color_bits == want.color_bits
             assert got == want
+            # integral positions handed over as ints build the same graph
+            exact = [(v, parse_position_token(tokens[v])) for v in verts]
+            mixed = OrderedGraph(
+                [(v, int(p) if p.denominator == 1 else p) for v, p in exact], g._edge_pairs()
+            )
+            assert gg == wg == mixed
+            assert hash(gg) == hash(wg) == hash(mixed)
+            assert hash(got) == hash(want)
             shuffled += tuple(verts) != gg.vertices
             fractional += any("/" in x or "-" in x for x in tokens.values())
         assert shuffled >= 40 and fractional >= 40, (shuffled, fractional)
+
+    def test_readme_example_parses_verbatim(self):
+        # the `ograph` block under "File formats" in README.md, as written
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        blocks = re.findall(r"^```\n(.*?)^```$", readme, re.M | re.S)
+        (example,) = [b for b in blocks if b.startswith("ograph ")]
+        name, inst = parse_instance(example)
+        g = inst.graph
+        assert name == "name" and g.vertices == ("a", "b")
+        assert g.position("b") == Fraction(5, 2) and g.has_edge("a", "b")
+        assert inst.lists["a"] == {1, 2} and inst.lists["b"] == {1, 2, 3}
 
     @pytest.mark.parametrize(
         "bad,fragment",
@@ -249,6 +278,35 @@ class TestCli:
         path.write_text("ograph p\nvtx a 1\nvtx b 2\nedg a b\nlst a 1\n", encoding="utf-8")
         code, out = run_cli(tmp_path, "solve", str(path), "--alg", "oracle")
         assert code == 0 and "witness a=1" in out
+
+    def test_chordal_solve_builds_no_fraction(self, tmp_path, monkeypatch):
+        # integer positions stay integer keys from the parser to the
+        # witness: a `J16` solve that pads and finishes a chordal instance
+        # builds no `Fraction`, in `core` or in `io`
+        from ordered_coloring import core, io as io_module, j16
+
+        rng = make_rng(1)
+        g = random_forward_clique_graph(rng, 120, 0.5)
+        path = tmp_path / "c120.og"
+        path.write_text(serialize_instance("c120", Instance(g, random_lists(rng, g, 0.8))))
+        built, padded = [], []
+
+        class CountingFraction(Fraction):
+            def __new__(cls, *args, **kwargs):
+                built.append(args)
+                return super().__new__(cls, *args, **kwargs)
+
+        real_pad_sets = j16.pad_sets
+        monkeypatch.setattr(core, "Fraction", CountingFraction)
+        monkeypatch.setattr(io_module, "Fraction", CountingFraction)
+        monkeypatch.setattr(j16, "pad_sets", lambda *a: padded.append(a) or real_pad_sets(*a))
+        code, out = run_cli(tmp_path, "--json", "solve", str(path), "--alg", "j16")
+        assert code == 0 and "verdict colorable" in out
+        assert padded and built == []
+        # the counter counts: a fractional position and a position query build some
+        _, inst = parse_instance("vtx a 5/2\nvtx b 3\n")
+        inst.graph.position("b")
+        assert len(built) == 2
 
     def test_refusal_exit_code(self, tmp_path):
         path = tmp_path / "jw1.og"

@@ -26,7 +26,7 @@ from ordered_coloring.j16 import (
     _wide,
     pad_sets,
 )
-from ordered_coloring.kernels import _propagate_bits, solve_small_class
+from ordered_coloring.kernels import _ONLY, _TUPLES, _mask_at, _propagate_bits, solve_small_class
 from ordered_coloring.oracle import enumerate_colorings
 from ordered_coloring.rand import (
     make_rng,
@@ -43,6 +43,7 @@ from conftest import (
     graph,
     instance,
     lists_from_bits,
+    reference_chordalize_members,
     reference_forced_colorings,
     reference_fwdnbr_members,
     reference_propagation,
@@ -51,6 +52,35 @@ from conftest import (
     sub_instance,
     wide_set,
 )
+
+
+PAIRS = tuple(itertools.combinations(COLORS, 2))
+
+
+def dropped_prefixes(bits, has, block):
+    """The prefixes of block colorings, as color tuples along the ranks in
+    `block`, at which boundary padding stops: colors from the member's own
+    lists are tried rank by rank, and a prefix is dropped when the lists
+    propagated so far have struck its last color or its propagation
+    empties a list."""
+    everyone = (1 << len(bits)) - 1
+
+    def rec(i, cur, prefix):
+        if i == len(block):
+            return
+        r = block[i]
+        for c in _TUPLES[_mask_at(has, r)]:
+            longer = prefix + (c,)
+            if not cur[c - 1] >> r & 1:
+                yield longer
+                continue
+            nxt = _propagate_bits(bits, j16._force(cur, 1 << r, c), ~_wide(cur))
+            if nxt[0] | nxt[1] | nxt[2] != everyone:
+                yield longer
+            else:
+                yield from rec(i + 1, nxt, longer)
+
+    yield from rec(0, has, ())
 
 
 def as_instance(inst, has):
@@ -373,6 +403,47 @@ class TestChordalize:
             members,
             compared,
             emptied,
+        )
+
+    def test_rank_by_rank_padding_matches_whole_forcing(self):
+        # padding forces the block rank by rank and drops a prefix as soon
+        # as a list empties; it must yield the members that forcing each
+        # block coloring whole gives, in order, and every block coloring
+        # under a dropped prefix must empty a list when forced whole
+        rng = make_rng(83)
+        members, survivors, pruned = Counter(), 0, 0
+        for k, l in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            base = 3 * k + 3 * l + 6
+            for _ in range(200):
+                if members[k, l] >= 12:
+                    break
+                # mostly two-color lists, so that forcing the block propagates
+                # along chains of them and empties lists
+                g = random_forward_clique_graph(rng, rng.randint(base + 10, base + 40), 0.8)
+                lists = {v: rng.choice(PAIRS) if rng.random() < 0.7 else COLORS for v in g.vertices}
+                inst = Instance(g, ListAssignment(lists))
+                bits = g.adjacency_bits()
+                everyone = (1 << g.n) - 1
+                padded = (m for m in _fwdnbr_members(inst, k, l) if _wide(m).bit_count() >= base)
+                for member in itertools.islice(padded, 2):
+                    wide = _wide(member)
+                    members[k, l] += 1
+                    got = list(_chordalize_members(inst, member, k, l))
+                    assert got == list(reference_chordalize_members(inst, member, k, l))
+                    survivors += len(got)
+                    pads = pad_sets(bits, member, k, l)
+                    block = list(_ranks(pads.c | pads.d))
+                    dropped = set(dropped_prefixes(bits, member, block))
+                    for forced in _forced_colorings(bits, member, pads.c | pads.d):
+                        colors = tuple(_ONLY[_mask_at(forced, r)] for r in block)
+                        if any(colors[:i] in dropped for i in range(1, len(block) + 1)):
+                            whole = _propagate_bits(bits, forced, ~wide)
+                            assert whole[0] | whole[1] | whole[2] != everyone
+                            pruned += 1
+        assert min(members.values()) >= 12 and survivors >= 1000 and pruned >= 1000, (
+            members,
+            survivors,
+            pruned,
         )
 
     def test_one_chordality_check_per_padding_call(self, monkeypatch):
