@@ -294,7 +294,8 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     - the fail-first plan decides: the pattern vertex of highest degree
       first, then always the unplaced vertex with the most placed pattern
       neighbors (ties to the higher degree, then to the leftmost), so most
-      placements are pinned by an adjacency to a placed vertex;
+      placements are pinned by an adjacency to a placed vertex; its last
+      vertex is one that an early placement pins (see `_pattern_plans`);
     - the canonical plan picks the witness: the endpoints of the pattern's
       edges in sorted edge order, then the isolated pattern vertices.
 
@@ -304,8 +305,10 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     canonical search runs and its first embedding is the witness. The
     witness is therefore that of a plain backtracking over the canonical
     plan with candidates in ascending rank, whatever the deciding plan.
-    For `Jw:w` and every `J16:k,l` the two plans coincide, so one search
-    runs.
+    The host's tables, the pair check of `_embed` and the plan's ending
+    rule change only which dead branches are cut and how fast, so no
+    witness changes with them. For `Jw:w` and every `J16:k,l` the two
+    plans coincide, so one search runs.
     """
     t = h.n
     if t == 0:
@@ -324,7 +327,15 @@ def _pattern_plans(h: OrderedGraph) -> tuple:
     `contains_pattern`), built on first use and kept on the pattern; one
     object twice when the two orders agree. A plan is its pattern ranks in
     order, each one's later and earlier pattern degree, and `_embed`'s
-    per-step tables."""
+    per-step tables.
+
+    Ending rule of the fail-first plan: when its last vertex has pattern
+    neighbors but none placed before the second-to-last step, its mask is
+    barely narrowed when `_embed`'s pair check probes it. Then the latest
+    earlier vertex with a neighbor placed before it moves to the end, so
+    the last mask is pinned by an early placement: J13's (2,1,3,0,4)
+    becomes (2,1,0,4,3) and J14's (1,2,3,0,4) becomes (1,2,0,4,3). The
+    rule leaves every `Jw:w` and `J16:k,l` plan, and J7's, as it is."""
     if h._plans is None:
         pbits, t = h.adjacency_bits(), h.n
         canonical = []
@@ -341,6 +352,11 @@ def _pattern_plans(h: OrderedGraph) -> tuple:
             )
             first.append(p)
             placed |= 1 << p
+        if pbits[first[-1]] and not pbits[first[-1]] & sum(1 << q for q in first[:-2]):
+            for i in range(t - 2, -1, -1):
+                if pbits[first[i]] & sum(1 << q for q in first[:i]):
+                    first.append(first.pop(i))
+                    break
         plan = _plan_tables(pbits, canonical)
         h._plans = (plan, plan) if first == canonical else (_plan_tables(pbits, first), plan)
     return h._plans
@@ -386,11 +402,18 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
       or an earlier neighbor at or after the first rank open to q (q
       earlier): one AND with a table of `_reach_tables`.
 
-    Both rules only drop ranks that no embedding extending the current
-    placements can use, and candidates are tried in ascending rank, so the
-    search order and the first embedding are those of a plain
-    check-every-placed-vertex backtracking along the same plan: the
-    pruning only skips branches that cannot finish.
+    At the second-to-last level a pair check comes first: some candidate
+    r must have a partner s in the last vertex's mask, or the branch dies
+    at once. The test on a pair, adjacent or not and s before or after r,
+    reads the same from s (adjacency is symmetric, and s after r is r
+    before s), so the check probes whichever mask is smaller; when the
+    candidates are the fewer, the ascending loop below is that probe.
+
+    The rules and the pair check only drop ranks that no embedding
+    extending the current placements can use, and candidates are tried in
+    ascending rank, so the search order and the first embedding are those
+    of a plain check-every-placed-vertex backtracking along the same plan:
+    the pruning only skips branches that cannot finish.
     """
     order, starts, steps, rules = plan
     t = len(order)
@@ -419,6 +442,17 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
                 m &= reach_from[(mq & -mq).bit_length() - 1]
         (linked, before), others = steps[i]
         nxt, rest = masks[1], masks[2:]
+        if i == t - 2 and nxt.bit_count() < m.bit_count():
+            # the pair check from the last vertex's side
+            probe = nxt
+            while probe:
+                low = probe & -probe
+                probe ^= low
+                adj = gbits[low.bit_length() - 1]
+                if m & (adj if linked else ~adj) & (-(low << 1) if before else low - 1):
+                    break
+            else:
+                return False
         while m:
             low = m & -m
             m ^= low
@@ -447,31 +481,39 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
     return None
 
 
-def _at_least(degrees: list, top: int) -> list:
-    """Per d in 0..top, the ranks whose entry in `degrees` is at least d,
-    as a mask."""
-    out = [0] * (top + 1)
-    for r, x in enumerate(degrees):
-        out[min(x, top)] |= 1 << r
+def _degree_masks(g: OrderedGraph) -> tuple:
+    """The degree rule's two tables for g, built on first use and kept on
+    the graph: entry d of the first (second) holds the ranks with at least
+    d later (earlier) neighbors, for d up to the largest such count (a
+    larger pattern degree fits no rank).
+
+    One pass over the ranks puts each rank's bit into the bucket of its
+    later and of its earlier neighbor count; a suffix OR over each bucket
+    list, as long as the largest count, then makes "exactly d" "at least d".
+    """
+    if g._degrees is None:
+        bits = g.adjacency_bits()
+        later, earlier = [0] * (len(bits) + 1), [0] * (len(bits) + 1)
+        top_later = top_earlier = 0
+        for r, b in enumerate(bits):
+            d = (b >> r + 1).bit_count()
+            e = b.bit_count() - d
+            later[d] |= 1 << r
+            earlier[e] |= 1 << r
+            if d > top_later:
+                top_later = d
+            if e > top_earlier:
+                top_earlier = e
+        g._degrees = (_suffix_or(later, top_later), _suffix_or(earlier, top_earlier))
+    return g._degrees
+
+
+def _suffix_or(buckets: list, top: int) -> list:
+    """`buckets[:top + 1]` with each entry ORed with every later one."""
+    out = buckets[: top + 1]
     for d in range(top - 1, -1, -1):
         out[d] |= out[d + 1]
     return out
-
-
-def _degree_masks(g: OrderedGraph) -> tuple:
-    """The degree rule's two tables for g, built on first use and kept on
-    the graph: `_at_least` over each rank's later and over its earlier
-    neighbor count, up to the largest count (a larger pattern degree fits
-    no rank)."""
-    if g._degrees is None:
-        bits = g.adjacency_bits()
-        later = [(b >> r + 1).bit_count() for r, b in enumerate(bits)]
-        earlier = [(b & ((1 << r) - 1)).bit_count() for r, b in enumerate(bits)]
-        g._degrees = (
-            _at_least(later, max(later, default=0)),
-            _at_least(earlier, max(earlier, default=0)),
-        )
-    return g._degrees
 
 
 def _reach_tables(g: OrderedGraph) -> tuple:
@@ -518,10 +560,6 @@ class ListAssignment:
         la = cls.__new__(cls)
         la._lists = lists
         return la
-
-    @classmethod
-    def full(cls, g: OrderedGraph) -> "ListAssignment":
-        return cls({v: COLORS for v in g.vertices})
 
     def get(self, v) -> frozenset:
         try:
@@ -584,7 +622,11 @@ class Instance:
 
     @classmethod
     def with_full_lists(cls, graph: OrderedGraph) -> "Instance":
-        return cls(graph, ListAssignment.full(graph))
+        """Every vertex with the list {1,2,3}; each color bitset holds
+        every rank."""
+        every = (1 << graph.n) - 1
+        lists = ListAssignment._trusted(dict.fromkeys(graph.vertices, _ALL_COLORS))
+        return cls._trusted(graph, lists, (every, every, every))
 
     def __eq__(self, other):
         return (

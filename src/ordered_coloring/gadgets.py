@@ -141,7 +141,7 @@ def gen_h1(nae: NaeInstance, ordering: str) -> GadgetOutput:
                 pos[f"t{j}_{k}"] = offset + slot
             offset += len(occ[i])
 
-    graph = OrderedGraph([(v, p) for v, p in pos.items()], edges)
+    graph = OrderedGraph._from_keys(pos, 1, edges)  # integer positions
     advertised = {
         "t1": ("J3", "neg:J11"),
         "t2": ("J5", "J8"),
@@ -190,7 +190,7 @@ def gen_h2(nae: NaeInstance) -> GadgetOutput:
             pos[f"t{j}_{i}"] = s_pos + 3 * m
         offset += len(occ[i])
 
-    graph = OrderedGraph([(v, p) for v, p in pos.items()], edges)
+    graph = OrderedGraph._from_keys(pos, 1, edges)  # integer positions
     return GadgetOutput(
         instance=Instance.with_full_lists(graph),
         provenance=roles,

@@ -56,11 +56,6 @@ class PadSets:
     d: int
 
 
-def _forward_degree_above_two(bits: tuple, wide: int) -> bool:
-    """Whether some rank in `wide` has three later neighbors in `wide`."""
-    return any((bits[r] & wide & -(2 << r)).bit_count() > 2 for r in _ranks(wide))
-
-
 def _force(has, mask: int, color: int) -> tuple:
     """The bitsets with every rank in `mask` given the one-color list `color`."""
     return tuple(h | mask if i == color - 1 else h & ~mask for i, h in enumerate(has))
@@ -85,9 +80,9 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[tuple]:
     yields propagated lists and drops every guess in which a list empties,
     before narrowing could refuse on it. Members whose lists empty during
     narrowing hold no coloring and are omitted. A narrowing step that
-    runs into the forbidden pattern raises a refusal; a member whose wide
-    set keeps a vertex with three forward wide neighbors is a bug and
-    raises `InternalError`.
+    runs into the forbidden pattern raises a refusal. `_narrow` returns a
+    member only once its own scan finds no wide rank with three later wide
+    neighbors, so no member needs that check again.
 
     Each member is yielded once without a dedup, as two different
     guesses never narrow to the same lists. Take the first color i on
@@ -104,14 +99,10 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[tuple]:
     g = inst.graph
     if has_k4(g):
         return
-    bits = g.adjacency_bits()
     for a_sets, b_sets, has in boundary_guesses(inst, k, l):
         narrowed = _narrow(g, has, a_sets, b_sets)
-        if narrowed is None:
-            continue
-        if _forward_degree_above_two(bits, _wide(narrowed)):
-            raise InternalError("narrowed member has forward degree above two on its wide set")
-        yield narrowed
+        if narrowed is not None:
+            yield narrowed
 
 
 def _narrow(g: OrderedGraph, has: tuple, a_sets: tuple, b_sets: tuple) -> Optional[tuple]:
@@ -287,7 +278,8 @@ def solve_j16(
     color; hence every list coloring of the wide ranks extends, through
     the forced colors, to a proper coloring.
 
-    The witness is validated once, here, against `inst`."""
+    The witness is validated once against `inst`: here, or for a
+    small color class by `solve_small_class`."""
     if reverse:
         mirrored = Instance(inst.graph.reverse(), inst.lists)
         return solve_j16(mirrored, k, l, reverse=False, check_freeness=check_freeness)
@@ -296,9 +288,9 @@ def solve_j16(
         if witness is not None:
             raise RefusalError(f"J16:{k},{l}", witness)
 
-    small = solve_small_class(inst, k + l)
+    small = solve_small_class(inst, k + l)  # validated there
     if small is not None:
-        return checked_witness(small, inst)
+        return small
 
     g = inst.graph
     bits = g.adjacency_bits()

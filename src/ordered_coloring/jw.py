@@ -251,9 +251,9 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
     g = inst.graph
     if has_k4(g):
         return None
-    small = solve_small_class(inst, 2 * w)
+    small = solve_small_class(inst, 2 * w)  # validated there
     if small is not None:
-        return checked_witness(small, inst)
+        return small
     bits = g.adjacency_bits()
     for has in build_sigma_profile(inst, w):
         wide = _wide(has)

@@ -1,5 +1,7 @@
+import functools
 import itertools
 import math
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 from typing import Optional
@@ -18,12 +20,12 @@ from ordered_coloring import (
 )
 from ordered_coloring import core as core_module, rand
 from ordered_coloring.core import (
-    _at_least,
     _degree_masks,
     _maximal_edges,
     _pattern_plans,
     _ranks,
     _reach_tables,
+    _suffix_or,
 )
 from ordered_coloring.gadgets import (
     gen_bipartite,
@@ -377,9 +379,17 @@ class TestPlans:
 
     def test_orders(self):
         # J13: edges (0,4), (1,2), (2,3); rank 2 is the one of degree 2
+        # the fail-first order is (2, 1, 3, 0, 4), but 4's one neighbor, 0,
+        # is placed second to last, so 3, pinned by 2, moves to the end
         first, canonical = _pattern_plans(build_pattern("J13"))
-        assert first[0] == (2, 1, 3, 0, 4)
+        assert first[0] == (2, 1, 0, 4, 3)
         assert canonical[0] == (0, 4, 1, 2, 3)
+        # J14: edges (0,4), (1,2), (1,3); (1, 2, 3, 0, 4) ends likewise
+        first, canonical = _pattern_plans(build_pattern("J14"))
+        assert first[0] == (1, 2, 0, 4, 3)
+        # J7: edges (0,1), (0,3), (2,3); its last vertex, 2, is pinned by 3
+        first, canonical = _pattern_plans(build_pattern("J7"))
+        assert first[0] == (0, 3, 1, 2)
         # J16 mirrored: edges (0,2), (1,2)
         first, canonical = _pattern_plans(build_pattern("neg:J16"))
         assert first[0] == (2, 0, 1)
@@ -411,6 +421,35 @@ class TestPlans:
         assert witness is not None and witness == reference_contains_pattern(host, h)
         assert calls == [first[0], canonical[0]][:plans]
 
+    def test_pair_check(self):
+        # At the second-to-last level the matcher asks whether some
+        # candidate has a partner in the last vertex's mask, and probes from
+        # that mask when it is the smaller one. These two patterns end
+        # their plans on the four (adjacent or not, before or after) kinds
+        # of last step. The hosts are dense enough for small last masks and
+        # sparse enough for pairs to be missing: on this seed the probe runs
+        # from the last vertex's side, with and without a pair, for every
+        # kind.
+        kinds = set()
+        outcomes = set()
+        rng = make_rng(4410)
+        for edges in ([(0, 2), (0, 3), (1, 3)], [(0, 2), (1, 3)]):
+            h = graph({i: i for i in range(4)}, edges)
+            first, canonical = _pattern_plans(h)
+            kinds |= {first[2][-1][0], canonical[2][-1][0]}
+            for _ in range(300):
+                n = rng.randint(6, 12)
+                p = rng.uniform(0.1, 0.6)
+                host = graph(
+                    {i: i for i in range(n)},
+                    [e for e in itertools.combinations(range(n), 2) if rng.random() < p],
+                )
+                fast = contains_pattern(host, h)
+                assert fast == reference_contains_pattern(host, h), (edges, sorted(host.edges, key=sorted))
+                outcomes.add(fast is None)
+        assert kinds == {(0, False), (0, True), (1, False), (1, True)}
+        assert outcomes == {True, False}
+
 
 class TestBoundTables:
     """The matcher's bound rules against their definitions."""
@@ -430,15 +469,23 @@ class TestBoundTables:
                 ]
 
     def test_host_tables_built_once_per_gadget(self, monkeypatch):
-        calls = []
-        at_least = core_module._at_least
-        monkeypatch.setattr(
-            core_module, "_at_least", lambda *args: calls.append(args) or at_least(*args)
-        )
+        # a host's degree and reach tables are built by the first of the
+        # three advertised patterns' searches and kept for the other two
+        builds = []
+        for name, cached in (("_degree_masks", "_degrees"), ("_reach_tables", "_reach")):
+            real = getattr(core_module, name)
+
+            def counting(g, real=real, name=name, cached=cached):
+                if getattr(g, cached) is None:
+                    builds.append((name, id(g)))
+                return real(g)
+
+            monkeypatch.setattr(core_module, name, counting)
         out = gen_h2(random_nae(make_rng(4409), 5, 4))
         assert len(out.advertised_free) == 3
         assert verify_gadget(out).passed
-        assert len(calls) == 2  # the later and the earlier table, once
+        host = id(out.instance.graph)
+        assert sorted(builds) == [("_degree_masks", host), ("_reach_tables", host)]
 
     def test_reach_tables(self):
         rng = make_rng(4405)
@@ -455,13 +502,12 @@ class TestBoundTables:
                     1 << r for r in range(n) if any(bits[r] >> s & 1 for s in range(j, r))
                 )
 
-    def test_at_least(self):
+    def test_suffix_or(self):
         rng = make_rng(4406)
-        degrees = [rng.randint(0, 4) for _ in range(30)]
-        for top in range(6):
-            masks = _at_least(degrees, top)
-            assert masks == [
-                sum(1 << r for r, x in enumerate(degrees) if x >= d) for d in range(top + 1)
+        buckets = [rng.choice((0, 0, rng.getrandbits(30))) for _ in range(8)]
+        for top in range(len(buckets)):
+            assert _suffix_or(buckets, top) == [
+                functools.reduce(operator.or_, buckets[d : top + 1]) for d in range(top + 1)
             ]
 
 

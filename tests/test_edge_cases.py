@@ -143,17 +143,18 @@ class TestWitnessChecks:
         with pytest.raises(InternalError):
             checked_witness(self._everything_color_one(inst), inst)
 
+    @staticmethod
+    def _two_lists_color_one(bits, mask, has):
+        return {r: 1 for r in range(len(bits)) if mask >> r & 1}
+
     def test_jw_small_class_witness(self, monkeypatch):
-        monkeypatch.setattr(
-            "ordered_coloring.jw.solve_small_class", lambda inst, c: self._everything_color_one(inst)
-        )
+        # the small-class stage validates its witness once, for both solvers
+        monkeypatch.setattr("ordered_coloring.kernels._two_lists", self._two_lists_color_one)
         with pytest.raises(InternalError):
             solve_jw(instance({1: 1, 2: 2}, [(1, 2)]), 1, check_freeness=False)
 
     def test_j16_small_class_witness(self, monkeypatch):
-        monkeypatch.setattr(
-            "ordered_coloring.j16.solve_small_class", lambda inst, c: self._everything_color_one(inst)
-        )
+        monkeypatch.setattr("ordered_coloring.kernels._two_lists", self._two_lists_color_one)
         with pytest.raises(InternalError):
             solve_j16(instance({1: 1, 2: 2}, [(1, 2)]), 1, 0)
 
@@ -182,13 +183,6 @@ class TestMemberChecks:
     """The per-member structural lemmas of `solve_j16` are explicit checks
     that raise `InternalError`, also under `python -O`; here their input is
     broken on purpose."""
-
-    def test_forward_degree_check(self, monkeypatch):
-        # without narrowing, a star's center keeps three wide forward neighbors
-        monkeypatch.setattr("ordered_coloring.j16._narrow", lambda g, has, a_sets, b_sets: has)
-        star = instance({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
-        with pytest.raises(InternalError):
-            list(_fwdnbr_members(star, 0, 0))
 
     def test_chordal_remainder_check(self, monkeypatch):
         # with an empty boundary block nothing gets forced, so the wide

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from ordered_coloring import (
+    Coloring,
     InputError,
     Instance,
     InternalError,
@@ -307,6 +308,22 @@ class TestCli:
         _, inst = parse_instance("vtx a 5/2\nvtx b 3\n")
         inst.graph.position("b")
         assert len(built) == 2
+
+    @pytest.mark.parametrize("alg", ["oracle", "2sat", "chordal", "jw", "j16"])
+    def test_witness_validated_once(self, tmp_path, monkeypatch, alg):
+        # a path with two-color lists suits every algorithm: chordal, free
+        # of Jw:1 and J16:0,0, and colorable
+        calls = []
+        real = Coloring.validates
+        monkeypatch.setattr(Coloring, "validates", lambda self, inst: calls.append(1) or real(self, inst))
+        path = tmp_path / "path.og"
+        path.write_text(
+            "ograph path\nvtx a 1\nvtx b 2\nvtx c 3\nedg a b\nedg b c\nlst a 12\nlst b 23\nlst c 12\n",
+            encoding="utf-8",
+        )
+        code, out = run_cli(tmp_path, "solve", str(path), "--alg", alg)
+        assert code == 0 and "verdict colorable" in out
+        assert len(calls) == 1
 
     def test_refusal_exit_code(self, tmp_path):
         path = tmp_path / "jw1.og"

@@ -177,6 +177,31 @@ class TestProfileFwdnbr:
                     fwd = g.adjacency_bits()[r] & wide & -(2 << r)
                     assert fwd.bit_count() <= 2
 
+    def test_every_member_has_wide_forward_degree_at_most_two(self, monkeypatch):
+        # `_narrow` yields a member only once its scan finds no wide rank
+        # with three later wide neighbors. Pattern-free draws are already
+        # narrow after guessing; planted forks (members up to a refusal)
+        # take the narrowing's forcing steps, which are counted
+        steps = []
+        real = j16._force
+        monkeypatch.setattr(j16, "_force", lambda *args: steps.append(1) or real(*args))
+        rng = make_rng(75)
+        members = 0
+        for k, l in itertools.product(range(3), repeat=2):
+            for t in range(40):
+                n = rng.randint(4, 10)
+                if t % 2:
+                    inst = _forked_instance(rng, n)
+                else:
+                    inst = random_j16free_instance(rng, k, l, n, rng.uniform(0.3, 1.0))
+                bits = inst.graph.adjacency_bits()
+                for has in _collect(_fwdnbr_members(inst, k, l))[0]:
+                    wide = _wide(has)
+                    for r in _ranks(wide):
+                        assert (bits[r] & wide & -(2 << r)).bit_count() <= 2
+                    members += 1
+        assert members >= 100 and len(steps) >= 10, (members, len(steps))
+
     def test_big_class_coloring_lands_in_a_member(self):
         rng = make_rng(74)
         checked = 0
