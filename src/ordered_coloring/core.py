@@ -13,7 +13,9 @@ operation is a pure function.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import accumulate
 from math import gcd, lcm
+from operator import or_
 from typing import Iterable, Mapping, Optional
 
 from .errors import InputError, InternalError
@@ -305,10 +307,11 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     canonical search runs and its first embedding is the witness. The
     witness is therefore that of a plain backtracking over the canonical
     plan with candidates in ascending rank, whatever the deciding plan.
-    The host's tables, the pair check of `_embed` and the plan's ending
-    rule change only which dead branches are cut and how fast, so no
-    witness changes with them. For `Jw:w` and every `J16:k,l` the two
-    plans coincide, so one search runs.
+    The host's tables (the degree rule's, and the two-sided range rule's
+    four), the pair check of `_embed` and the plan's ending rule change
+    only which dead branches are cut and how fast, so no witness changes
+    with them. For `Jw:w` and every `J16:k,l` the two plans coincide, so
+    one search runs.
     """
     t = h.n
     if t == 0:
@@ -398,9 +401,12 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
       room for the pattern vertices before and after it;
     - range rule, at every level after the first: for each unplaced
       pattern neighbor q of the vertex being placed, a candidate needs a
-      later neighbor at or before the last rank still open to q (q later),
-      or an earlier neighbor at or after the first rank open to q (q
-      earlier): one AND with a table of `_reach_tables`.
+      neighbor between the first and the last rank still open to q. Two
+      tables of `_reach_tables` test the two ends: when q is later, a
+      later neighbor at or before the last open rank and a last neighbor
+      at or after the first; when q is earlier, an earlier neighbor at or
+      after the first open rank and a first neighbor at or before the
+      last. One AND with each.
 
     At the second-to-last level a pair check comes first: some candidate
     r must have a partner s in the last vertex's mask, or the branch dies
@@ -436,10 +442,11 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
             return True
         for j, after in rules[i]:
             mq = masks[j]
+            lo, hi = (mq & -mq).bit_length() - 1, mq.bit_length() - 1
             if after:
-                m &= reach_by[mq.bit_length() - 1]
+                m &= reach_by[hi] & last_from[lo]
             else:
-                m &= reach_from[(mq & -mq).bit_length() - 1]
+                m &= reach_from[lo] & first_by[hi]
         (linked, before), others = steps[i]
         nxt, rest = masks[1], masks[2:]
         if i == t - 2 and nxt.bit_count() < m.bit_count():
@@ -475,7 +482,7 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
 
     if not all(masks):
         return None
-    reach_by, reach_from = _reach_tables(g) if any(rules) else ((), ())
+    reach_by, reach_from, last_from, first_by = _reach_tables(g) if any(rules) else ((),) * 4
     if extend(0, masks):
         return frozenset(g.vertices[r] for r in found)
     return None
@@ -517,25 +524,28 @@ def _suffix_or(buckets: list, top: int) -> list:
 
 
 def _reach_tables(g: OrderedGraph) -> tuple:
-    """The range rule's two tables for g, built in O(n) on first use and
+    """The range rule's four tables for g, built in O(n) on first use and
     kept on the graph: `reach_by[j]` holds the ranks r with a later
     neighbor in (r, j], `reach_from[j]` the ranks r with an earlier
-    neighbor in [j, r)."""
+    neighbor in [j, r), `last_from[j]` the ranks with a neighbor at or
+    after j and `first_by[j]` the ranks with a neighbor at or before j.
+
+    Adjacency is symmetric: r has a neighbor s at or before j exactly when
+    r is in the mask of some rank s <= j, and that s is later than r
+    exactly when r is in the earlier part of s's mask. So each table is a
+    running OR of the adjacency masks, or of their earlier (later) parts,
+    from the first rank (from the last) on.
+    """
     if g._reach is None:
-        bits, n = g.adjacency_bits(), g.n
-        by, since = [0] * n, [0] * n
-        for r, b in enumerate(bits):
-            up = b >> r + 1
-            if up:
-                by[r + (up & -up).bit_length()] |= 1 << r
-            down = b & ((1 << r) - 1)
-            if down:
-                since[down.bit_length() - 1] |= 1 << r
-        for j in range(1, n):
-            by[j] |= by[j - 1]
-        for j in range(n - 2, -1, -1):
-            since[j] |= since[j + 1]
-        g._reach = (tuple(by), tuple(since))
+        bits = g.adjacency_bits()
+        earlier = [b & ((1 << s) - 1) for s, b in enumerate(bits)]
+        later = [b ^ e for b, e in zip(bits, earlier)]
+        g._reach = (
+            tuple(accumulate(earlier, or_)),
+            tuple(accumulate(reversed(later), or_))[::-1],
+            tuple(accumulate(reversed(bits), or_))[::-1],
+            tuple(accumulate(bits, or_)),
+        )
     return g._reach
 
 

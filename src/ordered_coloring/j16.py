@@ -26,6 +26,7 @@ from .core import (
     Coloring,
     Instance,
     OrderedGraph,
+    _degree_masks,
     _ranks,
     checked_witness,
     contains_pattern,
@@ -115,15 +116,19 @@ def _narrow(g: OrderedGraph, has: tuple, a_sets: tuple, b_sets: tuple) -> Option
     Each step takes the first wide rank v with three later wide
     neighbors, the first nonadjacent pair u, w among those neighbors and
     the first other one, x (all by rank); it forces one-color lists on
-    u and w or on v, and `_propagate_bits` strikes their colors."""
+    u and w or on v, and `_propagate_bits` strikes their colors. Such a v
+    has three later neighbors in g, so the scan walks only the wide ranks
+    of the degree table's entry 3 (`core._degree_masks`)."""
     bits = g.adjacency_bits()
     order = g.vertices
     everyone = (1 << len(order)) - 1
+    later_at_least = _degree_masks(g)[0]
+    three = later_at_least[3] if len(later_at_least) > 3 else 0
     while True:
         if has[0] | has[1] | has[2] != everyone:
             return None
         wide = _wide(has)
-        for v in _ranks(wide):
+        for v in _ranks(wide & three):
             fwd = bits[v] & wide & -(2 << v)
             if fwd.bit_count() >= 3:
                 break

@@ -9,7 +9,7 @@ from __future__ import annotations
 import itertools
 from typing import Iterator, Optional
 
-from .core import COLORS, Coloring, Instance, OrderedGraph, _ranks, checked_witness
+from .core import COLORS, Coloring, Instance, OrderedGraph, _degree_masks, _ranks, checked_witness
 from .errors import PreconditionError
 
 _ONLY = {1: 1, 2: 2, 4: 3}  # singleton mask -> its color
@@ -360,10 +360,18 @@ def solve_small_class(inst: Instance, c: int) -> Optional[Coloring]:
 def has_k4(g: OrderedGraph) -> bool:
     """True iff some four vertices are pairwise adjacent: for each edge
     a < b, the common neighbors after b are tested for an edge among
-    them. Walks set bits only."""
+    them. Walks set bits only.
+
+    The first rank a of a 4-clique has at least three later neighbors, so
+    only the ranks of the degree table's entry 3 (`core._degree_masks`,
+    cached on g; none when the table is shorter) are tried as a."""
     bits = g.adjacency_bits()
-    for a, ba in enumerate(bits):
-        later = ba >> (a + 1) << (a + 1)
+    later_at_least = _degree_masks(g)[0]
+    if len(later_at_least) <= 3:
+        return False
+    for a in _ranks(later_at_least[3]):
+        ba = bits[a]
+        later = ba & -(2 << a)
         while later:
             low = later & -later
             later ^= low

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -45,6 +46,129 @@ def brute_contains(g: OrderedGraph, h: OrderedGraph):
     for combo in itertools.combinations(g.vertices, h.n):
         if is_isomorphic(g.induced(combo), h):
             return frozenset(combo)
+    return None
+
+
+def reference_contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
+    """The matcher before forward checking, kept as the reference for the
+    differential tests: a witness X with G[X] order-isomorphic to H, or
+    None if G is H-free.
+
+    Backtracking anchored on the pattern's edges: edge endpoints are matched
+    by iterating host edges inside the position window allowed so far, and
+    isolated pattern vertices are filled in last. Exact (induced) adjacency
+    against every already-matched vertex is enforced at each step.
+    """
+    t = h.n
+    if t == 0:
+        return frozenset()
+    if t > g.n:
+        return None
+
+    horder = h.vertices
+    hpos = {v: i for i, v in enumerate(horder)}
+    padj = [[False] * t for _ in range(t)]
+    pedges = []
+    for e in h.edges:
+        a, b = sorted((hpos[x] for x in e))
+        padj[a][b] = padj[b][a] = True
+        pedges.append((a, b))
+    pedges.sort()
+
+    gbits = g.adjacency_bits()
+    gorder = g.vertices
+    n = g.n
+    # host edges as rank pairs, sorted by left rank for windowed iteration
+    hedges = sorted(
+        tuple(sorted(g.rank(x) for x in e)) for e in g.edges
+    )
+    hlefts = [a for a, _ in hedges]
+
+    plan = []
+    placed = set()
+    for a, b in pedges:
+        if a not in placed and b not in placed:
+            plan.append(("pair", a, b))
+        elif a in placed and b not in placed:
+            plan.append(("one", a, b))
+        elif b in placed and a not in placed:
+            plan.append(("one", b, a))
+        # both placed: adjacency was enforced when the later one was placed
+        placed.add(a)
+        placed.add(b)
+    for i in range(t):
+        if i not in placed:
+            plan.append(("free", i))
+
+    assignment: dict[int, int] = {}
+
+    def window(p: int) -> tuple[int, int]:
+        lo, hi = -1, n
+        for q, r in assignment.items():
+            if q < p and r > lo:
+                lo = r
+            elif q > p and r < hi:
+                hi = r
+        return lo, hi
+
+    def fits(p: int, r: int) -> bool:
+        row = padj[p]
+        bits = gbits[r]
+        for q, s in assignment.items():
+            if (q < p) != (s < r):
+                return False
+            if row[q] != bool(bits >> s & 1):
+                return False
+        return True
+
+    def step(si: int) -> bool:
+        if si == len(plan):
+            return True
+        kind = plan[si][0]
+        if kind == "pair":
+            _, a, b = plan[si]
+            lo_a, hi_a = window(a)
+            i0 = bisect_right(hlefts, lo_a)
+            for idx in range(i0, len(hedges)):
+                ra, rb = hedges[idx]
+                if ra >= hi_a:
+                    break
+                if not fits(a, ra):
+                    continue
+                assignment[a] = ra
+                if fits(b, rb):
+                    assignment[b] = rb
+                    if step(si + 1):
+                        return True
+                    del assignment[b]
+                del assignment[a]
+            return False
+        if kind == "one":
+            _, a, b = plan[si]
+            anchor = assignment[a]
+            bits = gbits[anchor]
+            m = bits
+            while m:
+                r = (m & -m).bit_length() - 1
+                m &= m - 1
+                if fits(b, r):
+                    assignment[b] = r
+                    if step(si + 1):
+                        return True
+                    del assignment[b]
+            return False
+        _, p = plan[si]
+        lo, hi = window(p)
+        for r in range(lo + 1, hi):
+            if fits(p, r):
+                assignment[p] = r
+                if step(si + 1):
+                    return True
+                del assignment[p]
+        return False
+
+    if step(0):
+        return frozenset(gorder[r] for r in assignment.values())
     return None
 
 
@@ -573,10 +697,14 @@ def reference_fwdnbr_members(inst: Instance, k: int, l: int):
     `kernels.boundary_guesses` becomes an `Instance` narrowed on frozenset
     lists with `reference_propagation`, and members are deduplicated on
     their lists. Yields the members as instances, in order; a refusal
-    raises `RefusalError` with the pattern and witness of the package's."""
-    if has_k4(inst.graph):
-        return
+    raises `RefusalError` with the pattern and witness of the package's.
+    A 4-clique is looked for among every four vertices."""
     g = inst.graph
+    if any(
+        all(g.has_edge(a, b) for a, b in itertools.combinations(four, 2))
+        for four in itertools.combinations(g.vertices, 4)
+    ):
+        return
     seen = set()
     for a_sets, b_sets, has in boundary_guesses(inst, k, l):
         narrowed = _reference_narrow(Instance(g, lists_from_bits(g.vertices, has)), a_sets, b_sets)
@@ -599,6 +727,8 @@ def wide_set(inst: Instance) -> list:
 
 
 def _reference_narrow(inst: Instance, a_sets: tuple, b_sets: tuple):
+    """Narrowing on frozenset lists; each step scans every wide vertex for
+    the first with three later wide neighbors."""
     g = inst.graph
     current = inst
     while True:

@@ -1,10 +1,10 @@
 import functools
+import inspect
 import itertools
 import math
 import operator
-from bisect import bisect_right
+import sys
 from fractions import Fraction
-from typing import Optional
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -53,6 +53,7 @@ from conftest import (
     positions_fuzzed,
     rank_normalized,
     reference_color_bits,
+    reference_contains_pattern,
     reference_maximal_edges,
     small_source_graphs,
     span_and_left,
@@ -127,129 +128,6 @@ class TestIsomorphism:
     def test_same_size_different_shape(self):
         # both have four vertices and two edges, but the sorted edge sets differ
         assert not is_isomorphic(build_pattern("J10"), build_pattern("J12"))
-
-
-def reference_contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
-    """The matcher before forward checking, kept as the reference for the
-    differential tests: a witness X with G[X] order-isomorphic to H, or
-    None if G is H-free.
-
-    Backtracking anchored on the pattern's edges: edge endpoints are matched
-    by iterating host edges inside the position window allowed so far, and
-    isolated pattern vertices are filled in last. Exact (induced) adjacency
-    against every already-matched vertex is enforced at each step.
-    """
-    t = h.n
-    if t == 0:
-        return frozenset()
-    if t > g.n:
-        return None
-
-    horder = h.vertices
-    hpos = {v: i for i, v in enumerate(horder)}
-    padj = [[False] * t for _ in range(t)]
-    pedges = []
-    for e in h.edges:
-        a, b = sorted((hpos[x] for x in e))
-        padj[a][b] = padj[b][a] = True
-        pedges.append((a, b))
-    pedges.sort()
-
-    gbits = g.adjacency_bits()
-    gorder = g.vertices
-    n = g.n
-    # host edges as rank pairs, sorted by left rank for windowed iteration
-    hedges = sorted(
-        tuple(sorted(g.rank(x) for x in e)) for e in g.edges
-    )
-    hlefts = [a for a, _ in hedges]
-
-    plan = []
-    placed = set()
-    for a, b in pedges:
-        if a not in placed and b not in placed:
-            plan.append(("pair", a, b))
-        elif a in placed and b not in placed:
-            plan.append(("one", a, b))
-        elif b in placed and a not in placed:
-            plan.append(("one", b, a))
-        # both placed: adjacency was enforced when the later one was placed
-        placed.add(a)
-        placed.add(b)
-    for i in range(t):
-        if i not in placed:
-            plan.append(("free", i))
-
-    assignment: dict[int, int] = {}
-
-    def window(p: int) -> tuple[int, int]:
-        lo, hi = -1, n
-        for q, r in assignment.items():
-            if q < p and r > lo:
-                lo = r
-            elif q > p and r < hi:
-                hi = r
-        return lo, hi
-
-    def fits(p: int, r: int) -> bool:
-        row = padj[p]
-        bits = gbits[r]
-        for q, s in assignment.items():
-            if (q < p) != (s < r):
-                return False
-            if row[q] != bool(bits >> s & 1):
-                return False
-        return True
-
-    def step(si: int) -> bool:
-        if si == len(plan):
-            return True
-        kind = plan[si][0]
-        if kind == "pair":
-            _, a, b = plan[si]
-            lo_a, hi_a = window(a)
-            i0 = bisect_right(hlefts, lo_a)
-            for idx in range(i0, len(hedges)):
-                ra, rb = hedges[idx]
-                if ra >= hi_a:
-                    break
-                if not fits(a, ra):
-                    continue
-                assignment[a] = ra
-                if fits(b, rb):
-                    assignment[b] = rb
-                    if step(si + 1):
-                        return True
-                    del assignment[b]
-                del assignment[a]
-            return False
-        if kind == "one":
-            _, a, b = plan[si]
-            anchor = assignment[a]
-            bits = gbits[anchor]
-            m = bits
-            while m:
-                r = (m & -m).bit_length() - 1
-                m &= m - 1
-                if fits(b, r):
-                    assignment[b] = r
-                    if step(si + 1):
-                        return True
-                    del assignment[b]
-            return False
-        _, p = plan[si]
-        lo, hi = window(p)
-        for r in range(lo + 1, hi):
-            if fits(p, r):
-                assignment[p] = r
-                if step(si + 1):
-                    return True
-                del assignment[p]
-        return False
-
-    if step(0):
-        return frozenset(gorder[r] for r in assignment.values())
-    return None
 
 
 CATALOG_IDS = (
@@ -349,6 +227,28 @@ class TestMatcherDifferential:
                 assert fast == reference_contains_pattern(host, h)
                 found += fast is not None
         assert 0 < found < 20
+
+    def test_gadgets_every_catalog_id(self):
+        # the hosts on which the two-sided range rule prunes: gen_h1 and
+        # gen_h2 builds of seeded NAE sources, as built and with one and
+        # two planted edges, against every catalog id (mirrored ones
+        # included); the h2 patterns and their mirrors are found on some
+        # hosts and absent from others
+        rng = make_rng(4411)
+        patterns = [build_pattern(pid) for pid in CATALOG_IDS]
+        watched = ("J7", "J13", "J14", "neg:J7", "neg:J13", "neg:J14")
+        outcomes = {pid: set() for pid in watched}
+        for _ in range(8):
+            nae = random_nae(rng, rng.randint(4, 6), rng.randint(3, 8))
+            for out in [gen_h1(nae, o) for o in ("t1", "t2", "t3")] + [gen_h2(nae)]:
+                g = out.instance.graph
+                planted = with_planted_edge(rng, g)
+                for host in (g, planted, with_planted_edge(rng, planted)):
+                    for pid, h in zip(CATALOG_IDS, patterns):
+                        fast = contains_pattern(host, h)
+                        assert fast == reference_contains_pattern(host, h), (pid, nae)
+                        outcomes.get(pid, set()).add(fast is None)
+        assert all(seen == {True, False} for seen in outcomes.values()), outcomes
 
     @pytest.mark.parametrize("pid", CATALOG_IDS + ["Jw:3", "J16:2,2", "neg:J16:2,1"])
     def test_each_id_found_and_free(self, pid):
@@ -487,12 +387,33 @@ class TestBoundTables:
         host = id(out.instance.graph)
         assert sorted(builds) == [("_degree_masks", host), ("_reach_tables", host)]
 
+    def test_two_sided_range_rule_on_h2(self, monkeypatch):
+        # J13's fail-first plan places (2, 1, 0, 4, 3). On an h2 gadget the
+        # two-sided range rule leaves its third level no candidate, so no
+        # search places a third pattern vertex; with the two new tables
+        # made all-ones, the one-sided rule leaves it hundreds
+        h = build_pattern("J13")
+        first, _ = _pattern_plans(h)
+        hosts = [gen_h2(random_nae(make_rng(4412 + s), 8, 12)).instance.graph for s in range(3)]
+        assert all(contains_pattern(g, h) is None for g in hosts)
+        assert [_third_level_tries(g, first) for g in hosts] == [0, 0, 0]
+
+        real = core_module._reach_tables
+
+        def one_sided(g):
+            reach_by, reach_from, last_from, first_by = real(g)
+            return reach_by, reach_from, (-1,) * g.n, (-1,) * g.n
+
+        monkeypatch.setattr(core_module, "_reach_tables", one_sided)
+        assert all(contains_pattern(g, h) is None for g in hosts)
+        assert min(_third_level_tries(g, first) for g in hosts) >= 100
+
     def test_reach_tables(self):
         rng = make_rng(4405)
         for _ in range(80):
             g = random_ordered_graph(rng, rng.randint(1, 24), rng.random())
             n, bits = g.n, g.adjacency_bits()
-            reach_by, reach_from = _reach_tables(g)
+            reach_by, reach_from, last_from, first_by = _reach_tables(g)
             assert _reach_tables(g) is _reach_tables(g)
             for j in range(n):
                 assert reach_by[j] == sum(
@@ -500,6 +421,12 @@ class TestBoundTables:
                 )
                 assert reach_from[j] == sum(
                     1 << r for r in range(n) if any(bits[r] >> s & 1 for s in range(j, r))
+                )
+                assert last_from[j] == sum(
+                    1 << r for r in range(n) if any(bits[r] >> s & 1 for s in range(j, n))
+                )
+                assert first_by[j] == sum(
+                    1 << r for r in range(n) if any(bits[r] >> s & 1 for s in range(j + 1))
                 )
 
     def test_suffix_or(self):
@@ -509,6 +436,33 @@ class TestBoundTables:
             assert _suffix_or(buckets, top) == [
                 functools.reduce(operator.or_, buckets[d : top + 1]) for d in range(top + 1)
             ]
+
+
+def _third_level_tries(g: OrderedGraph, plan: tuple) -> int:
+    """How many candidates `_embed`'s search along `plan` tries for its
+    third pattern vertex: traced runs of the line that starts a
+    candidate's narrowing, in the frames of level 2."""
+    lines, start = inspect.getsourcelines(core_module._embed)
+    marker = start + next(i for i, line in enumerate(lines) if "below, above = low - 1" in line)
+    tries = 0
+
+    def trace(frame, event, arg):
+        if event != "call" or frame.f_code.co_name != "extend" or frame.f_locals["i"] != 2:
+            return None
+
+        def count(frame, event, arg):
+            nonlocal tries
+            tries += event == "line" and frame.f_lineno == marker
+            return count
+
+        return count
+
+    sys.settrace(trace)
+    try:
+        core_module._embed(g, plan)
+    finally:
+        sys.settrace(None)
+    return tries
 
 
 class TestContainsPattern:

@@ -330,6 +330,21 @@ class TestNarrowingDifferential:
         counts = self._run(draws, monkeypatch)
         assert min(counts.values()) >= 20, counts
 
+    def test_planted_forks_every_padding(self, monkeypatch):
+        # `_narrow` looks for its next center only among the ranks with
+        # three later neighbors in g; the reference scans every wide
+        # vertex. The planted-fork draws of `TestProfileFwdnbr` for every
+        # (k,l) in {0,1,2}^2 take the narrowing's forcing steps on both
+        # the pair and the center, and some refuse
+        rng = make_rng(3200)
+        draws = [
+            (_forked_instance(rng, rng.randint(4, 10)), k, l)
+            for k, l in itertools.product(range(3), repeat=2)
+            for _ in range(60)
+        ]
+        counts = self._run(draws, monkeypatch)
+        assert min(counts.values()) >= 10, counts
+
 
 class TestChordalize:
     """Boundary padding: `pad_sets` and `_chordalize_members`."""

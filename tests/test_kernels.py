@@ -410,6 +410,46 @@ class TestHasK4:
             )
             assert has_k4(g) == expected
 
+    def test_dense_graphs_and_the_degree_table_boundary(self):
+        # `has_k4` tries only ranks with three later neighbors as a
+        # clique's first rank. Dense draws up to n=12, then the boundary:
+        # a 4-clique planted into a K4-free graph, its first rank left with
+        # exactly its three clique partners as later neighbors, and the
+        # near miss with one edge among those partners taken out again
+        rng = make_rng(39)
+        dense = {True: 0, False: 0}
+        boundary = misses = 0
+        for _ in range(150):
+            n = rng.randint(4, 12)
+            p = rng.uniform(0.4, 0.95)
+            edges = {e for e in itertools.combinations(range(n), 2) if rng.random() < p}
+            expected = bool(_k4s(n, edges))
+            assert has_k4(graph({i: i for i in range(n)}, edges)) == expected
+            dense[expected] += 1
+            while cliques := _k4s(n, edges):
+                edges.discard(rng.choice(list(itertools.combinations(cliques[0], 2))))
+            a, *partners = sorted(rng.sample(range(n), 4))
+            edges = {(x, y) for x, y in edges if x != a} | set(
+                itertools.combinations([a] + partners, 2)
+            )
+            cliques = _k4s(n, edges)
+            assert has_k4(graph({i: i for i in range(n)}, edges))
+            later = [sum(x == r for x, _ in edges) for r in range(n)]
+            boundary += all(later[q[0]] == 3 for q in cliques)
+            edges.discard(tuple(sorted(rng.sample(partners, 2))))
+            expected = bool(_k4s(n, edges))
+            assert has_k4(graph({i: i for i in range(n)}, edges)) == expected
+            misses += not expected
+        assert min(dense.values()) >= 10 and boundary >= 50 and misses >= 50, (dense, boundary, misses)
+
+
+def _k4s(n: int, edges: set) -> list:
+    """The 4-cliques of the graph on ranks 0..n-1 with edges (x, y),
+    x < y, as rank tuples, by brute force."""
+    return [
+        q for q in itertools.combinations(range(n), 4) if set(itertools.combinations(q, 2)) <= edges
+    ]
+
 
 def has_long_induced_cycle(g):
     """Brute scan for an induced cycle of length at least four."""
