@@ -199,13 +199,24 @@ class OrderedGraph:
     # -- structural operations --------------------------------------------
 
     def induced(self, xs) -> "OrderedGraph":
-        """The order-preserving induced subgraph on vertex set `xs`."""
-        xs = set(xs)
-        for v in xs:
-            if v not in self._rank:
+        """The order-preserving induced subgraph on vertex set `xs`.
+
+        The kept ranks keep their order, so the subgraph's order is read
+        off the parent's with no sort, and each kept rank's adjacency
+        bits are remapped to the new ranks."""
+        rank = self._rank
+        kept = 0
+        for v in set(xs):
+            r = rank.get(v)
+            if r is None:
                 raise InputError(f"unknown vertex {v!r}")
-        keys, den = _least_denominator({v: self._keys[v] for v in xs}, self._den)
-        return OrderedGraph._from_keys(keys, den, self._edge_pairs(sum(1 << self._rank[v] for v in xs)))
+            kept |= 1 << r
+        ranks = list(_ranks(kept))
+        order = tuple(self._order[r] for r in ranks)
+        keys, den = _least_denominator({v: self._keys[v] for v in order}, self._den)
+        to_new = {r: i for i, r in enumerate(ranks)}
+        bits = tuple(sum(1 << to_new[s] for s in _ranks(self._bits[r] & kept)) for r in ranks)
+        return OrderedGraph._trusted(keys, den, order, {v: i for i, v in enumerate(order)}, bits)
 
     def reverse(self) -> "OrderedGraph":
         """Same vertices and edges with every position negated."""
@@ -683,29 +694,27 @@ class Coloring:
     def __len__(self):
         return len(self._assignment)
 
-    def is_proper(self, g: OrderedGraph) -> bool:
-        """No edge of g has both ends colored alike, tested per color on
-        the graph's adjacency bits."""
-        classes = {c: 0 for c in COLORS}
-        colored = []
-        for r, v in enumerate(g.vertices):
-            c = self._assignment.get(v)
-            if c is not None:
-                classes[c] |= 1 << r
-                colored.append((r, c))
-        bits = g.adjacency_bits()
-        return not any(bits[r] & classes[c] for r, c in colored)
-
-    def respects(self, lists: ListAssignment) -> bool:
-        return all(c in lists.get(v) for v, c in self._assignment.items())
-
     def validates(self, inst: Instance) -> bool:
-        """Total, proper, and list-respecting for the given instance."""
-        return (
-            self.domain() == frozenset(inst.graph.vertices)
-            and self.is_proper(inst.graph)
-            and self.respects(inst.lists)
-        )
+        """Total, proper, and list-respecting for the given instance.
+
+        One pass over the assignment puts each vertex's rank into its
+        color's class bitset and its neighbors into that color's
+        neighborhood bitset. The coloring is total when it colors as many
+        vertices as the graph has and each has a rank there; proper when
+        no class meets its neighborhood; and it respects the lists when
+        each class lies within its color's bitset of `inst.color_bits`."""
+        g = inst.graph
+        rank, bits = g._rank, g.adjacency_bits()
+        if len(self._assignment) != len(rank):
+            return False
+        classes, near = [0, 0, 0], [0, 0, 0]
+        for v, c in self._assignment.items():
+            r = rank.get(v)
+            if r is None:
+                return False
+            classes[c - 1] |= 1 << r
+            near[c - 1] |= bits[r]
+        return not any(cls & (adj | ~has) for cls, adj, has in zip(classes, near, inst.color_bits))
 
     def __eq__(self, other):
         return isinstance(other, Coloring) and self._assignment == other._assignment

@@ -33,7 +33,6 @@ from .core import (
 )
 from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
-    _ONLY,
     _TUPLES,
     _chordal_coloring,
     _list_colorings,
@@ -315,10 +314,12 @@ def solve_j16(
 def _finish_member(g: OrderedGraph, has: tuple) -> Optional[Coloring]:
     """List color the member's wide set with `_chordal_coloring` on g's
     adjacency bits, restricted to the wide ranks, then extend by the
-    forced colors. The member has no empty list. A wide set that is not
-    chordal is a bug and raises `InternalError`, also under `python -O`.
-    The coloring is not validated here: `solve_j16` checks its witness
-    against its own instance, whose lists contain the member's."""
+    forced colors in rank order, read off the bitsets: a one-color rank
+    in `has[1]` takes color 2, in `has[2]` color 3, otherwise color 1.
+    The member has no empty list. A wide set that is not chordal is a bug
+    and raises `InternalError`, also under `python -O`. The coloring is
+    not validated here: `solve_j16` checks its witness against its own
+    instance, whose lists contain the member's."""
     order = g.vertices
     wide = _wide(has)
     assignment = {}
@@ -330,6 +331,7 @@ def _finish_member(g: OrderedGraph, has: tuple) -> Optional[Coloring]:
         if ranks is None:
             return None
         assignment = {order[r]: c for r, c in ranks.items()}
+    _, h1, h2 = has
     for r in _ranks(((1 << len(order)) - 1) & ~wide):
-        assignment[order[r]] = _ONLY[_mask_at(has, r)]
+        assignment[order[r]] = 1 + (h1 >> r & 1) + 2 * (h2 >> r & 1)
     return Coloring(assignment)

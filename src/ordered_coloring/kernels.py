@@ -102,7 +102,13 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
                     continue
                 yield from place(i + 1, nxt, used | chosen, picks + ((f, s),))
 
-    yield from place(0, has0, 0, ())
+    try:
+        yield from place(0, has0, 0, ())
+    finally:
+        # `place` refers to itself through its closure: dropping the name
+        # breaks that cycle, so a caller that stops early frees the instance
+        # now, not at the next cyclic collection
+        del place
 
 
 def _stable_sets(adj: tuple, mask: int, size: int) -> Iterator[tuple]:
@@ -385,50 +391,115 @@ def has_k4(g: OrderedGraph) -> bool:
     return False
 
 
-def _mcs_peo(bits: tuple, mask: int) -> Optional[list]:
+def _mcs_peo(bits: tuple, mask: int) -> Optional[tuple]:
     """Maximum cardinality search on the ranks in `mask`, with neighbors
-    `bits[r] & mask`: the ranks as a perfect elimination ordering, or None
-    when they induce a graph that is not chordal (Tarjan and Yannakakis,
-    SIAM J. Comput. 1984).
+    `bits[r] & mask` (Tarjan and Yannakakis, SIAM J. Comput. 1984). Returns
+    None when the ranks induce a graph that is not chordal, and otherwise
+    (visit, heads, tails, third), with the elimination slots recorded as
+    each rank is numbered:
+
+    - `visit`: the ranks in the order they are numbered, the reverse of a
+      perfect elimination ordering, so visit index t is elimination
+      position len(visit) - 1 - t;
+    - `heads[t]`, `tails[t]`: the visit indices of rank `visit[t]`'s
+      earliest later neighbor in the elimination ordering and of its one
+      other later neighbor, -1 where there is none;
+    - `third`: whether some rank has three or more later neighbors.
 
     `bucket[w]` holds the unnumbered ranks with w numbered neighbors; the
     next rank is the lowest of the highest non-empty bucket, so ties go to
     the lowest position. When v is numbered, its numbered neighbors are
     its later neighbors in the ordering, and the last of them to be
-    numbered, p, is the earliest; the others must all be adjacent to p.
-    That parent-pointer test holds for every vertex exactly when the
-    ordering is perfect. O(n + m) int operations.
+    numbered, its parent p, is the earliest; the others must all be
+    adjacent to p. That parent-pointer test holds for every vertex exactly
+    when the ordering is perfect. O(n + m) int operations.
     """
-    bucket = [mask]
-    weight = [0] * len(bits)
-    parent = [0] * len(bits)  # rank -> its last-numbered neighbor so far
-    reverse_order = []
+    size, count = len(bits), mask.bit_count()
+    bucket = [mask] + [0] * count  # a weight is at most the count numbered
+    weight = [0] * size
+    parent = [0] * size  # rank -> its last-numbered neighbor so far
+    step = [0] * size  # rank -> its visit index, once numbered
+    visit, heads, tails = [], [], []
+    third = False
     numbered = top = 0
-    while mask & ~numbered:
+    for t in range(count):
         while not bucket[top]:
             top -= 1
-        v = (bucket[top] & -bucket[top]).bit_length() - 1
-        bucket[top] ^= 1 << v
+        low = bucket[top] & -bucket[top]
+        bucket[top] ^= low
+        v = low.bit_length() - 1
         nbrs = bits[v] & mask
         later = nbrs & numbered
-        if later and later & ~bits[parent[v]] != 1 << parent[v]:
-            return None
-        reverse_order.append(v)
-        numbered |= 1 << v
+        if later:
+            p = parent[v]
+            rest = later ^ 1 << p
+            if rest & ~bits[p]:
+                return None
+            heads.append(step[p])
+            tails.append(step[rest.bit_length() - 1] if rest else -1)
+            if rest & rest - 1:
+                third = True
+        else:
+            heads.append(-1)
+            tails.append(-1)
+        step[v] = t
+        visit.append(v)
+        numbered |= low
         fresh = nbrs & ~numbered
         while fresh:
-            u = (fresh & -fresh).bit_length() - 1
-            fresh ^= 1 << u
+            b = fresh & -fresh
+            fresh ^= b
+            u = b.bit_length() - 1
             w = weight[u]
             weight[u] = w + 1
             parent[u] = v
-            bucket[w] ^= 1 << u
-            if w + 1 == len(bucket):
-                bucket.append(0)
-            bucket[w + 1] |= 1 << u
-        top = min(top + 1, len(bucket) - 1)  # weights grow by one at most
-    reverse_order.reverse()
-    return reverse_order
+            bucket[w] ^= b
+            bucket[w + 1] |= b
+        top += 1  # weights grow by one at most
+    return visit, heads, tails, third
+
+
+_ALONE = 0x1110  # a position's own colors left open, bit 4c for color c
+_PAIR = 0xFFFF  # the color pairs left open with one slot, bit 4c + c'
+
+
+def _rows(own: int, head: int, tail: int, alone: int, pair0: int, pair1: int) -> tuple:
+    """One position of `_chordal_coloring`'s elimination, with the color
+    mask `own` and its slots' masks `head` and `tail` (0 for an absent
+    slot, which takes color 0), under the constraints `alone`, `pair0`
+    and `pair1` (see `_ALONE` and `_PAIR`) that its earlier neighbors
+    left on it. Returns (rows, allowed, missing): `rows[4a + b]` is its
+    first color, ascending, that differs from a and b and that all three
+    constraints allow with the head at a and the tail at b, 0 for none;
+    `allowed` has bit 4a + b for each nonzero row; `missing` is whether
+    a head exists and some slot coloring has no row."""
+    rows = [0] * 16
+    allowed = 0
+    at_head = _TUPLES[head] or (0,)
+    at_tail = _TUPLES[tail] or (0,)
+    for a in at_head:
+        for b in at_tail:
+            for c in _TUPLES[own]:
+                if (
+                    c != a
+                    and c != b
+                    and alone >> 4 * c & 1
+                    and pair0 >> 4 * c + a & 1
+                    and pair1 >> 4 * c + b & 1
+                ):
+                    rows[4 * a + b] = c
+                    allowed |= 1 << 4 * a + b
+                    break
+    missing = head != 0 and allowed.bit_count() < len(at_head) * len(at_tail)
+    return tuple(rows), allowed, missing
+
+
+# `_rows` of a free position, one whose constraints are all still open, by
+# its own (never empty), its head's and its tail's color mask
+_FREE = (None,) + tuple(
+    tuple(tuple(_rows(own, head, tail, _ALONE, _PAIR, _PAIR) for tail in range(8)) for head in range(8))
+    for own in range(1, 8)
+)
 
 
 def _chordal_coloring(bits: tuple, mask: int, has) -> Optional[dict]:
@@ -437,75 +508,58 @@ def _chordal_coloring(bits: tuple, mask: int, has) -> Optional[dict]:
     by bucket elimination along the perfect elimination ordering of
     `_mcs_peo`. Returns {rank: color} in reverse elimination order, or
     None when no coloring exists; ranks that induce a graph that is not
-    chordal are a precondition error.
+    chordal are a precondition error, also when they hold an empty list
+    or a 4-clique.
 
     A rank with three later neighbors closes a 4-clique, which has no
-    coloring, so every separator has at most two ranks. Each rank keeps,
-    per coloring of its later neighbors (the earliest one's color major),
-    its first color consistent with the constraints its earlier neighbors
-    left on it, and hands the colorings that have one on to its earliest
-    later neighbor. Those constraints are bitmasks kept per position of
-    the ordering: the colors it may take, bit c for color c, and per
-    later neighbor the color pairs it may take with it, bit 4c + c'.
+    coloring, so every separator has at most two ranks: the head and tail
+    slots that `_mcs_peo` records. Each rank keeps, per coloring of its
+    slots (the head's color major), its first color consistent with the
+    constraints its earlier neighbors left on it (`_rows`), and hands the
+    slot colorings that have one on to its head. Those constraints are
+    bitmasks kept per position: the colors it may take, and per slot the
+    color pairs it may take with it. The tail of a rank is a later
+    neighbor of its head, so it is the head's own head or tail, and that
+    names the head's slot the pairs go to. A free position, whose
+    constraints are all still open, reads its rows from the table
+    `_FREE`; only the others run `_rows`.
     """
-    order = _mcs_peo(bits, mask)
-    if order is None:
+    found = _mcs_peo(bits, mask)
+    if found is None:
         raise PreconditionError("graph is not chordal")
-    lists = [_mask_at(has, r) for r in order]
-    if not all(lists):
+    visit, heads, tails, third = found
+    h0, h1, h2 = has
+    lists = [h0 >> r & 1 | (h1 >> r & 1) << 1 | (h2 >> r & 1) << 2 for r in visit]
+    if not all(lists) or third:
         return None
-    index = {r: i for i, r in enumerate(order)}
-    laters = []  # per position: the positions of its later neighbors, ascending
-    after = mask  # the ranks after r in the elimination order
-    for r in order:
-        after ^= 1 << r
-        nbrs = bits[r] & after
-        if nbrs.bit_count() > 2:
-            return None
-        laters.append(sorted(index[u] for u in _ranks(nbrs)))
+    lists.append(0)  # the mask of an absent slot, at index -1
 
-    n = len(order)
-    alone = [0b1110] * n  # colors allowed at each position, bit c
-    pair = [[0xFFFF, 0xFFFF] for _ in range(n)]  # per later slot, bit 4c + c'
-    tables = []  # per position: its color for each coloring of its later neighbors
-    for i, later in enumerate(laters):
-        free = lists[i] << 1 & alone[i]
-        p0, p1 = pair[i]
-        heads = _TUPLES[lists[later[0]]] if later else (0,)
-        tails = _TUPLES[lists[later[1]]] if len(later) == 2 else (0,)
-        rows = {}
-        allowed = 0
-        for a in heads:
-            for b in tails:
-                key = 4 * a + b if b else a
-                cand = free & ~(1 << a | 1 << b)
-                while cand:
-                    low = cand & -cand
-                    c = low.bit_length() - 1
-                    if p0 >> 4 * c + a & 1 and p1 >> 4 * c + b & 1:
-                        rows[key] = c
-                        allowed |= 1 << key
-                        break
-                    cand ^= low
-        if not rows:
+    n = len(visit)
+    alone = [_ALONE] * n
+    pair0 = [_PAIR] * n  # with the head slot
+    pair1 = [_PAIR] * n  # with the tail slot
+    table = [()] * n  # per visit index: its rows
+    for t in range(n - 1, -1, -1):  # elimination order
+        head, tail = heads[t], tails[t]
+        if alone[t] == _ALONE and pair0[t] == _PAIR and pair1[t] == _PAIR:
+            rows, allowed, missing = _FREE[lists[t]][lists[head]][lists[tail]]
+        else:
+            rows, allowed, missing = _rows(lists[t], lists[head], lists[tail], alone[t], pair0[t], pair1[t])
+        if not allowed:
             return None
-        tables.append(rows)
-        if later and len(rows) < len(heads) * len(tails):
-            head = later[0]
-            if len(later) == 1:
+        table[t] = rows
+        if missing:
+            if tail < 0:
                 alone[head] &= allowed
+            elif tail == heads[head]:
+                pair0[head] &= allowed
             else:
-                pair[head][laters[head].index(later[1])] &= allowed
+                pair1[head] &= allowed
 
-    chosen = [0] * n
-    assignment: dict = {}
-    for i in range(n - 1, -1, -1):
-        later = laters[i]
-        a = chosen[later[0]] if later else 0
-        c = tables[i][4 * a + chosen[later[1]] if len(later) == 2 else a]
-        chosen[i] = c
-        assignment[order[i]] = c
-    return assignment
+    chosen = [0] * (n + 1)  # the color of an absent slot, at index -1
+    for t in range(n):
+        chosen[t] = table[t][4 * chosen[heads[t]] + chosen[tails[t]]]
+    return dict(zip(visit, chosen))
 
 
 def solve_chordal(inst: Instance) -> Optional[Coloring]:

@@ -28,6 +28,7 @@ from ordered_coloring.j16 import _forced_colorings, pad_sets
 from ordered_coloring.jw import ColoredSeed, Member
 from ordered_coloring.kernels import (
     _SETS,
+    _TUPLES,
     _TwoSat,
     _mask_at,
     _mcs_peo,
@@ -541,10 +542,175 @@ def chordal_peo(g: OrderedGraph) -> Optional[EliminationOrder]:
     """The induced-graph view of `kernels._mcs_peo`: a perfect elimination
     ordering of the whole graph via maximum cardinality search, or None
     when the graph is not chordal. Ties break on position."""
-    order = _mcs_peo(g.adjacency_bits(), (1 << g.n) - 1)
+    order = elimination_ranks(_mcs_peo(g.adjacency_bits(), (1 << g.n) - 1))
     if order is None:
         return None
     return EliminationOrder(tuple(g.vertices[r] for r in order))
+
+
+def elimination_ranks(found) -> Optional[list]:
+    """The perfect elimination ordering, as ranks, that a result of
+    `kernels._mcs_peo` records (the reverse of its visit order); None
+    stays None."""
+    return None if found is None else found[0][::-1]
+
+
+# The chordal finish before maximum cardinality search recorded the
+# elimination slots, kept unchanged as the reference of the differential
+# tests: `reference_mcs_peo` returns the elimination order itself, and
+# `reference_chordal_coloring` rebuilds the slots from it.
+
+
+def reference_mcs_peo(bits: tuple, mask: int) -> Optional[list]:
+    """Maximum cardinality search on the ranks in `mask`, with neighbors
+    `bits[r] & mask`: the ranks as a perfect elimination ordering, or None
+    when they induce a graph that is not chordal (Tarjan and Yannakakis,
+    SIAM J. Comput. 1984).
+
+    `bucket[w]` holds the unnumbered ranks with w numbered neighbors; the
+    next rank is the lowest of the highest non-empty bucket, so ties go to
+    the lowest position. When v is numbered, its numbered neighbors are
+    its later neighbors in the ordering, and the last of them to be
+    numbered, p, is the earliest; the others must all be adjacent to p.
+    That parent-pointer test holds for every vertex exactly when the
+    ordering is perfect. O(n + m) int operations.
+    """
+    bucket = [mask]
+    weight = [0] * len(bits)
+    parent = [0] * len(bits)  # rank -> its last-numbered neighbor so far
+    reverse_order = []
+    numbered = top = 0
+    while mask & ~numbered:
+        while not bucket[top]:
+            top -= 1
+        v = (bucket[top] & -bucket[top]).bit_length() - 1
+        bucket[top] ^= 1 << v
+        nbrs = bits[v] & mask
+        later = nbrs & numbered
+        if later and later & ~bits[parent[v]] != 1 << parent[v]:
+            return None
+        reverse_order.append(v)
+        numbered |= 1 << v
+        fresh = nbrs & ~numbered
+        while fresh:
+            u = (fresh & -fresh).bit_length() - 1
+            fresh ^= 1 << u
+            w = weight[u]
+            weight[u] = w + 1
+            parent[u] = v
+            bucket[w] ^= 1 << u
+            if w + 1 == len(bucket):
+                bucket.append(0)
+            bucket[w + 1] |= 1 << u
+        top = min(top + 1, len(bucket) - 1)  # weights grow by one at most
+    reverse_order.reverse()
+    return reverse_order
+
+
+def reference_chordal_coloring(bits: tuple, mask: int, has) -> Optional[dict]:
+    """List coloring of the ranks in `mask`, with neighbors `bits[r] &
+    mask` and the colors of the bitsets `has` (see `Instance.color_bits`),
+    by bucket elimination along the perfect elimination ordering of
+    `reference_mcs_peo`. Returns {rank: color} in reverse elimination order, or
+    None when no coloring exists; ranks that induce a graph that is not
+    chordal are a precondition error.
+
+    A rank with three later neighbors closes a 4-clique, which has no
+    coloring, so every separator has at most two ranks. Each rank keeps,
+    per coloring of its later neighbors (the earliest one's color major),
+    its first color consistent with the constraints its earlier neighbors
+    left on it, and hands the colorings that have one on to its earliest
+    later neighbor. Those constraints are bitmasks kept per position of
+    the ordering: the colors it may take, bit c for color c, and per
+    later neighbor the color pairs it may take with it, bit 4c + c'.
+    """
+    order = reference_mcs_peo(bits, mask)
+    if order is None:
+        raise PreconditionError("graph is not chordal")
+    lists = [_mask_at(has, r) for r in order]
+    if not all(lists):
+        return None
+    index = {r: i for i, r in enumerate(order)}
+    laters = []  # per position: the positions of its later neighbors, ascending
+    after = mask  # the ranks after r in the elimination order
+    for r in order:
+        after ^= 1 << r
+        nbrs = bits[r] & after
+        if nbrs.bit_count() > 2:
+            return None
+        laters.append(sorted(index[u] for u in _ranks(nbrs)))
+
+    n = len(order)
+    alone = [0b1110] * n  # colors allowed at each position, bit c
+    pair = [[0xFFFF, 0xFFFF] for _ in range(n)]  # per later slot, bit 4c + c'
+    tables = []  # per position: its color for each coloring of its later neighbors
+    for i, later in enumerate(laters):
+        free = lists[i] << 1 & alone[i]
+        p0, p1 = pair[i]
+        heads = _TUPLES[lists[later[0]]] if later else (0,)
+        tails = _TUPLES[lists[later[1]]] if len(later) == 2 else (0,)
+        rows = {}
+        allowed = 0
+        for a in heads:
+            for b in tails:
+                key = 4 * a + b if b else a
+                cand = free & ~(1 << a | 1 << b)
+                while cand:
+                    low = cand & -cand
+                    c = low.bit_length() - 1
+                    if p0 >> 4 * c + a & 1 and p1 >> 4 * c + b & 1:
+                        rows[key] = c
+                        allowed |= 1 << key
+                        break
+                    cand ^= low
+        if not rows:
+            return None
+        tables.append(rows)
+        if later and len(rows) < len(heads) * len(tails):
+            head = later[0]
+            if len(later) == 1:
+                alone[head] &= allowed
+            else:
+                pair[head][laters[head].index(later[1])] &= allowed
+
+    chosen = [0] * n
+    assignment: dict = {}
+    for i in range(n - 1, -1, -1):
+        later = laters[i]
+        a = chosen[later[0]] if later else 0
+        c = tables[i][4 * a + chosen[later[1]] if len(later) == 2 else a]
+        chosen[i] = c
+        assignment[order[i]] = c
+    return assignment
+
+
+def is_proper(coloring: Coloring, g: OrderedGraph) -> bool:
+    """No edge of g has both ends colored alike, tested per color on the
+    graph's adjacency bits; the coloring may be partial."""
+    classes = {c: 0 for c in COLORS}
+    colored = []
+    for r, v in enumerate(g.vertices):
+        c = coloring.get(v)
+        if c is not None:
+            classes[c] |= 1 << r
+            colored.append((r, c))
+    bits = g.adjacency_bits()
+    return not any(bits[r] & classes[c] for r, c in colored)
+
+
+def respects(coloring: Coloring, lists: ListAssignment) -> bool:
+    """Every colored vertex takes a color of its list."""
+    return all(c in lists.get(v) for v, c in coloring.items())
+
+
+def reference_validates(coloring: Coloring, inst: Instance) -> bool:
+    """`Coloring.validates` on frozensets and lists, as the package had
+    it before the check ran on color bitsets."""
+    return (
+        coloring.domain() == frozenset(inst.graph.vertices)
+        and is_proper(coloring, inst.graph)
+        and respects(coloring, inst.lists)
+    )
 
 
 def _stable(g, members, size):

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ordered_coloring import (
+    Coloring,
     Instance,
     InputError,
     ListAssignment,
@@ -21,6 +22,7 @@ from ordered_coloring import (
 from ordered_coloring import core as core_module, rand
 from ordered_coloring.core import (
     _degree_masks,
+    _least_denominator,
     _maximal_edges,
     _pattern_plans,
     _ranks,
@@ -53,6 +55,7 @@ from conftest import (
     positions_fuzzed,
     rank_normalized,
     reference_color_bits,
+    reference_validates,
     reference_contains_pattern,
     reference_maximal_edges,
     small_source_graphs,
@@ -711,6 +714,27 @@ class TestIntegerPositions:
             coarser += math.lcm(*sub_dens) < math.lcm(*dens)
         assert coarser >= 20, coarser
 
+    def test_induced_matches_a_from_keys_build(self):
+        # `induced` reads the order off the parent and remaps the kept
+        # adjacency bits; a build from the kept keys sorts and checks them
+        rng = make_rng(304)
+        coarser = 0
+        for _ in range(150):
+            g = random_ordered_graph(rng, rng.randint(0, 14), rng.random())
+            if rng.random() < 0.7:
+                g = positions_fuzzed(rng, g)
+            xs = rng.sample(g.vertices, rng.randint(0, g.n))
+            mask = sum(1 << g.rank(v) for v in xs)
+            keys, den = _least_denominator({v: g._keys[v] for v in xs}, g._den)
+            built = OrderedGraph._from_keys(keys, den, g._edge_pairs(mask))
+            sub = g.induced(xs + xs[: rng.randint(0, len(xs))])  # repeats are one vertex
+            assert sub == built and hash(sub) == hash(built)
+            assert sub.vertices == built.vertices
+            assert sub.adjacency_bits() == built.adjacency_bits()
+            assert [sub.rank(v) for v in xs] == [built.rank(v) for v in xs]
+            coarser += den < g._den
+        assert coarser >= 20, coarser
+
     def test_induced_drops_the_finer_denominator(self):
         g = graph({"a": Fraction(1, 2), "b": 1, "c": 2}, [("a", "b"), ("b", "c")])
         sub = g.induced(["b", "c"])
@@ -809,3 +833,55 @@ class TestInstance:
             assert inst.color_bits == reference_color_bits(inst)
             sizes |= {len(cs) for _, cs in inst.lists.items()}
         assert sizes == {0, 1, 2, 3}
+
+
+class TestValidates:
+    """`Coloring.validates` checks totality, properness and lists on color
+    bitsets in one pass; it agrees with the frozenset reference."""
+
+    @staticmethod
+    def _planted(rng):
+        # a random coloring, edges only between different colors and lists
+        # that hold each vertex's color, so the coloring is valid
+        n = rng.randint(0, 12)
+        colors = {f"v{i}": rng.randint(1, 3) for i in range(n)}
+        names = list(colors)
+        edges = [
+            (a, b)
+            for a, b in itertools.combinations(names, 2)
+            if colors[a] != colors[b] and rng.random() < 0.4
+        ]
+        g = positions_fuzzed(rng, graph({v: i for i, v in enumerate(names)}, edges))
+        lists = {v: {c} | {d for d in (1, 2, 3) if rng.random() < 0.5} for v, c in colors.items()}
+        return Instance(g, ListAssignment(lists)), colors
+
+    def test_agrees_with_the_reference(self):
+        rng = make_rng(4601)
+        verdicts = {}
+        for _ in range(400):
+            inst, colors = self._planted(rng)
+            g = inst.graph
+            drawn = {"valid": dict(colors)}
+            if colors:
+                v = rng.choice(g.vertices)
+                drawn["partial"] = {u: c for u, c in colors.items() if u != v}
+                drawn["swapped id"] = {**drawn["partial"], "extra": colors[v]}
+                off = [c for c in (1, 2, 3) if c not in inst.lists.get(v)]
+                if off:
+                    drawn["off-list"] = {**colors, v: rng.choice(off)}
+            drawn["extra id"] = {**colors, "extra": rng.randint(1, 3)}
+            # an edge whose end b may take a's color: improper, on the lists
+            edges = [(a, b) for a, b in g._edge_pairs() if colors[a] in inst.lists.get(b)]
+            if edges:
+                a, b = rng.choice(edges)
+                drawn["improper"] = {**colors, b: colors[a]}
+            drawn["random"] = {v: rng.randint(1, 3) for v in g.vertices}
+            for kind, assignment in drawn.items():
+                col = Coloring(assignment)
+                got = col.validates(inst)
+                assert got == reference_validates(col, inst), (kind, assignment)
+                verdicts.setdefault(kind, set()).add(got)
+        assert verdicts["valid"] == {True}
+        for kind in ("partial", "swapped id", "extra id", "off-list", "improper"):
+            assert verdicts[kind] == {False}, kind
+        assert verdicts["random"] == {True, False}

@@ -36,12 +36,14 @@ from conftest import (
     chain_member,
     graph,
     instance,
+    is_proper,
     property_x,
     property_y,
     rank_instance,
     rank_seed,
     reference_check_link,
     reference_sigma_members,
+    respects,
     restrict_coloring,
 )
 
@@ -151,7 +153,7 @@ class TestGamma:
         order = inst.graph.vertices
         for seed in seeds:
             col = Coloring({order[r]: c for r, c in zip(seed.support, seed.colors)})
-            assert col.is_proper(inst.graph) and col.respects(inst.lists)
+            assert is_proper(col, inst.graph) and respects(col, inst.lists)
 
 
 class TestProperties:

@@ -1,5 +1,6 @@
 import functools
 import itertools
+from fractions import Fraction
 from operator import or_
 
 import pytest
@@ -21,10 +22,16 @@ from ordered_coloring import (
 )
 from ordered_coloring.core import _ranks
 from ordered_coloring.kernels import (
+    _ALONE,
+    _FREE,
+    _PAIR,
+    _TUPLES,
+    _chordal_coloring,
     _few_wide,
     _list_colorings,
     _mcs_peo,
     _propagate_bits,
+    _rows,
     _stable_sets,
     _two_lists,
 )
@@ -39,12 +46,15 @@ from conftest import (
     _stable,
     chordal_peo,
     color_class,
+    elimination_ranks,
     forward_clique_instances,
     graph,
     instance,
     positions_fuzzed,
     propagated,
     random_two_list_instance,
+    reference_chordal_coloring,
+    reference_mcs_peo,
     reference_propagation,
     reference_solve_chordal,
     reference_few_wide,
@@ -579,16 +589,154 @@ class TestChordal:
             for _ in range(4):
                 subset = [r for r in range(g.n) if rng.random() < rng.random()]
                 mask = sum(1 << r for r in subset)
-                got = _mcs_peo(bits, mask)
+                got = elimination_ranks(_mcs_peo(bits, mask))
                 peo = chordal_peo(g.induced(g.vertices[r] for r in subset))
                 assert (got is None) == (peo is None)
                 if got is not None:
                     assert tuple(g.vertices[r] for r in got) == peo.order
 
+    def test_recorded_slots(self):
+        # the slots against their definition on the reference's order: a
+        # rank's later neighbors by elimination position, the earliest as
+        # the head, the other as the tail
+        rng = make_rng(47)
+        thirds = set()
+        for g in mcs_corpus(48, per_family=20):
+            bits = g.adjacency_bits()
+            for mask in ((1 << g.n) - 1, sum(1 << r for r in range(g.n) if rng.random() < 0.7)):
+                found = _mcs_peo(bits, mask)
+                order = reference_mcs_peo(bits, mask)
+                assert (found is None) == (order is None)
+                if found is None:
+                    continue
+                visit, heads, tails, third = found
+                assert visit == order[::-1]
+                step = {r: t for t, r in enumerate(visit)}
+                many = False
+                for t, r in enumerate(visit):
+                    later = sorted((s for s in _ranks(bits[r] & mask) if step[s] < t), key=step.get, reverse=True)
+                    slots = [step[s] for s in later] + [-1, -1]
+                    many |= len(later) > 2
+                    assert heads[t] == slots[0]
+                    assert tails[t] == slots[1] or len(later) > 2
+                assert third == many
+                thirds.add(third)
+        assert thirds == {False, True}
+
     def test_empty_and_single_vertex(self):
         assert chordal_peo(graph({})).order == ()
         assert chordal_peo(graph({1: 1})).order == (1,)
-        assert _mcs_peo(graph({1: 1, 2: 2}, [(1, 2)]).adjacency_bits(), 0) == []
+        assert elimination_ranks(_mcs_peo(graph({1: 1, 2: 2}, [(1, 2)]).adjacency_bits(), 0)) == []
+
+
+def planted_k4_graph(rng, n):
+    """A forward-clique graph plus a vertex just before some vertex v with
+    two adjacent later neighbors a, b, joined to v, a and b: still a
+    perfect elimination order by position, with the 4-clique {z, v, a, b}.
+    None when no vertex has two later neighbors."""
+    g = random_forward_clique_graph(rng, n, rng.random())
+    bits = g.adjacency_bits()
+    tops = [r for r in range(g.n) if (bits[r] >> r + 1).bit_count() == 2]
+    if not tops:
+        return None
+    r = rng.choice(tops)
+    v = g.vertices[r]
+    near = [v] + [g.vertices[s] for s in _ranks(bits[r] >> r + 1 << r + 1)]
+    positions = [(u, g.position(u)) for u in g.vertices] + [("z", g.position(v) - Fraction(1, 2))]
+    return graph(positions, [tuple(e) for e in g.edges] + [("z", u) for u in near])
+
+
+def finish_outcome(finish, bits, mask, has):
+    """A finish's result as its items in order, None, or the type of the
+    exception it raised."""
+    try:
+        got = finish(bits, mask, has)
+    except PreconditionError as exc:
+        return type(exc)
+    return None if got is None else list(got.items())
+
+
+class TestChordalFinishDifferential:
+    """The finish reads its elimination slots from `_mcs_peo` and the rows
+    of its free positions from `_FREE`; the reference rebuilds the slots
+    from the elimination order and runs every position's loop."""
+
+    @staticmethod
+    def _lists(rng, n):
+        # one mask per rank: full, two-color and one-color lists, with now
+        # and then an empty one, as three color bitsets
+        kind = rng.random()
+        has = [0, 0, 0]
+        for r in range(n):
+            if kind < 0.25:
+                m = 7
+            elif kind < 0.5:
+                m = rng.choice((3, 5, 6))
+            else:
+                m = rng.choice((1, 2, 4, 3, 5, 6, 3, 5, 6, 7, 7, 7))
+            for i in range(3):
+                if m >> i & 1:
+                    has[i] |= 1 << r
+        if n and rng.random() < 0.1:
+            r = rng.randrange(n)
+            has = [h & ~(1 << r) for h in has]
+        return tuple(has)
+
+    def _graphs(self, rng):
+        for i in range(1600):
+            family = i % 4
+            n = rng.randint(0, 40)
+            if family == 0:
+                g = random_forward_clique_graph(rng, max(n, 1), rng.random())
+            elif family == 1:
+                g = planted_k4_graph(rng, max(n, 3))
+                if g is None:
+                    continue
+            elif family == 2:
+                g = planted_cycle_graph(rng, max(n, 4))
+            else:
+                g = random_ordered_graph(rng, n, rng.uniform(0, 0.2))
+            yield family, g
+
+    def test_matches_the_reference(self):
+        rng = make_rng(4701)
+        outcomes = {"colored": 0, "none": 0, "4-clique": 0, "not chordal": 0, "masked": 0}
+        for family, g in self._graphs(rng):
+            bits = g.adjacency_bits()
+            everyone = (1 << g.n) - 1
+            masks = [everyone]
+            masks += [sum(1 << r for r in range(g.n) if rng.random() < 0.6) for _ in range(2)]
+            for mask in masks:
+                has = self._lists(rng, g.n)
+                got = finish_outcome(_chordal_coloring, bits, mask, has)
+                assert got == finish_outcome(reference_chordal_coloring, bits, mask, has)
+                if mask != everyone:
+                    outcomes["masked"] += got is not PreconditionError
+                if got is PreconditionError:
+                    outcomes["not chordal"] += 1
+                elif got is not None:
+                    outcomes["colored"] += 1
+                elif family == 1 and mask == everyone:
+                    outcomes["4-clique"] += 1
+                else:
+                    outcomes["none"] += 1
+        assert all(count >= 200 for count in outcomes.values()), outcomes
+
+    def test_free_table(self):
+        # every entry against rows computed with all constraints open: the
+        # first color of its own list, ascending, off both slots' colors
+        for own in range(1, 8):
+            for head in range(8):
+                for tail in range(8):
+                    rows, allowed, missing = _FREE[own][head][tail]
+                    assert (rows, allowed, missing) == _rows(own, head, tail, _ALONE, _PAIR, _PAIR)
+                    expected = [0] * 16
+                    slots = [(a, b) for a in _TUPLES[head] or (0,) for b in _TUPLES[tail] or (0,)]
+                    for a, b in slots:
+                        expected[4 * a + b] = next((c for c in _TUPLES[own] if c not in (a, b)), 0)
+                    assert list(rows) == expected
+                    assert allowed == sum(1 << key for key, c in enumerate(expected) if c)
+                    assert missing == (head != 0 and 0 in (expected[4 * a + b] for a, b in slots))
 
 
 class TestSolveChordal:
