@@ -19,16 +19,7 @@ from typing import Optional
 
 from .core import Coloring, OrderedGraph, checked_witness, contains_pattern
 from .errors import CapExceededError, InputError, PreconditionError, RefusalError
-from .gadgets import (
-    GadgetOutput,
-    gen_bipartite,
-    gen_h1,
-    gen_h2,
-    gen_h3,
-    gen_h4,
-    gen_h5,
-    verify_gadget,
-)
+from .gadgets import GADGETS, GadgetOutput, verify_gadget
 from .io import (
     parse_instance,
     parse_nae,
@@ -163,52 +154,36 @@ def cmd_classify(args) -> RunReport:
     return report
 
 
-_GEN_ORDERS = {
-    "h1": ("t1", "t2", "t3"),
-    "h2": ("t4",),
-    "h3": ("t5", "t6"),
-    "h4": ("t7",),
-    "h5": ("t8",),
-    "bip": ("t5", None),
-}
+def _read_source(kind: str, path: str):
+    """The source a gadget of this kind is built from (see `GADGETS`): an
+    NAE instance, an instance's graph or the instance itself."""
+    if kind == "nae":
+        return parse_nae(_read(path))
+    _, inst = parse_instance(_read(path))
+    return inst.graph if kind == "graph" else inst
 
 
 def cmd_gen(args) -> RunReport:
     report = RunReport("gen", "generated")
-    allowed = _GEN_ORDERS[args.gadget]
+    gadget = GADGETS[args.gadget]
     order = args.order
-    if order is None and len([o for o in allowed if o]) == 1:
-        order = allowed[0]
-    if order not in allowed:
+    if order is None and len(gadget.layouts) == 1:
+        order = gadget.layouts[0]
+    if order not in gadget.layouts:
         raise InputError(
-            f"gadget {args.gadget} supports orders {[o for o in allowed if o]}, got {order!r}"
+            f"gadget {args.gadget} supports orders {list(gadget.layouts)}, got {order!r}"
         )
-    if args.gadget in ("h1", "h2"):
-        nae = parse_nae(_read(args.input))
-        out = gen_h1(nae, order) if args.gadget == "h1" else gen_h2(nae)
-    else:
-        _, src = parse_instance(_read(args.input))
-        if args.gadget == "bip":
-            out = gen_bipartite(src)
-        elif args.gadget == "h3":
-            out = gen_h3(src.graph, order)
-        elif args.gadget == "h4":
-            out = gen_h4(src.graph)
-        else:
-            out = gen_h5(src.graph)
+    out = gadget.generate(_read_source(gadget.kind, args.input), order)
     prefix = args.out or f"{args.gadget}-out"
     og_path = Path(f"{prefix}.og")
     prov_path = Path(f"{prefix}.prov")
     og_path.write_text(serialize_instance(f"{args.gadget}-{order}", out.instance), encoding="utf-8")
-    meta = {"gadget": (args.gadget,), "free": tuple(out.advertised_free)}
-    if order:
-        meta["order"] = (order,)
+    meta = {"gadget": (args.gadget,), "free": tuple(out.advertised_free), "order": (order,)}
     prov_path.write_text(
         serialize_provenance(out.provenance, meta, out.path_registry), encoding="utf-8"
     )
     report.add("gadget", args.gadget)
-    if order:
-        report.add("order", order)
+    report.add("order", order)
     report.add("vertices", out.instance.graph.n)
     report.add("edges", len(out.instance.graph.edges))
     report.add("graph_file", og_path)
@@ -221,37 +196,22 @@ def cmd_verify(args) -> RunReport:
     report = RunReport("verify", "error")
     _, inst = parse_instance(_read(args.file))
     roles, meta, registry = parse_provenance(_read(args.prov))
-    advertised = meta.get("free", ())
-    gadget = meta.get("gadget", ("",))[0]
-    if gadget not in _GEN_ORDERS:
+    gadget = GADGETS.get(meta.get("gadget", ("",))[0])
+    if gadget is None:
         # without it no check would be chosen, and an empty report passes
         raise InputError(f"{args.prov} has no `meta gadget` line naming a gadget")
-    if gadget not in ("h3", "h4", "h5"):
+    if gadget.kind != "graph":
         registry = None
     elif not registry and inst.graph.edges:
         # every edge of an expander lies on a registered path
         raise InputError(f"{args.prov} has no `path` records; regenerate it with `oglc gen`")
-    source = None
-    source_kind = ""
-    if args.source:
-        if gadget in ("h1", "h2"):
-            source = parse_nae(_read(args.source))
-            source_kind = "nae"
-        elif gadget in ("h3", "h4", "h5"):
-            _, src_inst = parse_instance(_read(args.source))
-            source = src_inst.graph
-            source_kind = "graph"
-        else:
-            _, src_inst = parse_instance(_read(args.source))
-            source = src_inst
-            source_kind = "instance"
     out = GadgetOutput(
         instance=inst,
         provenance=roles,
-        advertised_free=tuple(advertised),
+        advertised_free=tuple(meta.get("free", ())),
         path_registry=registry,
-        source_kind=source_kind,
-        source=source,
+        source_kind=gadget.kind if args.source else "",
+        source=_read_source(gadget.kind, args.source) if args.source else None,
     )
     result = verify_gadget(out, oracle_cap=args.cap)
     for name, ok, detail in result.entries:
@@ -318,10 +278,13 @@ def _parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="complexity verdict for a forbidden pattern file")
     p.add_argument("file")
 
+    nae = [name for name, gadget in GADGETS.items() if gadget.kind == "nae"]
+    graph = [name for name in GADGETS if name not in nae]
     p = sub.add_parser("gen", help="generate a hardness gadget")
-    p.add_argument("input", help="NAE file (h1, h2) or graph file (h3, h4, h5, bip)")
-    p.add_argument("--gadget", required=True, choices=["h1", "h2", "h3", "h4", "h5", "bip"])
-    p.add_argument("--order", choices=[f"t{i}" for i in range(1, 9)])
+    p.add_argument("input", help=f"NAE file ({', '.join(nae)}) or graph file ({', '.join(graph)})")
+    p.add_argument("--gadget", required=True, choices=list(GADGETS))
+    layouts = dict.fromkeys(layout for gadget in GADGETS.values() for layout in gadget.layouts)
+    p.add_argument("--order", choices=list(layouts))
     p.add_argument("--out", help="output path prefix")
 
     p = sub.add_parser("verify", help="re-check a generated gadget from its files")

@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 from .core import (
     COLORS,
@@ -294,14 +294,11 @@ class _Threads:
             key=lambda e: (self.gidx[e[0]], self.gidx[e[1]]),
         )
         self.m = len(self.edges)
-        self.f = {e: i + 1 for i, e in enumerate(self.edges)}
         threads = []
-        for u, v in self.edges:
-            fe = self.f[(u, v)]
+        for fe, (u, v) in enumerate(self.edges, start=1):
             for j in (3 * fe - 2, 3 * fe - 1, 3 * fe):
                 threads.append((u, v, j))
                 threads.append((v, u, j))
-        self.threads = threads
         # levels[i] lists the alive threads at level i+1 in layout order
         self.levels = []
         for i in range(1, 3 * self.m + 1):
@@ -322,6 +319,58 @@ class _Threads:
     def rank(self, i: int, th) -> int:
         return self.levels[i - 1].index(th) + 1
 
+    def rows(self, stride: int = 0) -> tuple:
+        """The layout every expander starts from: the source vertices at
+        ranks 1..n, then each level's w row in thread order, level i moved
+        `stride` * (i - 1) to the right. Each level-1 w is joined to its
+        thread's source vertex; with no stride, each later w also to its
+        thread's w one level earlier. Returns (pos, roles, edges, bases),
+        bases[i - 1] being the rank before level i's row, before the move."""
+        pos = {v: Fraction(self.gidx[v]) for v in self.source.vertices}
+        roles = {v: f"orig_{v}" for v in self.source.vertices}
+        edges: list = []
+        bases = []
+        base = self.n
+        for i, level in enumerate(self.levels, start=1):
+            bases.append(base)
+            for r, th in enumerate(level, start=1):
+                name = _w_name(i, th)
+                pos[name] = Fraction(stride * (i - 1) + base + r)
+                roles[name] = f"w_{i}({th[0]},{th[1]},{th[2]})"
+                if i == 1:
+                    edges.append((th[0], name))
+                elif not stride:
+                    edges.append((_w_name(i - 1, th), name))
+            base += len(level)
+        return pos, roles, edges, bases
+
+    def w_side(self, th) -> list:
+        """Thread th's w vertices, from level 1 to its branch index."""
+        return [_w_name(i, th) for i in range(1, th[2] + 1)]
+
+    def output(self, pos, roles, edges, side, middle, advertised) -> GadgetOutput:
+        """The expander on `pos` and `edges`. Branch b of source edge (u, v)
+        runs along th = (u, v, j), j = 3 f(u, v) + b - 3: u, side(th),
+        middle(th), side of the reverse thread backwards, v. The lists are
+        the ones this registry realizes."""
+        graph = OrderedGraph(pos.items(), edges)
+        registry = {}
+        for fe, (u, v) in enumerate(self.edges, start=1):
+            for branch in (1, 2, 3):
+                j = 3 * fe + branch - 3
+                back = side((v, u, j))
+                registry[((u, v), branch)] = (
+                    u, *side((u, v, j)), *middle((u, v, j)), *reversed(back), v
+                )
+        return GadgetOutput(
+            instance=Instance(graph, realize_lists(graph, registry)),
+            provenance=roles,
+            advertised_free=advertised,
+            path_registry=registry,
+            source_kind="graph",
+            source=self.source,
+        )
+
 
 def _w_name(i: int, th) -> str:
     u, v, j = th
@@ -335,149 +384,44 @@ def gen_h3(g: OrderedGraph, variant: str) -> GadgetOutput:
     if variant not in ("t5", "t6"):
         raise InputError(f"gen_h3 variant must be t5 or t6, got {variant!r}")
     st = _Threads(g)
-    pos5: dict = {}
-    roles: dict = {}
-    edges: list = []
-    for v in g.vertices:
-        pos5[v] = Fraction(st.gidx[v])
-        roles[v] = f"orig_{v}"
-
-    level_base = st.n
-    bases = []
-    for i in range(1, 3 * st.m + 1):
-        bases.append(level_base)
-        level = st.levels[i - 1]
-        for r, th in enumerate(level, start=1):
-            name = _w_name(i, th)
-            pos5[name] = Fraction(level_base + r)
-            roles[name] = f"w_{i}({th[0]},{th[1]},{th[2]})"
-            if i == 1:
-                edges.append((th[0], name))
-            else:
-                edges.append((_w_name(i - 1, th), name))
-        level_base += len(level)
-
+    pos, roles, edges, bases = st.rows()
     z_by_level: dict = {}
-    for i in range(1, 3 * st.m + 1):
-        level = st.levels[i - 1]
+    for i, level in enumerate(st.levels, start=1):
         left, right = st.closers(i)
-        r1, r2 = st.rank(i, left), st.rank(i, right)
-        between = level[r1 : r2 - 1]
-        lname, rname = _w_name(i, left), _w_name(i, right)
-        if not between:
-            edges.append((lname, rname))
-            z_by_level[i] = []
-            continue
+        if variant == "t6" and i % 2 == 1:
+            for r, th in enumerate(level, start=1):
+                pos[_w_name(i, th)] = Fraction(bases[i - 1] + len(level) + 1 - r)
+        shift = -HALF if variant == "t6" and i % 2 == 0 else HALF
         znames = []
-        for th in between:
+        for th in level[st.rank(i, left) : st.rank(i, right) - 1]:
             zname = f"z{i}({th[0]},{th[1]},{th[2]})"
-            pos5[zname] = pos5[_w_name(i, th)] + HALF
+            pos[zname] = pos[_w_name(i, th)] + shift
             roles[zname] = f"z_{i}({th[0]},{th[1]},{th[2]})"
             znames.append(zname)
-        for a, b in zip(znames, znames[1:]):
-            edges.append((a, b))
-        edges.append((lname, znames[0]))
-        edges.append((rname, znames[-1]))
+        chain = [_w_name(i, left), *znames, _w_name(i, right)]
+        edges.extend(zip(chain, chain[1:]))
         z_by_level[i] = znames
 
-    if variant == "t5":
-        pos = pos5
-    else:
-        pos = {v: pos5[v] for v in g.vertices}
-        for i in range(1, 3 * st.m + 1):
-            level = st.levels[i - 1]
-            size = len(level)
-            for r, th in enumerate(level, start=1):
-                name = _w_name(i, th)
-                if i % 2 == 0:
-                    pos[name] = pos5[name]
-                else:
-                    pos[name] = Fraction(bases[i - 1] + size + 1 - r)
-            for zname in z_by_level[i]:
-                wname = "w" + zname[1:]
-                pos[zname] = pos[wname] + (HALF if i % 2 == 1 else -HALF)
+    def middle(th) -> list:
+        znames = z_by_level[th[2]]
+        return znames if st.closers(th[2])[0] == th else znames[::-1]
 
-    graph = OrderedGraph([(v, p) for v, p in pos.items()], edges)
-    registry = {}
-    for edge in st.edges:
-        u, v = edge
-        fe = st.f[edge]
-        for branch in (1, 2, 3):
-            jj = 3 * fe + branch - 3
-            u_side = [_w_name(i, (u, v, jj)) for i in range(1, jj + 1)]
-            v_side = [_w_name(i, (v, u, jj)) for i in range(1, jj + 1)]
-            left, _ = st.closers(jj)
-            mid = list(z_by_level[jj])
-            if left != (u, v, jj):
-                mid.reverse()
-            registry[(edge, branch)] = tuple(
-                [u] + u_side + mid + list(reversed(v_side)) + [v]
-            )
-    lists = realize_lists(graph, registry)
-    return GadgetOutput(
-        instance=Instance(graph, lists),
-        provenance=roles,
-        advertised_free=("M1", "M2") if variant == "t5" else ("M3",),
-        path_registry=registry,
-        source_kind="graph",
-        source=g,
-    )
+    advertised = ("M1", "M2") if variant == "t5" else ("M3",)
+    return st.output(pos, roles, edges, st.w_side, middle, advertised)
 
 
 def gen_h4(g: OrderedGraph) -> GadgetOutput:
     """Expander that closes each level through a single extra vertex; all
     closing vertices live in one trailing block, in reverse level order."""
     st = _Threads(g)
-    pos: dict = {}
-    roles: dict = {}
-    edges: list = []
-    for v in g.vertices:
-        pos[v] = Fraction(st.gidx[v])
-        roles[v] = f"orig_{v}"
-
-    level_base = st.n
-    for i in range(1, 3 * st.m + 1):
-        level = st.levels[i - 1]
-        for r, th in enumerate(level, start=1):
-            name = _w_name(i, th)
-            pos[name] = Fraction(level_base + r)
-            roles[name] = f"w_{i}({th[0]},{th[1]},{th[2]})"
-            if i == 1:
-                edges.append((th[0], name))
-            else:
-                edges.append((_w_name(i - 1, th), name))
-        level_base += len(level)
-
+    pos, roles, edges, _ = st.rows()
     tail = st.n + 3 * st.m * (3 * st.m + 1)
     for i in range(1, 3 * st.m + 1):
-        left, right = st.closers(i)
         zname = f"z{i}"
         pos[zname] = Fraction(tail + (3 * st.m - i + 1))
         roles[zname] = f"z_{i}"
-        edges.append((_w_name(i, left), zname))
-        edges.append((_w_name(i, right), zname))
-
-    graph = OrderedGraph([(v, p) for v, p in pos.items()], edges)
-    registry = {}
-    for edge in st.edges:
-        u, v = edge
-        fe = st.f[edge]
-        for branch in (1, 2, 3):
-            jj = 3 * fe + branch - 3
-            u_side = [_w_name(i, (u, v, jj)) for i in range(1, jj + 1)]
-            v_side = [_w_name(i, (v, u, jj)) for i in range(1, jj + 1)]
-            registry[(edge, branch)] = tuple(
-                [u] + u_side + [f"z{jj}"] + list(reversed(v_side)) + [v]
-            )
-    lists = realize_lists(graph, registry)
-    return GadgetOutput(
-        instance=Instance(graph, lists),
-        provenance=roles,
-        advertised_free=("M4",),
-        path_registry=registry,
-        source_kind="graph",
-        source=g,
-    )
+        edges.extend((_w_name(i, th), zname) for th in st.closers(i))
+    return st.output(pos, roles, edges, st.w_side, lambda th: [f"z{th[2]}"], ("M4",))
 
 
 def gen_h5(g: OrderedGraph) -> GadgetOutput:
@@ -492,40 +436,17 @@ def gen_h5(g: OrderedGraph) -> GadgetOutput:
     """
     st = _Threads(g)
     m = st.m
-    pos: dict = {}
-    roles: dict = {}
-    edges: list = []
-    for v in g.vertices:
-        pos[v] = Fraction(st.gidx[v])
-        roles[v] = f"orig_{v}"
-
-    level_base = st.n
-    wpos: dict = {}
-    for i in range(1, 3 * m + 1):
-        level = st.levels[i - 1]
-        for r, th in enumerate(level, start=1):
-            name = _w_name(i, th)
-            p = Fraction(36 * m * m * (i - 1) + level_base + r)
-            pos[name] = p
-            wpos[(i, th)] = p
-            roles[name] = f"w_{i}({th[0]},{th[1]},{th[2]})"
-            if i == 1:
-                edges.append((th[0], name))
-        level_base += len(level)
+    pos, roles, edges, _ = st.rows(stride=36 * m * m)
 
     def x_name(k: int, i: int, th) -> str:
         return f"x{k}^{i}({th[0]},{th[1]},{th[2]})"
 
     rows = {}
-    for i in range(1, 3 * m + 1):
-        level = st.levels[i - 1]
+    for i, level in enumerate(st.levels, start=1):
         left, right = st.closers(i)
-        a_i = st.rank(i, right) - st.rank(i, left)
-        if a_i < 1:
-            raise InternalError("closing gap must be a positive integer")
         # the drifting thread stops one row short; the final drift step is
         # the closing edge itself
-        rows[i] = max(a_i - 1, 1)
+        rows[i] = max(st.rank(i, right) - st.rank(i, left) - 1, 1)
         prev_name = {th: _w_name(i, th) for th in level}
         for k in range(1, rows[i] + 1):
             for th in level:
@@ -533,7 +454,7 @@ def gen_h5(g: OrderedGraph) -> GadgetOutput:
                     continue
                 name = x_name(k, i, th)
                 drift = -k - HALF if th == right else 0
-                pos[name] = wpos[(i, th)] + 6 * m * k + drift
+                pos[name] = pos[_w_name(i, th)] + 6 * m * k + drift
                 roles[name] = f"x_{k}^{i}({th[0]},{th[1]},{th[2]})"
                 edges.append((prev_name[th], name))
                 prev_name[th] = name
@@ -542,37 +463,41 @@ def gen_h5(g: OrderedGraph) -> GadgetOutput:
                 edges.append((prev_name[th], _w_name(i + 1, th)))
         edges.append((prev_name[right], prev_name[left]))
 
-    graph = OrderedGraph([(v, p) for v, p in pos.items()], edges)
-    registry = {}
-    for edge in st.edges:
-        u, v = edge
-        fe = st.f[edge]
-        for branch in (1, 2, 3):
-            jj = 3 * fe + branch - 3
-            _, drifting = st.closers(jj)
+    def side(th) -> list:
+        j = th[2]
+        drifting = st.closers(j)[1]
+        seq = []
+        for i in range(1, j + 1):
+            seq.append(_w_name(i, th))
+            top = rows[i] if i < j or th != drifting else rows[i] - 1
+            seq.extend(x_name(k, i, th) for k in range(1, top + 1))
+        return seq
 
-            def side_seq(th_dir):
-                th = (*th_dir, jj)
-                seq = []
-                for i in range(1, jj + 1):
-                    seq.append(_w_name(i, th))
-                    top = rows[i] if i < jj or th != drifting else rows[i] - 1
-                    for k in range(1, top + 1):
-                        seq.append(x_name(k, i, th))
-                return seq
+    return st.output(pos, roles, edges, side, lambda th: [], ("M5",))
 
-            u_seq = side_seq((u, v))
-            v_seq = side_seq((v, u))
-            registry[(edge, branch)] = tuple([u] + u_seq + list(reversed(v_seq)) + [v])
-    lists = realize_lists(graph, registry)
-    return GadgetOutput(
-        instance=Instance(graph, lists),
-        provenance=roles,
-        advertised_free=("M5",),
-        path_registry=registry,
-        source_kind="graph",
-        source=g,
-    )
+
+# ---------------------------------------------------------------------------
+# the gadget table
+
+
+class Gadget(NamedTuple):
+    """One generator as `oglc gen` and `oglc verify` see it: the kind of
+    source it reads (`"nae"`, `"graph"` or `"instance"`, its outputs'
+    `source_kind`), its layout names, and `generate(source, layout)`."""
+
+    kind: str
+    layouts: tuple
+    generate: Callable[[object, str], GadgetOutput]
+
+
+GADGETS = {
+    "h1": Gadget("nae", ("t1", "t2", "t3"), gen_h1),
+    "h2": Gadget("nae", ("t4",), lambda nae, _: gen_h2(nae)),
+    "h3": Gadget("graph", ("t5", "t6"), gen_h3),
+    "h4": Gadget("graph", ("t7",), lambda g, _: gen_h4(g)),
+    "h5": Gadget("graph", ("t8",), lambda g, _: gen_h5(g)),
+    "bip": Gadget("instance", ("t5",), lambda inst, _: gen_bipartite(inst)),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -596,7 +521,9 @@ def verify_gadget(out: GadgetOutput, oracle_cap: int = 4000) -> GadgetReport:
     colorable by the coloring its NAE assignment maps to; the oracle (and
     so `oracle_cap`) decides only unsatisfiable NAE sources, graph and
     instance sources, and gadgets where that coloring fails to validate.
-    Failures become report entries, not exceptions."""
+    A failed check is a report entry; an oracle run over `oracle_cap`
+    raises `CapExceededError`, as `solve_bruteforce` does, and any other
+    exception is raised too, so neither reads as a failed check."""
     entries = []
     for pid in out.advertised_free:
         witness = contains_pattern(out.instance.graph, build_pattern(pid))
@@ -614,17 +541,14 @@ def verify_gadget(out: GadgetOutput, oracle_cap: int = 4000) -> GadgetReport:
         except InputError as exc:
             entries.append(("path-registry", False, str(exc)))
     if out.source_kind:
-        try:
-            gadget_colorable, source_ok = _equi_satisfiability(out, oracle_cap)
-            entries.append(
-                (
-                    "equi-satisfiability",
-                    gadget_colorable == source_ok,
-                    f"gadget={gadget_colorable} source={source_ok}",
-                )
+        gadget_colorable, source_ok = _equi_satisfiability(out, oracle_cap)
+        entries.append(
+            (
+                "equi-satisfiability",
+                gadget_colorable == source_ok,
+                f"gadget={gadget_colorable} source={source_ok}",
             )
-        except Exception as exc:  # cap overruns reported, never raised
-            entries.append(("equi-satisfiability", False, f"error: {exc}"))
+        )
     return GadgetReport(tuple(entries))
 
 

@@ -54,10 +54,9 @@ def class_cap(w: int) -> int:
 class Member:
     """A list instance on ranks, which the seed chain runs on: the ranks in
     `mask`, rank r with the neighbors `bits[r] & mask` and the colors
-    i + 1 whose bitset `has[i]` holds r. Ranks below `base.graph.n` are
-    the input graph's; `augment_star` appends two more."""
+    i + 1 whose bitset `has[i]` holds r. Ranks below the input graph's
+    vertex count are its own; `augment_star` appends two more."""
 
-    base: Instance
     bits: tuple
     has: tuple
     mask: int
@@ -109,7 +108,6 @@ def augment_star(m: Member) -> tuple[Member, tuple]:
     q2 = q1 + 1
     h0, h1, h2 = m.has
     star = Member(
-        m.base,
         m.bits + (1 << q2, 1 << q1),
         (h0 | 1 << q1, h1 | 1 << q2, h2),
         m.mask | 1 << q1 | 1 << q2,
@@ -257,7 +255,7 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
     bits = g.adjacency_bits()
     for has in build_sigma_profile(inst, w):
         wide = _wide(has)
-        star, _ = augment_star(Member(inst, bits, has, wide))
+        star, _ = augment_star(Member(bits, has, wide))
         if success_table(star, w + 1).final():
             return checked_witness(_oracle_witness(inst, has, wide), inst)
     return None

@@ -382,7 +382,7 @@ def chain_member(inst: Instance) -> Member:
     """The whole instance as a member the seed chain runs on: every rank,
     with its list."""
     g = inst.graph
-    return Member(inst, g.adjacency_bits(), inst.color_bits, (1 << g.n) - 1)
+    return Member(g.adjacency_bits(), inst.color_bits, (1 << g.n) - 1)
 
 
 def rank_seed(m: Member, support: tuple, colors: tuple) -> ColoredSeed:

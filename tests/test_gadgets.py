@@ -4,6 +4,7 @@ import itertools
 import pytest
 
 from ordered_coloring import (
+    CapExceededError,
     Coloring,
     InputError,
     Instance,
@@ -288,6 +289,13 @@ class TestExpanders:
         report = verify_gadget(out, oracle_cap=4000)
         assert report.passed, (name, report.entries)
         assert solve_bruteforce(out.instance, cap=4000) is None
+
+    def test_oracle_over_the_cap_raises(self):
+        # 103 vertices: the cap leaves equi-satisfiability undecided, which
+        # is no failed check
+        out = gen_h4(graph({i: i for i in range(1, 5)}, [(1, 2), (2, 3), (3, 4)]))
+        with pytest.raises(CapExceededError, match="103 vertices, cap is 60"):
+            verify_gadget(out, oracle_cap=60)
 
     def test_reversal_of_output_avoids_reversed_patterns(self):
         src = graph({"a": 1, "b": 2, "c": 3}, [("a", "b"), ("b", "c")])

@@ -1,3 +1,4 @@
+import argparse
 import json
 import re
 from fractions import Fraction
@@ -15,8 +16,16 @@ from ordered_coloring import (
     build_pattern,
     solve_j16,
 )
-from ordered_coloring.cli import main
-from ordered_coloring.gadgets import gen_h3, gen_h4, gen_h5
+from ordered_coloring.cli import _parser, main
+from ordered_coloring.gadgets import (
+    GADGETS,
+    gen_bipartite,
+    gen_h1,
+    gen_h2,
+    gen_h3,
+    gen_h4,
+    gen_h5,
+)
 from ordered_coloring.io import (
     parse_instance,
     parse_nae,
@@ -498,6 +507,35 @@ class TestCli:
         code, out = run_cli(tmp_path, "verify", prefix + ".og", "--prov", prefix + ".prov")
         assert code == 1 and "check:path-registry fail" in out
 
+    def test_verify_cap_overrun_is_an_input_error(self, tmp_path):
+        # the h4 gadget of a three-edge path has 103 vertices; an oracle
+        # over its cap decides nothing, so it must not read as a fail (1)
+        src = tmp_path / "p4.og"
+        src.write_text(
+            "ograph p4\nvtx a 1\nvtx b 2\nvtx c 3\nvtx d 4\nedg a b\nedg b c\nedg c d\n",
+            encoding="utf-8",
+        )
+        prefix = str(tmp_path / "h4")
+        code, _ = run_cli(tmp_path, "gen", str(src), "--gadget", "h4", "--out", prefix)
+        assert code == 0
+        argv = ["verify", prefix + ".og", "--prov", prefix + ".prov", "--source", str(src)]
+        code, out = run_cli(tmp_path, *argv, "--cap", "60")
+        assert code == 3 and "verdict input-error" in out
+        assert "error instance has 103 vertices, cap is 60" in out
+        code, out = run_cli(tmp_path, *argv, "--cap", "103")
+        assert code == 0 and "verdict verified" in out
+
+    def test_verify_internal_error_exit_code(self, tmp_path, monkeypatch):
+        og, prov, src = self.h4_files(tmp_path)
+
+        def crash(*args, **kwargs):
+            raise InternalError("broken invariant")
+
+        monkeypatch.setattr("ordered_coloring.gadgets.solve_bruteforce", crash)
+        code, out = run_cli(tmp_path, "verify", str(og), "--prov", str(prov), "--source", str(src))
+        assert code == 4 and "verdict internal-error" in out
+        assert "error InternalError: broken invariant" in out
+
     def test_verify_detects_corruption(self, tmp_path):
         nae_path = tmp_path / "i.nae"
         nae_path.write_text("nae 3\ncls 1 2 3\n", encoding="utf-8")
@@ -637,3 +675,139 @@ class TestCli:
         with pytest.raises(SystemExit) as exc:
             run_cli(tmp_path, "solve", "--help")
         assert exc.value.code == 0
+
+
+NAE_SOURCE = "nae 4\ncls 1 2 3\ncls 1 2 4\ncls 2 3 4\n"
+P3_SOURCE = "ograph p3\nvtx a 1\nvtx b 2\nvtx c 3\nedg a b\nedg b c\n"
+C4_SOURCE = "ograph c4\nvtx a 1\nvtx b 2\nvtx c 3\nvtx d 4\nedg a b\nedg b c\nedg c d\nedg a d\n"
+
+# per gadget, a source file and the generator called directly on it
+DIRECT = {
+    "h1": (NAE_SOURCE, lambda text, layout: gen_h1(parse_nae(text), layout)),
+    "h2": (NAE_SOURCE, lambda text, _: gen_h2(parse_nae(text))),
+    "h3": (P3_SOURCE, lambda text, layout: gen_h3(parse_instance(text)[1].graph, layout)),
+    "h4": (P3_SOURCE, lambda text, _: gen_h4(parse_instance(text)[1].graph)),
+    "h5": (P3_SOURCE, lambda text, _: gen_h5(parse_instance(text)[1].graph)),
+    "bip": (C4_SOURCE, lambda text, _: gen_bipartite(parse_instance(text)[1])),
+}
+
+
+def arguments(command: str) -> dict:
+    """The argparse actions of an `oglc` subcommand, by destination."""
+    sub = next(a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions}
+
+
+class TestGadgetTable:
+    """`oglc gen` and `oglc verify` on every (gadget, layout) of `GADGETS`."""
+
+    def test_choices_come_from_the_table(self):
+        assert list(GADGETS) == list(DIRECT)
+        args = arguments("gen")
+        assert args["gadget"].choices == list(GADGETS)
+        layouts = {layout for gadget in GADGETS.values() for layout in gadget.layouts}
+        assert set(args["order"].choices) == layouts
+
+    @pytest.mark.parametrize(
+        "name,layout", [(n, layout) for n, g in GADGETS.items() for layout in g.layouts]
+    )
+    def test_gen_writes_the_generator_output(self, tmp_path, name, layout):
+        text, generate = DIRECT[name]
+        src = tmp_path / "src"
+        src.write_text(text, encoding="utf-8")
+        prefix = str(tmp_path / "g")
+        argv = ["gen", str(src), "--gadget", name, "--order", layout, "--out", prefix]
+        assert run_cli(tmp_path, *argv)[0] == 0
+        out = generate(text, layout)
+        assert out.source_kind == GADGETS[name].kind
+        meta = {"gadget": (name,), "free": out.advertised_free, "order": (layout,)}
+        og = serialize_instance(f"{name}-{layout}", out.instance)
+        prov = serialize_provenance(out.provenance, meta, out.path_registry)
+        assert Path(prefix + ".og").read_bytes() == og.encode()
+        assert Path(prefix + ".prov").read_bytes() == prov.encode()
+        code, report = run_cli(
+            tmp_path, "verify", prefix + ".og", "--prov", prefix + ".prov", "--source", str(src)
+        )
+        assert code == 0 and "verdict verified" in report
+
+    def test_readme_table_matches(self):
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+        rows = re.findall(r"^\| `(\w+)` \| `(t\d)` \| [^|]+ \| (.+) \|$", readme, re.M)
+        assert [row[:2] for row in rows] == [
+            (n, layout) for n, g in GADGETS.items() for layout in g.layouts
+        ]
+        for name, layout, free in rows:
+            text, generate = DIRECT[name]
+            assert free == ", ".join(f"`{p}`" for p in generate(text, layout).advertised_free)
+
+
+def mutants(rng, text: str, count: int, extra_tokens=()):
+    """`count` copies of `text`, each with one record edit, two in about a
+    third of them: a line dropped or duplicated, or a token replaced,
+    dropped or added. Most replacements take a token seen in the same
+    field of the same record kind, so many mutants still parse; the rest
+    take a malformed one."""
+    lines = [line.split() for line in text.splitlines()]
+    fields: dict = {}  # (record kind, field index) -> the tokens seen there
+    for line in lines:
+        for k, token in enumerate(line):
+            fields.setdefault((line[0], k), set()).add(token)
+    malformed = sorted(set(extra_tokens)) + ["0", "-1", "1/0", "2/4", "x", "J99", "1" * 30]
+    for _ in range(count):
+        out = [list(line) for line in lines]
+        for _ in range(rng.choice((1, 1, 2))):
+            i = rng.randrange(len(out))
+            edit = rng.randrange(6)
+            if edit == 0 and len(out) > 1:
+                del out[i]
+            elif edit == 1:
+                out.insert(rng.randrange(len(out) + 1), list(out[i]))
+            elif edit in (2, 3) and out[i]:
+                k = rng.randrange(len(out[i]))
+                same = sorted(fields.get((out[i][0], k), ()))
+                out[i][k] = rng.choice(same if same and rng.random() < 0.75 else malformed)
+            elif edit == 4 and out[i]:
+                del out[i][rng.randrange(len(out[i]))]
+            else:
+                out[i].insert(rng.randrange(len(out[i]) + 1), rng.choice(malformed))
+        yield "\n".join(" ".join(line) for line in out) + "\n"
+
+
+class TestExitCodeFuzz:
+    """Seeded mutations of well-formed files: `oglc` answers each with a
+    verdict, a refusal or an input error (exit 0-3), never a crash (4)."""
+
+    def test_mutated_instances_through_every_solver(self, tmp_path):
+        # colorable, and only with c = 3 and d = 1
+        text = (
+            "ograph f\nvtx a 1\nvtx b 2\nvtx c 5/2\nvtx d 4\nvtx e 5\nedg a b\nedg b c\n"
+            "edg a c\nedg c d\nedg b e\nlst a 12\nlst b 12\nlst c 3\nlst d 13\nlst e 123\n"
+        )
+        path = tmp_path / "m.og"
+        seen = set()
+        for mutant in mutants(make_rng(2024), text, 150):
+            path.write_text(mutant, encoding="utf-8")
+            for name in arguments("solve")["alg"].choices:
+                code, out = run_cli(tmp_path, "solve", str(path), "--alg", name)
+                assert 0 <= code <= 3, (name, mutant, out)
+                seen.add(code)
+        assert seen == {0, 1, 2, 3}
+
+    def test_mutated_sidecars_through_verify(self, tmp_path):
+        src = tmp_path / "src"
+        seen = set()
+        for name, layout in (("h4", "t7"), ("h1", "t3")):
+            text, _ = DIRECT[name]
+            src.write_text(text, encoding="utf-8")
+            prefix = str(tmp_path / name)
+            run_cli(tmp_path, "gen", str(src), "--gadget", name, "--order", layout, "--out", prefix)
+            prov = Path(prefix + ".prov")
+            original = prov.read_text(encoding="utf-8")
+            for mutant in mutants(make_rng(7), original, 100, GADGETS):
+                prov.write_text(mutant, encoding="utf-8")
+                code, out = run_cli(
+                    tmp_path, "verify", prefix + ".og", "--prov", str(prov), "--source", str(src)
+                )
+                assert 0 <= code <= 3, (mutant, out)
+                seen.add(code)
+        assert seen == {0, 1, 3}
