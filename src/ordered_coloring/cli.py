@@ -295,9 +295,9 @@ def _parser() -> argparse.ArgumentParser:
         "--cap",
         type=int,
         default=4000,
-        help="oracle size cap; binds only where the oracle runs (unsatisfiable "
-        "NAE sources, graph and instance sources, gadgets whose mapped "
-        "coloring fails)",
+        help="oracle size cap in vertices, where the coloring oracle runs (graph and instance "
+        "sources, gadgets whose mapped coloring fails or is missing); an NAE source "
+        "itself is scanned only up to 24 variables, whatever the cap",
     )
 
     p = sub.add_parser("random-instance", help="emit a reproducible random instance")

@@ -521,9 +521,10 @@ def verify_gadget(out: GadgetOutput, oracle_cap: int = 4000) -> GadgetReport:
     colorable by the coloring its NAE assignment maps to; the oracle (and
     so `oracle_cap`) decides only unsatisfiable NAE sources, graph and
     instance sources, and gadgets where that coloring fails to validate.
-    A failed check is a report entry; an oracle run over `oracle_cap`
-    raises `CapExceededError`, as `solve_bruteforce` does, and any other
-    exception is raised too, so neither reads as a failed check."""
+    An NAE source is scanned by `nae_bruteforce` up to its own bound of 24
+    variables. A failed check is a report entry; a run over either bound
+    raises `CapExceededError`, and any other exception is raised too, so
+    neither reads as a failed check."""
     entries = []
     for pid in out.advertised_free:
         witness = contains_pattern(out.instance.graph, build_pattern(pid))

@@ -22,15 +22,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import (
-    Coloring,
-    Instance,
-    OrderedGraph,
-    _degree_masks,
-    _ranks,
-    checked_witness,
-    contains_pattern,
-)
+from .core import Coloring, Instance, OrderedGraph, _degree_masks, _ranks, contains_pattern
 from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
     _TUPLES,
@@ -39,6 +31,7 @@ from .kernels import (
     _mask_at,
     _propagate_bits,
     _wide,
+    _witness,
     boundary_guesses,
     has_k4,
     solve_small_class,
@@ -282,8 +275,8 @@ def solve_j16(
     color; hence every list coloring of the wide ranks extends, through
     the forced colors, to a proper coloring.
 
-    The witness is validated once against `inst`: here, or for a
-    small color class by `solve_small_class`."""
+    The witness is validated once against `inst`, by `kernels._witness`:
+    here, or for a small color class in `solve_small_class`."""
     if reverse:
         mirrored = Instance(inst.graph.reverse(), inst.lists)
         return solve_j16(mirrored, k, l, reverse=False, check_freeness=check_freeness)
@@ -305,33 +298,23 @@ def solve_j16(
         else:
             stage = _forced_colorings(bits, member, wide)  # one color per rank, proper
         for final in stage:
-            coloring = _finish_member(g, final)
-            if coloring is not None:
-                return checked_witness(coloring, inst)
+            ranks = _finish_member(g, final)
+            if ranks is not None:
+                return _witness(inst, ranks, final)
     return None
 
 
-def _finish_member(g: OrderedGraph, has: tuple) -> Optional[Coloring]:
+def _finish_member(g: OrderedGraph, has: tuple) -> Optional[dict]:
     """List color the member's wide set with `_chordal_coloring` on g's
-    adjacency bits, restricted to the wide ranks, then extend by the
-    forced colors in rank order, read off the bitsets: a one-color rank
-    in `has[1]` takes color 2, in `has[2]` color 3, otherwise color 1.
-    The member has no empty list. A wide set that is not chordal is a bug
-    and raises `InternalError`, also under `python -O`. The coloring is
-    not validated here: `solve_j16` checks its witness against its own
-    instance, whose lists contain the member's."""
-    order = g.vertices
+    adjacency bits, restricted to the wide ranks: {rank: color}, or None
+    when it has no coloring. The member has no empty list, and
+    `solve_j16` extends the result by the forced colors in rank order
+    (`kernels._witness`). A wide set that is not chordal is a bug and
+    raises `InternalError`, also under `python -O`."""
     wide = _wide(has)
-    assignment = {}
-    if wide:
-        try:
-            ranks = _chordal_coloring(g.adjacency_bits(), wide, has)
-        except PreconditionError:
-            raise InternalError("wide set of a finished member is not chordal") from None
-        if ranks is None:
-            return None
-        assignment = {order[r]: c for r, c in ranks.items()}
-    _, h1, h2 = has
-    for r in _ranks(((1 << len(order)) - 1) & ~wide):
-        assignment[order[r]] = 1 + (h1 >> r & 1) + 2 * (h2 >> r & 1)
-    return Coloring(assignment)
+    if not wide:
+        return {}
+    try:
+        return _chordal_coloring(g.adjacency_bits(), wide, has)
+    except PreconditionError:
+        raise InternalError("wide set of a finished member is not chordal") from None

@@ -9,6 +9,9 @@ forced dominating edge appended on the right.
 From the guess to the witness, a member is the three color bitsets of its
 lists on the input graph's ranks (see `Instance.color_bits`), and the
 chain runs on the mask of its ranks whose list keeps two or more colors.
+The witness of a yes instance is read off the accepting chain's link
+colorings; no exhaustive search runs. What stays exponential is `gamma`,
+which enumerates every support of a span.
 """
 
 from __future__ import annotations
@@ -16,28 +19,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator, Optional
 
-from .core import (
-    Coloring,
-    Instance,
-    ListAssignment,
-    _maximal_edges,
-    _ranks,
-    checked_witness,
-    contains_pattern,
-)
+from .core import Coloring, Instance, _maximal_edges, _ranks, contains_pattern
 from .errors import InternalError, RefusalError
-from .kernels import (
-    _ONLY,
-    _SETS,
-    _few_wide,
-    _list_colorings,
-    _mask_at,
-    _wide,
-    boundary_guesses,
-    has_k4,
-    solve_small_class,
-)
-from .oracle import solve_bruteforce
+from .kernels import _few_wide, _list_colorings, _wide, _witness, boundary_guesses, has_k4, solve_small_class
 from .patterns import build_pattern
 
 # Most full lists a link reduction may leave; `kernels._few_wide` tries
@@ -117,10 +101,12 @@ def augment_star(m: Member) -> tuple[Member, tuple]:
     return star, (q1, q2)
 
 
-def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> bool:
-    """Decide whether some list coloring psi of the span of e_prev makes
-    both (psi, seed-at-e) and (psi, seed-at-e_prev) satisfy the
-    compatibility and left-domination properties.
+def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> Optional[dict]:
+    """Find a list coloring psi of the span of e_prev that makes both
+    (psi, seed-at-e) and (psi, seed-at-e_prev) satisfy the compatibility
+    and left-domination properties. Returns psi as {rank: color} on the
+    member's ranks in that span, ranks ascending, or None when there is
+    none.
 
     The check reduces to a derived list assignment on the span of e_prev
     (forced values on seed supports, struck colors from seed neighborhoods
@@ -160,17 +146,19 @@ def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -
     if wide > WIDE_CAP:
         raise InternalError(f"link reduction left {wide} full lists, above the cap {WIDE_CAP}")
     if derived[0] | derived[1] | derived[2] != und_prev:
-        return False
-    return _few_wide(bits, und_prev, derived) is not None
+        return None
+    return _few_wide(bits, und_prev, derived)
 
 
 @dataclass(frozen=True)
 class SuccessTable:
     """Per maximal edge (in left-to-right order), the seeds that chain back
-    to the first maximal edge."""
+    to the first maximal edge, and per seed the index of the first seed on
+    the previous edge that links to it (none on the first edge)."""
 
     edges: tuple
     successful: tuple  # tuple of tuples of ColoredSeed, parallel to edges
+    back: tuple  # tuple of tuples of indices, parallel to successful
 
     def final(self) -> tuple:
         return self.successful[-1] if self.successful else ()
@@ -179,25 +167,29 @@ class SuccessTable:
 def success_table(m: Member, w: int) -> SuccessTable:
     """Left-to-right dynamic program over the maximal edges of m: on the
     first edge every seed is successful; afterwards a seed survives when
-    some successful seed on the previous edge links to it (`check_link`)."""
+    some successful seed on the previous edge links to it (`check_link`),
+    and the first such seed is its back-pointer."""
     mx = _maximal_edges(m.bits, m.mask)
     per_edge = []
+    back = []
     prev_edge = None
     prev_success: list = []
     for e in mx:
+        current, links = [], []
         if prev_edge is None:
             current = list(gamma(m, e, w))
         else:
-            current = []
             for g_seed in gamma(m, e, w):
-                for g_prev in prev_success:
-                    if check_link(m, e, prev_edge, g_seed, g_prev):
+                for j, g_prev in enumerate(prev_success):
+                    if check_link(m, e, prev_edge, g_seed, g_prev) is not None:
                         current.append(g_seed)
+                        links.append(j)
                         break
         per_edge.append(tuple(current))
+        back.append(tuple(links))
         prev_edge = e
         prev_success = current
-    return SuccessTable(mx, tuple(per_edge))
+    return SuccessTable(mx, tuple(per_edge), tuple(back))
 
 
 def build_sigma_profile(inst: Instance, w: int) -> Iterator[tuple]:
@@ -236,11 +228,32 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
     `class_cap(2)` = 111, which cannot bind on a span of 111 vertices or
     fewer.
 
-    The chain itself only decides. On yes instances the witness comes from
-    the exhaustive oracle, run on the sub-instance of the accepting
-    member's wide ranks and extended by its forced colors: the
-    sub-instance's vertices first, then the forced ones in vertex order.
-    So `solve_jw` is exponential exactly when it accepts.
+    The witness is read off the accepting chain (`_chain_coloring`). Walk
+    the back-pointers from the first final seed; on that path write
+    sigma_k for the seed on span k and psi_k for the link coloring of
+    span k that joins sigma_k to sigma_{k+1}. Each wide rank takes its
+    color from psi_k for the rightmost span k that holds it. Every edge
+    between wide ranks lies in some span, so a wide rank in no span has
+    no wide neighbor; it takes the smallest color of its list, and a
+    one-color rank keeps its color (`kernels._witness`, which validates
+    the result once). The member is propagated, so every
+    list avoids the colors of its one-color neighbors, and each psi_k
+    colors its span properly from those lists.
+
+    That leaves an edge uv, u < v, between wide ranks whose rightmost
+    spans k_u and k_v differ. Spans are rank intervals whose two ends
+    both increase, and some span up to k_u holds uv; so v lies in span
+    k_u, k_u < k_v, and u lies left of every span after k_u. Say
+    psi_{k_v} gives v color i. Then u has a neighbor of color i in
+    sigma_j for j = k_v, by left-domination (property Y) of psi_{k_v} by
+    sigma_{k_v}. While j > k_u + 1, that neighbor y lies in span j - 1
+    too (uy lies in a span up to k_u), where psi_{j-1} agrees with
+    sigma_j (compatibility), so psi_{j-1} gives y color i, and
+    left-domination of psi_{j-1} by sigma_{j-1} gives u a neighbor of
+    color i in sigma_{j-1}. So u has a neighbor of color i in
+    sigma_{k_u+1}, whose span u is left of. Compatibility with joint
+    properness (property X) of psi_{k_u} and sigma_{k_u+1} makes their
+    union proper, so psi_{k_u} keeps u off color i.
     """
     if check_freeness:
         witness = contains_pattern(inst.graph, build_pattern(f"Jw:{w}"))
@@ -254,27 +267,26 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
         return small
     bits = g.adjacency_bits()
     for has in build_sigma_profile(inst, w):
-        wide = _wide(has)
-        star, _ = augment_star(Member(bits, has, wide))
-        if success_table(star, w + 1).final():
-            return checked_witness(_oracle_witness(inst, has, wide), inst)
+        star, _ = augment_star(Member(bits, has, _wide(has)))
+        table = success_table(star, w + 1)
+        if table.final():
+            return _witness(inst, _chain_coloring(star, table), has)
     return None
 
 
-def _oracle_witness(inst: Instance, has: tuple, wide: int) -> Coloring:
-    """The oracle's coloring of the member `has` on its wide ranks,
-    extended by the colors of its one-color ranks in vertex order."""
-    g = inst.graph
-    order = g.vertices
-    kept = list(_ranks(wide))
-    sub = Instance(
-        g.induced([order[r] for r in kept]),
-        ListAssignment({order[r]: _SETS[_mask_at(has, r)] for r in kept}),
-    )
-    inner = solve_bruteforce(sub, cap=sub.graph.n)
-    if inner is None:
-        raise InternalError("a member with a successful chain has no coloring")
-    out = dict(inner.items())
-    for r in _ranks(((1 << g.n) - 1) & ~wide):
-        out[order[r]] = _ONLY[_mask_at(has, r)]
-    return Coloring(out)
+def _chain_coloring(m: Member, table: SuccessTable) -> dict:
+    """The colors of the ranks in the spans of m's maximal edges, read off
+    the chain from the first final seed back along the back-pointers:
+    the links on that path are recomputed with `check_link`, and each
+    rank takes its color from the psi of the rightmost span that holds
+    it. Returns {rank: color}, ranks ascending."""
+    found = []
+    j = 0
+    for k in range(len(table.edges) - 1, 0, -1):
+        seed, j = table.successful[k][j], table.back[k][j]
+        found.append(check_link(m, table.edges[k], table.edges[k - 1], seed, table.successful[k - 1][j]))
+    ranks: dict = {}
+    for psi in reversed(found):
+        ranks |= psi
+    return ranks
+

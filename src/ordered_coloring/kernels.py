@@ -12,9 +12,7 @@ from typing import Iterator, Optional
 from .core import COLORS, Coloring, Instance, OrderedGraph, _degree_masks, _ranks, checked_witness
 from .errors import PreconditionError
 
-_ONLY = {1: 1, 2: 2, 4: 3}  # singleton mask -> its color
-_SETS = tuple(frozenset(c for c in COLORS if m & 1 << (c - 1)) for m in range(8))  # mask -> list
-_TUPLES = tuple(tuple(sorted(cs)) for cs in _SETS)  # mask -> its colors, ascending
+_TUPLES = tuple(tuple(c for c in COLORS if m >> c - 1 & 1) for m in range(8))  # mask -> its colors, ascending
 
 
 def _mask_at(has, r: int) -> int:
@@ -317,13 +315,21 @@ def _few_wide(bits: tuple, mask: int, has) -> Optional[dict]:
     return None
 
 
-def _witness(inst: Instance, ranks: Optional[dict]) -> Optional[Coloring]:
+def _witness(inst: Instance, ranks: Optional[dict], has=None) -> Optional[Coloring]:
     """A kernel's {rank: color} as a coloring of inst, in the same key
-    order, once it validates; None stays None."""
+    order, once it validates; None stays None. With the color bitsets
+    `has` of a member with no empty list (see `Instance.color_bits`), the
+    ranks that `ranks` leaves out follow in rank order, each with the
+    smallest color of its list: both solvers finish a member this way."""
     if ranks is None:
         return None
     order = inst.graph.vertices
-    return checked_witness(Coloring({order[r]: c for r, c in ranks.items()}), inst)
+    out = {order[r]: c for r, c in ranks.items()}
+    if has is not None:
+        for r in range(len(order)):
+            if r not in ranks:
+                out[order[r]] = _TUPLES[_mask_at(has, r)][0]
+    return checked_witness(Coloring(out), inst)
 
 
 def solve_two_lists(inst: Instance) -> Optional[Coloring]:

@@ -27,7 +27,6 @@ from ordered_coloring.core import _ranks, checked_witness
 from ordered_coloring.j16 import _forced_colorings, pad_sets
 from ordered_coloring.jw import ColoredSeed, Member
 from ordered_coloring.kernels import (
-    _SETS,
     _TUPLES,
     _TwoSat,
     _mask_at,
@@ -38,6 +37,9 @@ from ordered_coloring.kernels import (
 )
 from ordered_coloring.oracle import DEFAULT_CAP
 from ordered_coloring.rand import random_lists, random_ordered_graph
+
+_ONLY = {1: 1, 2: 2, 4: 3}  # singleton mask -> its color
+_SETS = tuple(frozenset(c for c in COLORS if m & 1 << (c - 1)) for m in range(8))  # mask -> list
 
 
 def brute_contains(g: OrderedGraph, h: OrderedGraph):
@@ -457,23 +459,33 @@ def property_y(inst: Instance, phi: Coloring, seed, e) -> bool:
     return True
 
 
-def reference_check_link(m: Member, e, e_prev, g_seed, g_prev) -> bool:
+def reference_check_link(m: Member, e, e_prev, g_seed, g_prev) -> Optional[dict]:
     """Independent oracle for `jw.check_link`: sweep every list coloring
     psi of the span of e_prev and test both properties against both seeds
-    directly, on the member as an instance keyed by ranks. Same signature,
-    so it can stand in for the link check."""
+    directly, on the member as an instance keyed by ranks. Returns the
+    first psi that passes as {rank: color}, ranks ascending, or None.
+    Same signature and result, so it can stand in for the link check,
+    and a chain run on it glues its witness from these psi."""
     inst = rank_instance(m)
     und_prev, _ = span_and_left(inst.graph, e_prev)
     sub = sub_instance(inst, und_prev)
     for psi in enumerate_colorings(sub, cap=sub.graph.n):
-        if (
-            property_x(inst, psi, g_seed)
-            and property_y(inst, psi, g_seed, e)
-            and property_x(inst, psi, g_prev)
-            and property_y(inst, psi, g_prev, e_prev)
-        ):
-            return True
-    return False
+        if link_holds(m, e, e_prev, g_seed, g_prev, psi):
+            return dict(psi.items())
+    return None
+
+
+def link_holds(m: Member, e, e_prev, g_seed, g_prev, psi) -> bool:
+    """Whether psi, a `Coloring` or {rank: color} of ranks, satisfies
+    compatibility and left-domination against both seeds of a link, on m
+    as an instance keyed by ranks."""
+    inst = rank_instance(m)
+    return (
+        property_x(inst, psi, g_seed)
+        and property_y(inst, psi, g_seed, e)
+        and property_x(inst, psi, g_prev)
+        and property_y(inst, psi, g_prev, e_prev)
+    )
 
 
 def reference_maximal_edges(bits: tuple, mask: int) -> tuple:
@@ -529,6 +541,21 @@ def band_chain_instance(rng, n: int, obstruct: bool) -> Instance:
             and solve_small_class(inst, 2) is None
         ):
             return inst
+
+
+def fan_instance(m: int) -> Instance:
+    """The fan family with m middle vertices, on full lists: the triangle
+    p1 p2 p3, then a, x1..xm, b, then the triangle q1 q2 q3, at positions
+    1..m + 8, with the edges a-b, a-xi and xi-x(i+1) besides the two
+    triangles. It is Jw:1-free and K4-free, and no coloring has a color
+    class smaller than 2, so `solve_jw` reaches the seed chain; the guess
+    forces both triangles and leaves a, x1..xm, b wide, so (a, b) is one
+    maximal edge whose span holds m + 2 wide ranks."""
+    xs = [f"x{i}" for i in range(1, m + 1)]
+    names = ["p1", "p2", "p3", "a", *xs, "b", "q1", "q2", "q3"]
+    edges = [("p1", "p2"), ("p1", "p3"), ("p2", "p3"), ("q1", "q2"), ("q1", "q3"), ("q2", "q3")]
+    edges += [("a", "b")] + [("a", x) for x in xs] + list(zip(xs, xs[1:]))
+    return Instance.with_full_lists(OrderedGraph([(v, i + 1) for i, v in enumerate(names)], edges))
 
 
 @dataclass(frozen=True)

@@ -525,6 +525,19 @@ class TestCli:
         code, out = run_cli(tmp_path, *argv, "--cap", "103")
         assert code == 0 and "verdict verified" in out
 
+    def test_verify_nae_source_over_the_fixed_bound(self, tmp_path):
+        # the NAE scan has its own bound of 24 variables, which --cap does
+        # not lift: a larger source is an input error (3) at any --cap
+        src = tmp_path / "big.nae"
+        src.write_text(serialize_nae(random_nae(make_rng(25), 25, 10)), encoding="utf-8")
+        prefix = str(tmp_path / "h2")
+        code, _ = run_cli(tmp_path, "gen", str(src), "--gadget", "h2", "--out", prefix)
+        assert code == 0
+        argv = ["verify", prefix + ".og", "--prov", prefix + ".prov", "--source", str(src)]
+        code, out = run_cli(tmp_path, *argv, "--cap", "100000")
+        assert code == 3 and "verdict input-error" in out
+        assert "error instance has 25 variables, cap is 24" in out
+
     def test_verify_internal_error_exit_code(self, tmp_path, monkeypatch):
         og, prov, src = self.h4_files(tmp_path)
 

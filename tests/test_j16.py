@@ -26,7 +26,7 @@ from ordered_coloring.j16 import (
     _wide,
     pad_sets,
 )
-from ordered_coloring.kernels import _ONLY, _TUPLES, _mask_at, _propagate_bits, solve_small_class
+from ordered_coloring.kernels import _TUPLES, _mask_at, _propagate_bits, _witness, solve_small_class
 from ordered_coloring.oracle import enumerate_colorings
 from ordered_coloring.rand import (
     make_rng,
@@ -36,6 +36,7 @@ from ordered_coloring.rand import (
     random_lists,
 )
 from conftest import (
+    _ONLY,
     chordal_peo,
     color_class,
     count_colorings,
@@ -547,6 +548,8 @@ class TestFinishMember:
             if has[0] | has[1] | has[2] != (1 << g.n) - 1:
                 continue
             got = _finish_member(g, has)
+            if got is not None:  # extended by the forced colors, as `solve_j16` does
+                got = _witness(inst, got, has)
             expected = reference_finish_member(as_instance(inst, has))
             assert (got is None) == (expected is None)
             if got is None:

@@ -9,6 +9,7 @@ import pytest
 from ordered_coloring import (
     Coloring,
     Instance,
+    InternalError,
     ListAssignment,
     OrderedGraph,
     RefusalError,
@@ -17,7 +18,8 @@ from ordered_coloring import (
     solve_bruteforce,
     solve_jw,
 )
-from ordered_coloring import jw
+import ordered_coloring
+from ordered_coloring import jw, kernels, oracle
 from ordered_coloring.core import _maximal_edges, _ranks
 from ordered_coloring.jw import (
     ColoredSeed,
@@ -28,15 +30,19 @@ from ordered_coloring.jw import (
     gamma,
     success_table,
 )
-from ordered_coloring.kernels import _ONLY, _SETS, _mask_at, _wide, has_k4, solve_small_class
+from ordered_coloring.kernels import _mask_at, _wide, _witness, has_k4, solve_small_class
 from ordered_coloring.io import serialize_instance
 from ordered_coloring.rand import make_rng, random_ordered_graph, random_pattern_free_instance
 from conftest import (
+    _ONLY,
+    _SETS,
     band_chain_instance,
     chain_member,
+    fan_instance,
     graph,
     instance,
     is_proper,
+    link_holds,
     property_x,
     property_y,
     rank_instance,
@@ -248,7 +254,7 @@ class TestCheckLink:
     def test_backends_agree(self):
         # the link reduction against the enumeration reference in conftest
         rng = make_rng(64)
-        agreements = 0
+        agreements = linked = 0
         for _ in range(200):
             inst = jw1_free_instance(rng, n_max=6)
             star, _ = augment_star(chain_member(inst))
@@ -265,9 +271,12 @@ class TestCheckLink:
             g_cur = rng.choice(cur_seeds)
             fast = check_link(star, e, e_prev, g_cur, g_prev)
             slow = reference_check_link(star, e, e_prev, g_cur, g_prev)
-            assert fast == slow
+            assert (fast is not None) == (slow is not None)
+            if fast is not None:
+                assert link_holds(star, e, e_prev, g_cur, g_prev, fast)
+                linked += 1
             agreements += 1
-        assert agreements >= 60
+        assert agreements >= 60 and linked >= 20, (agreements, linked)
 
     def test_incompatible_shared_endpoint(self):
         g = graph({1: 1, 2: 2, 3: 3}, [(1, 2), (2, 3)])
@@ -275,9 +284,9 @@ class TestCheckLink:
         e_prev, e = _maximal_edges(m.bits, m.mask)
         seed_prev = rank_seed(m, (0, 1), (1, 2))
         seed_cur = rank_seed(m, (1, 2), (1, 2))  # colors 2 vs 1 on the shared vertex
-        assert not check_link(m, e, e_prev, seed_cur, seed_prev)
+        assert check_link(m, e, e_prev, seed_cur, seed_prev) is None
         compatible = rank_seed(m, (1, 2), (2, 1))
-        assert check_link(m, e, e_prev, compatible, seed_prev)
+        assert check_link(m, e, e_prev, compatible, seed_prev) == {0: 1, 1: 2}
 
 
 class TestSuccessTable:
@@ -448,7 +457,10 @@ class TestChainCorpus:
             nonlocal links
             links += 1
             got = real(m, e, e_prev, g_seed, g_prev)
-            assert got == reference_check_link(m, e, e_prev, g_seed, g_prev)
+            expected = reference_check_link(m, e, e_prev, g_seed, g_prev)
+            assert (got is not None) == (expected is not None)
+            if got is not None:
+                assert link_holds(m, e, e_prev, g_seed, g_prev, got)
             return got
 
         monkeypatch.setattr(jw, "check_link", checked)
@@ -463,8 +475,8 @@ class TestChainCorpus:
         assert links >= 200 and verdicts == {True, False}, links
 
     def test_graphs_built_per_link(self, monkeypatch):
-        # no graph per link check: only the sub-instance of the accepted
-        # member builds one
+        # no graph per link check, and none for the witness: it is read
+        # off the chain
         real_init = OrderedGraph.__init__
         real_link = jw.check_link
         counts = {"graphs": 0, "links": 0}
@@ -485,6 +497,90 @@ class TestChainCorpus:
         for inst in corpus:
             counts["graphs"] = counts["links"] = 0
             got = solve_jw(inst, 1, check_freeness=False)
-            assert counts["graphs"] <= (got is not None)
+            assert counts["graphs"] == 0
             total += counts["links"]
         assert total >= 100
+
+
+class TestWithoutOracle:
+    """`solve_jw` reads its witness off the chain: with the oracle patched
+    to raise, it answers the band corpus, the first 100 criterion-1 draws
+    and the fan family up to n = 18, and outside the patch each verdict
+    matches the oracle's."""
+
+    def test_chain_corpora(self, monkeypatch):
+        rng = make_rng(2024_01)  # criterion 1's draws
+        drawn = []
+        for _ in range(100):
+            n = rng.randint(2, 8)
+            drawn.append(random_pattern_free_instance(rng, JW1, n, rng.uniform(0.3, 0.9), rng.uniform(0.2, 0.8)))
+        corpus = band_corpus(70) + drawn + [fan_instance(m) for m in range(11)]
+
+        accepted = []  # the tables whose chain accepts
+        real_table = jw.success_table
+
+        def counting(*args):
+            table = real_table(*args)
+            if table.final():
+                accepted.append(table)
+            return table
+
+        monkeypatch.setattr(jw, "success_table", counting)
+
+        def forbidden(*args, **kwargs):
+            raise AssertionError("solve_jw called the oracle")
+
+        with monkeypatch.context() as m:
+            for name in ("enumerate_colorings", "solve_bruteforce"):
+                real = getattr(oracle, name)
+                for module in (oracle, ordered_coloring, jw, kernels):
+                    if getattr(module, name, None) is real:
+                        m.setattr(module, name, forbidden)
+            answers = [solve_jw(inst, 1, check_freeness=False) for inst in corpus]
+        for inst, got in zip(corpus, answers):
+            assert (got is None) == (solve_bruteforce(inst, cap=inst.graph.n) is None)
+            if got is not None:
+                assert got.validates(inst)
+        links = sum(len(table.edges) - 1 for table in accepted)
+        assert len(accepted) >= 20 and links >= 12, (len(accepted), links)
+        assert sum(got is None for got in answers) >= 10
+
+
+class TestGluingRule:
+    """Why a rank takes its color from the rightmost span that holds it.
+
+    On this member, three links chain seeds along the maximal edges
+    (4, 7), (5, 8) and (7, 9), and each link coloring below satisfies
+    both properties against both of its seeds. The first and the second
+    disagree on rank 7, which is off the middle seed's support. Taking
+    the leftmost span's color gives the edge 7-9 one color twice; taking
+    the rightmost one's gives a coloring."""
+
+    EDGES = [(1, 2), (1, 3), (1, 4), (4, 5), (4, 6), (4, 7), (5, 6), (5, 8), (6, 8)]
+    EDGES += [(7, 8), (7, 9), (8, 9), (8, 10), (9, 11), (10, 11), (10, 12), (11, 12)]
+    SEEDS = (((4, 7), (3, 1)), ((5, 6, 8), (1, 2, 3)), ((7, 8, 9), (2, 3, 1)), ((13, 14), (1, 2)))
+    LINKS = ({4: 3, 5: 1, 6: 2, 7: 1}, {5: 1, 6: 2, 7: 2, 8: 3}, {7: 2, 8: 3, 9: 1})
+
+    def test_leftmost_span_fails_where_rightmost_holds(self):
+        inst = instance({r: r + 1 for r in range(13)}, self.EDGES)
+        has = next(build_sigma_profile(inst, 1))  # the first member, on which solve_jw accepts
+        star, _ = augment_star(jw.Member(inst.graph.adjacency_bits(), has, _wide(has)))
+        mx = _maximal_edges(star.bits, star.mask)
+        assert mx == ((4, 7), (5, 8), (7, 9), (13, 14))
+        seeds = [rank_seed(star, support, colors) for support, colors in self.SEEDS]
+        for k, psi in enumerate(self.LINKS):
+            e_prev, e = mx[k], mx[k + 1]
+            assert seeds[k] in gamma(star, e_prev, 2) and seeds[k + 1] in gamma(star, e, 2)
+            assert link_holds(star, e, e_prev, seeds[k + 1], seeds[k], psi)
+            assert check_link(star, e, e_prev, seeds[k + 1], seeds[k]) is not None
+        leftmost: dict = {}
+        rightmost: dict = {}
+        for psi in self.LINKS:
+            for r, c in psi.items():
+                leftmost.setdefault(r, c)
+            rightmost |= psi
+        assert leftmost[7] == leftmost[9] == 1
+        with pytest.raises(InternalError):
+            _witness(inst, leftmost, has)
+        assert _witness(inst, rightmost, has).validates(inst)
+        assert solve_jw(inst, 1).validates(inst)
