@@ -318,11 +318,14 @@ def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:
     canonical search runs and its first embedding is the witness. The
     witness is therefore that of a plain backtracking over the canonical
     plan with candidates in ascending rank, whatever the deciding plan.
-    The host's tables (the degree rule's, and the two-sided range rule's
-    four), the pair check of `_embed` and the plan's ending rule change
-    only which dead branches are cut and how fast, so no witness changes
-    with them. For `Jw:w` and every `J16:k,l` the two plans coincide, so
-    one search runs.
+    The host's tables (the degree rule's, the open-fork rule's mask and
+    the two-sided range rule's four), the pair check of `_embed` and the
+    plan's ending rule change only which dead branches are cut and how
+    fast, so no witness changes with them. For `Jw:w` and every `J16:k,l`
+    the two plans coincide, so one search runs. On a host whose reversed
+    order is a perfect elimination ordering no rank is open, so the
+    center of `J16:k,l` has no candidate and freeness is settled before
+    any vertex is placed.
     """
     t = h.n
     if t == 0:
@@ -378,10 +381,13 @@ def _pattern_plans(h: OrderedGraph) -> tuple:
 
 def _plan_tables(pbits: tuple, order: list) -> tuple:
     """`_embed`'s tables for the pattern vertices placed in `order`."""
-    starts = [
-        (p, (pbits[p] >> p + 1).bit_count(), (pbits[p] & ((1 << p) - 1)).bit_count())
-        for p in order
-    ]
+    # per vertex: its later and earlier pattern degree, and whether two of
+    # its later pattern neighbors are not adjacent (an open fork)
+    starts = []
+    for p in order:
+        later = pbits[p] & -(2 << p)
+        fork = any((later ^ 1 << q) & ~pbits[q] for q in _ranks(later))
+        starts.append((p, later.bit_count(), (pbits[p] & ((1 << p) - 1)).bit_count(), fork))
     # per step: (adjacent, before) against each later step, the next one
     # apart, since most candidates empty the next step's mask; and the range
     # rule's (later step, q after p) for each unplaced neighbor q
@@ -403,13 +409,21 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
     pattern vertex keeps a bitmask of the host ranks still consistent with
     every placement so far. Placing p at rank r narrows each other mask to
     the ranks adjacent (or not adjacent, as in H) to r and below (or above)
-    r, and a branch dies as soon as some mask is empty. Two bound rules
+    r, and a branch dies as soon as some mask is empty. Three bound rules
     drop candidates before they are tried:
 
     - degree rule: a pattern vertex with d later (earlier) pattern
       neighbors starts with only the host ranks that have at least d later
       (earlier) neighbors (`_degree_masks`); its initial mask also leaves
       room for the pattern vertices before and after it;
+    - open-fork rule: a pattern vertex with two later pattern neighbors
+      that are not adjacent (the fork flag of `_plan_tables`) starts with
+      only the open host ranks of `_degree_masks`. A closed rank's later
+      neighbors are pairwise adjacent, so no embedding puts such a vertex
+      there. When the host's reversed order is a perfect elimination
+      ordering no rank is open, the mask is empty and the search returns
+      before it places a vertex. Only the later direction is built: the
+      mirrored `J16:k,l` is solved on the reversed host;
     - range rule, at every level after the first: for each unplaced
       pattern neighbor q of the vertex being placed, a candidate needs a
       neighbor between the first and the last rank still open to q. Two
@@ -435,14 +449,15 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
     order, starts, steps, rules = plan
     t = len(order)
     gbits = g.adjacency_bits()
-    later_at_least, earlier_at_least = _degree_masks(g)
+    later_at_least, earlier_at_least, open_ranks = _degree_masks(g)
     top_later, top_earlier = len(later_at_least), len(earlier_at_least)
     room = (1 << (g.n - t + 1)) - 1
     masks = [
         (room << p)
         & (later_at_least[d] if d < top_later else 0)
         & (earlier_at_least[e] if e < top_earlier else 0)
-        for p, d, e in starts
+        & (open_ranks if fork else -1)
+        for p, d, e, fork in starts
     ]
     found = [0] * t
 
@@ -500,21 +515,34 @@ def _embed(g: OrderedGraph, plan: tuple) -> Optional[frozenset]:
 
 
 def _degree_masks(g: OrderedGraph) -> tuple:
-    """The degree rule's two tables for g, built on first use and kept on
-    the graph: entry d of the first (second) holds the ranks with at least
-    d later (earlier) neighbors, for d up to the largest such count (a
-    larger pattern degree fits no rank).
+    """The degree rule's two tables for g and the open-fork rule's mask,
+    built on first use and kept on the graph: entry d of the first
+    (second) table holds the ranks with at least d later (earlier)
+    neighbors, for d up to the largest such count (a larger pattern
+    degree fits no rank); the mask holds the ranks that are not closed.
 
-    One pass over the ranks puts each rank's bit into the bucket of its
-    later and of its earlier neighbor count; a suffix OR over each bucket
-    list, as long as the largest count, then makes "exactly d" "at least d".
+    One pass over the ranks, from the last down, puts each rank's bit into
+    the bucket of its later and of its earlier neighbor count; a suffix OR
+    over each bucket list, as long as the largest count, then makes
+    "exactly d" "at least d". The same pass marks the closed ranks: a rank
+    is closed when it has fewer than two later neighbors, or when its
+    lowest later neighbor p is closed and its other later neighbors all
+    lie in p's adjacency (the parent test of `kernels._mcs_peo`). By
+    induction down the ranks, a closed rank's later neighbors are pairwise
+    adjacent: those of p are, and p is adjacent to the others, which are
+    later neighbors of p. When every rank's later neighbors are pairwise
+    adjacent (the reversed order is a perfect elimination ordering),
+    every rank is closed, so the test is exact there.
     """
     if g._degrees is None:
         bits = g.adjacency_bits()
         later, earlier = [0] * (len(bits) + 1), [0] * (len(bits) + 1)
         top_later = top_earlier = 0
-        for r, b in enumerate(bits):
-            d = (b >> r + 1).bit_count()
+        open_ranks = 0
+        for r in range(len(bits) - 1, -1, -1):
+            b = bits[r]
+            fwd = b & -(2 << r)
+            d = fwd.bit_count()
             e = b.bit_count() - d
             later[d] |= 1 << r
             earlier[e] |= 1 << r
@@ -522,7 +550,11 @@ def _degree_masks(g: OrderedGraph) -> tuple:
                 top_later = d
             if e > top_earlier:
                 top_earlier = e
-        g._degrees = (_suffix_or(later, top_later), _suffix_or(earlier, top_earlier))
+            if d > 1:
+                low = fwd & -fwd
+                if open_ranks & low or (fwd ^ low) & ~bits[low.bit_length() - 1]:
+                    open_ranks |= 1 << r
+        g._degrees = (_suffix_or(later, top_later), _suffix_or(earlier, top_earlier), open_ranks)
     return g._degrees
 
 

@@ -88,7 +88,10 @@ def random_pattern_free_instance(
 def random_forward_clique_graph(rng: random.Random, n: int, attach_prob: float = 0.7) -> OrderedGraph:
     """Build a graph in which every vertex's forward neighborhood is a
     clique, by choosing each vertex's forward neighbors as a clique among
-    the later vertices. Such graphs avoid the two-forward-edge pattern."""
+    the later vertices. Such graphs avoid the two-forward-edge pattern:
+    the reversed order is a perfect elimination ordering, so no rank is
+    open (`core._degree_masks`) and the matcher settles every `J16:k,l`
+    before it places a vertex."""
     _check_size(n)
     _check_prob("attach_prob", attach_prob)
     names = [f"v{i}" for i in range(1, n + 1)]

@@ -49,6 +49,7 @@ from ordered_coloring.rand import (
 )
 from conftest import (
     brute_contains,
+    forward_clique_instances,
     graph,
     instance,
     path_graph,
@@ -157,6 +158,23 @@ def with_planted_edge(rng, g):
     return OrderedGraph(list(g.positions().items()), [tuple(e) for e in g.edges] + [extra])
 
 
+def with_planted_fork(rng, g):
+    """g plus one edge r-t that gives rank r two later neighbors, s and t,
+    that are not adjacent: an open fork at r."""
+    bits = g.adjacency_bits()
+    forks = [
+        (r, t)
+        for r in range(g.n)
+        for s in _ranks(bits[r] & -(2 << r))
+        for t in range(r + 1, g.n)
+        if t != s and not (bits[r] | bits[s]) >> t & 1
+    ]
+    r, t = rng.choice(forks)
+    order = g.vertices
+    edges = [tuple(e) for e in g.edges] + [(order[r], order[t])]
+    return OrderedGraph(list(g.positions().items()), edges)
+
+
 class TestMatcherDifferential:
     """The bitset matcher returns exactly the reference's value: None, or
     the same witness set."""
@@ -230,6 +248,27 @@ class TestMatcherDifferential:
                 assert fast == reference_contains_pattern(host, h)
                 found += fast is not None
         assert 0 < found < 20
+
+    def test_forward_clique_hosts_with_a_planted_fork(self):
+        # the patterns with an open later fork (J7, J8, J10, J11, J14 and
+        # J16:k,l for k, l <= 2) and the mirrored J16:k,l, on forward-clique
+        # hosts, where every rank is closed, and on the same hosts with one
+        # open fork planted
+        rng = make_rng(4413)
+        pids = [f"{neg}J16:{k},{l}" for neg in ("", "neg:") for k in range(3) for l in range(3)]
+        pids += ["J7", "J8", "J10", "J11", "J14"]
+        patterns = [build_pattern(pid) for pid in pids]
+        found = {pid: set() for pid in pids}
+        for _ in range(30):
+            g = random_forward_clique_graph(rng, rng.randint(20, 60), rng.uniform(0.5, 1))
+            planted = with_planted_fork(rng, g)
+            assert _degree_masks(g)[2] == 0 and _degree_masks(planted)[2]
+            for host in (g, planted):
+                for pid, h in zip(pids, patterns):
+                    fast = contains_pattern(host, h)
+                    assert fast == reference_contains_pattern(host, h), (pid, sorted(host.edges, key=sorted))
+                    found[pid].add(fast is None)
+        assert found["J16:0,0"] == found["J16:2,2"] == {True, False}, found
 
     def test_gadgets_every_catalog_id(self):
         # the hosts on which the two-sided range rule prunes: gen_h1 and
@@ -362,7 +401,7 @@ class TestBoundTables:
         for _ in range(60):
             g = random_ordered_graph(rng, rng.randint(1, 24), rng.random())
             n, bits = g.n, g.adjacency_bits()
-            later_at_least, earlier_at_least = _degree_masks(g)
+            later_at_least, earlier_at_least, _ = _degree_masks(g)
             assert _degree_masks(g) is _degree_masks(g)
             later = [(bits[r] >> r + 1).bit_count() for r in range(n)]
             earlier = [(bits[r] & ((1 << r) - 1)).bit_count() for r in range(n)]
@@ -370,6 +409,29 @@ class TestBoundTables:
                 assert table == [
                     sum(1 << r for r in range(n) if counts[r] >= d) for d in range(max(counts) + 1)
                 ]
+
+    def test_open_ranks(self):
+        # a closed rank (not in the open-fork mask) has pairwise adjacent later
+        # neighbors; on forward-clique hosts, whose reversed order is a
+        # perfect elimination ordering, every rank is closed
+        rng = make_rng(4414)
+        hosts = [(random_ordered_graph(rng, rng.randint(1, 30), rng.random()), False) for _ in range(150)]
+        hosts += [(random_forward_clique_graph(rng, rng.randint(1, 60), rng.random()), True) for _ in range(50)]
+        hosts += [(inst.graph, True) for inst in forward_clique_instances(rng, 50)]
+        closed_forks = 0
+        for g, forward_clique in hosts:
+            n, bits = g.n, g.adjacency_bits()
+            open_ranks = _degree_masks(g)[2]
+            assert 0 <= open_ranks < 1 << n
+            for r in range(n):
+                later = [s for s in range(r + 1, n) if bits[r] >> s & 1]
+                if open_ranks >> r & 1:
+                    continue
+                assert all(bits[a] >> b & 1 for a, b in itertools.combinations(later, 2)), r
+                closed_forks += len(later) > 1 and not forward_clique
+            if forward_clique:
+                assert open_ranks == 0
+        assert closed_forks >= 100
 
     def test_host_tables_built_once_per_gadget(self, monkeypatch):
         # a host's degree and reach tables are built by the first of the
@@ -399,7 +461,7 @@ class TestBoundTables:
         first, _ = _pattern_plans(h)
         hosts = [gen_h2(random_nae(make_rng(4412 + s), 8, 12)).instance.graph for s in range(3)]
         assert all(contains_pattern(g, h) is None for g in hosts)
-        assert [_third_level_tries(g, first) for g in hosts] == [0, 0, 0]
+        assert [_level_tries(g, first, 2) for g in hosts] == [0, 0, 0]
 
         real = core_module._reach_tables
 
@@ -409,7 +471,29 @@ class TestBoundTables:
 
         monkeypatch.setattr(core_module, "_reach_tables", one_sided)
         assert all(contains_pattern(g, h) is None for g in hosts)
-        assert min(_third_level_tries(g, first) for g in hosts) >= 100
+        assert min(_level_tries(g, first, 2) for g in hosts) >= 100
+
+    def test_open_fork_rule_places_nothing_on_forward_clique_hosts(self, monkeypatch):
+        # J16:0,0's center has two later pattern neighbors that are not
+        # adjacent, and a forward-clique host has no open rank, so the
+        # search places no pattern vertex; with every rank made open, it
+        # tries each center the degree rule leaves
+        rng = make_rng(4415)
+        h = build_pattern("J16:0,0")
+        first, _ = _pattern_plans(h)
+        hosts = [random_forward_clique_graph(rng, rng.randint(100, 200)) for _ in range(20)]
+        assert all(contains_pattern(g, h) is None for g in hosts)
+        assert [_level_tries(g, first, 0) for g in hosts] == [0] * 20
+
+        real = core_module._degree_masks
+
+        def all_open(g):
+            later_at_least, earlier_at_least, _ = real(g)
+            return later_at_least, earlier_at_least, (1 << g.n) - 1
+
+        monkeypatch.setattr(core_module, "_degree_masks", all_open)
+        assert all(contains_pattern(g, h) is None for g in hosts)
+        assert min(_level_tries(g, first, 0) for g in hosts) >= 20
 
     def test_reach_tables(self):
         rng = make_rng(4405)
@@ -441,16 +525,16 @@ class TestBoundTables:
             ]
 
 
-def _third_level_tries(g: OrderedGraph, plan: tuple) -> int:
-    """How many candidates `_embed`'s search along `plan` tries for its
-    third pattern vertex: traced runs of the line that starts a
-    candidate's narrowing, in the frames of level 2."""
+def _level_tries(g: OrderedGraph, plan: tuple, level: int) -> int:
+    """How many candidates `_embed`'s search along `plan` tries for the
+    pattern vertex at step `level`: traced runs of the line that starts a
+    candidate's narrowing, in the frames of that level."""
     lines, start = inspect.getsourcelines(core_module._embed)
     marker = start + next(i for i, line in enumerate(lines) if "below, above = low - 1" in line)
     tries = 0
 
     def trace(frame, event, arg):
-        if event != "call" or frame.f_code.co_name != "extend" or frame.f_locals["i"] != 2:
+        if event != "call" or frame.f_code.co_name != "extend" or frame.f_locals["i"] != level:
             return None
 
         def count(frame, event, arg):
