@@ -204,10 +204,7 @@ def parse_nae(text: str) -> NaeInstance:
             raise InputError(f"line {lineno}: unknown record {kind!r}")
     if num_vars is None:
         raise InputError("missing `nae <num_vars>` header")
-    try:
-        return NaeInstance(num_vars, clauses)
-    except InputError as exc:
-        raise InputError(str(exc)) from None
+    return NaeInstance(num_vars, clauses)
 
 
 def parse_provenance(text: str) -> tuple[dict, dict, dict]:

@@ -11,15 +11,13 @@ on the remaining wide set. The mirrored pattern is handled by reversal.
 
 From the guess to the finish, a member is the three color bitsets of its
 lists on the input graph's ranks (see `Instance.color_bits`). The padding
-block is forced on those bitsets rank by rank, with propagation after
-each rank; a small wide set is colored on them by
-`kernels._list_colorings`. No sub-instance is built.
+block, the whole wide set when that is small, is forced on those bitsets
+rank by rank, with propagation after each rank. No sub-instance is built.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import Coloring, Instance, OrderedGraph, _degree_masks, _ranks, contains_pattern
@@ -27,7 +25,6 @@ from .errors import InternalError, PreconditionError, RefusalError
 from .kernels import (
     _TUPLES,
     _chordal_coloring,
-    _list_colorings,
     _mask_at,
     _propagate_bits,
     _wide,
@@ -39,28 +36,9 @@ from .kernels import (
 from .patterns import build_pattern
 
 
-@dataclass(frozen=True)
-class PadSets:
-    """The boundary block of a padding step as rank masks: the left cover
-    `c` (k rounds of the leftmost wide rank plus its forward wide
-    neighbors) and the trailing block `d`."""
-
-    c: int
-    d: int
-
-
 def _force(has, mask: int, color: int) -> tuple:
     """The bitsets with every rank in `mask` given the one-color list `color`."""
     return tuple(h | mask if i == color - 1 else h & ~mask for i, h in enumerate(has))
-
-
-def _forced_colorings(bits: tuple, has, block: int) -> Iterator[list]:
-    """The member `has` with the ranks in `block` forced, once per list
-    coloring of the block in `kernels._list_colorings` order, as color
-    bitsets; nothing is propagated."""
-    unforced = [h & ~block for h in has]
-    for _, classes, _ in _list_colorings(bits, block, has):
-        yield [unforced[i] | classes[i] for i in range(3)]
 
 
 def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[tuple]:
@@ -179,40 +157,48 @@ def _refuse(a_sets: tuple, b_sets: tuple, order: tuple, v: int, u: int, w: int, 
     raise RefusalError(f"J16:{len(a)},{len(b)}", set(a) | set(b) | {order[v], order[u], order[w]})
 
 
-def pad_sets(bits: tuple, has, k: int, l: int) -> PadSets:
-    """k rounds of taking the leftmost uncovered wide rank with its
-    forward wide neighbors, then the trailing block of the remainder: its
-    last 3l + 6 wide ranks. The wide set is that of the member's color
-    bitsets `has`, on a graph with adjacency bitsets `bits`."""
+def pad_sets(bits: tuple, has, k: int, l: int) -> int:
+    """The boundary block of the member with color bitsets `has`, on a
+    graph with adjacency bitsets `bits`, as one rank mask.
+
+    When the wide set has at least 3k + 3l + 6 ranks, the block is the
+    left cover, k rounds of taking the leftmost uncovered wide rank with
+    its forward wide neighbors, plus the trailing block of the remainder:
+    its last 3l + 6 wide ranks. A narrowed member has at most two forward
+    wide neighbors per wide rank, so the cover takes at most 3k ranks and
+    the remainder holds the trailing block. Below that size, the block is
+    the whole wide set."""
     wide = _wide(has)
-    c = 0
+    if wide.bit_count() < 3 * k + 3 * l + 6:
+        return wide
+    block = 0
     for _ in range(k):
-        left = wide & ~c
-        if not left:
-            raise PreconditionError("wide set is too small for boundary padding")
+        left = wide & ~block
         v = (left & -left).bit_length() - 1
-        c |= 1 << v | (bits[v] & wide & -(2 << v))
-    rest, d = wide & ~c, 0
-    for _ in range(min(3 * l + 6, rest.bit_count())):
+        block |= 1 << v | (bits[v] & wide & -(2 << v))
+    rest = wide & ~block
+    for _ in range(3 * l + 6):
         top = 1 << rest.bit_length() - 1
         rest ^= top
-        d |= top
-    return PadSets(c, d)
+        block |= top
+    return block
 
 
-def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[tuple]:
-    """Propagated members of the member `has` (color bitsets on `inst`'s
-    graph), one per list coloring of the boundary block (left cover plus
-    trailing block) in which no list empties, in the order of those
-    colorings: ranks ascending, colors ascending.
+def _chordalize_members(bits: tuple, has: tuple, block: int) -> Iterator[tuple]:
+    """Propagated members of the member `has` (color bitsets on a graph
+    with adjacency bitsets `bits`), one per list coloring of the ranks in
+    `block` in which no list empties, in the order of those colorings:
+    ranks ascending, colors ascending.
 
-    The block is forced rank by rank, depth first. A rank tries the
-    colors its current lists still hold, ascending. Each forcing is
-    propagated at once, and a prefix in which a list empties is dropped
-    with everything under it. `has` is a propagated fixpoint with no
-    empty list, as `_fwdnbr_members` yields it, and so is every prefix
-    kept. So `_propagate_bits` runs with the current one-color ranks
-    done, which have struck already, and gives the full propagation.
+    The block is forced rank by rank, depth first: one `_force_rank`
+    stage per rank, each pulling the members of the stage before. A rank
+    tries the colors its current lists still hold, ascending. Each
+    forcing is propagated at once, and a prefix in which a list empties
+    is dropped with everything under it. `has` is a propagated fixpoint
+    with no empty list, as `_fwdnbr_members` yields it, and so is every
+    prefix kept. So `_propagate_bits` runs with the current one-color
+    ranks done, which have struck already, and gives the full
+    propagation.
 
     This is what forcing each block coloring f whole and propagating it
     gives; write L(f) for those lists. Propagation strikes a color only
@@ -230,60 +216,56 @@ def _chordalize_members(inst: Instance, has: tuple, k: int, l: int) -> Iterator[
     So a dropped prefix holds only colorings whose L(f) empties a list,
     and the members and their order are those of the whole forcings.
 
+    A block that is the whole wide set (`pad_sets` below its threshold)
+    loses no coloring to the pruning: it yields one member per list
+    coloring of the wide ranks, in `kernels._list_colorings` order, whose
+    bitsets are the forced colors plus that coloring's classes. In `has`
+    every one-color rank has struck its color from its neighbors, so no
+    wide rank holds the color of a one-color neighbor, and a list
+    coloring f of the wide ranks is a proper coloring of the graph. Its
+    whole forcing strikes nothing more, so L(f) is f itself; and every f
+    whose forcing empties a list is improper, so the colorings dropped
+    are exactly those that `_list_colorings` skips. Every member is then
+    fully forced, and the finish colors it at once.
+
     The wide set of a member must be chordal. That is not checked here:
     `_finish_member` runs the chordality search on every member it
     colors and raises `InternalError` when it fails. A member dropped
     for an empty list holds no coloring, and `solve_j16` reads no member
     after its first coloring, so no output goes unchecked."""
-    bits = inst.graph.adjacency_bits()
-    if _wide(has).bit_count() < 3 * k + 3 * l + 6:
-        raise PreconditionError("wide set is too small for boundary padding")
-    pads = pad_sets(bits, has, k, l)
-    block = tuple(_ranks(pads.c | pads.d))
-    everyone = (1 << inst.graph.n) - 1
+    everyone = (1 << len(bits)) - 1
+    members = iter((has,))
+    for r in _ranks(block):
+        members = _force_rank(bits, members, r, everyone)
+    return members
 
-    def walk(i: int, cur: tuple) -> Iterator[tuple]:
-        if i == len(block):
-            yield cur
-            return
-        r = block[i]
+
+def _force_rank(bits: tuple, members: Iterator[tuple], r: int, everyone: int) -> Iterator[tuple]:
+    """Each of `members` with rank r forced to each color its lists still
+    hold, ascending, and propagated; the forcings in which a list empties
+    are dropped."""
+    for cur in members:
         done = ~_wide(cur)
         for c in _TUPLES[_mask_at(cur, r)]:
             nxt = _propagate_bits(bits, _force(cur, 1 << r, c), done)
             if nxt[0] | nxt[1] | nxt[2] == everyone:
-                yield from walk(i + 1, nxt)
-
-    yield from walk(0, has)
+                yield nxt
 
 
-def solve_j16(
-    inst: Instance,
-    k: int,
-    l: int,
-    reverse: bool = False,
-    check_freeness: bool = True,
-) -> Optional[Coloring]:
+def solve_j16(inst: Instance, k: int, l: int, reverse: bool = False) -> Optional[Coloring]:
     """Decision procedure with witness for instances free of the padded
     two-forward-edge pattern; `reverse` solves the mirrored family by
     running on the reversed graph (colorings ignore the ordering).
 
-    A member whose wide set is below the padding threshold is finished by
-    forcing each list coloring of its wide ranks (`_forced_colorings`),
-    and the first one is a coloring. The member is propagated to a
-    fixpoint with no empty list, so every one-color rank has struck its
-    color from its neighbors and no two adjacent one-color ranks share a
-    color; hence every list coloring of the wide ranks extends, through
-    the forced colors, to a proper coloring.
-
-    The witness is validated once against `inst`, by `kernels._witness`:
-    here, or for a small color class in `solve_small_class`."""
+    Every member is forced on its boundary block (`pad_sets`) by
+    `_chordalize_members` and finished by `_finish_member`. The witness is
+    validated once against `inst`, by `kernels._witness`: here, or for a
+    small color class in `solve_small_class`."""
     if reverse:
-        mirrored = Instance(inst.graph.reverse(), inst.lists)
-        return solve_j16(mirrored, k, l, reverse=False, check_freeness=check_freeness)
-    if check_freeness:
-        witness = contains_pattern(inst.graph, build_pattern(f"J16:{k},{l}"))
-        if witness is not None:
-            raise RefusalError(f"J16:{k},{l}", witness)
+        return solve_j16(Instance(inst.graph.reverse(), inst.lists), k, l)
+    witness = contains_pattern(inst.graph, build_pattern(f"J16:{k},{l}"))
+    if witness is not None:
+        raise RefusalError(f"J16:{k},{l}", witness)
 
     small = solve_small_class(inst, k + l)  # validated there
     if small is not None:
@@ -292,12 +274,7 @@ def solve_j16(
     g = inst.graph
     bits = g.adjacency_bits()
     for member in _fwdnbr_members(inst, k, l):
-        wide = _wide(member)
-        if wide.bit_count() >= 3 * k + 3 * l + 6:
-            stage = _chordalize_members(inst, member, k, l)  # propagated, no empty list
-        else:
-            stage = _forced_colorings(bits, member, wide)  # one color per rank, proper
-        for final in stage:
+        for final in _chordalize_members(bits, member, pad_sets(bits, member, k, l)):
             ranks = _finish_member(g, final)
             if ranks is not None:
                 return _witness(inst, ranks, final)

@@ -215,7 +215,7 @@ def build_sigma_profile(inst: Instance, w: int) -> Iterator[tuple]:
         yield has
 
 
-def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Coloring]:
+def solve_jw(inst: Instance, w: int) -> Optional[Coloring]:
     """Five-step decision procedure for instances free of the width-w
     single-edge pattern; returns a witness coloring on yes instances.
 
@@ -255,10 +255,9 @@ def solve_jw(inst: Instance, w: int, check_freeness: bool = True) -> Optional[Co
     properness (property X) of psi_{k_u} and sigma_{k_u+1} makes their
     union proper, so psi_{k_u} keeps u off color i.
     """
-    if check_freeness:
-        witness = contains_pattern(inst.graph, build_pattern(f"Jw:{w}"))
-        if witness is not None:
-            raise RefusalError(f"Jw:{w}", witness)
+    witness = contains_pattern(inst.graph, build_pattern(f"Jw:{w}"))
+    if witness is not None:
+        raise RefusalError(f"Jw:{w}", witness)
     g = inst.graph
     if has_k4(g):
         return None

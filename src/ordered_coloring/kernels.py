@@ -38,9 +38,11 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     before the last-set and their union stable. Placing the color forces
     both sets to it; any other vertex keeps it only strictly between the
     two sets and when adjacent to neither. An empty set leaves its side of
-    the window open. Lists live as one rank bitset per color. Once all
-    three colors are placed, `_propagate_bits` propagates the forced lists,
-    and the guess is dropped when some rank is left with no color.
+    the window open. Lists live as one rank bitset per color. Each color
+    is placed by one `_place` stage, which extends the partial guesses of
+    the stage before. Once all three colors are placed, `_propagate_bits`
+    propagates the forced lists, and the guess is dropped when some rank
+    is left with no color.
 
     Yields (first-sets, last-sets, propagated bitsets): the sets as
     rank-sorted vertex tuples per color, in color-major order, then by
@@ -66,19 +68,28 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
 
     firsts = [list(_stable_sets(adj, has, first)) for has in has0]
     lasts = firsts if last == first else [list(_stable_sets(adj, has, last)) for has in has0]
+    guesses = iter(((has0, 0, ()),))
+    for i in range(3):
+        guesses = _place(guesses, i, firsts[i], lasts[i], n)
+    for has, _, picks in guesses:
+        has = _propagate_bits(adj, has)
+        if has[0] | has[1] | has[2] == everyone:
+            yield (
+                tuple(tuple(order[r] for r in f) for f, _ in picks),
+                tuple(tuple(order[r] for r in s) for _, s in picks),
+                has,
+            )
 
-    def place(i: int, has: list, used: int, picks: tuple):
-        if i == 3:
-            has = _propagate_bits(adj, has)
-            if has[0] | has[1] | has[2] == everyone:
-                yield (
-                    tuple(tuple(order[r] for r in f) for f, _ in picks),
-                    tuple(tuple(order[r] for r in s) for _, s in picks),
-                    has,
-                )
-            return
+
+def _place(guesses: Iterator[tuple], i: int, firsts: list, lasts: list, n: int) -> Iterator[tuple]:
+    """One stage of `boundary_guesses`: each partial guess (bitsets, used
+    ranks, picked (first-set, last-set) pairs) extended by every pair of
+    color i that `firsts` and `lasts` (`_stable_sets` entries) allow, in
+    that order, and dropped where some rank is left with no color."""
+    everyone = (1 << n) - 1
+    for has, used, picks in guesses:
         others = has[(i + 1) % 3] | has[(i + 2) % 3]
-        for f, f_bits, f_nbrs in firsts[i]:
+        for f, f_bits, f_nbrs in firsts:
             if f_bits & used:
                 continue
             lo = f[-1] if f else -1
@@ -87,7 +98,7 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
             # and on the ranks after it that are not its neighbors
             if f_bits | (has[i] & ~upto_lo & ~f_nbrs) | others != everyone:
                 continue
-            for s, s_bits, s_nbrs in lasts[i]:
+            for s, s_bits, s_nbrs in lasts:
                 if s_bits & (used | f_bits | f_nbrs):  # overlap or an edge
                     continue
                 hi = s[0] if s else n
@@ -98,15 +109,7 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
                 nxt[i] = chosen | (has[i] & ((1 << hi) - 1) & ~upto_lo & ~(f_nbrs | s_nbrs))
                 if nxt[0] | nxt[1] | nxt[2] != everyone:
                     continue
-                yield from place(i + 1, nxt, used | chosen, picks + ((f, s),))
-
-    try:
-        yield from place(0, has0, 0, ())
-    finally:
-        # `place` refers to itself through its closure: dropping the name
-        # breaks that cycle, so a caller that stops early frees the instance
-        # now, not at the next cyclic collection
-        del place
+                yield nxt, used | chosen, picks + ((f, s),)
 
 
 def _stable_sets(adj: tuple, mask: int, size: int) -> Iterator[tuple]:

@@ -24,7 +24,7 @@ from ordered_coloring import (
     solve_small_class,
 )
 from ordered_coloring.core import _ranks, checked_witness
-from ordered_coloring.j16 import _forced_colorings, pad_sets
+from ordered_coloring.j16 import pad_sets
 from ordered_coloring.jw import ColoredSeed, Member
 from ordered_coloring.kernels import (
     _TUPLES,
@@ -198,7 +198,8 @@ def reference_forced_colorings(g: OrderedGraph, has, block: int):
     """The member `has` (color bitsets on g) with the ranks in `block`
     forced, once per list coloring of the block, as color bitsets: the
     oracle's enumeration on the block's induced sub-instance, in its
-    order. `j16._forced_colorings` must give the same sequence."""
+    order. On a block that is a member's whole wide set,
+    `j16._chordalize_members` must give the same sequence."""
     vertices = [g.vertices[r] for r in _ranks(block)]
     sub = Instance(
         g.induced(vertices),
@@ -214,17 +215,16 @@ def reference_forced_colorings(g: OrderedGraph, has, block: int):
 
 def reference_chordalize_members(inst: Instance, has: tuple, k: int, l: int):
     """Flat boundary padding for `j16._chordalize_members`: every list
-    coloring of the block forced whole (`j16._forced_colorings`), each
-    propagated with the ranks outside the wide set done, and the ones in
-    which a list empties dropped. Yields the propagated color bitsets in
-    the order of the block colorings."""
-    bits = inst.graph.adjacency_bits()
+    coloring of the block (`j16.pad_sets`) forced whole, in the oracle's
+    order (`reference_forced_colorings`), each propagated with the ranks
+    outside the wide set done, and the ones in which a list empties
+    dropped. Yields the propagated color bitsets in the order of the
+    block colorings."""
+    g = inst.graph
+    bits = g.adjacency_bits()
     wide = _wide(has)
-    if wide.bit_count() < 3 * k + 3 * l + 6:
-        raise PreconditionError("wide set is too small for boundary padding")
-    pads = pad_sets(bits, has, k, l)
-    everyone = (1 << inst.graph.n) - 1
-    for forced in _forced_colorings(bits, has, pads.c | pads.d):
+    everyone = (1 << g.n) - 1
+    for forced in reference_forced_colorings(g, has, pad_sets(bits, has, k, l)):
         member = _propagate_bits(bits, forced, ~wide)
         if member[0] | member[1] | member[2] == everyone:
             yield member

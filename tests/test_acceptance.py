@@ -72,7 +72,7 @@ def test_criterion_1_jw_solver_oracle_agreement(monkeypatch):
             rng, pattern, n, rng.uniform(0.3, 0.9), rng.uniform(0.2, 0.8)
         )
         expected = solve_bruteforce(inst)
-        got = solve_jw(inst, 1, check_freeness=False)
+        got = solve_jw(inst, 1)
         assert (got is None) == (expected is None), f"trial {t}"
         if got is not None:
             assert got.validates(inst)
@@ -80,7 +80,7 @@ def test_criterion_1_jw_solver_oracle_agreement(monkeypatch):
             # the same chain with every link decided by direct enumeration
             with monkeypatch.context() as m:
                 m.setattr(jw, "check_link", reference_check_link)
-                alt = solve_jw(inst, 1, check_freeness=False)
+                alt = solve_jw(inst, 1)
             assert (alt is None) == (expected is None), f"reference link trial {t}"
     elapsed = time.time() - start
     assert elapsed < 600, f"criterion 1 exceeded its time budget: {elapsed:.0f}s"
@@ -98,7 +98,7 @@ def test_criterion_2_j16_solver_oracle_agreement():
         for t in range(per_combo):
             inst = random_j16free_instance(rng, k, l, rng.randint(2, 10), rng.uniform(0.2, 0.8))
             expected = solve_bruteforce(inst)
-            got = solve_j16(inst, k, l, check_freeness=False)
+            got = solve_j16(inst, k, l)
             assert (got is None) == (expected is None), f"(k,l)=({k},{l}) trial {t}"
             if got is not None:
                 assert got.validates(inst)
@@ -133,8 +133,10 @@ def test_criterion_2_padding_stage_coverage(monkeypatch):
     """The J16 path of boundary padding plus chordal finish runs for every
     (k,l) in {0,1}^2, counted, not assumed: an instance counts when
     `solve_j16` calls `pad_sets` and then the chordal finish's rank kernel,
-    `_chordal_coloring`. J16:1,1 gets there in only about one draw in
-    twelve, so it gets more draws."""
+    `_chordal_coloring`. `pad_sets` runs for every member, but a member
+    below the padding threshold is forced whole and leaves the kernel no
+    wide rank. J16:1,1 gets there in only about one draw in twelve, so it
+    gets more draws."""
     start = time.time()
     events = []
     for name in ("pad_sets", "_chordal_coloring"):

@@ -16,7 +16,7 @@ from ordered_coloring import (
 )
 from ordered_coloring.core import _maximal_edges, checked_witness
 from ordered_coloring import jw, kernels
-from ordered_coloring.j16 import PadSets, _chordalize_members, _finish_member, _fwdnbr_members
+from ordered_coloring.j16 import _chordalize_members, _finish_member, _fwdnbr_members
 from ordered_coloring.jw import augment_star, check_link, gamma
 from ordered_coloring.rand import (
     make_rng,
@@ -37,7 +37,7 @@ class TestEmptyListsThroughSolvers:
 
     def test_isolated_vertices_only(self):
         inst = instance({i: i for i in range(1, 4)}, lists={1: (2,), 2: (2,), 3: (2,)})
-        for solver in (lambda i: solve_jw(i, 1, check_freeness=False),
+        for solver in (lambda i: solve_jw(i, 1),
                        lambda i: solve_j16(i, 0, 0)):
             got = solver(inst)
             assert got is not None and got.validates(inst)
@@ -151,7 +151,7 @@ class TestWitnessChecks:
         # the small-class stage validates its witness once, for both solvers
         monkeypatch.setattr("ordered_coloring.kernels._two_lists", self._two_lists_color_one)
         with pytest.raises(InternalError):
-            solve_jw(instance({1: 1, 2: 2}, [(1, 2)]), 1, check_freeness=False)
+            solve_jw(instance({1: 1, 2: 2}, [(1, 2)]), 1)
 
     def test_j16_small_class_witness(self, monkeypatch):
         monkeypatch.setattr("ordered_coloring.kernels._two_lists", self._two_lists_color_one)
@@ -186,9 +186,8 @@ class TestMemberChecks:
 
     def test_chordal_remainder_check(self, monkeypatch):
         # with an empty boundary block nothing gets forced, so the wide
-        # remainder keeps an induced four-cycle of forward degree at most two
-        monkeypatch.setattr("ordered_coloring.j16.pad_sets", lambda bits, has, k, l: PadSets(0, 0))
-        # padding yields the member unchecked; the finish's chordality
+        # remainder keeps an induced four-cycle of forward degree at most two;
+        # padding yields the member unchecked, and the finish's chordality
         # search, the only one, fails on it
         searched = []
         real = kernels._mcs_peo
@@ -197,7 +196,7 @@ class TestMemberChecks:
             lambda bits, mask: searched.append(mask) or real(bits, mask),
         )
         cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
-        (member,) = _chordalize_members(cycle, cycle.color_bits, 0, 0)
+        (member,) = _chordalize_members(cycle.graph.adjacency_bits(), cycle.color_bits, 0)
         assert searched == []
         with pytest.raises(InternalError):
             _finish_member(cycle.graph, member)

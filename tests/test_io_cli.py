@@ -34,7 +34,6 @@ from ordered_coloring.io import (
     serialize_instance,
     serialize_provenance,
 )
-from ordered_coloring.j16 import PadSets
 from ordered_coloring.rand import (
     make_rng,
     random_forward_clique_graph,
@@ -368,7 +367,7 @@ class TestCli:
         # one, fails on it: a bug, never an input error (3) or a verdict (1).
         # Every order of a four-cycle contains J16:0,0 at its first vertex,
         # so the freeness check is bypassed too
-        monkeypatch.setattr("ordered_coloring.j16.pad_sets", lambda bits, has, k, l: PadSets(0, 0))
+        monkeypatch.setattr("ordered_coloring.j16.pad_sets", lambda bits, has, k, l: 0)
         monkeypatch.setattr("ordered_coloring.j16.contains_pattern", lambda g, h: None)
         cycle = instance({i: i for i in range(1, 9)}, [(1, 2), (2, 3), (3, 4), (1, 4)])
         with pytest.raises(InternalError):

@@ -1,4 +1,7 @@
+import gc
 import itertools
+import os
+import types
 from collections import Counter
 
 import pytest
@@ -8,7 +11,6 @@ from ordered_coloring import (
     Coloring,
     Instance,
     ListAssignment,
-    PreconditionError,
     RefusalError,
     build_pattern,
     contains_pattern,
@@ -21,7 +23,6 @@ from ordered_coloring.core import OrderedGraph, _ranks
 from ordered_coloring.j16 import (
     _chordalize_members,
     _finish_member,
-    _forced_colorings,
     _fwdnbr_members,
     _wide,
     pad_sets,
@@ -88,6 +89,12 @@ def dropped_prefixes(bits, has, block):
 def as_instance(inst, has):
     """The member with color bitsets `has` on inst's graph, as an Instance."""
     return Instance(inst.graph, lists_from_bits(inst.graph.vertices, has))
+
+
+def padded_members(inst, has, k, l):
+    """The member `has` forced on its boundary block, as `solve_j16` does."""
+    bits = inst.graph.adjacency_bits()
+    return _chordalize_members(bits, has, pad_sets(bits, has, k, l))
 
 
 def _special_members_reference(inst, k, l):
@@ -241,12 +248,13 @@ class TestProfileFwdnbr:
 
     def test_narrowing_detects_pattern_violation(self):
         # a center with three pairwise nonadjacent later neighbors contains
-        # the pattern; with freeness checking off, narrowing must refuse
+        # the pattern; narrowing, which runs after the freeness check in
+        # `solve_j16`, must refuse on its own
         g = graph({i: i for i in range(1, 5)}, [(1, 2), (1, 3), (1, 4)])
         inst = Instance.with_full_lists(g)
         assert contains_pattern(g, build_pattern("J16:0,0")) is not None
         with pytest.raises(RefusalError):
-            solve_j16(inst, 0, 0, check_freeness=False)
+            list(_fwdnbr_members(inst, 0, 0))
 
 
 def _collect(members):
@@ -368,11 +376,10 @@ class TestChordalize:
                 continue
             found += 1
             wide = _wide(member)
-            pads = pad_sets(inst.graph.adjacency_bits(), member, 0, 0)
-            assert pads.c == 0
-            # the trailing block is the last six wide ranks
-            assert pads.d.bit_count() == 6 and pads.d & ~wide == 0
-            assert (wide & ~pads.d) >> min(_ranks(pads.d)) == 0
+            block = pad_sets(inst.graph.adjacency_bits(), member, 0, 0)
+            # no left cover: the block is the last six wide ranks
+            assert block.bit_count() == 6 and block & ~wide == 0
+            assert (wide & ~block) >> min(_ranks(block)) == 0
         assert found >= 3
 
     def test_members_have_chordal_wide_sets(self):
@@ -383,7 +390,7 @@ class TestChordalize:
             if member is None:
                 continue
             found += 1
-            for refined in _chordalize_members(inst, member, 0, 0):
+            for refined in padded_members(inst, member, 0, 0):
                 refined = as_instance(inst, refined)
                 wide = wide_set(refined)
                 assert chordal_peo(refined.graph.induced(wide)) is not None
@@ -391,10 +398,22 @@ class TestChordalize:
                 break
         assert found >= 3
 
-    def test_precondition_small_wide_set(self):
+    def test_small_wide_set_is_one_block(self):
+        # below 3k + 3l + 6 wide ranks the block is the whole wide set
         inst = instance({i: i for i in range(1, 4)})
-        with pytest.raises(PreconditionError):
-            list(_chordalize_members(inst, inst.color_bits, 0, 0))
+        assert pad_sets(inst.graph.adjacency_bits(), inst.color_bits, 0, 0) == 0b111
+        rng = make_rng(84)
+        members = Counter()
+        for k, l in ((0, 0), (1, 0), (0, 1), (1, 1)):
+            for _ in range(30):
+                inst = random_j16free_instance(rng, k, l, rng.randint(2, 10))
+                bits = inst.graph.adjacency_bits()
+                for member in _fwdnbr_members(inst, k, l):
+                    wide = _wide(member)
+                    if wide.bit_count() < 3 * k + 3 * l + 6:
+                        assert pad_sets(bits, member, k, l) == wide
+                        members[k, l] += 1
+        assert min(members.values()) >= 10, members
 
     def test_surviving_colorings_land_in_members(self):
         rng = make_rng(77)
@@ -403,7 +422,7 @@ class TestChordalize:
             inst, member = self._prepared_member(rng, 0, 0, rng.randint(7, 10))
             if member is None:
                 continue
-            stage = [as_instance(inst, ref) for ref in _chordalize_members(inst, member, 0, 0)]
+            stage = [as_instance(inst, ref) for ref in padded_members(inst, member, 0, 0)]
             for col in enumerate_colorings(as_instance(inst, member)):
                 assert any(respects(col, ref.lists) for ref in stage)
                 found += 1
@@ -430,8 +449,7 @@ class TestChordalize:
                     if wide.bit_count() < base:
                         continue
                     members[k, l] += 1
-                    pads = pad_sets(bits, member, k, l)
-                    block = _forced_colorings(bits, member, pads.c | pads.d)
+                    block = reference_forced_colorings(g, member, pad_sets(bits, member, k, l))
                     for forced in itertools.islice(block, 200):
                         fast = _propagate_bits(bits, forced, ~wide)
                         full = _propagate_bits(bits, forced)
@@ -470,13 +488,13 @@ class TestChordalize:
                 for member in itertools.islice(padded, 2):
                     wide = _wide(member)
                     members[k, l] += 1
-                    got = list(_chordalize_members(inst, member, k, l))
+                    got = list(padded_members(inst, member, k, l))
                     assert got == list(reference_chordalize_members(inst, member, k, l))
                     survivors += len(got)
-                    pads = pad_sets(bits, member, k, l)
-                    block = list(_ranks(pads.c | pads.d))
+                    mask = pad_sets(bits, member, k, l)
+                    block = list(_ranks(mask))
                     dropped = set(dropped_prefixes(bits, member, block))
-                    for forced in _forced_colorings(bits, member, pads.c | pads.d):
+                    for forced in reference_forced_colorings(g, member, mask):
                         colors = tuple(_ONLY[_mask_at(forced, r)] for r in block)
                         if any(colors[:i] in dropped for i in range(1, len(block) + 1)):
                             whole = _propagate_bits(bits, forced, ~wide)
@@ -487,6 +505,35 @@ class TestChordalize:
             survivors,
             pruned,
         )
+
+    def test_walks_leave_no_reference_cycle(self):
+        # the padding walk and the guessing engine, dropped after their first
+        # item, free their frames at once: no function or generator of the
+        # package is left for the cyclic collector
+        rng = make_rng(86)
+        member = None
+        while member is None:
+            inst, member = self._prepared_member(rng, 0, 0, rng.randint(8, 10))
+        bits = inst.graph.adjacency_bits()
+        package = os.path.dirname(ordered_coloring.__file__)
+        gc.collect()
+        gc.set_debug(gc.DEBUG_SAVEALL)
+        try:
+            walk = _chordalize_members(bits, member, pad_sets(bits, member, 0, 0))
+            guesses = kernels.boundary_guesses(inst, 1, 1)
+            next(walk), next(guesses)
+            del walk, guesses
+            gc.collect()
+            leaked = [
+                obj
+                for obj in gc.garbage
+                if isinstance(obj, types.FunctionType) and (obj.__module__ or "").startswith("ordered_coloring")
+                or isinstance(obj, types.GeneratorType) and obj.gi_code.co_filename.startswith(package)
+            ]
+        finally:
+            gc.set_debug(0)
+            gc.garbage.clear()
+        assert leaked == []
 
     def test_one_chordality_check_per_padding_call(self, monkeypatch):
         # padding runs no chordality search of its own: the finish runs
@@ -506,7 +553,7 @@ class TestChordalize:
             if member is None:
                 continue
             calls.clear()
-            stage = list(_chordalize_members(inst, member, 0, 0))
+            stage = list(padded_members(inst, member, 0, 0))
             assert calls == []
             for final in stage:
                 _finish_member(inst.graph, final)
@@ -561,33 +608,33 @@ class TestFinishMember:
 
 
 class TestForcedColorings:
-    """`_forced_colorings` gives the sequence of the oracle's enumeration on
-    the block's induced sub-instance, item for item, on the boundary blocks
-    of padded members."""
+    """On a member below the padding threshold, whose block is its whole
+    wide set, `_chordalize_members` gives the sequence of the oracle's
+    enumeration on the wide set's induced sub-instance, item for item:
+    the propagation prunes no coloring and adds no strike."""
 
     @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (0, 1), (1, 1)])
     def test_matches_reference_on_padding_blocks(self, k, l):
         rng = make_rng(85 + 2 * k + l)
         blocks = forced = 0
-        while blocks < 10:
-            g = random_forward_clique_graph(rng, rng.randint(14, 20), rng.uniform(0.1, 0.5))
-            inst = Instance(g, random_lists(rng, g, rng.uniform(0.8, 1.0)))
+        for _ in range(120):
+            inst = random_j16free_instance(rng, k, l, rng.randint(4, 10), rng.uniform(0.5, 1.0))
+            g = inst.graph
             bits = g.adjacency_bits()
             for member in itertools.islice(_fwdnbr_members(inst, k, l), 3):
-                if _wide(member).bit_count() < 3 * k + 3 * l + 6:
+                wide = _wide(member)
+                if wide.bit_count() >= 3 * k + 3 * l + 6:
                     continue
-                pads = pad_sets(bits, member, k, l)
-                block = pads.c | pads.d
-                got = list(_forced_colorings(bits, member, block))
-                assert got == list(reference_forced_colorings(g, member, block))
+                got = list(_chordalize_members(bits, member, wide))
+                assert got == [tuple(f) for f in reference_forced_colorings(g, member, wide)]
                 blocks += 1
                 forced += len(got)
-        assert forced >= 100, forced
+        assert blocks >= 40 and forced >= 150, (blocks, forced)
 
 
 class TestFinalizeSmall:
     """Small wide sets: `solve_j16` forces each list coloring of the wide
-    ranks (`_forced_colorings` on the whole wide set) and finishes the
+    ranks (`_chordalize_members` on the whole wide set) and finishes the
     first one."""
 
     def test_empty_wide_set_single_member(self):
@@ -595,28 +642,35 @@ class TestFinalizeSmall:
             {i: i for i in range(1, 3)}, lists={1: (1,), 2: (2,)}
         )
         has = inst.color_bits
-        members = list(_forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)))
+        members = list(_chordalize_members(inst.graph.adjacency_bits(), has, _wide(has)))
         assert len(members) == 1 and as_instance(inst, members[0]) == inst
 
     def test_one_wide_vertex_two_members(self):
         inst = instance({1: 1}, lists={1: (1, 2)})
         has = inst.color_bits
-        assert len(list(_forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)))) == 2
+        assert len(list(_chordalize_members(inst.graph.adjacency_bits(), has, _wide(has)))) == 2
 
     def test_members_fully_forced(self):
         rng = make_rng(78)
+        members = 0
         for _ in range(30):
             inst = random_j16free_instance(rng, 1, 1, rng.randint(1, 6))
             if len(wide_set(inst)) >= 12:
                 continue
-            has = inst.color_bits
-            for member in _forced_colorings(inst.graph.adjacency_bits(), has, _wide(has)):
+            bits = inst.graph.adjacency_bits()
+            # the walk starts from a propagated fixpoint, as members are
+            has = _propagate_bits(bits, inst.color_bits)
+            if has[0] | has[1] | has[2] != (1 << inst.graph.n) - 1:
+                continue
+            for member in _chordalize_members(bits, has, _wide(has)):
+                members += 1
                 member = as_instance(inst, member)
                 assert all(len(cs) <= 1 for _, cs in member.lists.items())
                 # colorability of a fully forced member is edge consistency
                 final = reference_propagation(member.graph, member.lists.items())
                 empty = not all(final.values())
                 assert (solve_bruteforce(member) is not None) == (not empty)
+        assert members >= 20, members
 
     @pytest.mark.parametrize("k,l", [(0, 0), (1, 0), (0, 1), (1, 1)])
     def test_every_forced_coloring_of_a_member_is_a_coloring(self, k, l):
@@ -632,7 +686,7 @@ class TestFinalizeSmall:
                 if wide.bit_count() >= 3 * k + 3 * l + 6:
                     continue
                 count = 0
-                for final in _forced_colorings(bits, member, wide):
+                for final in _chordalize_members(bits, member, wide):
                     coloring = Coloring(
                         {v: c for v, (c,) in lists_from_bits(inst.graph.vertices, final).items()}
                     )
@@ -654,7 +708,7 @@ class TestWithoutOracleOrInducedGraphs:
         for k, l in ((0, 0), (1, 0), (0, 1), (1, 1)):
             for _ in range(125):
                 inst = random_j16free_instance(rng, k, l, rng.randint(2, 10), rng.uniform(0.2, 0.8))
-                draws.append((inst, k, l, solve_j16(inst, k, l, check_freeness=False)))
+                draws.append((inst, k, l, solve_j16(inst, k, l)))
 
         def forbidden(*args, **kwargs):
             raise AssertionError("solve_j16 called the oracle or built an induced graph")
@@ -669,7 +723,7 @@ class TestWithoutOracleOrInducedGraphs:
         real_pad_sets = j16.pad_sets
         monkeypatch.setattr(j16, "pad_sets", lambda *a: padded.append(a) or real_pad_sets(*a))
         for inst, k, l, expected in draws:
-            got = solve_j16(inst, k, l, check_freeness=False)
+            got = solve_j16(inst, k, l)
             assert got == expected
         colorable = sum(expected is not None for *_, expected in draws)
         assert 50 <= colorable <= len(draws) - 50 and len(padded) >= 10, (colorable, len(padded))
@@ -717,7 +771,7 @@ class TestSolveJ16:
             ):
                 continue
             exercised += 1
-            got = solve_j16(inst, k, l, check_freeness=False)
+            got = solve_j16(inst, k, l)
             assert (got is None) == (solve_bruteforce(inst, cap=14) is None)
             if got is not None:
                 assert got.validates(inst)

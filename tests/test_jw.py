@@ -496,7 +496,7 @@ class TestChainCorpus:
         total = 0
         for inst in corpus:
             counts["graphs"] = counts["links"] = 0
-            got = solve_jw(inst, 1, check_freeness=False)
+            got = solve_jw(inst, 1)
             assert counts["graphs"] == 0
             total += counts["links"]
         assert total >= 100
@@ -536,7 +536,7 @@ class TestWithoutOracle:
                 for module in (oracle, ordered_coloring, jw, kernels):
                     if getattr(module, name, None) is real:
                         m.setattr(module, name, forbidden)
-            answers = [solve_jw(inst, 1, check_freeness=False) for inst in corpus]
+            answers = [solve_jw(inst, 1) for inst in corpus]
         for inst, got in zip(corpus, answers):
             assert (got is None) == (solve_bruteforce(inst, cap=inst.graph.n) is None)
             if got is not None:
