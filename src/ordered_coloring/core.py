@@ -5,8 +5,8 @@ neighborhoods, maximal edges, pattern containment, and padding.
 Positions are exact rationals, so that half-offset constructions stay
 bit-exact; no floating point enters any comparison. A graph keeps them as
 integer keys over a common denominator and builds `fractions.Fraction`
-values only on demand: for `position()`, `positions()`, hashing and
-error messages. All values are immutable after construction and every
+values only on demand: for `position()`, `positions()` and error
+messages. All values are immutable after construction and every
 operation is a pure function.
 """
 
@@ -191,7 +191,7 @@ class OrderedGraph:
         )
 
     def __hash__(self):
-        return hash((frozenset(self.positions().items()), self._bits))
+        return hash((self._den, frozenset(self._keys.items()), self._bits))
 
     def __repr__(self):
         return f"OrderedGraph(n={self.n}, m={sum(map(int.bit_count, self._bits)) // 2})"
@@ -289,13 +289,9 @@ def _fresh_id(existing, base: str):
 
 def is_isomorphic(g: OrderedGraph, h: OrderedGraph) -> bool:
     """Order-type isomorphism: the unique order-respecting bijection maps
-    edges onto edges exactly."""
-    if g.n != h.n:
-        return False
-    go, ho = g.vertices, h.vertices
-    to_g = {ho[i]: go[i] for i in range(g.n)}
-    mapped = frozenset(frozenset(to_g[x] for x in e) for e in h.edges)
-    return mapped == g.edges
+    edges onto edges exactly. It maps rank i to rank i, so that holds
+    when the adjacency bit rows are equal."""
+    return g.n == h.n and g.adjacency_bits() == h.adjacency_bits()
 
 
 def contains_pattern(g: OrderedGraph, h: OrderedGraph) -> Optional[frozenset]:

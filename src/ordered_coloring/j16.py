@@ -70,18 +70,18 @@ def _fwdnbr_members(inst: Instance, k: int, l: int) -> Iterator[tuple]:
     g = inst.graph
     if has_k4(g):
         return
-    for a_sets, b_sets, has in boundary_guesses(inst, k, l):
-        narrowed = _narrow(g, has, a_sets, b_sets)
+    for picks, has in boundary_guesses(inst, k, l):
+        narrowed = _narrow(g, has, picks)
         if narrowed is not None:
             yield narrowed
 
 
-def _narrow(g: OrderedGraph, has: tuple, a_sets: tuple, b_sets: tuple) -> Optional[tuple]:
+def _narrow(g: OrderedGraph, has: tuple, picks: tuple) -> Optional[tuple]:
     """Shrink the member's lists, color bitsets on g, until the wide set
     has max forward degree two; returns None when some list empties (no
-    coloring survives in this member). `a_sets` and `b_sets` are the
-    guessed first-k and last-l sets per color, which a refusal's witness
-    includes.
+    coloring survives in this member). `picks` holds the guessed first-k
+    and last-l rank sets per color (`kernels.boundary_guesses`), which a
+    refusal's witness includes.
 
     Each step takes the first wide rank v with three later wide
     neighbors, the first nonadjacent pair u, w among those neighbors and
@@ -112,7 +112,7 @@ def _narrow(g: OrderedGraph, has: tuple, a_sets: tuple, b_sets: tuple) -> Option
         lv, lu, lw = _mask_at(has, v), _mask_at(has, u), _mask_at(has, w)
         common = lv & lu & lw
         if common:
-            _refuse(a_sets, b_sets, order, v, u, w, (common & -common).bit_length())
+            _refuse(picks, order, v, u, w, (common & -common).bit_length())
         if lv.bit_count() != 2:
             # a full list would share a color with any two wide neighbors,
             # and the nonadjacent pair above would have caught that
@@ -130,15 +130,15 @@ def _narrow(g: OrderedGraph, has: tuple, a_sets: tuple, b_sets: tuple) -> Option
         if lv & ~lx == 0:
             for other, shared in ((u, i), (w, j)):
                 if not bits[other] >> x & 1:
-                    _refuse(a_sets, b_sets, order, v, other, x, shared)
+                    _refuse(picks, order, v, other, x, shared)
             has = _force(has, 1 << u | 1 << w, m)
         elif lx == bi | bm:
             if not bits[u] >> x & 1:
-                _refuse(a_sets, b_sets, order, v, u, x, i)
+                _refuse(picks, order, v, u, x, i)
             has = _force(has, 1 << v, j)
         elif lx == bj | bm:
             if not bits[w] >> x & 1:
-                _refuse(a_sets, b_sets, order, v, w, x, j)
+                _refuse(picks, order, v, w, x, j)
             has = _force(has, 1 << v, i)
         else:
             raise InternalError(f"unexpected third-neighbor list {list(_TUPLES[lx])}")
@@ -152,9 +152,10 @@ def _first_nonadjacent_pair(bits: tuple, ranks: list):
     return None
 
 
-def _refuse(a_sets: tuple, b_sets: tuple, order: tuple, v: int, u: int, w: int, color: int):
-    a, b = a_sets[color - 1], b_sets[color - 1]
-    raise RefusalError(f"J16:{len(a)},{len(b)}", set(a) | set(b) | {order[v], order[u], order[w]})
+def _refuse(picks: tuple, order: tuple, v: int, u: int, w: int, color: int):
+    """Refuse with the guessed sets of `color` plus v, u and w as witness."""
+    a, b = picks[color - 1]
+    raise RefusalError(f"J16:{len(a)},{len(b)}", {order[r] for r in (*a, *b, v, u, w)})
 
 
 def pad_sets(bits: tuple, has, k: int, l: int) -> int:

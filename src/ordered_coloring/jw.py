@@ -16,7 +16,7 @@ which enumerates every support of a span.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Optional
 
 from .core import Coloring, Instance, _maximal_edges, _ranks, contains_pattern
@@ -46,29 +46,19 @@ class Member:
     mask: int
 
 
-@dataclass(frozen=True)
-class ColoredSeed:
-    """A colored subset of the span of an edge: support ranks ascending,
-    colors parallel to the support. `gamma` also records `masks`, which
-    `check_link` reads: the color classes as rank masks and, per class,
-    the ranks adjacent to it in the member the seed was enumerated on."""
-
-    support: tuple
-    colors: tuple
-    masks: Optional[tuple] = field(default=None, compare=False, repr=False)
-
-
 def _between(a: int, b: int) -> int:
     """The ranks a..b, inclusive, as a mask."""
     return (2 << b) - (1 << a)
 
 
-def gamma(m: Member, e: tuple, w: int) -> Iterator[ColoredSeed]:
+def gamma(m: Member, e: tuple, w: int) -> Iterator[tuple]:
     """All seeds on the span of the edge e, a rank pair of m: supports
     containing both endpoints, in ascending bitmask order over the span's
     ranks; per support, all proper list colorings in lexicographic order,
     with every color class bounded by `class_cap(w)`, from
-    `kernels._list_colorings`, which also gives each seed its `masks`.
+    `kernels._list_colorings`. A seed is its class masks (classes, near):
+    the three color classes as rank masks, whose union is the support,
+    and per class the ranks adjacent to it in m.
 
     Every support of the span is enumerated. `solve_jw` runs the chain
     with w + 1, so at w = 1 the cap is `class_cap(2)` = 111, and it cannot
@@ -79,15 +69,13 @@ def gamma(m: Member, e: tuple, w: int) -> Iterator[ColoredSeed]:
     cap = class_cap(w)
     for sub in range(1 << len(free)):
         support = 1 << a | 1 << b | sum(1 << r for i, r in enumerate(free) if sub >> i & 1)
-        ranks = tuple(_ranks(support))
-        for colors, classes, near in _list_colorings(m.bits, support, m.has, cap):
-            yield ColoredSeed(ranks, colors, (classes, near))
+        yield from _list_colorings(m.bits, support, m.has, cap)
 
 
-def augment_star(m: Member) -> tuple[Member, tuple]:
+def augment_star(m: Member) -> Member:
     """Append a forced two-rank edge after all ranks: colors {1} and {2}.
-    Returns the new member and the appended edge; the appended edge is
-    always the new last maximal edge."""
+    The appended edge, ranks (len(m.bits), len(m.bits) + 1), is always the
+    new last maximal edge."""
     q1 = len(m.bits)
     q2 = q1 + 1
     h0, h1, h2 = m.has
@@ -98,22 +86,22 @@ def augment_star(m: Member) -> tuple[Member, tuple]:
     )
     if _maximal_edges(star.bits, star.mask) != _maximal_edges(m.bits, m.mask) + ((q1, q2),):
         raise InternalError("the appended edge is not the only new maximal edge")
-    return star, (q1, q2)
+    return star
 
 
-def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -> Optional[dict]:
+def check_link(m: Member, e, e_prev, g_seed: tuple, g_prev: tuple) -> Optional[dict]:
     """Find a list coloring psi of the span of e_prev that makes both
     (psi, seed-at-e) and (psi, seed-at-e_prev) satisfy the compatibility
-    and left-domination properties. Returns psi as {rank: color} on the
-    member's ranks in that span, ranks ascending, or None when there is
-    none.
+    and left-domination properties; each seed is a `gamma` pair of class
+    masks. Returns psi as {rank: color} on the member's ranks in that
+    span, ranks ascending, or None when there is none.
 
     The check reduces to a derived list assignment on the span of e_prev
     (forced values on seed supports, struck colors from seed neighborhoods
     and from left vertices anticomplete to a seed class), built as one
-    rank mask per color from the seeds' `masks`, and decides it with the
-    bounded-wide-set kernel `kernels._few_wide` on the member's ranks in
-    that span, with no induced graph. A derived list that is empty
+    rank mask per color from the seeds' class masks, and decides it with
+    the bounded-wide-set kernel `kernels._few_wide` on the member's ranks
+    in that span, with no induced graph. A derived list that is empty
     decides the link at once. A reduction that leaves more than
     `WIDE_CAP` full lists raises `InternalError`.
     """
@@ -121,8 +109,8 @@ def check_link(m: Member, e, e_prev, g_seed: ColoredSeed, g_prev: ColoredSeed) -
     (a, b), (a_prev, b_prev) = e, e_prev
     und_prev = mask & _between(a_prev, b_prev)
     und_e = mask & _between(a, b)
-    sigma, sigma_near = g_seed.masks
-    tau, tau_near = g_prev.masks
+    sigma, sigma_near = g_seed
+    tau, tau_near = g_prev
     s_set = sigma[0] | sigma[1] | sigma[2]
     t_set = tau[0] | tau[1] | tau[2]
     derived = []
@@ -157,7 +145,7 @@ class SuccessTable:
     the previous edge that links to it (none on the first edge)."""
 
     edges: tuple
-    successful: tuple  # tuple of tuples of ColoredSeed, parallel to edges
+    successful: tuple  # tuple of tuples of `gamma` seeds, parallel to edges
     back: tuple  # tuple of tuples of indices, parallel to successful
 
     def final(self) -> tuple:
@@ -205,7 +193,7 @@ def build_sigma_profile(inst: Instance, w: int) -> Iterator[tuple]:
     yielded, so the forced colors are that guess's.
     """
     seen = set()
-    for _, _, has in boundary_guesses(inst, w, w):
+    for _, has in boundary_guesses(inst, w, w):
         h0, h1, h2 = has
         wide = _wide(has)
         key = (wide, h0 & wide, h1 & wide, h2 & wide)
@@ -266,7 +254,7 @@ def solve_jw(inst: Instance, w: int) -> Optional[Coloring]:
         return small
     bits = g.adjacency_bits()
     for has in build_sigma_profile(inst, w):
-        star, _ = augment_star(Member(bits, has, _wide(has)))
+        star = augment_star(Member(bits, has, _wide(has)))
         table = success_table(star, w + 1)
         if table.final():
             return _witness(inst, _chain_coloring(star, table), has)

@@ -44,9 +44,9 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     propagates the forced lists, and the guess is dropped when some rank
     is left with no color.
 
-    Yields (first-sets, last-sets, propagated bitsets): the sets as
-    rank-sorted vertex tuples per color, in color-major order, then by
-    first-set, then by last-set.
+    Yields (picks, propagated bitsets): `picks` holds per color its
+    (first-set, last-set) pair as ascending rank tuples, in color-major
+    order, then by first-set, then by last-set.
 
     A branch is cut before its last color as soon as some vertex is left
     with no color, and a first-set as soon as no last-set can avoid that.
@@ -59,7 +59,6 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     """
     g = inst.graph
     n = g.n
-    order = g.vertices
     adj = g.adjacency_bits()
     everyone = (1 << n) - 1
     has0 = inst.color_bits
@@ -74,11 +73,7 @@ def boundary_guesses(inst: Instance, first: int, last: int) -> Iterator[tuple]:
     for has, _, picks in guesses:
         has = _propagate_bits(adj, has)
         if has[0] | has[1] | has[2] == everyone:
-            yield (
-                tuple(tuple(order[r] for r in f) for f, _ in picks),
-                tuple(tuple(order[r] for r in s) for _, s in picks),
-                has,
-            )
+            yield picks, has
 
 
 def _place(guesses: Iterator[tuple], i: int, firsts: list, lasts: list, n: int) -> Iterator[tuple]:
@@ -274,27 +269,25 @@ def _list_colorings(bits: tuple, mask: int, has, cap: Optional[int] = None) -> I
     colors ascending. With `cap`, no color class holds more than `cap`
     ranks.
 
-    Yields (colors, classes, near): the colors parallel to the ranks, the
-    three color classes as rank masks, and per class the ranks adjacent
-    to it, `bits[r]` unrestricted. A plain backtracker, exponential in the
-    number of ranks: the solvers call it on constant-size sets only."""
+    Yields (classes, near): the three color classes as rank masks, and
+    per class the ranks adjacent to it, `bits[r]` unrestricted. A plain
+    backtracker, exponential in the number of ranks: the solvers call it
+    on constant-size sets only."""
     ranks = list(_ranks(mask))
     lists = [_TUPLES[_mask_at(has, r)] for r in ranks]
     size = len(ranks)
-    chosen = [0] * size
     classes = [0, 0, 0]
     near = [0, 0, 0]
 
     def rec(i: int):
         if i == size:
-            yield tuple(chosen), tuple(classes), tuple(near)
+            yield tuple(classes), tuple(near)
             return
         r = ranks[i]
         for c in lists[i]:
             cls, adj = classes[c - 1], near[c - 1]
             if adj >> r & 1 or cap is not None and cls.bit_count() >= cap:
                 continue
-            chosen[i] = c
             classes[c - 1] = cls | 1 << r
             near[c - 1] = adj | bits[r]
             yield from rec(i + 1)
@@ -311,7 +304,7 @@ def _few_wide(bits: tuple, mask: int, has) -> Optional[dict]:
     wins."""
     full = mask & has[0] & has[1] & has[2]
     rest = [h & ~full for h in has]
-    for _, pinned, near in _list_colorings(bits, full, has):
+    for pinned, near in _list_colorings(bits, full, has):
         ranks = _two_lists(bits, mask, [pinned[i] | rest[i] & ~near[i] for i in range(3)])
         if ranks is not None:
             return ranks

@@ -25,7 +25,7 @@ from ordered_coloring import (
 )
 from ordered_coloring.core import _ranks, checked_witness
 from ordered_coloring.j16 import pad_sets
-from ordered_coloring.jw import ColoredSeed, Member
+from ordered_coloring.jw import Member, class_cap
 from ordered_coloring.kernels import (
     _TUPLES,
     _TwoSat,
@@ -387,14 +387,41 @@ def chain_member(inst: Instance) -> Member:
     return Member(g.adjacency_bits(), inst.color_bits, (1 << g.n) - 1)
 
 
-def rank_seed(m: Member, support: tuple, colors: tuple) -> ColoredSeed:
-    """A seed on m's ranks, with the `masks` that `jw.gamma` records: the
+def rank_seed(m: Member, support: tuple, colors: tuple) -> tuple:
+    """A seed on m's ranks as `jw.gamma` yields it, (classes, near): the
     color classes as rank masks and, per class, its neighbors in m."""
     classes, near = [0, 0, 0], [0, 0, 0]
     for r, c in zip(support, colors):
         classes[c - 1] |= 1 << r
         near[c - 1] |= m.bits[r]
-    return ColoredSeed(support, colors, (tuple(classes), tuple(near)))
+    return tuple(classes), tuple(near)
+
+
+def seed_coloring(seed) -> dict:
+    """A `jw.gamma` seed read off its class masks as {rank: color}, ranks
+    ascending: its support and colors."""
+    classes, _ = seed
+    return dict(sorted((r, c) for c, cls in zip(COLORS, classes) for r in _ranks(cls)))
+
+
+def reference_gamma(m: Member, e, w: int):
+    """Independent seeds for `jw.gamma`, as (classes, near) pairs: the
+    supports in the span of the rank pair e that contain both ends, in
+    ascending bitmask order over the span's member ranks; per support,
+    every proper list coloring from `itertools.product` over the sorted
+    lists, in lexicographic order, with no class above `class_cap(w)`."""
+    a, b = e
+    inner = [r for r in _ranks(m.mask) if a < r < b]
+    cap = class_cap(w)
+    for sub in range(1 << len(inner)):
+        support = sorted([a, b] + [r for i, r in enumerate(inner) if sub >> i & 1])
+        for colors in itertools.product(*(sorted(_SETS[_mask_at(m.has, r)]) for r in support)):
+            if any(colors.count(c) > cap for c in COLORS):
+                continue
+            pairs = itertools.combinations(zip(support, colors), 2)
+            if any(c == d and m.bits[r] >> s & 1 for (r, c), (s, d) in pairs):
+                continue
+            yield rank_seed(m, tuple(support), colors)
 
 
 def rank_instance(m: Member) -> Instance:
@@ -418,12 +445,12 @@ def span_and_left(g: OrderedGraph, e) -> tuple:
     return frozenset(g.vertices[lo : hi + 1]), frozenset(g.vertices[:lo])
 
 
-def property_x(inst: Instance, phi: Coloring, seed) -> bool:
-    """Compatibility plus joint properness: phi and the seed agree where
-    they overlap, and their union is a proper list coloring of the graph
-    induced on the union of their domains."""
-    sigma = dict(zip(seed.support, seed.colors))
-    for v in seed.support:
+def property_x(inst: Instance, phi: Coloring, sigma: dict) -> bool:
+    """Compatibility plus joint properness: phi and the seed sigma, a
+    {vertex: color} map, agree where they overlap, and their union is a
+    proper list coloring of the graph induced on the union of their
+    domains."""
+    for v in sigma:
         if v in phi and phi[v] != sigma[v]:
             return False
     union = dict(phi.items())
@@ -438,12 +465,11 @@ def property_x(inst: Instance, phi: Coloring, seed) -> bool:
     return True
 
 
-def property_y(inst: Instance, phi: Coloring, seed, e) -> bool:
+def property_y(inst: Instance, phi: Coloring, sigma: dict, e) -> bool:
     """Compatibility plus left-domination: every vertex left of e seeing
-    color i inside the span of e (under phi) also has a seed neighbor of
-    color i."""
-    sigma = dict(zip(seed.support, seed.colors))
-    for v in seed.support:
+    color i inside the span of e (under phi) also has a neighbor of color
+    i in the seed sigma, a {vertex: color} map."""
+    for v in sigma:
         if v in phi and phi[v] != sigma[v]:
             return False
     g = inst.graph
@@ -480,11 +506,12 @@ def link_holds(m: Member, e, e_prev, g_seed, g_prev, psi) -> bool:
     compatibility and left-domination against both seeds of a link, on m
     as an instance keyed by ranks."""
     inst = rank_instance(m)
+    sigma, tau = seed_coloring(g_seed), seed_coloring(g_prev)
     return (
-        property_x(inst, psi, g_seed)
-        and property_y(inst, psi, g_seed, e)
-        and property_x(inst, psi, g_prev)
-        and property_y(inst, psi, g_prev, e_prev)
+        property_x(inst, psi, sigma)
+        and property_y(inst, psi, sigma, e)
+        and property_x(inst, psi, tau)
+        and property_y(inst, psi, tau, e_prev)
     )
 
 
@@ -899,7 +926,8 @@ def reference_fwdnbr_members(inst: Instance, k: int, l: int):
     ):
         return
     seen = set()
-    for a_sets, b_sets, has in boundary_guesses(inst, k, l):
+    for picks, has in boundary_guesses(inst, k, l):
+        a_sets, b_sets = picked_sets(g.vertices, picks)
         narrowed = _reference_narrow(Instance(g, lists_from_bits(g.vertices, has)), a_sets, b_sets)
         if narrowed is None:
             continue
@@ -912,6 +940,13 @@ def reference_fwdnbr_members(inst: Instance, k: int, l: int):
         if any((bits[r] & wide & -(2 << r)).bit_count() > 2 for r in _ranks(wide)):
             raise InternalError("narrowed member has forward degree above two on its wide set")
         yield narrowed
+
+
+def picked_sets(order: tuple, picks: tuple) -> tuple:
+    """The picks of a `kernels.boundary_guesses` guess, per color a
+    (first-set, last-set) pair of rank tuples, as (first-sets, last-sets)
+    of vertex ids in `order`."""
+    return tuple(tuple(tuple(order[r] for r in pick[j]) for pick in picks) for j in (0, 1))
 
 
 def wide_set(inst: Instance) -> list:

@@ -30,7 +30,7 @@ from ordered_coloring import (
 from ordered_coloring import j16, jw
 from ordered_coloring.core import _maximal_edges, _ranks
 from ordered_coloring.gadgets import gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
-from ordered_coloring.jw import ColoredSeed, augment_star, class_cap, success_table
+from ordered_coloring.jw import augment_star, class_cap, success_table
 from ordered_coloring.kernels import _few_wide
 from ordered_coloring.rand import (
     make_rng,
@@ -227,8 +227,8 @@ def test_criterion_4_chain_level_checks():
             for e in g.edges:
                 e = tuple(sorted(e, key=g.rank))
                 und = g.vertices[g.rank(e[0]) : g.rank(e[1]) + 1]
-                seed = ColoredSeed(tuple(und), tuple(phi[x] for x in und))
-                assert all(seed.colors.count(i) <= class_cap(1) for i in (1, 2, 3))
+                seed = {x: phi[x] for x in und}
+                assert all(list(seed.values()).count(i) <= class_cap(1) for i in (1, 2, 3))
                 assert property_x(inst, phi, seed)
                 assert property_y(inst, phi, seed, e)
                 seed_checks += 1
@@ -237,7 +237,7 @@ def test_criterion_4_chain_level_checks():
     for inst in corpus:
         if any(not cs for _, cs in inst.lists.items()):
             continue
-        star, _ = augment_star(chain_member(inst))
+        star = augment_star(chain_member(inst))
         assert bool(success_table(star, 2).final()) == (solve_bruteforce(inst) is not None)
         dp_checks += 1
 
@@ -333,7 +333,8 @@ def test_criterion_8_structural_invariants():
         lefts = [a for a, _ in mx]
         rights = [b for _, b in mx]
         assert lefts == sorted(lefts) and rights == sorted(rights)
-        star, qe = augment_star(m)
+        star = augment_star(m)
+        qe = (len(m.bits), len(m.bits) + 1)
         assert _maximal_edges(star.bits, star.mask) == mx + (qe,)
 
     # freeness is reversal-symmetric

@@ -89,7 +89,7 @@ class TestParameterGenerality:
         monkeypatch.setattr(jw, "WIDE_CAP", 0)
         g = graph({i: i for i in range(1, 8)}, [(1, 7), (2, 6)])
         inst = Instance.with_full_lists(g)
-        star, _ = augment_star(chain_member(inst))
+        star = augment_star(chain_member(inst))
         mx = _maximal_edges(star.bits, star.mask)
         e_prev, e = mx[0], mx[1]
         g_prev = next(iter(gamma(star, e_prev, 2)))

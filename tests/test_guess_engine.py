@@ -17,6 +17,7 @@ from ordered_coloring.kernels import boundary_guesses
 from ordered_coloring.rand import make_rng, random_j16free_instance, random_pattern_free_instance
 from conftest import (
     lists_from_bits,
+    picked_sets,
     reference_guesses,
     reference_lists_jw,
     reference_propagation,
@@ -53,8 +54,8 @@ def _propagated(inst, lists):
 def _engine(inst, first, last):
     """The engine's guesses as ((first-sets, last-sets), propagated lists)."""
     order = inst.graph.vertices
-    for f, s, has in boundary_guesses(inst, first, last):
-        yield (f, s), lists_from_bits(order, has)
+    for picks, has in boundary_guesses(inst, first, last):
+        yield picked_sets(order, picks), lists_from_bits(order, has)
 
 
 def _compare(inst, engine, reference):

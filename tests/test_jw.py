@@ -1,3 +1,4 @@
+import itertools
 import json
 import os
 import subprocess
@@ -22,7 +23,6 @@ import ordered_coloring
 from ordered_coloring import jw, kernels, oracle
 from ordered_coloring.core import _maximal_edges, _ranks
 from ordered_coloring.jw import (
-    ColoredSeed,
     augment_star,
     build_sigma_profile,
     check_link,
@@ -32,7 +32,7 @@ from ordered_coloring.jw import (
 )
 from ordered_coloring.kernels import _mask_at, _wide, _witness, has_k4, solve_small_class
 from ordered_coloring.io import serialize_instance
-from ordered_coloring.rand import make_rng, random_ordered_graph, random_pattern_free_instance
+from ordered_coloring.rand import make_rng, random_instance, random_ordered_graph, random_pattern_free_instance
 from conftest import (
     _ONLY,
     _SETS,
@@ -48,9 +48,11 @@ from conftest import (
     rank_instance,
     rank_seed,
     reference_check_link,
+    reference_gamma,
     reference_sigma_members,
     respects,
     restrict_coloring,
+    seed_coloring,
 )
 
 JW1 = build_pattern("Jw:1")
@@ -125,8 +127,9 @@ class TestGamma:
         # only support {u, v}, as ranks; proper pairs of distinct colors
         assert len(seeds) == 6
         for s in seeds:
-            assert set(s.support) == {0, 1}
-            cu, cv = s.colors
+            sigma = seed_coloring(s)
+            assert set(sigma) == {0, 1}
+            cu, cv = sigma.values()
             assert cu != cv
 
     def test_conflicting_forced_lists_give_nothing(self):
@@ -138,15 +141,17 @@ class TestGamma:
     def test_endpoints_always_in_support(self):
         inst = instance({i: i for i in range(1, 5)}, [(1, 4), (2, 3)])
         for seed in gamma(chain_member(inst), (0, 3), 1):
-            assert 0 in seed.support and 3 in seed.support
+            sigma = seed_coloring(seed)
+            assert 0 in sigma and 3 in sigma
 
     def test_class_cap_enforced(self):
         # width cap of 30 per class is inactive at this size, but every
         # emitted seed still satisfies it
         inst = instance({i: i for i in range(1, 7)}, [(1, 6)])
         for seed in gamma(chain_member(inst), (0, 5), 1):
+            colors = list(seed_coloring(seed).values())
             for i in (1, 2, 3):
-                assert seed.colors.count(i) <= class_cap(1)
+                assert colors.count(i) <= class_cap(1)
 
     def test_seeds_are_proper_and_list_respecting(self):
         inst = instance(
@@ -158,29 +163,82 @@ class TestGamma:
         assert seeds
         order = inst.graph.vertices
         for seed in seeds:
-            col = Coloring({order[r]: c for r, c in zip(seed.support, seed.colors)})
+            col = Coloring({order[r]: c for r, c in seed_coloring(seed).items()})
             assert is_proper(col, inst.graph) and respects(col, inst.lists)
+
+    @staticmethod
+    def _profile_stars(inst, count=3):
+        """The augmented members of the first `count` profile members."""
+        bits = inst.graph.adjacency_bits()
+        for has in itertools.islice(build_sigma_profile(inst, 1), count):
+            yield augment_star(jw.Member(bits, has, _wide(has)))
+
+    def test_matches_reference_in_order(self):
+        # item for item against `conftest.reference_gamma`: band and fan
+        # members on their maximal edges at the chain's w = 2, and random
+        # members on every edge among their ranks at w = 0 and w = 1, where
+        # class_cap(0) = 3 binds on wide spans
+        seeds = spans = capped = 0
+        stars = [star for inst in band_corpus(73, 6) for star in self._profile_stars(inst)]
+        stars += [star for m in range(7) for star in self._profile_stars(fan_instance(m))]
+        for star in stars:
+            for e in _maximal_edges(star.bits, star.mask):
+                got = list(gamma(star, e, 2))
+                assert got == list(reference_gamma(star, e, 2)), e
+                seeds += len(got)
+                spans += 1
+        rng = make_rng(74)
+        for _ in range(60):
+            inst = random_instance(rng, rng.randint(4, 10), rng.uniform(0.05, 0.3), rng.random())
+            n, bits = inst.graph.n, inst.graph.adjacency_bits()
+            m = jw.Member(bits, inst.color_bits, rng.getrandbits(n) | rng.getrandbits(n))
+            for a in _ranks(m.mask):
+                for b in _ranks(bits[a] & m.mask & -(2 << a)):
+                    got = {w: list(gamma(m, (a, b), w)) for w in (0, 1)}
+                    for w in (0, 1):
+                        assert got[w] == list(reference_gamma(m, (a, b), w)), (a, b, w)
+                    seeds += len(got[1])
+                    spans += 1
+                    capped += len(got[1]) - len(got[0])
+        assert spans >= 200 and seeds >= 20_000 and capped >= 1_000, (spans, seeds, capped)
+
+    @pytest.mark.parametrize("m,expected", [(6, 1_435), (10, 48_715)])
+    def test_yields_on_the_fan(self, m, expected, monkeypatch):
+        # the seeds one solve on the fan enumerates, counted before seeds
+        # became their class masks
+        real = jw.gamma
+        yielded = 0
+
+        def counting(*args):
+            nonlocal yielded
+            for seed in real(*args):
+                yielded += 1
+                yield seed
+
+        monkeypatch.setattr(jw, "gamma", counting)
+        assert solve_jw(fan_instance(m), 1) is not None
+        assert yielded == expected
 
 
 class TestProperties:
     def test_empty_phi_has_x(self):
         inst = instance({"u": 1, "v": 2}, [("u", "v")])
-        seed = ColoredSeed(("u", "v"), (1, 2))
+        seed = {"u": 1, "v": 2}
         assert property_x(inst, Coloring({}), seed)
 
     def test_phi_equal_to_sigma_has_x(self):
         inst = instance({"u": 1, "v": 2}, [("u", "v")])
-        seed = ColoredSeed(("u", "v"), (1, 2))
+        seed = {"u": 1, "v": 2}
         assert property_x(inst, Coloring({"u": 1}), seed)
 
     def test_conflicting_left_vertex_breaks_x(self):
         inst = instance({"x": 1, "u": 2, "v": 3}, [("x", "u"), ("u", "v")])
-        seed = ColoredSeed(("u", "v"), (1, 2))
+        seed = {"u": 1, "v": 2}
         assert not property_x(inst, Coloring({"x": 1}), seed)
 
     def test_empty_left_reduces_y_to_compatibility(self):
         inst = instance({"u": 1, "v": 2}, [("u", "v")])
-        seed = ColoredSeed(("u", "v"), (1, 2))
+        seed = {"u": 1, "v": 2}
         assert property_y(inst, Coloring({"u": 1, "v": 2}), seed, ("u", "v"))
         assert not property_y(inst, Coloring({"u": 2}), seed, ("u", "v"))
 
@@ -191,10 +249,10 @@ class TestProperties:
             [("x", "m"), ("u", "v"), ("m", "w")],
         )
         inst = Instance.with_full_lists(g)
-        seed = ColoredSeed(("u", "v"), (2, 3))
+        seed = {"u": 2, "v": 3}
         phi = Coloring({"m": 1})
         assert not property_y(inst, phi, seed, ("u", "v"))
-        richer = ColoredSeed(("u", "m", "v"), (2, 1, 3))
+        richer = {"u": 2, "m": 1, "v": 3}
         assert property_y(inst, phi, richer, ("u", "v"))
 
     def test_monotone_under_restriction(self):
@@ -211,7 +269,7 @@ class TestProperties:
             e = next(iter(g.edges))
             e = tuple(sorted(e, key=g.rank))
             und = g.vertices[g.rank(e[0]) : g.rank(e[1]) + 1]
-            seed = ColoredSeed(tuple(und), tuple(full[x] for x in und))
+            seed = {x: full[x] for x in und}
             domain = sorted(full.domain(), key=str)
             for cut in range(len(domain) + 1):
                 phi = restrict_coloring(full, domain[:cut])
@@ -221,7 +279,8 @@ class TestProperties:
 
 class TestAugmentStar:
     def test_empty_graph(self):
-        star, (q1, q2) = augment_star(chain_member(instance({})))
+        star = augment_star(chain_member(instance({})))
+        q1, q2 = 0, 1
         ranked = rank_instance(star)
         assert ranked.graph.n == 2
         assert ranked.lists.get(q1) == {1} and ranked.lists.get(q2) == {2}
@@ -229,7 +288,7 @@ class TestAugmentStar:
 
     def test_size_grows_by_two(self):
         inst = instance({i: i for i in range(1, 5)}, [(1, 2)])
-        star, _ = augment_star(chain_member(inst))
+        star = augment_star(chain_member(inst))
         assert rank_instance(star).graph.n == inst.graph.n + 2
 
     def test_maximal_edges_extended(self):
@@ -238,7 +297,8 @@ class TestAugmentStar:
         for _ in range(40):
             inst = jw1_free_instance(rng, n_max=7)
             m = chain_member(inst)
-            star, qe = augment_star(m)
+            star = augment_star(m)
+            qe = (inst.graph.n, inst.graph.n + 1)
             assert _maximal_edges(star.bits, star.mask) == _maximal_edges(m.bits, m.mask) + (qe,)
 
     def test_freeness_degree_rises(self):
@@ -246,7 +306,7 @@ class TestAugmentStar:
         jw2 = build_pattern("Jw:2")
         for _ in range(25):
             inst = jw1_free_instance(rng, n_max=7)
-            star, _ = augment_star(chain_member(inst))
+            star = augment_star(chain_member(inst))
             assert contains_pattern(rank_instance(star).graph, jw2) is None
 
 
@@ -257,7 +317,7 @@ class TestCheckLink:
         agreements = linked = 0
         for _ in range(200):
             inst = jw1_free_instance(rng, n_max=6)
-            star, _ = augment_star(chain_member(inst))
+            star = augment_star(chain_member(inst))
             mx = _maximal_edges(star.bits, star.mask)
             if len(mx) < 2:
                 continue
@@ -306,7 +366,7 @@ class TestSuccessTable:
             inst = jw1_free_instance(rng, n_max=7)
             if any(not cs for _, cs in inst.lists.items()):
                 continue
-            star, _ = augment_star(chain_member(inst))
+            star = augment_star(chain_member(inst))
             final = success_table(star, 2).final()
             assert bool(final) == (solve_bruteforce(inst) is not None)
 
@@ -564,7 +624,7 @@ class TestGluingRule:
     def test_leftmost_span_fails_where_rightmost_holds(self):
         inst = instance({r: r + 1 for r in range(13)}, self.EDGES)
         has = next(build_sigma_profile(inst, 1))  # the first member, on which solve_jw accepts
-        star, _ = augment_star(jw.Member(inst.graph.adjacency_bits(), has, _wide(has)))
+        star = augment_star(jw.Member(inst.graph.adjacency_bits(), has, _wide(has)))
         mx = _maximal_edges(star.bits, star.mask)
         assert mx == ((4, 7), (5, 8), (7, 9), (13, 14))
         seeds = [rank_seed(star, support, colors) for support, colors in self.SEEDS]

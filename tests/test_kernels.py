@@ -60,6 +60,7 @@ from conftest import (
     reference_few_wide,
     reference_solve_small_class,
     reference_solve_two_lists,
+    seed_coloring,
     sub_instance,
     updated_lists,
 )
@@ -373,8 +374,8 @@ class TestReferenceDifferential:
 class TestListColorings:
     """`_list_colorings` on a rank mask gives the oracle's enumeration on
     the induced sub-instance, in order; with `cap`, that sequence filtered
-    by class size. Each yield's classes and neighborhoods follow its
-    colors."""
+    by class size. Each yield's classes split the mask, and its
+    neighborhoods follow its classes."""
 
     def test_matches_oracle_on_rank_masks(self):
         rng = make_rng(46)
@@ -388,15 +389,15 @@ class TestListColorings:
             sub = sub_instance(inst, [g.vertices[r] for r in ranks])
             expected = [tuple(f[v] for v in sub.graph.vertices) for f in enumerate_colorings(sub)]
             got = list(_list_colorings(bits, mask, has))
-            assert [colors for colors, _, _ in got] == expected
-            for colors, classes, near in got:
-                for i, color in enumerate(COLORS):
-                    cls = sum(1 << r for r, c in zip(ranks, colors) if c == color)
-                    assert classes[i] == cls
-                    assert near[i] == functools.reduce(or_, (bits[r] for r in _ranks(cls)), 0)
+            assert [tuple(seed_coloring(seed).values()) for seed in got] == expected
+            for classes, near in got:
+                assert classes[0] | classes[1] | classes[2] == mask
+                assert sum(map(int.bit_count, classes)) == mask.bit_count()
+                for i in range(3):
+                    assert near[i] == functools.reduce(or_, (bits[r] for r in _ranks(classes[i])), 0)
             cap = rng.randint(0, 3)
             small = [cs for cs in expected if all(cs.count(c) <= cap for c in COLORS)]
-            assert [colors for colors, _, _ in _list_colorings(bits, mask, has, cap)] == small
+            assert [tuple(seed_coloring(seed).values()) for seed in _list_colorings(bits, mask, has, cap)] == small
             colorings += len(expected)
             capped += len(expected) - len(small)
         assert colorings >= 2000 and capped >= 1000, (colorings, capped)
