@@ -5,6 +5,13 @@ Search order is fixed (vertices by position, colors ascending) so results
 are deterministic and the first coloring found is the lexicographically
 smallest one. Pruning (forward checking plus unit propagation on the
 remaining lists) never removes a valid coloring, so counts are exact.
+
+The search runs on ranks: a 3-bit color mask per rank, built from the
+frozenset lists (`inst.lists`) so that the oracle stays independent of
+`Instance.color_bits`, and neighbor lists read once from the adjacency
+bit rows. One explicit stack holds the untried colors of each depth and
+one trail holds the strikes to undo; no frame or closure is built per
+level.
 """
 
 from __future__ import annotations
@@ -12,74 +19,102 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterator, Optional
 
-from .core import Coloring, Instance
+from .core import Coloring, Instance, _ranks
 from .errors import CapExceededError, InputError
 
 DEFAULT_CAP = 20
-
-_BIT = {1: 1, 2: 2, 3: 4}
-_COLORS_OF = {m: tuple(c for c in (1, 2, 3) if m & _BIT[c]) for m in range(8)}
 
 
 def enumerate_colorings(inst: Instance, cap: int = DEFAULT_CAP) -> Iterator[Coloring]:
     """Yield every L-coloring in lexicographic order (position-major,
     colors ascending). Iterative backtracking; depth is not an issue even
-    for gadget-sized graphs."""
+    for gadget-sized graphs.
+
+    Depth d assigns rank d. `untried[d]` holds the colors of rank d, as
+    one-bit masks, that are still to be tried, lowest first; it is read
+    off rank d's mask when the search descends to d, so it already lacks
+    every color the ranks before d struck. Assigning a color strikes it
+    from the later neighbors of d, and every later rank that is left with
+    a single color strikes that color in turn from its own neighbors
+    after d (a singleton cascade). A list that empties kills the branch.
+    Initial singletons are not propagated; a rank's own list is never
+    struck. Each strike goes on `trail`, and `mark[d]` is the trail's
+    length before depth d's current color, so moving to the next color or
+    back up undoes exactly that color's strikes. Colors stay one-bit
+    masks until a coloring is yielded.
+
+    The tree is the one a cascade in any order would search: a cascade
+    that succeeds strikes each color that some chain of singletons forces
+    out, whatever the order it pops them in, so the lists at the next
+    depth are the same; and a cascade that empties a list in one order
+    empties it in every order, since the strikes made before it stops
+    are all forced. So the candidates, the pruned branches and the
+    yielded sequence depend only on the rank order and the lists."""
     g = inst.graph
     n = g.n
     if n > cap:
         raise CapExceededError(f"instance has {n} vertices, cap is {cap}")
     order = g.vertices
-    masks = [sum(_BIT[c] for c in inst.lists.get(v)) for v in order]
-    nbrs = [[g.rank(u) for u in g.neighbors(v)] for v in order]
-
     if n == 0:
         yield Coloring({})
         return
-
-    # Each frame: vertex rank, candidate colors, next candidate index,
-    # list of (rank, bit) strikes to undo when leaving the frame.
-    frames: list[list] = [[0, _COLORS_OF[masks[0]], 0, []]]
-    chosen = [0] * n
-
-    def strike(start_rank: int, color_bit: int, undo: list) -> bool:
-        """Remove color_bit from unassigned neighbors, cascading singleton
-        eliminations. Returns False if some list becomes empty."""
-        depth = len(frames)  # ranks < depth are assigned
-        queue = [(start_rank, color_bit)]
-        while queue:
-            r, bit = queue.pop()
+    masks = [sum(1 << c - 1 for c in inst.lists.get(v)) for v in order]
+    nbrs = [list(_ranks(row)) for row in g.adjacency_bits()]
+    later = [[s for s in row if s > r] for r, row in enumerate(nbrs)]
+    untried = [0] * n  # colors not yet tried at each depth
+    mark = [0] * n  # trail length before each depth's current color
+    chosen = [0] * n  # the color bit of each assigned rank
+    trail = []  # (rank, bit) strikes, newest last
+    untried[0] = masks[0]
+    d = 0
+    while d >= 0:
+        top = mark[d]
+        while len(trail) > top:
+            s, b = trail.pop()
+            masks[s] |= b
+        left = untried[d]
+        if not left:
+            d -= 1
+            continue
+        bit = left & -left
+        untried[d] = left ^ bit
+        chosen[d] = bit
+        singles = []
+        dead = False
+        for s in later[d]:
+            m = masks[s]
+            if m & bit:
+                m ^= bit
+                masks[s] = m
+                trail.append((s, bit))
+                if not m & (m - 1):
+                    if not m:
+                        dead = True
+                        break
+                    singles.append(s)
+        while singles and not dead:
+            r = singles.pop()
+            b = masks[r]
             for s in nbrs[r]:
-                if s < depth or not masks[s] & bit:
-                    continue
-                masks[s] &= ~bit
-                undo.append((s, bit))
-                if masks[s] == 0:
-                    return False
-                if masks[s] in (1, 2, 4):
-                    queue.append((s, masks[s]))
-        return True
-
-    while frames:
-        frame = frames[-1]
-        r, candidates, idx, undo = frame
-        # undo strikes from the previous candidate at this frame
-        for s, bit in undo:
-            masks[s] |= bit
-        undo.clear()
-        if idx >= len(candidates):
-            frames.pop()
+                if s > d:
+                    m = masks[s]
+                    if m & b:
+                        m ^= b
+                        masks[s] = m
+                        trail.append((s, b))
+                        if not m & (m - 1):
+                            if not m:
+                                dead = True
+                                break
+                            singles.append(s)
+        if dead:
             continue
-        frame[2] = idx + 1
-        c = candidates[idx]
-        chosen[r] = c
-        ok = strike(r, _BIT[c], undo)
-        if not ok:
+        if d + 1 == n:
+            yield Coloring({v: chosen[r].bit_length() for r, v in enumerate(order)})
             continue
-        if r + 1 == n:
-            yield Coloring({order[i]: chosen[i] for i in range(n)})
-            continue
-        frames.append([r + 1, _COLORS_OF[masks[r + 1]], 0, []])
+        d += 1
+        mark[d] = len(trail)
+        untried[d] = masks[d]
 
 
 def solve_bruteforce(inst: Instance, cap: int = DEFAULT_CAP) -> Optional[Coloring]:

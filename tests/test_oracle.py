@@ -1,9 +1,13 @@
+import itertools
+from collections import Counter
+
 import pytest
 
 from ordered_coloring import (
     CapExceededError,
     InputError,
     Instance,
+    ListAssignment,
     NaeInstance,
     enumerate_colorings,
     nae_bruteforce,
@@ -44,6 +48,42 @@ class TestSolveBruteforce:
         for _ in range(80):
             inst = random_instance(rng, rng.randint(0, 7), rng.random(), rng.random())
             assert (solve_bruteforce(inst) is not None) == (count_colorings(inst) > 0)
+
+
+def product_colorings(inst: Instance) -> list:
+    """Every L-coloring as a color tuple over the ranks, by brute force:
+    ranks ascending, each list sorted, the proper ones of
+    `itertools.product` in its order."""
+    g = inst.graph
+    edges = [tuple(g.rank(v) for v in e) for e in g.edges]
+    return [
+        colors
+        for colors in itertools.product(*(sorted(inst.lists.get(v)) for v in g.vertices))
+        if all(colors[r] != colors[s] for r, s in edges)
+    ]
+
+
+class TestEnumerateColorings:
+    def test_matches_product_in_order(self):
+        # seeded draws at n = 0..8, a fifth with one list emptied, each
+        # also with fresh positions: the whole sequence, item for item
+        rng = make_rng(2718)
+        sizes = Counter()
+        for i in range(360):
+            inst = random_instance(rng, i % 9, rng.random(), rng.random())
+            if inst.graph.n and rng.random() < 0.2:
+                emptied = rng.choice(inst.graph.vertices)
+                lists = {v: () if v == emptied else cs for v, cs in inst.lists.items()}
+                inst = Instance(inst.graph, ListAssignment(lists))
+            sizes.update(len(cs) for _, cs in inst.lists.items())
+            for case in (inst, Instance(positions_fuzzed(rng, inst.graph), inst.lists)):
+                order = case.graph.vertices
+                seen = []
+                for coloring in enumerate_colorings(case):
+                    assert coloring.domain() == frozenset(order)
+                    seen.append(tuple(coloring[v] for v in order))
+                assert seen == product_colorings(case)
+        assert all(sizes[k] > 0 for k in (0, 1, 2, 3))
 
 
 class TestCountColorings:
