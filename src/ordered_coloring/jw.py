@@ -9,7 +9,8 @@ forced dominating edge appended on the right.
 From the guess to the witness, a member is the three color bitsets of its
 lists on the input graph's ranks (see `Instance.color_bits`), and the
 chain runs on the mask of its ranks whose list keeps two or more colors.
-The witness of a yes instance is read off the accepting chain's link
+A survivor keeps the link coloring that admitted it and its predecessor,
+and the witness of a yes instance is glued from the accepting path's link
 colorings; no exhaustive search runs. What stays exponential is `gamma`,
 which enumerates every support of a span.
 """
@@ -138,46 +139,56 @@ def check_link(m: Member, e, e_prev, g_seed: tuple, g_prev: tuple) -> Optional[d
     return _few_wide(bits, und_prev, derived)
 
 
-@dataclass(frozen=True)
-class SuccessTable:
-    """Per maximal edge (in left-to-right order), the seeds that chain back
-    to the first maximal edge, and per seed the index of the first seed on
-    the previous edge that links to it (none on the first edge)."""
+def chain(m: Member, w: int) -> Optional[dict]:
+    """The seed chain over the maximal edges of m, left to right. Every
+    `gamma` seed of the first edge survives; a later seed survives when a
+    survivor of the previous edge links to it (`check_link`), and the
+    first such survivor is its predecessor. Returns None when no seed
+    survives on the last edge, else the colors read off the path from
+    the last edge's first survivor: each rank takes the color of the psi
+    of the rightmost span that holds it. With a single maximal edge there
+    is no link, and a seed on it gives {}.
 
-    edges: tuple
-    successful: tuple  # tuple of tuples of `gamma` seeds, parallel to edges
-    back: tuple  # tuple of tuples of indices, parallel to successful
+    A survivor is a node (seed, psi, predecessor), psi being what
+    `check_link` returned when the node was made. The first edge is not
+    listed: each seed of the second edge reruns `gamma` on it and stops
+    at its first link. Each edge's list is dropped once the next one is
+    done, so only nodes on some survivor's path stay alive.
 
-    def final(self) -> tuple:
-        return self.successful[-1] if self.successful else ()
-
-
-def success_table(m: Member, w: int) -> SuccessTable:
-    """Left-to-right dynamic program over the maximal edges of m: on the
-    first edge every seed is successful; afterwards a seed survives when
-    some successful seed on the previous edge links to it (`check_link`),
-    and the first such seed is its back-pointer."""
-    mx = _maximal_edges(m.bits, m.mask)
-    per_edge = []
-    back = []
-    prev_edge = None
-    prev_success: list = []
-    for e in mx:
-        current, links = [], []
-        if prev_edge is None:
-            current = list(gamma(m, e, w))
-        else:
-            for g_seed in gamma(m, e, w):
-                for j, g_prev in enumerate(prev_success):
-                    if check_link(m, e, prev_edge, g_seed, g_prev) is not None:
-                        current.append(g_seed)
-                        links.append(j)
-                        break
-        per_edge.append(tuple(current))
-        back.append(tuple(links))
-        prev_edge = e
-        prev_success = current
-    return SuccessTable(mx, tuple(per_edge), tuple(back))
+    This gives what tabulating every edge's survivors with first-link
+    back-pointers, then recomputing the links on the path, gives:
+    - same predecessor: `gamma` yields the first edge's seeds, all of
+      them survivors, in the same order on every run, and later lists
+      keep `gamma` order, so candidates are tried in table order;
+    - same psi: the node keeps what `check_link` returned for that seed
+      and that predecessor, the very call a recomputation repeats;
+    - same merge order: the psis are merged first span to last with
+      `|=`, so a rank keeps its first position and the rightmost color.
+    """
+    first, *rest = _maximal_edges(m.bits, m.mask)
+    if not rest:
+        return {} if next(gamma(m, first, w), None) is not None else None
+    nodes, e_prev = None, first  # nodes: the previous edge's survivors
+    for e in rest:
+        survivors = []
+        for seed in gamma(m, e, w):
+            preds = nodes if nodes is not None else ((g, None, None) for g in gamma(m, first, w))
+            for pred in preds:
+                psi = check_link(m, e, e_prev, seed, pred[0])
+                if psi is not None:
+                    survivors.append((seed, psi, pred))
+                    break
+        if not survivors:
+            return None
+        nodes, e_prev = survivors, e
+    found, node = [], nodes[0]
+    while node[1] is not None:  # a first-edge seed carries no psi
+        found.append(node[1])
+        node = node[2]
+    ranks: dict = {}
+    for psi in reversed(found):
+        ranks |= psi
+    return ranks
 
 
 def build_sigma_profile(inst: Instance, w: int) -> Iterator[tuple]:
@@ -216,8 +227,8 @@ def solve_jw(inst: Instance, w: int) -> Optional[Coloring]:
     `class_cap(2)` = 111, which cannot bind on a span of 111 vertices or
     fewer.
 
-    The witness is read off the accepting chain (`_chain_coloring`). Walk
-    the back-pointers from the first final seed; on that path write
+    The witness is read off the accepting chain (`chain`). Walk the
+    predecessors from the first final survivor; on that path write
     sigma_k for the seed on span k and psi_k for the link coloring of
     span k that joins sigma_k to sigma_{k+1}. Each wide rank takes its
     color from psi_k for the rightmost span k that holds it. Every edge
@@ -254,26 +265,8 @@ def solve_jw(inst: Instance, w: int) -> Optional[Coloring]:
         return small
     bits = g.adjacency_bits()
     for has in build_sigma_profile(inst, w):
-        star = augment_star(Member(bits, has, _wide(has)))
-        table = success_table(star, w + 1)
-        if table.final():
-            return _witness(inst, _chain_coloring(star, table), has)
+        ranks = chain(augment_star(Member(bits, has, _wide(has))), w + 1)
+        if ranks is not None:
+            return _witness(inst, ranks, has)
     return None
-
-
-def _chain_coloring(m: Member, table: SuccessTable) -> dict:
-    """The colors of the ranks in the spans of m's maximal edges, read off
-    the chain from the first final seed back along the back-pointers:
-    the links on that path are recomputed with `check_link`, and each
-    rank takes its color from the psi of the rightmost span that holds
-    it. Returns {rank: color}, ranks ascending."""
-    found = []
-    j = 0
-    for k in range(len(table.edges) - 1, 0, -1):
-        seed, j = table.successful[k][j], table.back[k][j]
-        found.append(check_link(m, table.edges[k], table.edges[k - 1], seed, table.successful[k - 1][j]))
-    ranks: dict = {}
-    for psi in reversed(found):
-        ranks |= psi
-    return ranks
 

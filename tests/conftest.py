@@ -529,6 +529,38 @@ def reference_maximal_edges(bits: tuple, mask: int) -> tuple:
     )
 
 
+
+def reference_chain(m: Member, w: int) -> Optional[dict]:
+    """Independent seed chain for `jw.chain`: a table of every maximal
+    edge's survivors in `reference_gamma` order, the first edge's being
+    all its seeds, each later one with the index of the first survivor of
+    the previous edge that `reference_check_link` links to it. None when
+    the last edge keeps no seed; otherwise the links on the back-pointer
+    path from the last edge's first survivor are recomputed, and each
+    rank, in the order the spans first reach it left to right, takes its
+    color from the rightmost link coloring that holds it."""
+    mx = reference_maximal_edges(m.bits, m.mask)
+    table = [(list(reference_gamma(m, mx[0], w)), [])]
+    for e_prev, e in zip(mx, mx[1:]):
+        prev, _ = table[-1]
+        seeds, back = [], []
+        for seed in reference_gamma(m, e, w):
+            j = next((j for j, g in enumerate(prev) if reference_check_link(m, e, e_prev, seed, g) is not None), None)
+            if j is not None:
+                seeds.append(seed)
+                back.append(j)
+        table.append((seeds, back))
+    if not table[-1][0]:
+        return None
+    psis, j = [], 0
+    for k in range(len(mx) - 1, 0, -1):
+        seeds, back = table[k]
+        psis.insert(0, reference_check_link(m, mx[k], mx[k - 1], seeds[j], table[k - 1][0][back[j]]))
+        j = back[j]
+    order = dict.fromkeys(r for psi in psis for r in psi)
+    return {r: next(psi[r] for psi in reversed(psis) if r in psi) for r in order}
+
+
 JW1 = build_pattern("Jw:1")
 
 

@@ -30,7 +30,7 @@ from ordered_coloring import (
 from ordered_coloring import j16, jw
 from ordered_coloring.core import _maximal_edges, _ranks
 from ordered_coloring.gadgets import gen_h1, gen_h2, gen_h3, gen_h4, gen_h5
-from ordered_coloring.jw import augment_star, class_cap, success_table
+from ordered_coloring.jw import augment_star, chain, class_cap
 from ordered_coloring.kernels import _few_wide
 from ordered_coloring.rand import (
     make_rng,
@@ -238,7 +238,7 @@ def test_criterion_4_chain_level_checks():
         if any(not cs for _, cs in inst.lists.items()):
             continue
         star = augment_star(chain_member(inst))
-        assert bool(success_table(star, 2).final()) == (solve_bruteforce(inst) is not None)
+        assert (chain(star, 2) is not None) == (solve_bruteforce(inst) is not None)
         dp_checks += 1
 
     for inst in corpus:

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -25,10 +26,10 @@ from ordered_coloring.core import _maximal_edges, _ranks
 from ordered_coloring.jw import (
     augment_star,
     build_sigma_profile,
+    chain,
     check_link,
     class_cap,
     gamma,
-    success_table,
 )
 from ordered_coloring.kernels import _mask_at, _wide, _witness, has_k4, solve_small_class
 from ordered_coloring.io import serialize_instance
@@ -47,12 +48,14 @@ from conftest import (
     property_y,
     rank_instance,
     rank_seed,
+    reference_chain,
     reference_check_link,
     reference_gamma,
     reference_sigma_members,
     respects,
     restrict_coloring,
     seed_coloring,
+    updated_lists,
 )
 
 JW1 = build_pattern("Jw:1")
@@ -114,6 +117,23 @@ def member_parts(inst, has):
     return kept, lists, forced
 
 
+def profile_stars(inst, count=3):
+    """The augmented members of the first `count` profile members (all of
+    them with None)."""
+    bits = inst.graph.adjacency_bits()
+    for has in itertools.islice(build_sigma_profile(inst, 1), count):
+        yield augment_star(jw.Member(bits, has, _wide(has)))
+
+
+def two_color_fan(m):
+    """`fan_instance(m)` with the lists of a, x1..xm and b cut to {2, 3}:
+    a, x1 and x2 form a triangle, so for m >= 2 no coloring exists and
+    no seed of the fan's edge links to the appended one."""
+    fan = fan_instance(m)
+    wide = ["a", *(f"x{i}" for i in range(1, m + 1)), "b"]
+    return Instance(fan.graph, updated_lists(fan.lists, {v: (2, 3) for v in wide}))
+
+
 def band_corpus(seed, count=12):
     """`count` band instances, alternately plain and obstructed, n=12-16."""
     rng = make_rng(seed)
@@ -166,21 +186,14 @@ class TestGamma:
             col = Coloring({order[r]: c for r, c in seed_coloring(seed).items()})
             assert is_proper(col, inst.graph) and respects(col, inst.lists)
 
-    @staticmethod
-    def _profile_stars(inst, count=3):
-        """The augmented members of the first `count` profile members."""
-        bits = inst.graph.adjacency_bits()
-        for has in itertools.islice(build_sigma_profile(inst, 1), count):
-            yield augment_star(jw.Member(bits, has, _wide(has)))
-
     def test_matches_reference_in_order(self):
         # item for item against `conftest.reference_gamma`: band and fan
         # members on their maximal edges at the chain's w = 2, and random
         # members on every edge among their ranks at w = 0 and w = 1, where
         # class_cap(0) = 3 binds on wide spans
         seeds = spans = capped = 0
-        stars = [star for inst in band_corpus(73, 6) for star in self._profile_stars(inst)]
-        stars += [star for m in range(7) for star in self._profile_stars(fan_instance(m))]
+        stars = [star for inst in band_corpus(73, 6) for star in profile_stars(inst)]
+        stars += [star for m in range(7) for star in profile_stars(fan_instance(m))]
         for star in stars:
             for e in _maximal_edges(star.bits, star.mask):
                 got = list(gamma(star, e, 2))
@@ -204,8 +217,14 @@ class TestGamma:
 
     @pytest.mark.parametrize("m,expected", [(6, 1_435), (10, 48_715)])
     def test_yields_on_the_fan(self, m, expected, monkeypatch):
-        # the seeds one solve on the fan enumerates, counted before seeds
-        # became their class masks
+        # called directly on the augmented member's maximal edges, the
+        # fan's own edge and the appended one, `gamma` yields the seeds a
+        # solve enumerated while the chain listed every first-edge seed
+        # (counted before seeds became their class masks); a solve now
+        # pulls the appended edge's seed and the fan edge's first, which
+        # links to it
+        (star,) = profile_stars(fan_instance(m))
+        assert sum(1 for e in _maximal_edges(star.bits, star.mask) for _ in gamma(star, e, 2)) == expected
         real = jw.gamma
         yielded = 0
 
@@ -217,7 +236,7 @@ class TestGamma:
 
         monkeypatch.setattr(jw, "gamma", counting)
         assert solve_jw(fan_instance(m), 1) is not None
-        assert yielded == expected
+        assert yielded == 2
 
 
 class TestProperties:
@@ -349,16 +368,31 @@ class TestCheckLink:
         assert check_link(m, e, e_prev, compatible, seed_prev) == {0: 1, 1: 2}
 
 
-class TestSuccessTable:
-    def test_first_edge_gets_everything(self):
-        m = chain_member(instance({i: i for i in range(1, 5)}, [(1, 3)]))
-        table = success_table(m, 1)
-        assert table.successful[0] == tuple(gamma(m, table.edges[0], 1))
+class TestChain:
+    def test_first_edge_gets_everything(self, monkeypatch):
+        # every first-edge seed survives: with no link holding, each seed
+        # of the second edge is tried against all of them, in `gamma` order
+        m = chain_member(instance({i: i for i in range(1, 5)}, [(1, 3), (2, 4)]))
+        first, second = _maximal_edges(m.bits, m.mask)
+        tried = []
+
+        def refusing(m, e, e_prev, g_seed, g_prev):
+            tried.append((g_seed, g_prev))
+            return None
+
+        monkeypatch.setattr(jw, "check_link", refusing)
+        assert chain(m, 1) is None
+        seeds = list(gamma(m, first, 1))
+        assert len(seeds) > 1
+        assert tried == [(g, g_prev) for g in gamma(m, second, 1) for g_prev in seeds]
 
     def test_nested_edges_single_entry(self):
         inst = instance({i: i for i in range(1, 5)}, [(1, 4), (2, 3)])
-        table = success_table(chain_member(inst), 1)
-        assert len(table.edges) == 1
+        m = chain_member(inst)
+        assert len(_maximal_edges(m.bits, m.mask)) == 1
+        assert chain(m, 1) == {}
+        clash = instance({"u": 1, "v": 2}, [("u", "v")], lists={"u": (1,), "v": (1,)})
+        assert chain(chain_member(clash), 1) is None
 
     def test_colorable_iff_final_seed_on_augmented(self):
         rng = make_rng(65)
@@ -367,8 +401,65 @@ class TestSuccessTable:
             if any(not cs for _, cs in inst.lists.items()):
                 continue
             star = augment_star(chain_member(inst))
-            final = success_table(star, 2).final()
-            assert bool(final) == (solve_bruteforce(inst) is not None)
+            assert (chain(star, 2) is not None) == (solve_bruteforce(inst) is not None)
+
+    def test_matches_reference_chain(self, monkeypatch):
+        # against the tabulating `conftest.reference_chain`, with the
+        # reference link standing in for `check_link` in both so that they
+        # glue the same link colorings: the same None or the same dict,
+        # key order included. Whole band instances as members end on an
+        # edge with several seeds, unlike the augmented ones
+        rng = make_rng(75)
+        stars = [chain_member(inst) for inst in band_corpus(70, 4)]
+        stars += [star for inst in band_corpus(70) for star in profile_stars(inst, None)]
+        corpus = [fan_instance(m) for m in range(9)] + [two_color_fan(5)]
+        corpus += [jw1_free_instance(rng) for _ in range(150)]
+        stars += [star for inst in corpus for star in profile_stars(inst)]
+        verdicts = [chain(star, 2) is not None for star in stars]
+        monkeypatch.setattr(jw, "check_link", reference_check_link)
+        outcomes = {True: 0, False: 0}
+        for star, verdict in zip(stars, verdicts):
+            got, expected = chain(star, 2), reference_chain(star, 2)
+            assert got == expected and list(got or ()) == list(expected or ())
+            assert (got is not None) == verdict
+            if len(_maximal_edges(star.bits, star.mask)) > 2:
+                outcomes[verdict] += 1
+        assert outcomes[True] >= 15 and outcomes[False] >= 20, outcomes
+
+    def test_uncolorable_fan_streams_the_first_edge(self, monkeypatch):
+        # no fan seed links to the appended edge's one seed, so `gamma`
+        # runs the fan edge to its end once, one seed per link check
+        real_gamma, real_link = jw.gamma, jw.check_link
+        counts = {"seeds": 0, "links": 0}
+
+        def counting_gamma(*args):
+            for seed in real_gamma(*args):
+                counts["seeds"] += 1
+                yield seed
+
+        def counting_link(*args):
+            counts["links"] += 1
+            return real_link(*args)
+
+        (star,) = profile_stars(two_color_fan(12))
+        monkeypatch.setattr(jw, "gamma", counting_gamma)
+        monkeypatch.setattr(jw, "check_link", counting_link)
+        assert chain(star, 2) is None
+        assert counts == {"seeds": 755, "links": 754}
+
+    @pytest.mark.parametrize("m,cap_mib", [(12, 10), (14, 20)])
+    def test_fan_memory(self, m, cap_mib):
+        # the parent of this chain listed every fan seed: 88.4 MiB traced
+        # at m = 12 (n = 20) and more than 500 MB at m = 14 (n = 22)
+        inst = fan_instance(m)
+        tracemalloc.start()
+        try:
+            got = solve_jw(inst, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert got is not None and got.validates(inst)
+        assert peak < cap_mib * 2**20, peak
 
 
 class TestSigmaProfile:
@@ -576,16 +667,16 @@ class TestWithoutOracle:
             drawn.append(random_pattern_free_instance(rng, JW1, n, rng.uniform(0.3, 0.9), rng.uniform(0.2, 0.8)))
         corpus = band_corpus(70) + drawn + [fan_instance(m) for m in range(11)]
 
-        accepted = []  # the tables whose chain accepts
-        real_table = jw.success_table
+        accepted = []  # the members whose chain accepts
+        real_chain = jw.chain
 
-        def counting(*args):
-            table = real_table(*args)
-            if table.final():
-                accepted.append(table)
-            return table
+        def counting(m, w):
+            ranks = real_chain(m, w)
+            if ranks is not None:
+                accepted.append(m)
+            return ranks
 
-        monkeypatch.setattr(jw, "success_table", counting)
+        monkeypatch.setattr(jw, "chain", counting)
 
         def forbidden(*args, **kwargs):
             raise AssertionError("solve_jw called the oracle")
@@ -601,7 +692,7 @@ class TestWithoutOracle:
             assert (got is None) == (solve_bruteforce(inst, cap=inst.graph.n) is None)
             if got is not None:
                 assert got.validates(inst)
-        links = sum(len(table.edges) - 1 for table in accepted)
+        links = sum(len(_maximal_edges(m.bits, m.mask)) - 1 for m in accepted)
         assert len(accepted) >= 20 and links >= 12, (len(accepted), links)
         assert sum(got is None for got in answers) >= 10
 
